@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,6 +24,7 @@ from .core import (
     LabeledSample,
     RatingScale,
     clamp_interval,
+    decimal_fraction,
     features_matrix,
     gt_array,
 )
@@ -36,6 +36,7 @@ from .learners import (
     fit_hist_density,
     fit_point_var,
     fit_quantile_model,
+    fit_spread_head,
 )
 
 METHOD_NAMES = (
@@ -86,8 +87,10 @@ class MethodResult:
 def conformal_quantile(scores, alpha: float) -> float:
     """The ceil((n+1)(1-alpha))-th smallest score, or +inf on rank overflow.
 
-    The rank is computed in exact rational arithmetic so a one-ulp float
-    error can never move it across an integer boundary.
+    alpha is read as the decimal it prints as (0.3 is 3/10, not the binary
+    double nearest it) and the rank is computed in exact rational
+    arithmetic, so the float's own rounding error can never move the rank
+    across an integer boundary.
     """
     scores = list(scores)
     n = len(scores)
@@ -95,7 +98,7 @@ def conformal_quantile(scores, alpha: float) -> float:
         raise DataError("conformal quantile of an empty score list")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    rank = math.ceil(Fraction(n + 1) * (1 - Fraction(alpha)))
+    rank = math.ceil((n + 1) * (1 - decimal_fraction(alpha)))
     if rank > n:
         return math.inf
     return float(sorted(scores)[rank - 1])
@@ -303,21 +306,19 @@ def _fit_cached(cache: dict | None, key: str, fit: Callable):
 
 
 def _pointvar(cal_train, cfg: MethodConfig, cache, need_sigma: bool):
+    """The point model of the learner half; one mean head serves every method."""
     Xtr, ytr = features_matrix(cal_train), gt_array(cal_train)
-    if cache is not None and "pointvar_sigma" in cache:
-        return cache["pointvar_sigma"]
-    if need_sigma:
-        return _fit_cached(
-            cache,
-            "pointvar_sigma",
-            lambda: fit_point_var(
-                Xtr, ytr, cfg.train, fit_sigma=True, sigma_floor=cfg.sigma_floor
-            ),
-        )
-    return _fit_cached(
+    model = _fit_cached(
         cache,
         "pointvar_mean",
-        lambda: fit_point_var(Xtr, ytr, cfg.train, fit_sigma=False),
+        lambda: fit_point_var(
+            Xtr, ytr, cfg.train, fit_sigma=False, sigma_floor=cfg.sigma_floor
+        ),
+    )
+    if not need_sigma:
+        return model
+    return _fit_cached(
+        cache, "pointvar_sigma", lambda: fit_spread_head(model, Xtr, ytr, cfg.train)
     )
 
 

@@ -145,19 +145,30 @@ class SplitPlan:
     test_indices: tuple[int, ...]
 
 
+def decimal_fraction(x: float) -> Fraction:
+    """x as the exact value of the decimal it prints as.
+
+    Fraction(0.3) is the binary double nearest 0.3, a hair below 3/10; this
+    gives 3/10. Ranks and cut points computed from it are those the decimal
+    the user wrote would give.
+    """
+    return Fraction(repr(float(x)))
+
+
 def make_split(n: int, cal_fraction: float, seed: int) -> SplitPlan:
     """Shuffle [0, n) with a seeded PCG64 generator and cut off the front.
 
     The calibration set takes the first round(cal_fraction * n) shuffled
-    indices, with round-half-up rounding computed in exact arithmetic so the
-    cut point never drifts across platforms. Identical (n, cal_fraction,
-    seed) always reproduce the identical plan.
+    indices, with cal_fraction read as the decimal it prints as and
+    round-half-up rounding computed in exact arithmetic, so the cut point
+    never drifts across platforms or with the float's rounding error.
+    Identical (n, cal_fraction, seed) always reproduce the identical plan.
     """
     if n < 2:
         raise DataError(f"cannot split {n} samples (need at least 2)")
     if not 0.0 < cal_fraction < 1.0:
         raise DataError(f"cal_fraction must be in (0, 1), got {cal_fraction}")
-    n_cal = int(Fraction(cal_fraction) * n + Fraction(1, 2))
+    n_cal = int(decimal_fraction(cal_fraction) * n + Fraction(1, 2))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     return SplitPlan(

@@ -102,7 +102,8 @@ def _summary_text(report: ExperimentReport) -> str:
     lines.append(f"errors: {len(report.errors)}")
     for err in report.errors:
         lines.append(
-            f"  seed={err['seed']} method={err['method']}: {err['error']}"
+            f"  seed={err['seed']} method={err['method']}: "
+            f"{err.get('error_type', 'error')}: {err['error']}"
         )
     return "\n".join(lines) + "\n"
 

@@ -1,9 +1,11 @@
 """Multi-seed experiment orchestration and report assembly.
 
 One experiment cell is a (seed, method) pair: split, calibrate, predict,
-adjust, measure. A failing cell is recorded in the error ledger and the run
-continues; the report carries per-seed rows, mean/std aggregates, per-dataset
-rows with the ranking-scoring gap, and stratified diagnostics.
+adjust, measure. A cell that fails is recorded in the error ledger, with
+its exception class, and the run continues; an InvariantError is a bug,
+not a cell failure, and propagates. The report carries per-seed rows,
+mean/std aggregates, per-dataset rows with the ranking-scoring gap, and
+stratified diagnostics.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from ..conformal import (
 )
 from ..core import (
     DataError,
+    InvariantError,
     LabeledSample,
     RatingScale,
     gt_array,
@@ -232,11 +235,11 @@ def run_experiment(
         plan = make_split(len(samples), config.cal_fraction, seed)
         if not plan.cal_indices or not plan.test_indices:
             report.errors.append(
-                {
-                    "seed": seed,
-                    "method": "*",
-                    "error": "split produced an empty calibration or test set",
-                }
+                _ledger_row(
+                    seed,
+                    "*",
+                    DataError("split produced an empty calibration or test set"),
+                )
             )
             continue
         cal = [samples[i] for i in plan.cal_indices]
@@ -246,7 +249,7 @@ def run_experiment(
         try:
             test_groups = _group_labels(test, partition)
         except DataError as exc:
-            report.errors.append({"seed": seed, "method": "*", "error": str(exc)})
+            report.errors.append(_ledger_row(seed, "*", exc))
             continue
         for method in config.methods:
             try:
@@ -300,13 +303,22 @@ def run_experiment(
                                 "mae": sm.mae,
                             }
                         )
+            except InvariantError:
+                raise
             except Exception as exc:  # tolerate per-cell failure, keep going
-                report.errors.append(
-                    {"seed": seed, "method": method, "error": str(exc)}
-                )
+                report.errors.append(_ledger_row(seed, method, exc))
 
     _aggregate(report, config)
     return report
+
+
+def _ledger_row(seed: int, method: str, exc: Exception) -> dict:
+    return {
+        "seed": seed,
+        "method": method,
+        "error": str(exc),
+        "error_type": type(exc).__name__,
+    }
 
 
 def _interval_lines(seed, method, test, intervals, y_hat, gts) -> list[dict]:

@@ -11,7 +11,7 @@ from .boosted import (
 from .grid import GridClassifier, GridConfig, fit_grid_classifier, grid_log_density
 from .histdensity import HistDensityModel, fit_hist_density
 from .nets import Standardizer, TrainConfig, load_mlp, save_mlp
-from .pointvar import PointVarModel, fit_point_var
+from .pointvar import PointVarModel, fit_point_var, fit_spread_head
 from .quantile import QuantileComponent, QuantileModel, fit_quantile, fit_quantile_model
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "fit_grid_classifier",
     "fit_hist_density",
     "fit_point_var",
+    "fit_spread_head",
     "fit_quantile",
     "fit_quantile_model",
     "grid_log_density",

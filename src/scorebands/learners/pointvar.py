@@ -7,7 +7,7 @@ positive value so it can safely normalize nonconformity scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,16 +42,23 @@ def fit_point_var(
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
     scaler = Standardizer.fit(X)
-    Xs = scaler.transform(X)
-    mean_params = fit_mlp(Xs, y, 1, squared_head, cfg)
-    sigma_params = None
-    if fit_sigma:
-        _, out = forward(mean_params, Xs)
-        abs_resid = np.abs(y - out[:, 0])
-        sigma_params = fit_mlp(Xs, abs_resid, 1, squared_head, cfg)
-    return PointVarModel(
-        mean_params=mean_params,
+    model = PointVarModel(
+        mean_params=fit_mlp(scaler.transform(X), y, 1, squared_head, cfg),
         scaler=scaler,
-        sigma_params=sigma_params,
         sigma_floor=sigma_floor,
     )
+    return fit_spread_head(model, X, y, cfg) if fit_sigma else model
+
+
+def fit_spread_head(
+    model: PointVarModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
+) -> PointVarModel:
+    """`model` with a spread head fit to the absolute residuals of its mean head.
+
+    `X` and `y` must be the mean head's training set. The mean head is kept
+    as it is, so a cached mean-only model gains a spread head without being
+    trained again.
+    """
+    abs_resid = np.abs(y - model.predict_mean(X))
+    sigma_params = fit_mlp(model.scaler.transform(X), abs_resid, 1, squared_head, cfg)
+    return replace(model, sigma_params=sigma_params)

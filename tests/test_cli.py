@@ -7,6 +7,7 @@ import pytest
 
 from scorebands.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
@@ -118,6 +119,23 @@ class TestRunCommand:
         row = json.loads(lines[0])
         assert {"sample_id", "method", "lower", "upper", "adj_lower",
                 "adj_upper", "y_hat", "covered_raw", "covered_adj"} <= set(row)
+
+    def test_invariant_error_exits_internal(self, tmp_path, monkeypatch, capsys):
+        from scorebands.core import InvariantError
+        from scorebands.harness import runner
+
+        def broken(*args, **kwargs):
+            raise InvariantError("interval has no adjusted endpoints")
+
+        monkeypatch.setattr(runner, "run_method", broken)
+        samples = _synth(tmp_path)
+        code = main(
+            ["run", "--input", str(samples), "--out", str(tmp_path / "o"),
+             "--seeds", "0", "--methods", "naive_split"]
+        )
+        assert code == EXIT_INTERNAL
+        assert "no adjusted endpoints" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o")]) == EXIT_USAGE

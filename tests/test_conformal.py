@@ -87,6 +87,27 @@ class TestConformalQuantile:
         assert conformal_quantile(scores, alpha) == best
 
 
+class TestDecimalAlpha:
+    """alpha is read as the decimal it prints as, not as its binary double."""
+
+    def test_point_three(self):
+        # Fraction(0.3) lies a hair below 3/10 and would give rank 8.
+        assert conformal_quantile(range(1, 10), 0.3) == 7.0
+        assert conformal_quantile(range(1, 10), np.float64(0.3)) == 7.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        alpha=st.decimals(min_value="0.001", max_value="0.999", places=3),
+    )
+    def test_matches_decimal_oracle(self, n, alpha):
+        from fractions import Fraction
+
+        rank = math.ceil((n + 1) * (1 - Fraction(alpha)))
+        expected = math.inf if rank > n else float(rank)
+        assert conformal_quantile(range(1, n + 1), float(alpha)) == expected
+
+
 class TestNaive:
     def test_perfect_predictor(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0] * 10)

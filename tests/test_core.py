@@ -122,6 +122,22 @@ class TestMakeSplit:
         assert len(plan.cal_indices) == 3
         assert len(plan.test_indices) == 7
 
+    def test_decimal_fraction(self):
+        # 0.15 of 10 is 1.5, which rounds up to 2; the double nearest 0.15
+        # lies below it and would round down to 1.
+        assert len(make_split(10, 0.15, seed=0).cal_indices) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 2000),
+        frac=st.decimals(min_value="0.01", max_value="0.99", places=2),
+    )
+    def test_matches_decimal_oracle(self, n, frac):
+        from fractions import Fraction
+
+        n_cal = math.floor(Fraction(frac) * n + Fraction(1, 2))
+        assert len(make_split(n, float(frac), seed=0).cal_indices) == n_cal
+
     def test_deterministic(self):
         a = make_split(1000, 0.5, seed=11)
         b = make_split(1000, 0.5, seed=11)

@@ -345,6 +345,19 @@ class TestRunExperiment:
         assert report.per_seed == []
         assert len(report.errors) == 2
         assert all("below the minimum" in e["error"] for e in report.errors)
+        assert all(e["error_type"] == "DataError" for e in report.errors)
+
+    def test_invariant_error_propagates(self, monkeypatch):
+        from scorebands.core import InvariantError
+        from scorebands.harness import runner
+
+        def broken(*args, **kwargs):
+            raise InvariantError("interval has no adjusted endpoints")
+
+        monkeypatch.setattr(runner, "run_method", broken)
+        config = fast_config(seeds=[0], methods=["naive_split"])
+        with pytest.raises(InvariantError):
+            run_experiment(config, self._samples(n=100))
 
     def test_adjust_off_drops_adjusted_columns(self):
         config = fast_config(seeds=[0], methods=["naive_split"], adjust="off")

@@ -1,10 +1,13 @@
 """Learner tests: fits against closed-form oracles, gradient checks,
-determinism, and serialization."""
+determinism, serialization, and the boosted split search against the
+brute-force loop it replaced."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorebands.learners import (
     GridConfig,
@@ -19,6 +22,11 @@ from scorebands.learners import (
     pinball_gradient,
     pinball_loss,
     save_mlp,
+)
+from scorebands.learners.boosted import (
+    _best_split,
+    _median_leaf,
+    _quantile_leaf,
 )
 from scorebands.learners.nets import (
     TrainConfig,
@@ -323,6 +331,189 @@ class TestBoosted:
             fit_boosted(X, y, "absolute", 5, depth=4)
         with pytest.raises(ValueError):
             fit_boosted(X, y, "squared", 5)
+        with pytest.raises(ValueError):
+            fit_boosted(X, y, "absolute", 5, min_leaf=0)
+        with pytest.raises(ValueError):
+            fit_boosted(X, np.where(np.arange(20) == 3, np.nan, 1.0), "absolute", 5)
+
+
+def reference_best_split(X, g, min_leaf):
+    """Brute-force split search: an argsort per feature per node and a
+    Python loop that scores every cut, keeping the first strictly greater
+    gain."""
+    n = len(g)
+    if n < 2 * min_leaf:
+        return None
+    total = g.sum()
+    base = total * total / n
+    best_gain = 1e-12
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        csum = np.cumsum(g[order])
+        for i in range(min_leaf, n - min_leaf + 1):
+            if xs[i - 1] == xs[i]:
+                continue
+            left_sum = csum[i - 1]
+            right_sum = total - left_sum
+            gain = left_sum * left_sum / i + right_sum * right_sum / (n - i) - base
+            if gain > best_gain:
+                best_gain = gain
+                best = (f, (xs[i - 1] + xs[i]) / 2.0)
+    return best
+
+
+def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
+                          min_leaf=5, subsample=0.7, seed=42):
+    """Boosting as the brute-force version did it: trees grown on the
+    subsample with reference_best_split and numpy's own quantile/median leaf
+    values, then leaves refit on all rows. Returns (predictions on X,
+    training losses)."""
+    if loss == "pinball":
+        base = float(np.quantile(y, tau, method="inverted_cdf"))
+        grad = lambda r: pinball_gradient(y, r, tau)
+        loss_fn = lambda r: pinball_loss(y, r, tau)
+        leaf_value = lambda res: np.quantile(res, tau, method="inverted_cdf")
+    else:
+        base = float(np.median(y))
+        grad = lambda r: np.sign(y - r)
+        loss_fn = lambda r: float(np.abs(y - r).mean())
+        leaf_value = np.median
+
+    def grow(Xn, gn, rn, d):
+        split = reference_best_split(Xn, gn, min_leaf) if d > 0 else None
+        if split is None:
+            return {"value": float(leaf_value(rn))}
+        f, thr = split
+        m = Xn[:, f] <= thr
+        return {"f": f, "thr": thr,
+                "left": grow(Xn[m], gn[m], rn[m], d - 1),
+                "right": grow(Xn[~m], gn[~m], rn[~m], d - 1)}
+
+    def leaves(node, idx):
+        if "value" in node:
+            yield node, idx
+        else:
+            m = X[idx, node["f"]] <= node["thr"]
+            yield from leaves(node["left"], idx[m])
+            yield from leaves(node["right"], idx[~m])
+
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    n_sub = max(2 * min_leaf, int(round(subsample * n)))
+    pred = np.full(n, base)
+    losses = [loss_fn(pred)]
+    for _ in range(rounds):
+        g, resid = grad(pred), y - pred
+        if n_sub < n:
+            idx = rng.choice(n, size=n_sub, replace=False)
+            tree = grow(X[idx], g[idx], resid[idx], depth)
+            for leaf, rows in leaves(tree, np.arange(n)):
+                leaf["value"] = float(leaf_value(resid[rows])) if rows.size else 0.0
+        else:
+            tree = grow(X, g, resid, depth)
+        step = np.empty(n)
+        for leaf, rows in leaves(tree, np.arange(n)):
+            step[rows] = leaf["value"]
+        pred = pred + rate * step
+        losses.append(loss_fn(pred))
+    return pred, tuple(losses)
+
+
+def presorted_split(X, g, min_leaf):
+    order = np.argsort(X.T, axis=1, kind="stable")
+    return _best_split(X, g, np.arange(len(g)), order, min_leaf)
+
+
+class TestSplitSearch:
+    """The presorted vectorized search returns exactly the brute-force split."""
+
+    def _check(self, X, g, min_leaf):
+        expected = reference_best_split(X, g, min_leaf)
+        assert presorted_split(X, g, min_leaf) == expected
+        return expected
+
+    def test_integer_features_with_many_ties(self):
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            X = rng.integers(0, 3, size=(60, 4)).astype(float)
+            g = rng.choice([-0.45, 0.5, 0.05], size=60)
+            self._check(X, g, 5)
+
+    def test_constant_column(self):
+        rng = np.random.default_rng(31)
+        g = rng.normal(size=40)
+        assert self._check(np.full((40, 1), 2.0), g, 5) is None
+        X = np.column_stack([np.full(40, 2.0), rng.normal(size=40)])
+        assert self._check(X, g, 5)[0] == 1
+
+    def test_node_size_at_and_below_two_min_leaf(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(10, 3))
+        g = rng.normal(size=10)
+        split = self._check(X, g, 5)  # one admissible cut per feature
+        assert split is not None
+        f, thr = split
+        assert np.sum(X[:, f] <= thr) == 5
+        assert self._check(X[:9], g[:9], 5) is None
+
+    def test_equal_gains_lowest_feature_wins(self):
+        rng = np.random.default_rng(33)
+        col = rng.normal(size=50)
+        g = np.where(col > 0.2, 1.0, -1.0)
+        # Feature 1 orders the rows exactly like feature 2, so every cut has
+        # the same gain on both; feature 0 carries no signal.
+        X = np.column_stack([rng.normal(size=50), col, 3.0 * col])
+        f, _ = self._check(X, g, 5)
+        assert f == 1
+
+    def test_equal_gains_lowest_threshold_wins(self):
+        # A symmetric gradient: the cuts after 2 and after 8 gain the same.
+        X = np.arange(10.0)[:, None]
+        g = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0, 1.0, 1.0])
+        assert self._check(X, g, 1) == (0, 1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 4),
+        min_leaf=st.integers(1, 6),
+        levels=st.sampled_from([2, 3, 5, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_reference(self, n, d, min_leaf, levels, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, d)).astype(float) / 3.0
+        g = rng.choice([-0.95, -0.5, 0.0, 0.05, 0.5], size=n)
+        self._check(X, g, min_leaf)
+
+    @pytest.mark.parametrize("loss,tau", [("pinball", 0.05), ("pinball", 0.95),
+                                          ("absolute", None)])
+    @pytest.mark.parametrize("subsample", [0.7, 1.0])
+    def test_fit_matches_reference(self, loss, tau, subsample):
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(240, 5))
+        X[:, 1] = np.round(X[:, 1])
+        X[:, 4] = 1.0
+        y = rng.integers(1, 6, 240).astype(float)
+        model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample)
+        pred, losses = reference_fit_boosted(
+            X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample
+        )
+        assert np.array_equal(model.predict(X), pred)
+        assert model.train_losses == losses
+
+    def test_leaf_values_match_numpy(self):
+        rng = np.random.default_rng(35)
+        for n in range(1, 120):
+            r = rng.normal(size=n)
+            r[: n // 2] = np.round(r[: n // 2])
+            assert _median_leaf(r) == np.median(r)
+            for tau in (0.005, 0.05, 0.1, 0.3, 0.5, 0.95, 0.975):
+                assert _quantile_leaf(r, tau) == np.quantile(
+                    r, tau, method="inverted_cdf"
+                )
 
 
 class TestGradients:
