@@ -730,16 +730,22 @@ def run_mondrian(
     scale: RatingScale,
     cfg: MethodConfig = MethodConfig(),
     min_group_cal: int = 50,
+    cache: dict | None = None,
 ) -> MethodResult:
     """Run the inner method independently per group.
 
     Each group gets its own learner fits and its own quantile, so the
-    coverage guarantee holds per group. Groups whose calibration count falls
+    coverage guarantee holds per group. ``cache`` maps each group label to
+    the learner cache of that group's calibration set; pass one dict for
+    every method of one split, so methods of a group share their fits. By
+    default each call fits afresh. Groups whose calibration count falls
     below ``min_group_cal`` are rejected loudly: with too few scores the
     quantile rank overflows and the group would silently get vacuous
     full-range intervals.
     """
     _check_inputs(cal, test, alpha)
+    if cache is None:
+        cache = {}
     cal_groups = [partition.group_for(s) for s in cal]
     test_groups = [partition.group_for(s) for s in test]
     labels = sorted(set(cal_groups) | set(test_groups))
@@ -764,7 +770,7 @@ def run_mondrian(
             alpha,
             scale,
             cfg,
-            cache={},
+            cache.setdefault(g, {}),
         )
         per_group_q[g] = sub.calibration.q_hat
         learners.append((g, sub.calibration.learners))

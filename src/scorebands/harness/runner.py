@@ -1,11 +1,12 @@
 """Multi-seed experiment orchestration and report assembly.
 
 One experiment cell is a (seed, method) pair: split, calibrate, predict,
-adjust, measure. A cell that fails is recorded in the error ledger, with
-its exception class, and the run continues; an InvariantError is a bug,
-not a cell failure, and propagates. The report carries per-seed rows,
-mean/std aggregates, per-dataset rows with the ranking-scoring gap, and
-stratified diagnostics.
+adjust, measure. A cell that fails on its data (a DataError, or a
+ValueError from a learner) is recorded in the error ledger, with its
+exception class, and the run continues; any other exception, an
+InvariantError included, is a bug, not a cell failure, and propagates.
+The report carries per-seed rows, mean/std aggregates, per-dataset rows
+with the ranking-scoring gap, and stratified diagnostics.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from ..conformal import (
 )
 from ..core import (
     DataError,
-    InvariantError,
     LabeledSample,
     RatingScale,
     gt_array,
@@ -227,6 +227,14 @@ def run_experiment(
     lengths = {len(s.features) for s in samples}
     if len(lengths) > 1:
         raise DataError(f"inconsistent feature lengths: {sorted(lengths)}")
+    seen: set[str] = set()
+    for s in samples:
+        if s.sample_id in seen:
+            raise DataError(
+                f"duplicate sample_id {s.sample_id!r}: a repeated sample could "
+                "land in both calibration and test"
+            )
+        seen.add(s.sample_id)
     partition = resolve_partition(config.mondrian)
     adjusted = config.adjust != "off"
 
@@ -245,6 +253,7 @@ def run_experiment(
         cal = [samples[i] for i in plan.cal_indices]
         test = [samples[i] for i in plan.test_indices]
         gts = gt_array(test)
+        # Learner fits shared by this split's methods (per group under Mondrian).
         cache: dict = {}
         try:
             test_groups = _group_labels(test, partition)
@@ -261,7 +270,7 @@ def run_experiment(
                 else:
                     res = run_mondrian(
                         cal, test, config.alpha, partition, method, scale,
-                        config.method_config,
+                        config.method_config, cache=cache,
                     )
                 ivs = adjust_all(res.intervals, scale, config.adjust)
                 report.per_seed.append(
@@ -303,9 +312,7 @@ def run_experiment(
                                 "mae": sm.mae,
                             }
                         )
-            except InvariantError:
-                raise
-            except Exception as exc:  # tolerate per-cell failure, keep going
+            except (DataError, ValueError) as exc:  # the cell failed on its data
                 report.errors.append(_ledger_row(seed, method, exc))
 
     _aggregate(report, config)

@@ -137,6 +137,18 @@ class TestRunCommand:
         assert "no adjusted endpoints" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_duplicate_sample_id_is_data_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path)
+        lines = samples.read_text().splitlines()
+        samples.write_text("\n".join(lines + [lines[3]]) + "\n")
+        code = main(
+            ["run", "--input", str(samples), "--out", str(tmp_path / "o"),
+             "--seeds", "0", "--methods", "naive_split"]
+        )
+        assert code == EXIT_DATA
+        assert "duplicate sample_id" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o")]) == EXIT_USAGE
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scorebands.conformal import (
     BUILTIN_PARTITIONS,
+    METHODS,
     GroupPartition,
     MethodConfig,
     aps_from_probs,
@@ -489,6 +490,25 @@ class TestMondrian:
         part = BUILTIN_PARTITIONS["by_group_tag"]
         with pytest.raises(DataError, match="group_tag"):
             run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
+
+    def test_shared_cache_matches_fresh_fits(self):
+        cal, test, _ = split_synth(
+            n=800, seed=16, generator="heteroscedastic_groups"
+        )
+        part = BUILTIN_PARTITIONS["by_group_tag"]
+        cfg = MethodConfig(
+            train=TrainConfig(epochs=5, batch_size=256, learning_rate=0.1),
+            boost_rounds=5,
+        )
+        shared: dict = {}
+        for method in sorted(METHODS):
+            res_s = run_mondrian(cal, test, 0.1, part, method, SCALE, cfg,
+                                 cache=shared)
+            res_f = run_mondrian(cal, test, 0.1, part, method, SCALE, cfg)
+            assert res_s.intervals == res_f.intervals, method
+            assert np.array_equal(res_s.y_hat, res_f.y_hat), method
+        assert sorted(shared) == ["high", "low"]
+        assert "pointvar_mean" in shared["low"]
 
     def test_lvd_wider_in_noisy_cluster(self):
         cal, test, _ = split_synth(

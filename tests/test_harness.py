@@ -359,6 +359,34 @@ class TestRunExperiment:
         with pytest.raises(InvariantError):
             run_experiment(config, self._samples(n=100))
 
+    def test_programming_error_propagates(self, monkeypatch):
+        from scorebands.harness import runner
+
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand type(s)")
+
+        monkeypatch.setattr(runner, "run_method", broken)
+        config = fast_config(seeds=[0], methods=["naive_split"])
+        with pytest.raises(TypeError):
+            run_experiment(config, self._samples(n=100))
+
+    def test_learner_value_error_recorded(self, monkeypatch):
+        from scorebands.harness import runner
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(runner, "run_method", singular)
+        config = fast_config(seeds=[0], methods=["naive_split"])
+        report = run_experiment(config, self._samples(n=100))
+        assert [e["error_type"] for e in report.errors] == ["LinAlgError"]
+
+    def test_duplicate_sample_id_rejected(self):
+        samples = self._samples(n=100)
+        samples.insert(40, samples[7])
+        with pytest.raises(DataError, match="duplicate sample_id 's000007'"):
+            run_experiment(fast_config(seeds=[0]), samples)
+
     def test_adjust_off_drops_adjusted_columns(self):
         config = fast_config(seeds=[0], methods=["naive_split"], adjust="off")
         report = run_experiment(config, self._samples())

@@ -85,6 +85,69 @@ def kendall_oracle(x, y):
     return (concordant - discordant) / denom
 
 
+# ---------------------------------------------------------------------------
+# The former O(n^2) library code, kept as the bit-identity reference for the
+# O(n log n) rank functions.
+# ---------------------------------------------------------------------------
+
+
+def _reference_tie_pairs(v):
+    _, counts = np.unique(v, return_counts=True)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def reference_kendall_tau_b(x, y, chunk=512):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(x)
+    if n < 2:
+        return None
+    n0 = n * (n - 1) // 2
+    denom = math.sqrt(
+        (n0 - _reference_tie_pairs(x)) * (n0 - _reference_tie_pairs(y))
+    )
+    if denom == 0.0:
+        return None
+    s = 0.0
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n, chunk):
+            dx = np.sign(x[start : start + chunk, None] - x[None, :])
+            dy = np.sign(y[start : start + chunk, None] - y[None, :])
+            s += float((dx * dy).sum())
+    return (s / 2.0) / denom
+
+
+def reference_midrank(values):
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(n)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def assert_same_kendall(x, y):
+    got, want = kendall_tau_b(x, y), reference_kendall_tau_b(x, y)
+    if want is None:
+        assert got is None
+    elif math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+
+
+def assert_same_midrank(v):
+    got, want = midrank(v), reference_midrank(v)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestCoverage:
     def test_full_range_always_covers(self):
         ivs = [Interval(1.0, 5.0)] * 4
@@ -149,13 +212,87 @@ class TestCorrelations:
             else:
                 assert got == pytest.approx(want, abs=1e-12)
 
-    def test_kendall_chunking_invariant(self):
+
+
+class TestRankBitIdentity:
+    """The O(n log n) rank code equals the former O(n^2) code exactly."""
+
+    @pytest.mark.parametrize("n,levels", [(50, 5), (700, 5), (2000, 3), (6000, 5)])
+    def test_continuous_against_levels(self, n, levels):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = rng.integers(1, levels + 1, n).astype(float)
+        assert_same_kendall(x, y)
+        assert_same_kendall(y, x)
+        assert_same_midrank(x)
+        assert_same_midrank(y)
+
+    def test_tie_heavy_integers(self):
+        # The input of the former chunking-invariance test, plus others.
         rng = np.random.default_rng(1)
         x = rng.integers(1, 6, 700).astype(float)
         y = rng.integers(1, 6, 700).astype(float)
-        assert kendall_tau_b(x, y, chunk=64) == pytest.approx(
-            kendall_tau_b(x, y, chunk=100_000), abs=1e-12
+        assert_same_kendall(x, y)
+        for n in (3, 17, 64, 65, 129, 1000):
+            x = rng.integers(0, 3, n).astype(float)
+            y = rng.integers(0, 2, n).astype(float)
+            assert_same_kendall(x, y)
+            assert_same_midrank(x)
+
+    def test_rounded_continuous(self):
+        rng = np.random.default_rng(2)
+        x = np.round(rng.normal(size=3000), 1)
+        y = np.round(x + rng.normal(size=3000), 1)
+        assert_same_kendall(x, y)
+        assert_same_midrank(x)
+
+    def test_two_points(self):
+        for x, y in (([1, 2], [1, 2]), ([1, 2], [2, 1]), ([1, 1], [1, 2])):
+            assert_same_kendall(x, y)
+            assert_same_midrank(x)
+        assert kendall_tau_b([1, 2], [2, 1]) == -1.0
+
+    def test_all_tied_is_undefined(self):
+        assert kendall_tau_b([4.0] * 30, [4.0] * 30) is None
+        assert kendall_tau_b([4.0] * 30, list(range(30))) is None
+        assert list(midrank([4.0] * 5)) == [3.0] * 5
+        assert midrank([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 7, 19])
+    def test_non_finite_gives_nan(self, bad, where):
+        rng = np.random.default_rng(where)
+        x = rng.normal(size=20)
+        y = rng.integers(1, 6, 20).astype(float)
+        x[where] = bad
+        assert math.isnan(kendall_tau_b(x, y))
+        assert math.isnan(kendall_tau_b(y, x))
+        assert_same_kendall(x, y)
+        assert_same_kendall(y, x)
+        assert_same_midrank(x)
+
+    def test_nan_with_zero_denominator_is_undefined(self):
+        # NaNs count as one value when ties are counted, as before.
+        assert_same_kendall([math.nan, math.nan], [1.0, 2.0])
+        assert kendall_tau_b([math.nan, math.nan], [1.0, 2.0]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0, 2.5, 7.0]),
+                st.floats(-3, 3, allow_nan=False, width=16),
+            ),
+            max_size=80,
         )
+    )
+    def test_property_small_inputs(self, pairs):
+        x = [a for a, _ in pairs]
+        y = [b for _, b in pairs]
+        assert_same_kendall(x, y)
+        assert_same_kendall(y, x)
+        assert_same_midrank(x)
+        assert_same_midrank(y)
 
 
 class TestAccuracy:
