@@ -18,9 +18,11 @@ from .conformal import (
     run_mondrian,
 )
 from .core import (
+    Batch,
     DataError,
     FeatureVector,
     Interval,
+    Intervals,
     InvariantError,
     LabeledSample,
     RatingScale,
@@ -43,6 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_PARTITIONS",
+    "Batch",
     "ConformalCalibration",
     "DataError",
     "ExperimentConfig",
@@ -50,6 +53,7 @@ __all__ = [
     "FeatureVector",
     "GroupPartition",
     "Interval",
+    "Intervals",
     "InvariantError",
     "LabeledSample",
     "METHOD_NAMES",

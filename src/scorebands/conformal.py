@@ -19,14 +19,15 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
+    Batch,
     DataError,
     Interval,
+    Intervals,
     LabeledSample,
     RatingScale,
-    clamp_interval,
+    clamp_endpoints,
     decimal_fraction,
     features_matrix,
-    gt_array,
 )
 from .learners import (
     GridConfig,
@@ -78,10 +79,20 @@ class ConformalCalibration:
 
 @dataclass(eq=False)
 class MethodResult:
+    """Intervals and point predictions of one method on one test set.
+
+    A non-finite point prediction is bad learner output, not a result:
+    it raises ValueError (the intervals reject NaN endpoints themselves).
+    """
+
     method: str
-    intervals: list[Interval]
+    intervals: Intervals
     y_hat: np.ndarray
     calibration: ConformalCalibration
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.y_hat).all():
+            raise ValueError(f"{self.method}: non-finite point prediction")
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -90,55 +101,67 @@ def conformal_quantile(scores, alpha: float) -> float:
     alpha is read as the decimal it prints as (0.3 is 3/10, not the binary
     double nearest it) and the rank is computed in exact rational
     arithmetic, so the float's own rounding error can never move the rank
-    across an integer boundary.
+    across an integer boundary. A NaN score has no rank and raises
+    DataError; +-inf scores are valid.
     """
-    scores = list(scores)
+    if not isinstance(scores, np.ndarray):
+        scores = list(scores)
+    scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0:
         raise DataError("conformal quantile of an empty score list")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    if np.isnan(scores).any():
+        raise DataError("conformal quantile of NaN scores")
     rank = math.ceil((n + 1) * (1 - decimal_fraction(alpha)))
     if rank > n:
         return math.inf
-    return float(sorted(scores)[rank - 1])
+    return float(np.sort(scores, kind="stable")[rank - 1])
 
 
-def _halves(samples: list[LabeledSample]) -> tuple[list[LabeledSample], list[LabeledSample]]:
+def as_batch(data: Batch | list[LabeledSample]) -> Batch:
+    """A Batch as it is, or a sample list stacked into one."""
+    if isinstance(data, Batch):
+        return data
+    return Batch.from_samples(data, features_matrix(data))
+
+
+def _halves(batch: Batch) -> tuple[Batch, Batch]:
     """Learner half and conformal half of an already-shuffled calibration set."""
-    cut = len(samples) // 2
-    return samples[:cut], samples[cut:]
+    cut = len(batch) // 2
+    return batch[:cut], batch[cut:]
 
 
-def _interval(lo: float, hi: float, scale: RatingScale) -> Interval:
+def _interval(lo, hi, scale: RatingScale) -> Intervals:
+    """The interval rule: collapse crossed endpoints, then clamp."""
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
     # A strongly negative correction can cross the endpoints; collapse to the
     # midpoint (a zero-width interval) before clamping.
-    if lo > hi:
-        lo = hi = (lo + hi) / 2.0
-    return clamp_interval(Interval(float(lo), float(hi)), scale)
+    crossed = lo > hi
+    if crossed.any():
+        lo[crossed] = hi[crossed] = (lo[crossed] + hi[crossed]) / 2.0
+    return Intervals(*clamp_endpoints(lo, hi, scale))
 
 
-def _full_range(scale: RatingScale) -> Interval:
-    return Interval(float(scale.min_label), float(scale.k_max))
-
-
-def _check_inputs(cal, test, alpha) -> None:
-    if not cal:
+def _check_inputs(cal, test, alpha) -> tuple[Batch, Batch]:
+    if not len(cal):
         raise DataError("empty calibration set")
-    if not test:
+    if not len(test):
         raise DataError("empty test set")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    return as_batch(cal), as_batch(test)
 
 
 def _point_predictions(
-    cfg: MethodConfig, scale: RatingScale, test: list[LabeledSample], model_y_hat: np.ndarray
+    cfg: MethodConfig, scale: RatingScale, test: Batch, model_y_hat: np.ndarray
 ) -> np.ndarray:
     if cfg.point_predictor == "model":
         return model_y_hat
     if cfg.point_predictor == "argmax_feature":
-        X = features_matrix(test)
-        return X[:, : scale.k_max].argmax(axis=1) + float(scale.min_label)
+        return test.X[:, : scale.k_max].argmax(axis=1) + float(scale.min_label)
     raise DataError(f"unknown point_predictor {cfg.point_predictor!r}")
 
 
@@ -153,9 +176,10 @@ def naive_from_predictions(
     mu_test: np.ndarray,
     alpha: float,
     scale: RatingScale,
-) -> tuple[float, list[Interval]]:
+) -> tuple[float, Intervals]:
     q = conformal_quantile(np.abs(y_conf - mu_conf), alpha)
-    return q, [_interval(m - q, m + q, scale) for m in mu_test]
+    mu_test = np.asarray(mu_test, dtype=np.float64)
+    return q, _interval(mu_test - q, mu_test + q, scale)
 
 
 def lvd_from_predictions(
@@ -166,11 +190,11 @@ def lvd_from_predictions(
     sig_test: np.ndarray,
     alpha: float,
     scale: RatingScale,
-) -> tuple[float, list[Interval]]:
+) -> tuple[float, Intervals]:
     q = conformal_quantile(np.abs(y_conf - mu_conf) / sig_conf, alpha)
-    return q, [
-        _interval(m - q * s, m + q * s, scale) for m, s in zip(mu_test, sig_test)
-    ]
+    mu_test = np.asarray(mu_test, dtype=np.float64)
+    half = q * np.asarray(sig_test, dtype=np.float64)
+    return q, _interval(mu_test - half, mu_test + half, scale)
 
 
 def cqr_from_quantiles(
@@ -182,18 +206,16 @@ def cqr_from_quantiles(
     alpha: float,
     scale: RatingScale,
     symmetric: bool = True,
-) -> tuple[object, list[Interval]]:
+) -> tuple[object, Intervals]:
+    lo_test = np.asarray(lo_test, dtype=np.float64)
+    hi_test = np.asarray(hi_test, dtype=np.float64)
     if symmetric:
         scores = np.maximum(lo_conf - y_conf, y_conf - hi_conf)
         q = conformal_quantile(scores, alpha)
-        ivs = [_interval(l - q, h + q, scale) for l, h in zip(lo_test, hi_test)]
-        return q, ivs
+        return q, _interval(lo_test - q, hi_test + q, scale)
     q_lo = conformal_quantile(lo_conf - y_conf, alpha / 2.0)
     q_hi = conformal_quantile(y_conf - hi_conf, alpha / 2.0)
-    ivs = [
-        _interval(l - q_lo, h + q_hi, scale) for l, h in zip(lo_test, hi_test)
-    ]
-    return (q_lo, q_hi), ivs
+    return (q_lo, q_hi), _interval(lo_test - q_lo, hi_test + q_hi, scale)
 
 
 def density_intervals_from_scores(
@@ -203,69 +225,99 @@ def density_intervals_from_scores(
     highs: np.ndarray,
     alpha: float,
     scale: RatingScale,
-) -> tuple[float, list[Interval]]:
+) -> tuple[float, Intervals]:
     """Shared CHR/R2CCP rule: smallest contiguous run covering all points
     whose negative log density is within the calibrated threshold.
 
     ``lows``/``highs`` give the real endpoints each density cell maps to
-    (the cell's own value for a grid, its edges for a histogram bin).
+    (the cell's own value for a grid, its edges for a histogram bin). A row
+    with no qualifying cell gets the full label range.
     """
     thr = conformal_quantile(conf_scores, alpha)
-    ivs: list[Interval] = []
-    for row in test_neg_logp:
-        qualifying = np.flatnonzero(row <= thr)
-        if qualifying.size == 0:
-            ivs.append(_full_range(scale))
-        else:
-            ivs.append(
-                _interval(lows[qualifying[0]], highs[qualifying[-1]], scale)
-            )
-    return thr, ivs
+    qualifies = np.asarray(test_neg_logp) <= thr
+    k = qualifies.shape[1]
+    first = qualifies.argmax(axis=1)
+    last = k - 1 - qualifies[:, ::-1].argmax(axis=1)
+    some = qualifies.any(axis=1)
+    lo = np.where(some, np.asarray(lows, dtype=np.float64)[first], float(scale.min_label))
+    hi = np.where(some, np.asarray(highs, dtype=np.float64)[last], float(scale.k_max))
+    return thr, _interval(lo, hi, scale)
+
+
+def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy contiguous growth from the argmax label, for every row at once.
+
+    Returns (n, K) arrays: the label index added at each step, the
+    cumulative mass after it, and the lowest and highest index held after
+    it. A step takes the lower neighbour when its mass is at least the
+    upper one's, so ties prefer the lower label; masses add in inclusion
+    order.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim == 1:
+        probs = probs[None, :]
+    n, k = probs.shape
+    rows = np.arange(n)
+    order = np.empty((n, k), dtype=np.intp)
+    masses = np.empty((n, k))
+    lows = np.empty((n, k), dtype=np.intp)
+    highs = np.empty((n, k), dtype=np.intp)
+    start = probs.argmax(axis=1)
+    order[:, 0] = lows[:, 0] = highs[:, 0] = start
+    masses[:, 0] = probs[rows, start]
+    left, right = start - 1, start + 1
+    for step in range(1, k):
+        p_left = probs[rows, np.maximum(left, 0)]
+        p_right = probs[rows, np.minimum(right, k - 1)]
+        go_left = (left >= 0) & ((right >= k) | (p_left >= p_right))
+        pick = np.where(go_left, left, right)
+        order[:, step] = pick
+        masses[:, step] = masses[:, step - 1] + probs[rows, pick]
+        left = np.where(go_left, left - 1, left)
+        right = np.where(go_left, right, right + 1)
+        lows[:, step] = left + 1
+        highs[:, step] = right - 1
+    return order, masses, lows, highs
 
 
 def aps_growth_path(probs: np.ndarray) -> tuple[list[int], list[float]]:
-    """Greedy contiguous growth from the argmax label.
+    """Label indices of one row in inclusion order, and the cumulative mass
+    after each inclusion (see :func:`_aps_paths`)."""
+    order, masses, _, _ = _aps_paths(probs)
+    return order[0].tolist(), masses[0].tolist()
 
-    Returns the label indices in inclusion order and the cumulative mass
-    after each inclusion. Ties prefer the lower label.
-    """
-    k = len(probs)
-    start = int(np.argmax(probs))
-    order = [start]
-    masses = [float(probs[start])]
-    left, right = start - 1, start + 1
-    while left >= 0 or right < k:
-        if left < 0:
-            pick = right
-            right += 1
-        elif right >= k:
-            pick = left
-            left -= 1
-        elif probs[left] >= probs[right]:
-            pick = left
-            left -= 1
-        else:
-            pick = right
-            right += 1
-        order.append(pick)
-        masses.append(masses[-1] + float(probs[pick]))
-    return order, masses
+
+def aps_scores(probs: np.ndarray, label_index: np.ndarray) -> np.ndarray:
+    """Per row, the cumulative mass at which the true label joins the set."""
+    order, masses, _, _ = _aps_paths(probs)
+    label_index = np.asarray(label_index, dtype=np.intp).reshape(-1)
+    k = order.shape[1]
+    if ((label_index < 0) | (label_index >= k)).any():
+        raise ValueError(f"label index outside [0, {k})")
+    step = (order == label_index[:, None]).argmax(axis=1)
+    return masses[np.arange(len(order)), step]
+
+
+def aps_sets(probs: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the index run of the smallest greedy-grown set with mass
+    >= threshold; the whole range when no smaller set reaches it."""
+    _, masses, lows, highs = _aps_paths(probs)
+    k = masses.shape[1]
+    reached = ~(masses[:, : k - 1] < threshold)
+    step = np.where(reached.any(axis=1), reached.argmax(axis=1), k - 1)
+    rows = np.arange(len(masses))
+    return lows[rows, step], highs[rows, step]
 
 
 def aps_score(probs: np.ndarray, label_index: int) -> float:
     """Cumulative mass needed before the true label joins the growing set."""
-    order, masses = aps_growth_path(probs)
-    return masses[order.index(label_index)]
+    return float(aps_scores(probs, [label_index])[0])
 
 
 def aps_set(probs: np.ndarray, threshold: float) -> tuple[int, int]:
     """Smallest greedy-grown contiguous index run with mass >= threshold."""
-    order, masses = aps_growth_path(probs)
-    take = 1
-    while take < len(order) and masses[take - 1] < threshold:
-        take += 1
-    chosen = order[:take]
-    return min(chosen), max(chosen)
+    lo, hi = aps_sets(probs, threshold)
+    return int(lo[0]), int(hi[0])
 
 
 def aps_from_probs(
@@ -274,29 +326,25 @@ def aps_from_probs(
     probs_test: np.ndarray,
     alpha: float,
     scale: RatingScale,
-) -> tuple[float, list[Interval], np.ndarray]:
-    scores = np.array(
-        [aps_score(p, int(i)) for p, i in zip(probs_conf, y_conf_index)]
+) -> tuple[float, Intervals, np.ndarray]:
+    q = conformal_quantile(aps_scores(probs_conf, y_conf_index), alpha)
+    lo_idx, hi_idx = aps_sets(probs_test, q)
+    ivs = _interval(scale.min_label + lo_idx, scale.min_label + hi_idx, scale)
+    argmax_labels = (scale.min_label + np.asarray(probs_test).argmax(axis=1)).astype(
+        np.float64
     )
-    q = conformal_quantile(scores, alpha)
-    ivs: list[Interval] = []
-    argmax_labels = np.empty(len(probs_test))
-    for i, p in enumerate(probs_test):
-        lo_idx, hi_idx = aps_set(p, q)
-        ivs.append(
-            _interval(scale.min_label + lo_idx, scale.min_label + hi_idx, scale)
-        )
-        argmax_labels[i] = scale.min_label + int(np.argmax(p))
     return q, ivs, argmax_labels
 
 
 # ---------------------------------------------------------------------------
 # Learner-backed constructors. `cache` shares fitted learners across methods
 # that run on the identical calibration half within one experiment cell.
+# Each key holds every input of its fit besides that data: the learner, its
+# targets (taus, bins, grid) and its training settings.
 # ---------------------------------------------------------------------------
 
 
-def _fit_cached(cache: dict | None, key: str, fit: Callable):
+def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
     if cache is not None and key in cache:
         return cache[key]
     model = fit()
@@ -305,30 +353,54 @@ def _fit_cached(cache: dict | None, key: str, fit: Callable):
     return model
 
 
-def _pointvar(cal_train, cfg: MethodConfig, cache, need_sigma: bool):
+def _pointvar(fit_half: Batch, cfg: MethodConfig, cache, need_sigma: bool):
     """The point model of the learner half; one mean head serves every method."""
-    Xtr, ytr = features_matrix(cal_train), gt_array(cal_train)
+    key = (cfg.train, cfg.sigma_floor)
     model = _fit_cached(
         cache,
-        "pointvar_mean",
+        ("pointvar_mean",) + key,
         lambda: fit_point_var(
-            Xtr, ytr, cfg.train, fit_sigma=False, sigma_floor=cfg.sigma_floor
+            fit_half.X, fit_half.y, cfg.train, fit_sigma=False,
+            sigma_floor=cfg.sigma_floor,
         ),
     )
     if not need_sigma:
         return model
     return _fit_cached(
-        cache, "pointvar_sigma", lambda: fit_spread_head(model, Xtr, ytr, cfg.train)
+        cache,
+        ("pointvar_sigma",) + key,
+        lambda: fit_spread_head(model, fit_half.X, fit_half.y, cfg.train),
+    )
+
+
+def _hist_density(fit_half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
+    lo, hi = scale.min_label - 0.5, scale.k_max + 0.5
+    return _fit_cached(
+        cache,
+        ("hist", n_bins, lo, hi, cfg.train),
+        lambda: fit_hist_density(fit_half.X, fit_half.y, n_bins, cfg.train, lo=lo, hi=hi),
+    )
+
+
+def _boosted(fit_half: Batch, y: np.ndarray, loss: str, cfg: MethodConfig, cache,
+             key: tuple, tau: float | None = None):
+    return _fit_cached(
+        cache,
+        ("boosted", loss, tau, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate) + key,
+        lambda: fit_boosted(
+            fit_half.X, y, loss, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate,
+            tau=tau,
+        ),
     )
 
 
 def run_naive_split(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    _check_inputs(cal, test, alpha)
-    cal_train, cal_conf = _halves(cal)
-    model = _pointvar(cal_train, cfg, cache, need_sigma=False)
-    mu_conf = model.predict_mean(features_matrix(cal_conf))
-    mu_test = model.predict_mean(features_matrix(test))
-    q, ivs = naive_from_predictions(gt_array(cal_conf), mu_conf, mu_test, alpha, scale)
+    cal, test = _check_inputs(cal, test, alpha)
+    fit_half, conf = _halves(cal)
+    model = _pointvar(fit_half, cfg, cache, need_sigma=False)
+    mu_conf = model.predict_mean(conf.X)
+    mu_test = model.predict_mean(test.X)
+    q, ivs = naive_from_predictions(conf.y, mu_conf, mu_test, alpha, scale)
     return MethodResult(
         method="naive_split",
         intervals=ivs,
@@ -340,21 +412,19 @@ def run_naive_split(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> 
 def run_cqr(
     cal, test, alpha, scale, cfg=MethodConfig(), cache=None, symmetric: bool = True
 ) -> MethodResult:
-    _check_inputs(cal, test, alpha)
-    cal_train, cal_conf = _halves(cal)
+    cal, test = _check_inputs(cal, test, alpha)
+    fit_half, conf = _halves(cal)
     taus = (alpha / 2.0, 1.0 - alpha / 2.0)
     qm = _fit_cached(
         cache,
-        "quantile",
-        lambda: fit_quantile_model(
-            features_matrix(cal_train), gt_array(cal_train), taus, cfg.train
-        ),
+        ("quantile", taus, cfg.train),
+        lambda: fit_quantile_model(fit_half.X, fit_half.y, taus, cfg.train),
     )
-    pred_conf = qm.predict(features_matrix(cal_conf))
-    pred_test = qm.predict(features_matrix(test))
+    pred_conf = qm.predict(conf.X)
+    pred_test = qm.predict(test.X)
     name = "cqr" if symmetric else "cqr_asym"
     q, ivs = cqr_from_quantiles(
-        gt_array(cal_conf),
+        conf.y,
         pred_conf[:, 0],
         pred_conf[:, -1],
         pred_test[:, 0],
@@ -377,27 +447,12 @@ def run_cqr_asym(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> Met
 
 
 def run_chr(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    _check_inputs(cal, test, alpha)
-    cal_train, cal_conf = _halves(cal)
-    lo, hi = scale.min_label - 0.5, scale.k_max + 0.5
-    model = _fit_cached(
-        cache,
-        f"hist{cfg.chr_bins}",
-        lambda: fit_hist_density(
-            features_matrix(cal_train),
-            gt_array(cal_train),
-            cfg.chr_bins,
-            cfg.train,
-            lo=lo,
-            hi=hi,
-        ),
-    )
-    y_conf = gt_array(cal_conf)
-    logp_conf = model.predict_log_proba(features_matrix(cal_conf))
-    bins = np.array([model.bin_index(float(v)) for v in y_conf])
-    conf_scores = -logp_conf[np.arange(len(y_conf)), bins]
-    Xt = features_matrix(test)
-    neg_logp_test = -model.predict_log_proba(Xt)
+    cal, test = _check_inputs(cal, test, alpha)
+    fit_half, conf = _halves(cal)
+    model = _hist_density(fit_half, cfg.chr_bins, cfg, cache, scale)
+    logp_conf = model.predict_log_proba(conf.X)
+    conf_scores = -logp_conf[np.arange(len(conf)), model.bin_index(conf.y)]
+    neg_logp_test = -model.predict_log_proba(test.X)
     edges = model.bin_edges()
     thr, ivs = density_intervals_from_scores(
         conf_scores, neg_logp_test, edges[:-1], edges[1:], alpha, scale
@@ -405,55 +460,50 @@ def run_chr(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodRe
     return MethodResult(
         method="chr",
         intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, model.expected_value(Xt)),
+        y_hat=_point_predictions(cfg, scale, test, model.expected_value(test.X)),
         calibration=ConformalCalibration("chr", alpha, thr, (model,)),
     )
 
 
 def run_lvd(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    _check_inputs(cal, test, alpha)
-    cal_train, cal_conf = _halves(cal)
-    model = _pointvar(cal_train, cfg, cache, need_sigma=True)
-    Xc, Xt = features_matrix(cal_conf), features_matrix(test)
+    cal, test = _check_inputs(cal, test, alpha)
+    fit_half, conf = _halves(cal)
+    model = _pointvar(fit_half, cfg, cache, need_sigma=True)
+    mu_test = model.predict_mean(test.X)
     q, ivs = lvd_from_predictions(
-        gt_array(cal_conf),
-        model.predict_mean(Xc),
-        model.predict_sigma(Xc),
-        model.predict_mean(Xt),
-        model.predict_sigma(Xt),
+        conf.y,
+        model.predict_mean(conf.X),
+        model.predict_sigma(conf.X),
+        mu_test,
+        model.predict_sigma(test.X),
         alpha,
         scale,
     )
     return MethodResult(
         method="lvd",
         intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, model.predict_mean(Xt)),
+        y_hat=_point_predictions(cfg, scale, test, mu_test),
         calibration=ConformalCalibration("lvd", alpha, q, (model,)),
     )
 
 
 def run_r2ccp(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    _check_inputs(cal, test, alpha)
+    cal, test = _check_inputs(cal, test, alpha)
     grid = cfg.grid
     if not (grid.lo < scale.min_label and grid.hi > scale.k_max):
         raise DataError(
             f"grid [{grid.lo}, {grid.hi}] must strictly contain the label "
             f"range [{scale.min_label}, {scale.k_max}]"
         )
-    cal_train, cal_conf = _halves(cal)
+    fit_half, conf = _halves(cal)
     model = _fit_cached(
         cache,
-        "grid",
-        lambda: fit_grid_classifier(
-            features_matrix(cal_train), gt_array(cal_train), grid, cfg.train
-        ),
+        ("grid", grid, cfg.train),
+        lambda: fit_grid_classifier(fit_half.X, fit_half.y, grid, cfg.train),
     )
-    y_conf = gt_array(cal_conf)
-    logp_conf = model.predict_log_proba(features_matrix(cal_conf))
-    idx = np.array([grid.nearest_index(float(v)) for v in y_conf])
-    conf_scores = -logp_conf[np.arange(len(y_conf)), idx]
-    Xt = features_matrix(test)
-    neg_logp_test = -model.predict_log_proba(Xt)
+    logp_conf = model.predict_log_proba(conf.X)
+    conf_scores = -logp_conf[np.arange(len(conf)), grid.nearest_index(conf.y)]
+    neg_logp_test = -model.predict_log_proba(test.X)
     points = grid.points()
     thr, ivs = density_intervals_from_scores(
         conf_scores, neg_logp_test, points, points, alpha, scale
@@ -461,30 +511,18 @@ def run_r2ccp(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> Method
     return MethodResult(
         method="r2ccp",
         intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, model.expected_value(Xt)),
+        y_hat=_point_predictions(cfg, scale, test, model.expected_value(test.X)),
         calibration=ConformalCalibration("r2ccp", alpha, thr, (model,)),
     )
 
 
 def run_ordinal_aps(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    _check_inputs(cal, test, alpha)
-    cal_train, cal_conf = _halves(cal)
-    k = scale.k_max
-    model = _fit_cached(
-        cache,
-        f"hist{k}",
-        lambda: fit_hist_density(
-            features_matrix(cal_train),
-            gt_array(cal_train),
-            k,
-            cfg.train,
-            lo=scale.min_label - 0.5,
-            hi=scale.k_max + 0.5,
-        ),
-    )
-    probs_conf = model.predict_proba(features_matrix(cal_conf))
-    y_idx = gt_array(cal_conf).astype(np.intp) - scale.min_label
-    probs_test = model.predict_proba(features_matrix(test))
+    cal, test = _check_inputs(cal, test, alpha)
+    fit_half, conf = _halves(cal)
+    model = _hist_density(fit_half, scale.k_max, cfg, cache, scale)
+    probs_conf = model.predict_proba(conf.X)
+    y_idx = conf.y.astype(np.intp) - scale.min_label
+    probs_test = model.predict_proba(test.X)
     q, ivs, argmax_labels = aps_from_probs(probs_conf, y_idx, probs_test, alpha, scale)
     return MethodResult(
         method="ordinal_aps",
@@ -497,7 +535,7 @@ def run_ordinal_aps(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> 
 def run_boosted(
     cal, test, alpha, scale, cfg=MethodConfig(), cache=None, variant: str = "cqr"
 ) -> MethodResult:
-    _check_inputs(cal, test, alpha)
+    cal, test = _check_inputs(cal, test, alpha)
     if variant not in ("cqr", "lcp"):
         raise DataError(f"unknown boosted variant {variant!r}")
     if cfg.boost_rounds == 0:
@@ -505,32 +543,18 @@ def run_boosted(
         inner = run_cqr if variant == "cqr" else run_lvd
         result = inner(cal, test, alpha, scale, cfg, cache)
         return replace_method_name(result, f"boosted_{variant}")
-    cal_train, cal_conf = _halves(cal)
-    Xtr, ytr = features_matrix(cal_train), gt_array(cal_train)
-    Xc, Xt = features_matrix(cal_conf), features_matrix(test)
+    fit_half, conf = _halves(cal)
     name = f"boosted_{variant}"
     if variant == "cqr":
         taus = (alpha / 2.0, 1.0 - alpha / 2.0)
         models = [
-            _fit_cached(
-                cache,
-                f"boost_pinball_{tau}",
-                lambda tau=tau: fit_boosted(
-                    Xtr,
-                    ytr,
-                    "pinball",
-                    cfg.boost_rounds,
-                    cfg.boost_depth,
-                    cfg.boost_rate,
-                    tau=tau,
-                ),
-            )
+            _boosted(fit_half, fit_half.y, "pinball", cfg, cache, (), tau=tau)
             for tau in taus
         ]
-        pred_conf = np.sort(np.column_stack([m.predict(Xc) for m in models]), axis=1)
-        pred_test = np.sort(np.column_stack([m.predict(Xt) for m in models]), axis=1)
+        pred_conf = np.sort(np.column_stack([m.predict(conf.X) for m in models]), axis=1)
+        pred_test = np.sort(np.column_stack([m.predict(test.X) for m in models]), axis=1)
         q, ivs = cqr_from_quantiles(
-            gt_array(cal_conf),
+            conf.y,
             pred_conf[:, 0],
             pred_conf[:, 1],
             pred_test[:, 0],
@@ -547,21 +571,18 @@ def run_boosted(
             calibration=ConformalCalibration(name, alpha, q, tuple(models)),
         )
     # lcp: a boosted absolute-loss model of |residual| supplies the local scale.
-    mean_model = _pointvar(cal_train, cfg, cache, need_sigma=False)
-    abs_resid = np.abs(ytr - mean_model.predict_mean(Xtr))
-    sig_model = _fit_cached(
-        cache,
-        "boost_abs",
-        lambda: fit_boosted(
-            Xtr, abs_resid, "absolute", cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate
-        ),
+    mean_model = _pointvar(fit_half, cfg, cache, need_sigma=False)
+    abs_resid = np.abs(fit_half.y - mean_model.predict_mean(fit_half.X))
+    # The residuals come from the mean model, so its settings are fit inputs.
+    sig_model = _boosted(
+        fit_half, abs_resid, "absolute", cfg, cache, (cfg.train, cfg.sigma_floor)
     )
-    sig_conf = np.maximum(sig_model.predict(Xc), cfg.sigma_floor)
-    sig_test = np.maximum(sig_model.predict(Xt), cfg.sigma_floor)
-    mu_test = mean_model.predict_mean(Xt)
+    sig_conf = np.maximum(sig_model.predict(conf.X), cfg.sigma_floor)
+    sig_test = np.maximum(sig_model.predict(test.X), cfg.sigma_floor)
+    mu_test = mean_model.predict_mean(test.X)
     q, ivs = lvd_from_predictions(
-        gt_array(cal_conf),
-        mean_model.predict_mean(Xc),
+        conf.y,
+        mean_model.predict_mean(conf.X),
         sig_conf,
         mu_test,
         sig_test,
@@ -624,37 +645,47 @@ def run_method(
 # ---------------------------------------------------------------------------
 
 
-def boundary_adjust(
-    iv: Interval, scale: RatingScale, direction: str = "outward"
-) -> Interval:
-    """Snap continuous endpoints to integer labels.
+def _adjusted_endpoints(
+    lower: np.ndarray, upper: np.ndarray, scale: RatingScale, direction: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer endpoints of each row, as int64 (see :func:`boundary_adjust`)."""
+    lo_label, hi_label = float(scale.min_label), float(scale.k_max)
+    if direction == "outward":
+        al = np.maximum(lo_label, np.floor(lower))
+        au = np.minimum(hi_label, np.ceil(upper))
+    elif direction == "inward":
+        al, au = np.ceil(lower), np.floor(upper)
+        empty = al > au
+        if empty.any():
+            al[empty] = au[empty] = np.floor((lower[empty] + upper[empty]) / 2.0 + 0.5)
+        al = np.minimum(np.maximum(al, lo_label), hi_label)
+        au = np.minimum(np.maximum(au, lo_label), hi_label)
+    else:
+        raise DataError(f"unknown adjustment direction {direction!r}")
+    return al.astype(np.int64), au.astype(np.int64)
+
+
+def adjust_all(intervals, scale: RatingScale, direction: str = "outward") -> Intervals:
+    """Snap every interval's continuous endpoints to integer labels.
 
     "outward" floors the lower and ceils the upper endpoint, so the adjusted
     interval always contains the raw one (coverage can only grow). "inward"
     takes the tight integer hull; when the raw interval contains no integer
-    it collapses to the label nearest the midpoint.
+    it collapses to the label nearest the midpoint. "off" returns the
+    intervals as they are. Infinite endpoints snap to the scale's ends.
     """
+    ivs = Intervals.of(intervals)
     if direction == "off":
-        return iv
-    if direction == "outward":
-        al = max(scale.min_label, math.floor(iv.lower))
-        au = min(scale.k_max, math.ceil(iv.upper))
-    elif direction == "inward":
-        al = math.ceil(iv.lower)
-        au = math.floor(iv.upper)
-        if al > au:
-            al = au = int(math.floor((iv.lower + iv.upper) / 2.0 + 0.5))
-        al = min(max(al, scale.min_label), scale.k_max)
-        au = min(max(au, scale.min_label), scale.k_max)
-    else:
-        raise DataError(f"unknown adjustment direction {direction!r}")
-    return Interval(iv.lower, iv.upper, adj_lower=int(al), adj_upper=int(au))
+        return ivs
+    al, au = _adjusted_endpoints(ivs.lower, ivs.upper, scale, direction)
+    return Intervals(ivs.lower, ivs.upper, al, au)
 
 
-def adjust_all(
-    intervals: list[Interval], scale: RatingScale, direction: str = "outward"
-) -> list[Interval]:
-    return [boundary_adjust(iv, scale, direction) for iv in intervals]
+def boundary_adjust(
+    iv: Interval, scale: RatingScale, direction: str = "outward"
+) -> Interval:
+    """One interval through :func:`adjust_all`."""
+    return adjust_all([iv], scale, direction)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -675,23 +706,29 @@ class GroupPartition:
     group_of: Mapping[str, str] | None = None
     tag_field: str = "group_tag"
 
-    def group_for(self, sample: LabeledSample) -> str:
+    def labels(self, batch: Batch) -> np.ndarray:
+        """The group of every row, as strings; worked out once per distinct
+        tag. A row with no group raises DataError naming its sample."""
         if self.group_of is not None:
-            try:
-                return self.group_of[sample.dataset_tag]
-            except KeyError:
+            tags, inverse = np.unique(batch.dataset, return_inverse=True)
+            known = np.array([t in self.group_of for t in tags.tolist()], dtype=bool)
+            if not known.all():
+                i = int(np.flatnonzero(~known[inverse])[0])
                 raise DataError(
                     f"partition {self.name!r} has no group for dataset "
-                    f"{sample.dataset_tag!r} (sample {sample.sample_id!r})"
-                ) from None
+                    f"{str(batch.dataset[i])!r} (sample {batch.sample_id[i]!r})"
+                )
+            groups = np.array([self.group_of[t] for t in tags.tolist()], dtype=str)
+            return groups[inverse]
         if self.tag_field == "dataset_tag":
-            return sample.dataset_tag
-        if sample.group_tag is None:
+            return batch.dataset
+        tags = batch.group.tolist()
+        if None in tags:
             raise DataError(
                 f"partition {self.name!r} needs group_tag, but sample "
-                f"{sample.sample_id!r} has none"
+                f"{batch.sample_id[tags.index(None)]!r} has none"
             )
-        return sample.group_tag
+        return np.array(tags, dtype=str)
 
 
 MLLM_DIFFICULTY = GroupPartition(
@@ -743,43 +780,38 @@ def run_mondrian(
     quantile rank overflows and the group would silently get vacuous
     full-range intervals.
     """
-    _check_inputs(cal, test, alpha)
+    cal, test = _check_inputs(cal, test, alpha)
     if cache is None:
         cache = {}
-    cal_groups = [partition.group_for(s) for s in cal]
-    test_groups = [partition.group_for(s) for s in test]
-    labels = sorted(set(cal_groups) | set(test_groups))
-    intervals: list[Interval | None] = [None] * len(test)
+    cal_groups = partition.labels(cal)
+    test_groups = partition.labels(test)
+    lower = np.empty(len(test))
+    upper = np.empty(len(test))
     y_hat = np.empty(len(test))
     per_group_q: dict[str, object] = {}
     learners: list = []
-    for g in labels:
-        cal_idx = [i for i, gg in enumerate(cal_groups) if gg == g]
-        test_idx = [i for i, gg in enumerate(test_groups) if gg == g]
+    for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist():
+        cal_idx = np.flatnonzero(cal_groups == g)
+        test_idx = np.flatnonzero(test_groups == g)
         if len(cal_idx) < min_group_cal:
             raise DataError(
                 f"group {g!r} has {len(cal_idx)} calibration samples, "
                 f"below the minimum {min_group_cal}"
             )
-        if not test_idx:
+        if not len(test_idx):
             continue
         sub = run_method(
-            inner,
-            [cal[i] for i in cal_idx],
-            [test[i] for i in test_idx],
-            alpha,
-            scale,
-            cfg,
+            inner, cal[cal_idx], test[test_idx], alpha, scale, cfg,
             cache.setdefault(g, {}),
         )
         per_group_q[g] = sub.calibration.q_hat
         learners.append((g, sub.calibration.learners))
-        for pos, iv, yh in zip(test_idx, sub.intervals, sub.y_hat):
-            intervals[pos] = iv
-            y_hat[pos] = yh
+        lower[test_idx] = sub.intervals.lower
+        upper[test_idx] = sub.intervals.upper
+        y_hat[test_idx] = sub.y_hat
     return MethodResult(
         method=f"mondrian[{inner}]",
-        intervals=list(intervals),  # type: ignore[arg-type]
+        intervals=Intervals(lower, upper),
         y_hat=y_hat,
         calibration=ConformalCalibration(
             f"mondrian[{inner}]", alpha, per_group_q, tuple(learners)

@@ -1,7 +1,9 @@
 """Shared domain types: rating scales, samples, intervals, and splits.
 
-Everything here is an immutable value type; fitted models and reports in the
-other modules are built on top of these.
+``Interval`` and ``LabeledSample`` are single-value types. The hot path runs
+on their column forms: ``Intervals`` (endpoint arrays) and ``Batch``
+(feature matrix, scores and tag arrays), each built once and sliced by
+index arrays.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ class Interval:
     adj_upper: int | None = None
 
     def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"interval endpoint is NaN ({self.lower}, {self.upper})")
         if self.lower > self.upper:
             raise ValueError(f"interval lower {self.lower} > upper {self.upper}")
         if (self.adj_lower is None) != (self.adj_upper is None):
@@ -133,6 +137,177 @@ class Interval:
         if self.adj_lower is None:
             raise InvariantError("interval has no adjusted endpoints")
         return self.adj_lower <= y <= self.adj_upper
+
+
+class Intervals:
+    """A set of intervals as columns: the array form of ``list[Interval]``.
+
+    ``lower`` and ``upper`` are float64 arrays; ``adj_lower`` and
+    ``adj_upper`` are int64 arrays, set together or both None. The checks
+    are Interval's, over every row: no NaN endpoint, lower <= upper, and
+    adjusted lower <= adjusted upper. Indexing with an integer gives an
+    ``Interval``; with a slice or an index array, an ``Intervals``. Treat
+    the arrays as read-only.
+    """
+
+    __slots__ = ("lower", "upper", "adj_lower", "adj_upper")
+
+    def __init__(self, lower, upper, adj_lower=None, adj_upper=None) -> None:
+        lower = np.asarray(lower, dtype=np.float64)
+        upper = np.asarray(upper, dtype=np.float64)
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError(
+                f"endpoint arrays must be 1-D of one length, got "
+                f"{lower.shape} and {upper.shape}"
+            )
+        if (adj_lower is None) != (adj_upper is None):
+            raise ValueError("adjusted endpoints must be set together")
+        bad = np.flatnonzero(~(lower <= upper))
+        if bad.size:
+            lo, hi = float(lower[bad[0]]), float(upper[bad[0]])
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"interval endpoint is NaN ({lo}, {hi})")
+            raise ValueError(f"interval lower {lo} > upper {hi}")
+        if adj_lower is not None:
+            adj_lower = np.asarray(adj_lower, dtype=np.int64)
+            adj_upper = np.asarray(adj_upper, dtype=np.int64)
+            if adj_lower.shape != lower.shape or adj_upper.shape != lower.shape:
+                raise ValueError("adjusted endpoints must match the raw ones in length")
+            bad = np.flatnonzero(adj_lower > adj_upper)
+            if bad.size:
+                raise ValueError(
+                    f"adjusted lower {int(adj_lower[bad[0]])} > upper "
+                    f"{int(adj_upper[bad[0]])}"
+                )
+        self.lower, self.upper = lower, upper
+        self.adj_lower, self.adj_upper = adj_lower, adj_upper
+
+    @classmethod
+    def of(cls, intervals) -> "Intervals":
+        """An Intervals as it is, or a sequence of Interval as columns.
+
+        Adjusted endpoints are kept only when every interval has them; a
+        mixed list reads as unadjusted.
+        """
+        if isinstance(intervals, cls):
+            return intervals
+        ivs = list(intervals)
+        adjusted = bool(ivs) and all(iv.adj_lower is not None for iv in ivs)
+        return cls(
+            [iv.lower for iv in ivs],
+            [iv.upper for iv in ivs],
+            [iv.adj_lower for iv in ivs] if adjusted else None,
+            [iv.adj_upper for iv in ivs] if adjusted else None,
+        )
+
+    @property
+    def adjusted(self) -> bool:
+        return self.adj_lower is not None
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.upper - self.lower
+
+    @property
+    def adj_width(self) -> np.ndarray | None:
+        if self.adj_lower is None:
+            return None
+        return self.adj_upper - self.adj_lower
+
+    def contains(self, y) -> np.ndarray:
+        """Per-row ``lower <= y <= upper``."""
+        y = np.asarray(y, dtype=np.float64)
+        return (self.lower <= y) & (y <= self.upper)
+
+    def contains_adjusted(self, y) -> np.ndarray:
+        """Per-row ``adj_lower <= int(y) <= adj_upper``; y must be finite."""
+        if self.adj_lower is None:
+            raise InvariantError("interval has no adjusted endpoints")
+        y = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise ValueError("adjusted coverage needs finite targets")
+        y = np.trunc(y)
+        return (self.adj_lower <= y) & (y <= self.adj_upper)
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            if self.adj_lower is None:
+                return Interval(float(self.lower[key]), float(self.upper[key]))
+            return Interval(
+                float(self.lower[key]),
+                float(self.upper[key]),
+                int(self.adj_lower[key]),
+                int(self.adj_upper[key]),
+            )
+        # A subset of checked rows needs no second check.
+        out = object.__new__(Intervals)
+        out.lower, out.upper = self.lower[key], self.upper[key]
+        if self.adj_lower is None:
+            out.adj_lower = out.adj_upper = None
+        else:
+            out.adj_lower, out.adj_upper = self.adj_lower[key], self.adj_upper[key]
+        return out
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Intervals):
+            return NotImplemented
+        if self.adjusted != other.adjusted:
+            return False
+        same = np.array_equal(self.lower, other.lower) and np.array_equal(
+            self.upper, other.upper
+        )
+        if same and self.adjusted:
+            same = np.array_equal(self.adj_lower, other.adj_lower) and np.array_equal(
+                self.adj_upper, other.adj_upper
+            )
+        return bool(same)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        state = "adjusted" if self.adjusted else "raw"
+        return f"Intervals(n={len(self)}, {state})"
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """A sample list as columns: features ``X`` (n, d), float64 scores
+    ``y``, and one array per tag (``group`` holds None for a sample with no
+    group tag). Rows keep the order of the samples; index a Batch with a
+    slice or an index array to take rows.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    dataset: np.ndarray
+    group: np.ndarray
+    sample_id: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: list[LabeledSample], X: np.ndarray) -> "Batch":
+        """The columns of ``samples``, with ``X`` their stacked features."""
+        return cls(
+            X=X,
+            y=gt_array(samples),
+            dataset=np.array([s.dataset_tag for s in samples], dtype=str),
+            group=np.array([s.group_tag for s in samples], dtype=object),
+            sample_id=np.array([s.sample_id for s in samples], dtype=object),
+        )
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows) -> "Batch":
+        return Batch(
+            self.X[rows], self.y[rows], self.dataset[rows], self.group[rows],
+            self.sample_id[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -179,11 +354,19 @@ def make_split(n: int, cal_fraction: float, seed: int) -> SplitPlan:
     )
 
 
+def clamp_endpoints(
+    lower: np.ndarray, upper: np.ndarray, scale: RatingScale
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp endpoint arrays into [min_label, k_max]; idempotent, never widens."""
+    lo = np.minimum(np.maximum(lower, float(scale.min_label)), float(scale.k_max))
+    hi = np.maximum(np.minimum(upper, float(scale.k_max)), float(scale.min_label))
+    return lo, hi
+
+
 def clamp_interval(iv: Interval, scale: RatingScale) -> Interval:
-    """Clamp both endpoints into [min_label, k_max]; idempotent, never widens."""
-    lo = float(min(max(iv.lower, scale.min_label), scale.k_max))
-    hi = float(max(min(iv.upper, scale.k_max), scale.min_label))
-    return Interval(lo, hi, iv.adj_lower, iv.adj_upper)
+    """One interval through :func:`clamp_endpoints`; keeps adjusted endpoints."""
+    lo, hi = clamp_endpoints(np.array([iv.lower]), np.array([iv.upper]), scale)
+    return Interval(float(lo[0]), float(hi[0]), iv.adj_lower, iv.adj_upper)
 
 
 def features_matrix(samples: list[LabeledSample]) -> np.ndarray:

@@ -21,18 +21,20 @@ from ..conformal import (
     BUILTIN_PARTITIONS,
     GroupPartition,
     adjust_all,
+    as_batch,
     run_method,
     run_mondrian,
 )
 from ..core import (
+    Batch,
     DataError,
     LabeledSample,
     RatingScale,
-    gt_array,
     make_split,
     validate_sample,
 )
 from ..metrics import (
+    Strata,
     error_bins,
     informativeness,
     interval_metrics,
@@ -206,14 +208,13 @@ def _seed_row(
     return row
 
 
-def _group_labels(
-    samples: list[LabeledSample], partition: GroupPartition | None
-) -> list[str] | None:
+def _group_labels(test: Batch, partition: GroupPartition | None) -> np.ndarray | None:
     if partition is not None:
-        return [partition.group_for(s) for s in samples]
-    if all(s.group_tag is not None for s in samples):
-        return [s.group_tag for s in samples]  # type: ignore[misc]
-    return None
+        return partition.labels(test)
+    tags = test.group.tolist()
+    if None in tags:
+        return None
+    return np.array(tags, dtype=str)
 
 
 def run_experiment(
@@ -236,7 +237,8 @@ def run_experiment(
             )
         seen.add(s.sample_id)
     partition = resolve_partition(config.mondrian)
-    adjusted = config.adjust != "off"
+    # One stacking of the samples; every split slices it.
+    batch = as_batch(samples)
 
     report = ExperimentReport(config=config.to_dict())
     for seed in config.seeds:
@@ -250,9 +252,8 @@ def run_experiment(
                 )
             )
             continue
-        cal = [samples[i] for i in plan.cal_indices]
-        test = [samples[i] for i in plan.test_indices]
-        gts = gt_array(test)
+        cal = batch[np.array(plan.cal_indices, dtype=np.intp)]
+        test = batch[np.array(plan.test_indices, dtype=np.intp)]
         # Learner fits shared by this split's methods (per group under Mondrian).
         cache: dict = {}
         try:
@@ -260,63 +261,79 @@ def run_experiment(
         except DataError as exc:
             report.errors.append(_ledger_row(seed, "*", exc))
             continue
+        # The strata that do not depend on the method, grouped once per split.
+        keys = {
+            "gt_level": Strata.of(test.y.astype(np.int64).astype(str)),
+            "dataset": Strata.of(test.dataset),
+        }
+        if test_groups is not None:
+            keys["group"] = Strata.of(test_groups)
         for method in config.methods:
             try:
-                if partition is None:
-                    res = run_method(
-                        method, cal, test, config.alpha, scale,
-                        config.method_config, cache,
-                    )
-                else:
-                    res = run_mondrian(
-                        cal, test, config.alpha, partition, method, scale,
-                        config.method_config, cache=cache,
-                    )
-                ivs = adjust_all(res.intervals, scale, config.adjust)
-                report.per_seed.append(
-                    _seed_row(
-                        seed, method, len(cal), len(test), ivs, res.y_hat,
-                        gts, scale, adjusted,
-                    )
-                )
-                if config.emit_intervals:
-                    report.intervals.extend(
-                        _interval_lines(seed, method, test, ivs, res.y_hat, gts)
-                    )
-                report.per_dataset.extend(
-                    _dataset_rows(seed, method, test, ivs, res.y_hat, gts, scale)
-                )
-                keys: dict[str, list] = {
-                    "gt_level": [str(int(g)) for g in gts],
-                    "error_bin": [str(int(b)) for b in error_bins(res.y_hat, gts, scale)],
-                    "dataset": [s.dataset_tag for s in test],
-                }
-                if test_groups is not None:
-                    keys["group"] = test_groups
-                strat = stratified(ivs, res.y_hat, gts, keys)
-                for kind in sorted(strat):
-                    for label in sorted(strat[kind]):
-                        sm = strat[kind][label]
-                        report.stratified.append(
-                            {
-                                "seed": seed,
-                                "method": method,
-                                "kind": kind,
-                                "stratum": label,
-                                "count": sm.count,
-                                "coverage_raw": sm.coverage_raw,
-                                "coverage_adj": sm.coverage_adj,
-                                "width_raw": sm.width_raw,
-                                "width_adj": sm.width_adj,
-                                "bias": sm.bias,
-                                "mae": sm.mae,
-                            }
-                        )
+                rows = _cell_rows(config, seed, method, cal, test, keys, partition, cache)
             except (DataError, ValueError) as exc:  # the cell failed on its data
                 report.errors.append(_ledger_row(seed, method, exc))
+                continue
+            # A cell adds all of its rows or, when it fails, none.
+            report.per_seed.append(rows["per_seed"])
+            report.intervals.extend(rows["intervals"])
+            report.per_dataset.extend(rows["per_dataset"])
+            report.stratified.extend(rows["stratified"])
 
     _aggregate(report, config)
     return report
+
+
+def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
+    """Every report row of one (seed, method) cell."""
+    scale = config.scale
+    if partition is None:
+        res = run_method(
+            method, cal, test, config.alpha, scale, config.method_config, cache,
+        )
+    else:
+        res = run_mondrian(
+            cal, test, config.alpha, partition, method, scale,
+            config.method_config, cache=cache,
+        )
+    ivs = adjust_all(res.intervals, scale, config.adjust)
+    gts = test.y
+    rows: dict = {
+        "per_seed": _seed_row(
+            seed, method, len(cal), len(test), ivs, res.y_hat, gts, scale,
+            config.adjust != "off",
+        ),
+        "intervals": (
+            _interval_lines(seed, method, test, ivs, res.y_hat, gts)
+            if config.emit_intervals
+            else []
+        ),
+        "per_dataset": _dataset_rows(
+            seed, method, keys["dataset"], ivs, res.y_hat, gts, scale
+        ),
+        "stratified": [],
+    }
+    cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
+    strat = stratified(ivs, res.y_hat, gts, cell_keys)
+    for kind in sorted(strat):
+        for label in sorted(strat[kind]):
+            sm = strat[kind][label]
+            rows["stratified"].append(
+                {
+                    "seed": seed,
+                    "method": method,
+                    "kind": kind,
+                    "stratum": label,
+                    "count": sm.count,
+                    "coverage_raw": sm.coverage_raw,
+                    "coverage_adj": sm.coverage_adj,
+                    "width_raw": sm.width_raw,
+                    "width_adj": sm.width_adj,
+                    "bias": sm.bias,
+                    "mae": sm.mae,
+                }
+            )
+    return rows
 
 
 def _ledger_row(seed: int, method: str, exc: Exception) -> dict:
@@ -328,37 +345,29 @@ def _ledger_row(seed: int, method: str, exc: Exception) -> dict:
     }
 
 
-def _interval_lines(seed, method, test, intervals, y_hat, gts) -> list[dict]:
-    lines = []
-    for s, iv, yh, gt in zip(test, intervals, y_hat, gts):
-        lines.append(
-            {
-                "seed": seed,
-                "method": method,
-                "sample_id": s.sample_id,
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "adj_lower": iv.adj_lower,
-                "adj_upper": iv.adj_upper,
-                "y_hat": float(yh),
-                "covered_raw": iv.contains(float(gt)),
-                "covered_adj": (
-                    iv.contains_adjusted(int(gt)) if iv.adj_lower is not None else None
-                ),
-            }
-        )
-    return lines
+def _interval_lines(seed, method, test: Batch, intervals, y_hat, gts) -> list[dict]:
+    n = len(test)
+    adjusted = intervals.adjusted
+    columns = zip(
+        test.sample_id.tolist(),
+        intervals.lower.tolist(),
+        intervals.upper.tolist(),
+        intervals.adj_lower.tolist() if adjusted else [None] * n,
+        intervals.adj_upper.tolist() if adjusted else [None] * n,
+        np.asarray(y_hat, dtype=np.float64).tolist(),
+        intervals.contains(gts).tolist(),
+        intervals.contains_adjusted(gts).tolist() if adjusted else [None] * n,
+    )
+    keys = ("sample_id", "lower", "upper", "adj_lower", "adj_upper", "y_hat",
+            "covered_raw", "covered_adj")
+    return [dict(seed=seed, method=method, **dict(zip(keys, row))) for row in columns]
 
 
-def _dataset_rows(seed, method, test, intervals, y_hat, gts, scale) -> list[dict]:
-    buckets: dict[str, list[int]] = {}
-    for i, s in enumerate(test):
-        buckets.setdefault(s.dataset_tag, []).append(i)
+def _dataset_rows(seed, method, datasets: Strata, intervals, y_hat, gts, scale) -> list[dict]:
+    """One row per dataset of the test set, grouped as ``datasets``."""
     rows = []
-    for dataset in sorted(buckets):
-        idx = buckets[dataset]
-        ivs = [intervals[i] for i in idx]
-        im = interval_metrics(ivs, gts[idx])
+    for dataset, idx in datasets:
+        im = interval_metrics(intervals[idx], gts[idx])
         rho = pearson(y_hat[idx], gts[idx])
         rows.append(
             {

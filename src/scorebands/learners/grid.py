@@ -7,7 +7,6 @@ mass at a label's nearest grid point serves as a density nonconformity score.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,17 @@ class GridConfig:
     def points(self) -> np.ndarray:
         return self.lo + self.resolution * np.arange(self.n_points)
 
-    def nearest_index(self, y: float) -> int:
-        """Index of the grid point nearest y; exact ties go to the lower point."""
-        idx = math.ceil((y - self.lo) / self.resolution - 0.5)
-        return min(max(idx, 0), self.n_points - 1)
+    def nearest_index(self, y):
+        """Index of the grid point nearest y; exact ties go to the lower point.
+
+        y may be a number (gives an int) or an array (gives an intp array).
+        """
+        y_arr = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y_arr).all():
+            raise ValueError("grid index of a non-finite value")
+        idx = np.ceil((y_arr - self.lo) / self.resolution - 0.5)
+        idx = np.minimum(np.maximum(idx, 0), self.n_points - 1).astype(np.intp)
+        return int(idx) if idx.ndim == 0 else idx
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def fit_grid_classifier(
     """Cross-entropy fit against each label's nearest grid point."""
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
-    targets = np.array([grid.nearest_index(float(v)) for v in y], dtype=np.intp)
+    targets = grid.nearest_index(np.asarray(y, dtype=np.float64).reshape(-1))
     scaler = Standardizer.fit(X)
     params = fit_mlp(scaler.transform(X), targets, grid.n_points, softmax_ce_head, cfg)
     return GridClassifier(params=params, scaler=scaler, grid=grid)

@@ -37,9 +37,17 @@ class HistDensityModel:
     def bin_centers(self) -> np.ndarray:
         return self.lo + self.bin_width * (np.arange(self.n_bins) + 0.5)
 
-    def bin_index(self, y: float) -> int:
-        idx = int((y - self.lo) / self.bin_width)
-        return min(max(idx, 0), self.n_bins - 1)
+    def bin_index(self, y):
+        """Bin of y, truncating toward zero and clipped into the bins.
+
+        y may be a number (gives an int) or an array (gives an intp array).
+        """
+        y_arr = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y_arr).all():
+            raise ValueError("bin index of a non-finite value")
+        idx = np.minimum(np.maximum((y_arr - self.lo) / self.bin_width, 0), self.n_bins - 1)
+        idx = idx.astype(np.intp)
+        return int(idx) if idx.ndim == 0 else idx
 
     def predict_log_proba(self, X: np.ndarray) -> np.ndarray:
         _, out = forward(self.params, self.scaler.transform(X))

@@ -1,5 +1,8 @@
 """Scalar metrics and stratified diagnostics for interval and point quality.
 
+Interval metrics take an ``Intervals`` (or a list of ``Interval``, converted
+once on entry) and run as array expressions over its columns.
+
 Correlations that are undefined (fewer than two points, or zero variance,
 e.g. the midpoint of all-full-range intervals) return None rather than NaN;
 report writers render the marker as an empty cell.
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Interval, RatingScale
+from .core import DataError, Intervals, RatingScale
 
 
 @dataclass(frozen=True)
@@ -68,29 +71,29 @@ class StratumMetrics:
     mae: float
 
 
-def coverage(intervals: list[Interval], gts, adjusted: bool = False) -> float:
-    if len(intervals) != len(gts):
-        raise DataError(
-            f"{len(intervals)} intervals vs {len(gts)} ground truths"
-        )
-    if not intervals:
+def coverage(intervals, gts, adjusted: bool = False) -> float:
+    """Share of rows whose interval holds its target; the adjusted form
+    compares int(target) with the integer endpoints."""
+    ivs = Intervals.of(intervals)
+    y = np.asarray(gts, dtype=np.float64)
+    if len(ivs) != len(y):
+        raise DataError(f"{len(ivs)} intervals vs {len(y)} ground truths")
+    if not len(ivs):
         raise DataError("coverage of an empty set")
-    if adjusted:
-        hits = sum(iv.contains_adjusted(int(y)) for iv, y in zip(intervals, gts))
-    else:
-        hits = sum(iv.contains(float(y)) for iv, y in zip(intervals, gts))
-    return hits / len(intervals)
+    hits = ivs.contains_adjusted(y) if adjusted else ivs.contains(y)
+    return int(np.count_nonzero(hits)) / len(ivs)
 
 
-def interval_metrics(intervals: list[Interval], gts) -> IntervalMetrics:
-    cov_raw = coverage(intervals, gts, adjusted=False)
-    width_raw = float(np.mean([iv.width for iv in intervals]))
-    have_adj = all(iv.adj_lower is not None for iv in intervals)
-    cov_adj = coverage(intervals, gts, adjusted=True) if have_adj else None
-    width_adj = (
-        float(np.mean([iv.adj_width for iv in intervals])) if have_adj else None
-    )
-    return IntervalMetrics(cov_raw, cov_adj, width_raw, width_adj)
+def interval_metrics(intervals, gts) -> IntervalMetrics:
+    ivs = Intervals.of(intervals)
+    y = np.asarray(gts, dtype=np.float64)
+    cov_raw = coverage(ivs, y, adjusted=False)
+    width_raw = float(np.mean(ivs.width))
+    if not ivs.adjusted:
+        return IntervalMetrics(cov_raw, None, width_raw, None)
+    # Integer widths averaged as int64, the dtype a list of ints gives.
+    width_adj = float(np.mean(ivs.adj_width))
+    return IntervalMetrics(cov_raw, coverage(ivs, y, adjusted=True), width_raw, width_adj)
 
 
 def midrank(values) -> np.ndarray:
@@ -253,8 +256,9 @@ def rsg(rho_d: float, w_d: float, scale: RatingScale) -> float:
     return abs(rho_d) - (1.0 - w_d / scale.max_width)
 
 
-def midpoint_eval(intervals: list[Interval], gts) -> MidpointReport:
-    mid = np.array([(iv.lower + iv.upper) / 2.0 for iv in intervals])
+def midpoint_eval(intervals, gts) -> MidpointReport:
+    ivs = Intervals.of(intervals)
+    mid = (ivs.lower + ivs.upper) / 2.0
     gt = np.asarray(gts, dtype=np.float64)
     p, s, k = correlations(mid, gt)
     return MidpointReport(p, s, k, mae=float(np.abs(mid - gt).mean()))
@@ -266,32 +270,62 @@ def error_bins(y_hat, gts, scale: RatingScale) -> np.ndarray:
     return np.abs(np.asarray(gts, dtype=np.intp) - rounded)
 
 
+@dataclass(frozen=True, eq=False)
+class Strata:
+    """Rows grouped by label: the distinct labels, read as strings, in
+    sorted order, each with its row indices in ascending order."""
+
+    labels: tuple[str, ...]
+    rows: tuple[np.ndarray, ...]
+    n: int
+
+    @classmethod
+    def of(cls, labels) -> "Strata":
+        """A Strata as it is, or one label per row grouped by one stable sort."""
+        if isinstance(labels, cls):
+            return labels
+        labels = np.asarray(labels)
+        if labels.dtype.kind != "U":
+            labels = labels.astype(str)
+        n = len(labels)
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]) if n else order
+        return cls(
+            labels=tuple(ordered[starts].tolist()),
+            rows=tuple(np.split(order, starts[1:])) if n else (),
+            n=n,
+        )
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return zip(self.labels, self.rows)
+
+
 def stratified(
-    intervals: list[Interval],
+    intervals,
     y_hat,
     gts,
-    keys: dict[str, list],
+    keys: dict,
 ) -> dict[str, dict[str, StratumMetrics]]:
     """Per-stratum coverage/width/bias for each key family.
 
     ``keys`` maps a family name (e.g. "gt_level", "dataset") to one stratum
-    label per sample.
+    label per sample, or to those labels already grouped as a ``Strata``.
     """
+    ivs = Intervals.of(intervals)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     gt = np.asarray(gts, dtype=np.float64)
     out: dict[str, dict[str, StratumMetrics]] = {}
     for kind, labels in keys.items():
-        if len(labels) != len(intervals):
+        if len(labels) != len(ivs):
             raise DataError(f"key {kind!r} has {len(labels)} labels for "
-                            f"{len(intervals)} samples")
-        buckets: dict[str, list[int]] = {}
-        for i, lab in enumerate(labels):
-            buckets.setdefault(str(lab), []).append(i)
+                            f"{len(ivs)} samples")
         out[kind] = {}
-        for lab in sorted(buckets):
-            idx = buckets[lab]
-            ivs = [intervals[i] for i in idx]
-            im = interval_metrics(ivs, gt[idx])
+        for lab, idx in Strata.of(labels):
+            im = interval_metrics(ivs[idx], gt[idx])
             diff = y_hat[idx] - gt[idx]
             out[kind][lab] = StratumMetrics(
                 count=len(idx),
@@ -317,18 +351,14 @@ def bucket_widths(widths) -> tuple[float, float, float]:
     return decisive, moderate, float((w > 3).sum()) / n
 
 
-def informativeness(
-    intervals: list[Interval], scale: RatingScale
-) -> tuple[float, float, float]:
+def informativeness(intervals, scale: RatingScale) -> tuple[float, float, float]:
     """Width buckets of the integer-adjusted intervals."""
-    if not intervals:
+    ivs = Intervals.of(intervals)
+    if not len(ivs):
         raise DataError("informativeness of an empty set")
-    widths = []
-    for iv in intervals:
-        if iv.adj_lower is None:
-            raise DataError("informativeness needs adjusted intervals")
-        widths.append(iv.adj_width)
-    return bucket_widths(widths)
+    if not ivs.adjusted:
+        raise DataError("informativeness needs adjusted intervals")
+    return bucket_widths(ivs.adj_width)
 
 
 def confusion(pred, gt, scale: RatingScale) -> tuple[np.ndarray, np.ndarray]:

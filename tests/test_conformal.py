@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from scorebands.conformal import (
     BUILTIN_PARTITIONS,
     METHODS,
+    ConformalCalibration,
     GroupPartition,
     MethodConfig,
+    MethodResult,
+    adjust_all,
     aps_from_probs,
     aps_growth_path,
     aps_score,
     aps_set,
+    as_batch,
     boundary_adjust,
     conformal_quantile,
     cqr_from_quantiles,
@@ -30,7 +34,7 @@ from scorebands.conformal import (
     run_mondrian,
     run_naive_split,
 )
-from scorebands.core import DataError, Interval, RatingScale, clamp_interval
+from scorebands.core import DataError, Interval, Intervals, RatingScale, clamp_interval
 from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.core import gt_array, make_split
 from scorebands.learners import GridConfig, PointVarModel, TrainConfig
@@ -508,7 +512,7 @@ class TestMondrian:
             assert res_s.intervals == res_f.intervals, method
             assert np.array_equal(res_s.y_hat, res_f.y_hat), method
         assert sorted(shared) == ["high", "low"]
-        assert "pointvar_mean" in shared["low"]
+        assert any(key[0] == "pointvar_mean" for key in shared["low"])
 
     def test_lvd_wider_in_noisy_cluster(self):
         cal, test, _ = split_synth(
@@ -550,3 +554,339 @@ class TestMondrian:
         w_m_low = np.mean([res_m.intervals[i].width for i in low])
         w_g_low = np.mean([res_g.intervals[i].width for i in low])
         assert w_m_low < 0.9 * w_g_low
+
+
+# ---------------------------------------------------------------------------
+# The former per-interval code, kept as the reference for the array rules.
+# ---------------------------------------------------------------------------
+
+
+def reference_interval(lo, hi, scale):
+    if lo > hi:
+        lo = hi = (lo + hi) / 2.0
+    lo, hi = float(lo), float(hi)
+    return (
+        float(min(max(lo, scale.min_label), scale.k_max)),
+        float(max(min(hi, scale.k_max), scale.min_label)),
+    )
+
+
+def reference_adjust(lower, upper, scale, direction):
+    if direction == "off":
+        return None
+    if direction == "outward":
+        al = max(scale.min_label, math.floor(lower))
+        au = min(scale.k_max, math.ceil(upper))
+    else:
+        al = math.ceil(lower)
+        au = math.floor(upper)
+        if al > au:
+            al = au = int(math.floor((lower + upper) / 2.0 + 0.5))
+        al = min(max(al, scale.min_label), scale.k_max)
+        au = min(max(au, scale.min_label), scale.k_max)
+    return int(al), int(au)
+
+
+def reference_density(conf_scores, neg_logp, lows, highs, alpha, scale):
+    thr = conformal_quantile(conf_scores, alpha)
+    out = []
+    for row in neg_logp:
+        qualifying = np.flatnonzero(row <= thr)
+        if qualifying.size == 0:
+            out.append((float(scale.min_label), float(scale.k_max)))
+        else:
+            out.append(reference_interval(lows[qualifying[0]], highs[qualifying[-1]], scale))
+    return thr, out
+
+
+def reference_growth_path(probs):
+    k = len(probs)
+    start = int(np.argmax(probs))
+    order = [start]
+    masses = [float(probs[start])]
+    left, right = start - 1, start + 1
+    while left >= 0 or right < k:
+        if left < 0:
+            pick = right
+            right += 1
+        elif right >= k:
+            pick = left
+            left -= 1
+        elif probs[left] >= probs[right]:
+            pick = left
+            left -= 1
+        else:
+            pick = right
+            right += 1
+        order.append(pick)
+        masses.append(masses[-1] + float(probs[pick]))
+    return order, masses
+
+
+def reference_aps_set(probs, threshold):
+    order, masses = reference_growth_path(probs)
+    take = 1
+    while take < len(order) and masses[take - 1] < threshold:
+        take += 1
+    chosen = order[:take]
+    return min(chosen), max(chosen)
+
+
+def reference_aps(probs_conf, y_idx, probs_test, alpha, scale):
+    scores = []
+    for p, i in zip(probs_conf, y_idx):
+        order, masses = reference_growth_path(p)
+        scores.append(masses[order.index(int(i))])
+    q = conformal_quantile(np.array(scores), alpha)
+    out = []
+    for p in probs_test:
+        lo_idx, hi_idx = reference_aps_set(p, q)
+        out.append(reference_interval(scale.min_label + lo_idx, scale.min_label + hi_idx, scale))
+    return q, out
+
+
+def pairs(ivs):
+    return list(zip(ivs.lower.tolist(), ivs.upper.tolist()))
+
+
+def peaked_probs(rng, n, k):
+    """Rows of probabilities with exact ties and zero cells mixed in."""
+    probs = rng.dirichlet(np.full(k, 0.6), size=n)
+    probs[: n // 4] = np.round(probs[: n // 4], 1)
+    probs[n // 4 : n // 2, k // 2] = 0.0
+    return probs
+
+
+class TestColumnarIdentity:
+    """The array rules equal the former per-interval loops exactly."""
+
+    def test_crossed_endpoints_collapse_as_before(self):
+        rng = np.random.default_rng(3)
+        y = np.full(40, 3.0)
+        lo, hi = np.full(40, 1.0), np.full(40, 5.0)
+        lo_t = rng.uniform(0.0, 6.0, 300)
+        hi_t = lo_t + rng.uniform(-0.5, 0.5, 300)
+        for symmetric in (True, False):
+            q, ivs = cqr_from_quantiles(y, lo, hi, lo_t, hi_t, 0.1, SCALE, symmetric)
+            q_lo, q_hi = (q, q) if symmetric else q
+            assert min(q_lo, q_hi) < 0  # corrections cross some intervals
+            want = [reference_interval(l - q_lo, h + q_hi, SCALE) for l, h in zip(lo_t, hi_t)]
+            assert pairs(ivs) == want
+
+    def test_infinite_threshold_gives_full_range(self):
+        y = np.array([3.0, 4.0])
+        mu = np.array([0.5, 2.25, 4.9, 6.0])
+        q, ivs = naive_from_predictions(y, y, mu, 0.1, SCALE)
+        assert q == math.inf
+        assert pairs(ivs) == [reference_interval(m - q, m + q, SCALE) for m in mu]
+        q, ivs = lvd_from_predictions(y, y, np.ones(2), mu, np.full(4, 0.5), 0.1, SCALE)
+        assert pairs(ivs) == [(1.0, 5.0)] * 4
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_naive_and_lvd(self, k):
+        scale = RatingScale(k_max=k)
+        rng = np.random.default_rng(k)
+        y = rng.integers(1, k + 1, 500).astype(float)
+        mu = y + rng.normal(0, 0.7, 500)
+        sig = rng.uniform(0.2, 2.0, 500)
+        mu_t = rng.uniform(0.0, k + 1.0, 400)
+        sig_t = rng.uniform(0.2, 2.0, 400)
+        q, ivs = naive_from_predictions(y, mu, mu_t, 0.1, scale)
+        assert pairs(ivs) == [reference_interval(m - q, m + q, scale) for m in mu_t]
+        q, ivs = lvd_from_predictions(y, mu, sig, mu_t, sig_t, 0.1, scale)
+        want = [reference_interval(m - q * s, m + q * s, scale) for m, s in zip(mu_t, sig_t)]
+        assert pairs(ivs) == want
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_density_rows(self, k):
+        scale = RatingScale(k_max=k)
+        rng = np.random.default_rng(10 + k)
+        edges = np.linspace(0.5, k + 0.5, 2 * k + 1)
+        neg = rng.uniform(0, 4, size=(300, 2 * k))
+        neg[:40] = 9.0  # rows with no qualifying cell
+        conf = rng.uniform(0, 4, size=200)
+        want_thr, want = reference_density(conf, neg, edges[:-1], edges[1:], 0.2, scale)
+        thr, ivs = density_intervals_from_scores(conf, neg, edges[:-1], edges[1:], 0.2, scale)
+        assert thr == want_thr
+        assert pairs(ivs) == want
+        assert pairs(ivs)[:40] == [(1.0, float(k))] * 40
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_aps(self, k):
+        scale = RatingScale(k_max=k)
+        rng = np.random.default_rng(20 + k)
+        probs_conf = peaked_probs(rng, 400, k)
+        y_idx = rng.integers(0, k, 400)
+        probs_test = peaked_probs(rng, 300, k)
+        want_q, want = reference_aps(probs_conf, y_idx, probs_test, 0.1, scale)
+        q, ivs, labels = aps_from_probs(probs_conf, y_idx, probs_test, 0.1, scale)
+        assert q == want_q
+        assert pairs(ivs) == want
+        assert labels.tolist() == [1.0 + int(np.argmax(p)) for p in probs_test]
+        for p in probs_test[:50]:
+            assert aps_growth_path(p) == reference_growth_path(p)
+            for thr in (0.0, 0.5, q, 1.0, 2.0):
+                assert aps_set(p, thr) == reference_aps_set(p, thr)
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("direction", ["outward", "inward", "off"])
+    def test_adjustment(self, k, direction):
+        scale = RatingScale(k_max=k)
+        rng = np.random.default_rng(k)
+        lo = rng.uniform(1.0, k, 2000)
+        lo[:200] = np.round(lo[:200] * 2) / 2  # endpoints on labels and halves
+        hi = np.minimum(lo + rng.uniform(0.0, 2.0, 2000) * (rng.random(2000) < 0.8), k)
+        ivs = adjust_all(Intervals(lo, hi), scale, direction)
+        want = [reference_adjust(l, h, scale, direction) for l, h in zip(lo, hi)]
+        if direction == "off":
+            assert not ivs.adjusted
+        else:
+            assert ivs.adj_lower.dtype == np.int64
+            assert list(zip(ivs.adj_lower.tolist(), ivs.adj_upper.tolist())) == want
+        for i in range(0, 2000, 97):
+            one = boundary_adjust(Interval(float(lo[i]), float(hi[i])), scale, direction)
+            got = None if one.adj_lower is None else (one.adj_lower, one.adj_upper)
+            assert got == want[i]
+
+    def test_adjusting_a_list_equals_adjusting_columns(self):
+        raw = [Interval(1.2, 3.7), Interval(2.0, 2.0), Interval(4.5, 5.0)]
+        assert adjust_all(raw, SCALE) == adjust_all(Intervals.of(raw), SCALE)
+        assert list(adjust_all(raw, SCALE)) == [boundary_adjust(iv, SCALE) for iv in raw]
+
+    def test_unknown_direction_rejected_for_any_length(self):
+        with pytest.raises(DataError):
+            adjust_all([], SCALE, direction="sideways")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([3, 5, 10]),
+        raw=st.lists(
+            st.tuples(
+                st.floats(-3.0, 14.0, allow_nan=False),
+                st.floats(-3.0, 14.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        direction=st.sampled_from(["outward", "inward"]),
+    )
+    def test_interval_rule_and_adjustment_property(self, k, raw, direction):
+        scale = RatingScale(k_max=k)
+        lo = np.array([a for a, _ in raw])
+        hi = np.array([b for _, b in raw])
+        ivs = cqr_from_quantiles(
+            np.zeros(3), np.zeros(3), np.zeros(3), lo, hi, 0.5, scale
+        )[1]
+        q = conformal_quantile(np.zeros(3), 0.5)
+        want = [reference_interval(a - q, b + q, scale) for a, b in raw]
+        assert pairs(ivs) == want
+        adj = adjust_all(ivs, scale, direction)
+        assert list(zip(adj.adj_lower.tolist(), adj.adj_upper.tolist())) == [
+            reference_adjust(a, b, scale, direction) for a, b in want
+        ]
+
+
+class TestNonFiniteOutput:
+    def test_nan_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            naive_from_predictions(
+                np.array([3.0, 4.0]), np.array([3.0, 4.0]), np.array([2.0, np.nan]),
+                0.5, SCALE,
+            )
+
+    def test_infinite_prediction_rejected(self):
+        # An infinite mean clamps to a finite interval; the prediction itself
+        # is what must fail.
+        with pytest.raises(ValueError, match="non-finite point prediction"):
+            MethodResult("m", Intervals([1.0], [5.0]), np.array([np.inf]),
+                         ConformalCalibration("m", 0.1, 1.0))
+
+    def test_adjustment_never_meets_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Intervals([1.0, np.nan], [2.0, np.nan])
+
+
+class TestQuantileNaN:
+    SCORES = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+
+    @pytest.mark.parametrize("pos", [0, 4, 9])
+    def test_nan_score_rejected_wherever_it_sits(self, pos):
+        scores = list(self.SCORES)
+        scores.insert(pos, math.nan)
+        with pytest.raises(DataError, match="NaN"):
+            conformal_quantile(scores, 0.3)
+        with pytest.raises(DataError, match="NaN"):
+            conformal_quantile(np.array(scores), 0.3)
+
+    def test_infinities_are_valid_scores(self):
+        scores = [math.inf, 2.0, -math.inf, 1.0, math.inf, 0.5]
+        assert conformal_quantile(scores, 0.5) == 2.0  # rank 4 of 6
+        assert conformal_quantile(scores, 0.2) == math.inf  # rank 6 of 6
+        assert conformal_quantile([-math.inf] * 4, 0.2) == -math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(
+            st.one_of(
+                st.floats(-100, 100, allow_nan=False),
+                st.sampled_from([math.inf, -math.inf, 0.0, -0.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        alpha=st.sampled_from([0.05, 0.1, 0.3, 0.5]),
+    )
+    def test_order_statistic_equals_sorted_list(self, scores, alpha):
+        from fractions import Fraction
+
+        rank = math.ceil((len(scores) + 1) * (1 - Fraction(repr(alpha))))
+        want = math.inf if rank > len(scores) else float(sorted(scores)[rank - 1])
+        got = conformal_quantile(np.array(scores), alpha)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestCacheKeys:
+    FAST_FIT = MethodConfig(
+        train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1), boost_rounds=8
+    )
+
+    @pytest.mark.parametrize("method", ["cqr", "cqr_asym", "boosted_cqr"])
+    def test_shared_cache_equals_fresh_fits_across_alphas(self, method):
+        cal, test, _ = split_synth(n=600, seed=21, label_noise=0.35)
+        shared: dict = {}
+        for alpha in (0.1, 0.3):
+            res_s = run_method(method, cal, test, alpha, SCALE, self.FAST_FIT, shared)
+            res_f = run_method(method, cal, test, alpha, SCALE, self.FAST_FIT, {})
+            assert res_s.calibration.q_hat == res_f.calibration.q_hat, alpha
+            assert res_s.intervals == res_f.intervals, alpha
+            assert np.array_equal(res_s.y_hat, res_f.y_hat), alpha
+
+    def test_training_settings_are_part_of_the_key(self):
+        cal, test, _ = split_synth(n=600, seed=22)
+        other = MethodConfig(
+            train=TrainConfig(epochs=3, batch_size=256, learning_rate=0.1), boost_rounds=8
+        )
+        shared: dict = {}
+        run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        res_s = run_method("naive_split", cal, test, 0.1, SCALE, other, shared)
+        res_f = run_method("naive_split", cal, test, 0.1, SCALE, other, {})
+        assert res_s.intervals == res_f.intervals
+        assert len(shared) == 2
+
+
+class TestBatchEntry:
+    def test_lists_and_batches_give_one_result(self):
+        cal, test, _ = split_synth(n=400, seed=23)
+        cfg = TestCacheKeys.FAST_FIT
+        for method in sorted(METHODS):
+            from_lists = run_method(method, cal, test, 0.1, SCALE, cfg)
+            from_batch = run_method(method, as_batch(cal), as_batch(test), 0.1, SCALE, cfg)
+            assert from_lists.intervals == from_batch.intervals, method
+            assert np.array_equal(from_lists.y_hat, from_batch.y_hat), method
+
+    def test_partition_labels_by_dataset(self):
+        cal, _, _ = split_synth(n=200, seed=24)
+        batch = as_batch(cal)
+        tags = sorted(set(batch.dataset.tolist()))
+        part = GroupPartition(name="p", group_of={t: f"g-{t}" for t in tags})
+        assert part.labels(batch).tolist() == [f"g-{s.dataset_tag}" for s in cal]

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorebands.core import (
+    Batch,
     DataError,
     FeatureVector,
     Interval,
+    Intervals,
     LabeledSample,
     RatingScale,
     clamp_interval,
@@ -73,6 +75,85 @@ class TestInterval:
         assert iv.contains_adjusted(3) and not iv.contains_adjusted(5)
         assert iv.width == 2.0
         assert iv.adj_width == 2
+
+    def test_nan_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Interval(math.nan, 2.0)
+
+
+class TestIntervals:
+    def test_same_checks_and_messages_as_interval(self):
+        cases = [
+            ((3.0, 2.0, None, None), "interval lower 3.0 > upper 2.0"),
+            ((1.0, 2.0, 3, 2), "adjusted lower 3 > upper 2"),
+            ((1.0, 2.0, 1, None), "adjusted endpoints must be set together"),
+            ((math.nan, 2.0, None, None), "NaN"),
+        ]
+        for (lo, hi, al, au), message in cases:
+            with pytest.raises(ValueError, match=message):
+                Interval(lo, hi, al, au)
+            with pytest.raises(ValueError, match=message):
+                Intervals(
+                    [1.0, lo], [1.0, hi],
+                    None if al is None else [1, al],
+                    None if au is None else [1, au],
+                )
+
+    def test_columns_and_indexing(self):
+        ivs = Intervals([1.0, 2.5, 3.0], [2.0, 4.5, 3.0], [1, 2, 3], [2, 5, 3])
+        assert len(ivs) == 3
+        assert ivs.adj_lower.dtype == np.int64
+        assert ivs[1] == Interval(2.5, 4.5, 2, 5)
+        assert isinstance(ivs[1].adj_lower, int)
+        assert ivs[np.array([2, 0])] == Intervals([3.0, 1.0], [3.0, 2.0], [3, 1], [3, 2])
+        assert list(ivs[1:]) == [Interval(2.5, 4.5, 2, 5), Interval(3.0, 3.0, 3, 3)]
+        assert ivs.width.tolist() == [1.0, 2.0, 0.0]
+        assert ivs.adj_width.tolist() == [1, 3, 0]
+        assert ivs.contains([2.0, 5.0, 3.0]).tolist() == [True, False, True]
+        assert ivs.contains_adjusted([2, 5, 4]).tolist() == [True, True, False]
+
+    def test_round_trip_and_equality(self):
+        items = [Interval(1.0, 2.0), Interval(2.0, 5.0)]
+        ivs = Intervals.of(items)
+        assert Intervals.of(ivs) is ivs
+        assert list(ivs) == items
+        assert ivs == Intervals([1.0, 2.0], [2.0, 5.0])
+        assert ivs != Intervals([1.0, 2.0], [2.0, 4.0])
+        assert ivs != Intervals([1.0, 2.0], [2.0, 5.0], [1, 2], [2, 5])
+        assert not ivs.adjusted and ivs.adj_width is None
+
+    def test_unadjusted_has_no_adjusted_coverage(self):
+        from scorebands.core import InvariantError
+
+        with pytest.raises(InvariantError):
+            Intervals([1.0], [2.0]).contains_adjusted([1])
+
+
+class TestBatch:
+    def _samples(self):
+        return [
+            LabeledSample(
+                features=FeatureVector((-1.0 - i, -2.0, -3.0, -4.0, -5.0)),
+                gt_score=1 + i % 5,
+                dataset_tag=f"d{i % 2}",
+                judge_tag="j",
+                sample_id=f"s{i}",
+                group_tag=None if i == 3 else "g",
+            )
+            for i in range(6)
+        ]
+
+    def test_columns_follow_sample_order(self):
+        samples = self._samples()
+        batch = Batch.from_samples(samples, features_matrix(samples))
+        assert len(batch) == 6
+        assert batch.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
+        assert batch.dataset.tolist() == ["d0", "d1"] * 3
+        assert batch.group.tolist() == ["g", "g", "g", None, "g", "g"]
+        rows = batch[np.array([4, 1])]
+        assert rows.sample_id.tolist() == ["s4", "s1"]
+        assert rows.X[:, 0].tolist() == [-5.0, -2.0]
+        assert batch[3:].y.tolist() == [4.0, 5.0, 1.0]
 
 
 class TestValidateSample:

@@ -556,3 +556,89 @@ class TestResolvePartition:
     def test_unknown(self):
         with pytest.raises(DataError):
             resolve_partition("missing_partition")
+
+
+class TestCellFailures:
+    """A failed cell leaves one ledger row and none of its report rows."""
+
+    def _samples(self, n=400, **kwargs):
+        samples, _ = generate_synthetic(SyntheticSpec(n=n, seed=0, **kwargs))
+        return samples
+
+    @staticmethod
+    def _no_rows(report):
+        return not (report.per_seed or report.per_dataset or report.stratified
+                    or report.intervals)
+
+    @pytest.mark.parametrize("adjust", ["off", "outward"])
+    def test_non_finite_learner_output(self, adjust):
+        import warnings
+
+        config = fast_config(seeds=[0], methods=["naive_split"], adjust=adjust,
+                             learning_rate=1e150, emit_intervals=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = run_experiment(config, self._samples(label_noise=0.35))
+        assert self._no_rows(report)
+        assert [(e["seed"], e["method"]) for e in report.errors] == [(0, "naive_split")]
+        assert report.errors[0]["error_type"] in ("DataError", "ValueError")
+
+    @pytest.mark.parametrize("adjust", ["off", "outward"])
+    def test_infinite_prediction(self, adjust, monkeypatch):
+        from scorebands.conformal import MethodResult
+        from scorebands.harness import runner
+
+        original = runner.run_method
+
+        def overflowing(*args, **kwargs):
+            res = original(*args, **kwargs)
+            return MethodResult(res.method, res.intervals,
+                                np.full_like(res.y_hat, np.inf), res.calibration)
+
+        monkeypatch.setattr(runner, "run_method", overflowing)
+        config = fast_config(seeds=[0], methods=["naive_split"], adjust=adjust)
+        report = run_experiment(config, self._samples(n=200))
+        assert self._no_rows(report)
+        assert [e["error_type"] for e in report.errors] == ["ValueError"]
+        assert "non-finite point prediction" in report.errors[0]["error"]
+
+    def test_late_failure_leaves_no_partial_rows(self, monkeypatch):
+        from scorebands.harness import runner
+
+        def failing(*args, **kwargs):
+            raise DataError("stratum failed")
+
+        monkeypatch.setattr(runner, "stratified", failing)
+        config = fast_config(seeds=[0, 1], methods=["naive_split"], emit_intervals=True)
+        report = run_experiment(config, self._samples(n=200))
+        assert self._no_rows(report)
+        assert [(e["seed"], e["method"]) for e in report.errors] == [
+            (0, "naive_split"), (1, "naive_split")
+        ]
+
+    def _missing_group_at(self, side):
+        import dataclasses
+
+        from scorebands.core import make_split
+
+        samples = self._samples(generator="heteroscedastic_groups")
+        plan = make_split(len(samples), 0.5, 0)
+        i = (plan.test_indices if side == "test" else plan.cal_indices)[0]
+        samples[i] = dataclasses.replace(samples[i], group_tag=None)
+        config = fast_config(seeds=[0], methods=["naive_split", "lvd"],
+                             mondrian="by_group_tag")
+        return run_experiment(config, samples), samples[i].sample_id
+
+    def test_missing_group_in_test_set(self):
+        report, sample_id = self._missing_group_at("test")
+        assert self._no_rows(report)
+        assert [(e["seed"], e["method"]) for e in report.errors] == [(0, "*")]
+        assert sample_id in report.errors[0]["error"]
+
+    def test_missing_group_in_calibration_set(self):
+        report, sample_id = self._missing_group_at("cal")
+        assert self._no_rows(report)
+        assert [(e["seed"], e["method"]) for e in report.errors] == [
+            (0, "naive_split"), (0, "lvd")
+        ]
+        assert all(sample_id in e["error"] for e in report.errors)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebands.core import DataError, Interval, RatingScale
+from scorebands.core import DataError, Interval, Intervals, RatingScale
 from scorebands.metrics import (
+    IntervalMetrics,
+    Strata,
+    StratumMetrics,
     accuracy_metrics,
     bucket_widths,
     confusion,
@@ -488,3 +491,132 @@ class TestPointMetrics:
         assert pm.pearson == pytest.approx(
             pearson_oracle([1.2, 2.1, 2.9, 4.4, 4.6], [1, 2, 3, 4, 5])
         )
+
+
+# ---------------------------------------------------------------------------
+# The former per-Interval metric loops, kept as the reference for the
+# columnar metrics.
+# ---------------------------------------------------------------------------
+
+
+def reference_coverage(intervals, gts, adjusted=False):
+    if adjusted:
+        hits = sum(iv.contains_adjusted(int(y)) for iv, y in zip(intervals, gts))
+    else:
+        hits = sum(iv.contains(float(y)) for iv, y in zip(intervals, gts))
+    return hits / len(intervals)
+
+
+def reference_interval_metrics(intervals, gts):
+    cov_raw = reference_coverage(intervals, gts)
+    width_raw = float(np.mean([iv.width for iv in intervals]))
+    have_adj = all(iv.adj_lower is not None for iv in intervals)
+    cov_adj = reference_coverage(intervals, gts, adjusted=True) if have_adj else None
+    width_adj = float(np.mean([iv.adj_width for iv in intervals])) if have_adj else None
+    return IntervalMetrics(cov_raw, cov_adj, width_raw, width_adj)
+
+
+def reference_stratified(intervals, y_hat, gts, keys):
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    gt = np.asarray(gts, dtype=np.float64)
+    out = {}
+    for kind, labels in keys.items():
+        buckets = {}
+        for i, lab in enumerate(labels):
+            buckets.setdefault(str(lab), []).append(i)
+        out[kind] = {}
+        for lab in sorted(buckets):
+            idx = buckets[lab]
+            im = reference_interval_metrics([intervals[i] for i in idx], gt[idx])
+            diff = y_hat[idx] - gt[idx]
+            out[kind][lab] = StratumMetrics(
+                len(idx), im.coverage_raw, im.coverage_adj, im.width_raw,
+                im.width_adj, float(diff.mean()), float(np.abs(diff).mean()),
+            )
+    return out
+
+
+def random_intervals(rng, n, k, adjusted):
+    lo = rng.uniform(1.0, k, n)
+    lo[: n // 5] = np.round(lo[: n // 5])  # endpoints on labels
+    hi = np.minimum(lo + rng.uniform(0.0, 3.0, n), k)
+    if not adjusted:
+        return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
+    return [
+        Interval(float(a), float(b), max(1, math.floor(a)), min(k, math.ceil(b)))
+        for a, b in zip(lo, hi)
+    ]
+
+
+class TestColumnarMetricsIdentity:
+    """Array metrics equal the former per-Interval loops exactly."""
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_coverage_width_midpoint(self, k, adjusted):
+        rng = np.random.default_rng(k)
+        ivs = random_intervals(rng, 3000, k, adjusted)
+        gts = rng.integers(1, k + 1, 3000)
+        cols = Intervals.of(ivs)
+        assert cols.adjusted == adjusted
+        for adj in (False, True) if adjusted else (False,):
+            assert coverage(cols, gts, adj) == reference_coverage(ivs, gts, adj)
+            assert coverage(ivs, gts, adj) == reference_coverage(ivs, gts, adj)
+        assert interval_metrics(cols, gts) == reference_interval_metrics(ivs, gts)
+        mid = np.array([(iv.lower + iv.upper) / 2.0 for iv in ivs])
+        assert midpoint_eval(cols, gts).mae == float(np.abs(mid - gts).mean())
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_stratified(self, k):
+        rng = np.random.default_rng(100 + k)
+        n = 2500
+        ivs = random_intervals(rng, n, k, adjusted=True)
+        gts = rng.integers(1, k + 1, n)
+        y_hat = gts + rng.normal(0, 1.2, n)
+        keys = {
+            # "10" sorts before "2": labels keep string order.
+            "gt_level": [str(g) for g in gts],
+            "error_bin": [str(int(b)) for b in error_bins(y_hat, gts, RatingScale(k_max=k))],
+            "dataset": [f"ds{d}" for d in rng.integers(0, 14, n)],
+            "ints": list(rng.integers(0, 12, n)),
+        }
+        want = reference_stratified(ivs, y_hat, gts, keys)
+        assert stratified(ivs, y_hat, gts, keys) == want
+        grouped = {kind: Strata.of(labels) for kind, labels in keys.items()}
+        assert stratified(Intervals.of(ivs), y_hat, gts, grouped) == want
+        assert list(want["gt_level"])[:2] == (["1", "10"] if k == 10 else ["1", "2"])
+
+    def test_strata_rows_ascending(self):
+        labels = ["b", "a", "b", "c", "a", "b"]
+        strata = Strata.of(labels)
+        assert strata.labels == ("a", "b", "c")
+        assert [r.tolist() for r in strata.rows] == [[1, 4], [0, 2, 5], [3]]
+
+    def test_informativeness_on_columns(self):
+        rng = np.random.default_rng(7)
+        ivs = random_intervals(rng, 500, 5, adjusted=True)
+        widths = [iv.adj_width for iv in ivs]
+        assert informativeness(Intervals.of(ivs), SCALE) == bucket_widths(widths)
+
+    def test_mixed_list_reads_as_unadjusted(self):
+        ivs = [Interval(1.0, 2.0, 1, 2), Interval(2.0, 3.0)]
+        assert interval_metrics(ivs, [1, 2]).coverage_adj is None
+        with pytest.raises(DataError):
+            informativeness(ivs, SCALE)
+
+    def test_adjusted_coverage_needs_finite_targets(self):
+        ivs = [Interval(1.0, 2.0, 1, 2)]
+        with pytest.raises(ValueError):
+            coverage(ivs, [math.nan], adjusted=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_stratified_property(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        k = int(rng.choice([3, 5, 10]))
+        ivs = random_intervals(rng, n, k, adjusted=bool(rng.integers(0, 2)))
+        gts = rng.integers(1, k + 1, n)
+        y_hat = rng.uniform(0, k + 1, n)
+        keys = {"k": [str(v) for v in rng.integers(0, 12, n)]}
+        assert stratified(ivs, y_hat, gts, keys) == reference_stratified(ivs, y_hat, gts, keys)
