@@ -5,15 +5,17 @@ scores and take the ceil((n+1)(1-alpha))-th order statistic. Rank overflow
 yields an infinite threshold, which after clamping becomes the full-range
 interval rather than an error.
 
-Methods that need a fitted learner split their calibration samples in half
-internally: the learner sees the first half, the conformal quantile is
-computed on the second, preserving exchangeability of the scores.
+Each method is one row of the table `METHODS`: a learner and the rule that
+calibrates it. `run_method` splits the calibration samples in half: the
+learner sees the first half, the conformal quantile is computed on the
+second, preserving exchangeability of the scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -40,19 +42,6 @@ from .learners import (
     fit_spread_head,
 )
 
-METHOD_NAMES = (
-    "naive_split",
-    "cqr",
-    "cqr_asym",
-    "chr",
-    "lvd",
-    "boosted_cqr",
-    "boosted_lcp",
-    "r2ccp",
-    "ordinal_aps",
-)
-
-
 @dataclass(frozen=True)
 class MethodConfig:
     """Knobs shared by every interval constructor."""
@@ -65,6 +54,10 @@ class MethodConfig:
     boost_rate: float = 0.2
     sigma_floor: float = 1e-3
     point_predictor: str = "model"  # "model" or "argmax_feature"
+
+    def __post_init__(self) -> None:
+        if self.point_predictor not in ("model", "argmax_feature"):
+            raise DataError(f"unknown point_predictor {self.point_predictor!r}")
 
 
 @dataclass(frozen=True)
@@ -153,16 +146,6 @@ def _check_inputs(cal, test, alpha) -> tuple[Batch, Batch]:
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     return as_batch(cal), as_batch(test)
-
-
-def _point_predictions(
-    cfg: MethodConfig, scale: RatingScale, test: Batch, model_y_hat: np.ndarray
-) -> np.ndarray:
-    if cfg.point_predictor == "model":
-        return model_y_hat
-    if cfg.point_predictor == "argmax_feature":
-        return test.X[:, : scale.k_max].argmax(axis=1) + float(scale.min_label)
-    raise DataError(f"unknown point_predictor {cfg.point_predictor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +320,13 @@ def aps_from_probs(
 
 
 # ---------------------------------------------------------------------------
-# Learner-backed constructors. `cache` shares fitted learners across methods
-# that run on the identical calibration half within one experiment cell.
-# Each key holds every input of its fit besides that data: the learner, its
-# targets (taus, bins, grid) and its training settings.
+# The method table. A method is one learner, fit on the learner half of the
+# calibration set, and one of the rules above, which scores the learner's
+# predictions on the conformal half, takes their conformal quantile and
+# turns the test predictions into intervals. `cache` shares fitted learners
+# across methods that run on the identical calibration half within one
+# experiment cell. Each key holds every input of its fit besides that data:
+# the learner, its targets (taus, bins, grid) and its training settings.
 # ---------------------------------------------------------------------------
 
 
@@ -353,291 +339,248 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
     return model
 
 
-def _pointvar(fit_half: Batch, cfg: MethodConfig, cache, need_sigma: bool):
-    """The point model of the learner half; one mean head serves every method."""
-    key = (cfg.train, cfg.sigma_floor)
-    model = _fit_cached(
-        cache,
-        ("pointvar_mean",) + key,
-        lambda: fit_point_var(
-            fit_half.X, fit_half.y, cfg.train, fit_sigma=False,
-            sigma_floor=cfg.sigma_floor,
-        ),
-    )
-    if not need_sigma:
-        return model
-    return _fit_cached(
-        cache,
-        ("pointvar_sigma",) + key,
-        lambda: fit_spread_head(model, fit_half.X, fit_half.y, cfg.train),
-    )
-
-
-def _hist_density(fit_half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
+def _hist_density(half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
     lo, hi = scale.min_label - 0.5, scale.k_max + 0.5
     return _fit_cached(
         cache,
         ("hist", n_bins, lo, hi, cfg.train),
-        lambda: fit_hist_density(fit_half.X, fit_half.y, n_bins, cfg.train, lo=lo, hi=hi),
+        lambda: fit_hist_density(half.X, half.y, n_bins, cfg.train, lo=lo, hi=hi),
     )
 
 
-def _boosted(fit_half: Batch, y: np.ndarray, loss: str, cfg: MethodConfig, cache,
+def _boosted(half: Batch, y: np.ndarray, loss: str, cfg: MethodConfig, cache,
              key: tuple, tau: float | None = None):
     return _fit_cached(
         cache,
         ("boosted", loss, tau, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate) + key,
         lambda: fit_boosted(
-            fit_half.X, y, loss, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate,
-            tau=tau,
+            half.X, y, loss, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate, tau=tau
         ),
     )
 
 
-def run_naive_split(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    fit_half, conf = _halves(cal)
-    model = _pointvar(fit_half, cfg, cache, need_sigma=False)
-    mu_conf = model.predict_mean(conf.X)
-    mu_test = model.predict_mean(test.X)
-    q, ivs = naive_from_predictions(conf.y, mu_conf, mu_test, alpha, scale)
-    return MethodResult(
-        method="naive_split",
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, mu_test),
-        calibration=ConformalCalibration("naive_split", alpha, q, (model,)),
+def _taus(alpha: float) -> tuple[float, float]:
+    return (alpha / 2.0, 1.0 - alpha / 2.0)
+
+
+# Fits: (learner half, alpha, scale, cfg, cache) -> the fitted learners.
+
+
+def _fit_mean(half, alpha, scale, cfg, cache):
+    """The mean network of the learner half; one serves every method."""
+    return (
+        _fit_cached(
+            cache,
+            ("pointvar_mean", cfg.train, cfg.sigma_floor),
+            lambda: fit_point_var(
+                half.X, half.y, cfg.train, fit_sigma=False, sigma_floor=cfg.sigma_floor
+            ),
+        ),
     )
 
 
-def run_cqr(
-    cal, test, alpha, scale, cfg=MethodConfig(), cache=None, symmetric: bool = True
-) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    fit_half, conf = _halves(cal)
-    taus = (alpha / 2.0, 1.0 - alpha / 2.0)
-    qm = _fit_cached(
-        cache,
-        ("quantile", taus, cfg.train),
-        lambda: fit_quantile_model(fit_half.X, fit_half.y, taus, cfg.train),
-    )
-    pred_conf = qm.predict(conf.X)
-    pred_test = qm.predict(test.X)
-    name = "cqr" if symmetric else "cqr_asym"
-    q, ivs = cqr_from_quantiles(
-        conf.y,
-        pred_conf[:, 0],
-        pred_conf[:, -1],
-        pred_test[:, 0],
-        pred_test[:, -1],
-        alpha,
-        scale,
-        symmetric=symmetric,
-    )
-    mid = (pred_test[:, 0] + pred_test[:, -1]) / 2.0
-    return MethodResult(
-        method=name,
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, mid),
-        calibration=ConformalCalibration(name, alpha, q, (qm,)),
+def _fit_mean_sigma(half, alpha, scale, cfg, cache):
+    """The mean network with a spread head fit to its residuals."""
+    (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
+    return (
+        _fit_cached(
+            cache,
+            ("pointvar_sigma", cfg.train, cfg.sigma_floor),
+            lambda: fit_spread_head(mean_model, half.X, half.y, cfg.train),
+        ),
     )
 
 
-def run_cqr_asym(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    return run_cqr(cal, test, alpha, scale, cfg, cache, symmetric=False)
-
-
-def run_chr(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    fit_half, conf = _halves(cal)
-    model = _hist_density(fit_half, cfg.chr_bins, cfg, cache, scale)
-    logp_conf = model.predict_log_proba(conf.X)
-    conf_scores = -logp_conf[np.arange(len(conf)), model.bin_index(conf.y)]
-    neg_logp_test = -model.predict_log_proba(test.X)
-    edges = model.bin_edges()
-    thr, ivs = density_intervals_from_scores(
-        conf_scores, neg_logp_test, edges[:-1], edges[1:], alpha, scale
-    )
-    return MethodResult(
-        method="chr",
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, model.expected_value(test.X)),
-        calibration=ConformalCalibration("chr", alpha, thr, (model,)),
+def _fit_quantiles(half, alpha, scale, cfg, cache):
+    taus = _taus(alpha)
+    return (
+        _fit_cached(
+            cache,
+            ("quantile", taus, cfg.train),
+            lambda: fit_quantile_model(half.X, half.y, taus, cfg.train),
+        ),
     )
 
 
-def run_lvd(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    fit_half, conf = _halves(cal)
-    model = _pointvar(fit_half, cfg, cache, need_sigma=True)
-    mu_test = model.predict_mean(test.X)
-    q, ivs = lvd_from_predictions(
-        conf.y,
-        model.predict_mean(conf.X),
-        model.predict_sigma(conf.X),
-        mu_test,
-        model.predict_sigma(test.X),
-        alpha,
-        scale,
-    )
-    return MethodResult(
-        method="lvd",
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, mu_test),
-        calibration=ConformalCalibration("lvd", alpha, q, (model,)),
-    )
+def _fit_chr_bins(half, alpha, scale, cfg, cache):
+    return (_hist_density(half, cfg.chr_bins, cfg, cache, scale),)
 
 
-def run_r2ccp(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
+def _fit_label_bins(half, alpha, scale, cfg, cache):
+    return (_hist_density(half, scale.k_max, cfg, cache, scale),)
+
+
+def _fit_grid(half, alpha, scale, cfg, cache):
     grid = cfg.grid
     if not (grid.lo < scale.min_label and grid.hi > scale.k_max):
         raise DataError(
             f"grid [{grid.lo}, {grid.hi}] must strictly contain the label "
             f"range [{scale.min_label}, {scale.k_max}]"
         )
-    fit_half, conf = _halves(cal)
-    model = _fit_cached(
-        cache,
-        ("grid", grid, cfg.train),
-        lambda: fit_grid_classifier(fit_half.X, fit_half.y, grid, cfg.train),
-    )
-    logp_conf = model.predict_log_proba(conf.X)
-    conf_scores = -logp_conf[np.arange(len(conf)), grid.nearest_index(conf.y)]
-    neg_logp_test = -model.predict_log_proba(test.X)
-    points = grid.points()
-    thr, ivs = density_intervals_from_scores(
-        conf_scores, neg_logp_test, points, points, alpha, scale
-    )
-    return MethodResult(
-        method="r2ccp",
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, model.expected_value(test.X)),
-        calibration=ConformalCalibration("r2ccp", alpha, thr, (model,)),
-    )
-
-
-def run_ordinal_aps(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    fit_half, conf = _halves(cal)
-    model = _hist_density(fit_half, scale.k_max, cfg, cache, scale)
-    probs_conf = model.predict_proba(conf.X)
-    y_idx = conf.y.astype(np.intp) - scale.min_label
-    probs_test = model.predict_proba(test.X)
-    q, ivs, argmax_labels = aps_from_probs(probs_conf, y_idx, probs_test, alpha, scale)
-    return MethodResult(
-        method="ordinal_aps",
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, argmax_labels),
-        calibration=ConformalCalibration("ordinal_aps", alpha, q, (model,)),
-    )
-
-
-def run_boosted(
-    cal, test, alpha, scale, cfg=MethodConfig(), cache=None, variant: str = "cqr"
-) -> MethodResult:
-    cal, test = _check_inputs(cal, test, alpha)
-    if variant not in ("cqr", "lcp"):
-        raise DataError(f"unknown boosted variant {variant!r}")
-    if cfg.boost_rounds == 0:
-        # Zero boosting rounds fall back to the unboosted counterpart.
-        inner = run_cqr if variant == "cqr" else run_lvd
-        result = inner(cal, test, alpha, scale, cfg, cache)
-        return replace_method_name(result, f"boosted_{variant}")
-    fit_half, conf = _halves(cal)
-    name = f"boosted_{variant}"
-    if variant == "cqr":
-        taus = (alpha / 2.0, 1.0 - alpha / 2.0)
-        models = [
-            _boosted(fit_half, fit_half.y, "pinball", cfg, cache, (), tau=tau)
-            for tau in taus
-        ]
-        pred_conf = np.sort(np.column_stack([m.predict(conf.X) for m in models]), axis=1)
-        pred_test = np.sort(np.column_stack([m.predict(test.X) for m in models]), axis=1)
-        q, ivs = cqr_from_quantiles(
-            conf.y,
-            pred_conf[:, 0],
-            pred_conf[:, 1],
-            pred_test[:, 0],
-            pred_test[:, 1],
-            alpha,
-            scale,
-            symmetric=True,
-        )
-        mid = (pred_test[:, 0] + pred_test[:, 1]) / 2.0
-        return MethodResult(
-            method=name,
-            intervals=ivs,
-            y_hat=_point_predictions(cfg, scale, test, mid),
-            calibration=ConformalCalibration(name, alpha, q, tuple(models)),
-        )
-    # lcp: a boosted absolute-loss model of |residual| supplies the local scale.
-    mean_model = _pointvar(fit_half, cfg, cache, need_sigma=False)
-    abs_resid = np.abs(fit_half.y - mean_model.predict_mean(fit_half.X))
-    # The residuals come from the mean model, so its settings are fit inputs.
-    sig_model = _boosted(
-        fit_half, abs_resid, "absolute", cfg, cache, (cfg.train, cfg.sigma_floor)
-    )
-    sig_conf = np.maximum(sig_model.predict(conf.X), cfg.sigma_floor)
-    sig_test = np.maximum(sig_model.predict(test.X), cfg.sigma_floor)
-    mu_test = mean_model.predict_mean(test.X)
-    q, ivs = lvd_from_predictions(
-        conf.y,
-        mean_model.predict_mean(conf.X),
-        sig_conf,
-        mu_test,
-        sig_test,
-        alpha,
-        scale,
-    )
-    return MethodResult(
-        method=name,
-        intervals=ivs,
-        y_hat=_point_predictions(cfg, scale, test, mu_test),
-        calibration=ConformalCalibration(name, alpha, q, (mean_model, sig_model)),
-    )
-
-
-def run_boosted_cqr(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    return run_boosted(cal, test, alpha, scale, cfg, cache, variant="cqr")
-
-
-def run_boosted_lcp(cal, test, alpha, scale, cfg=MethodConfig(), cache=None) -> MethodResult:
-    return run_boosted(cal, test, alpha, scale, cfg, cache, variant="lcp")
-
-
-def replace_method_name(result: MethodResult, name: str) -> MethodResult:
-    return MethodResult(
-        method=name,
-        intervals=result.intervals,
-        y_hat=result.y_hat,
-        calibration=ConformalCalibration(
-            name,
-            result.calibration.alpha,
-            result.calibration.q_hat,
-            result.calibration.learners,
+    return (
+        _fit_cached(
+            cache,
+            ("grid", grid, cfg.train),
+            lambda: fit_grid_classifier(half.X, half.y, grid, cfg.train),
         ),
     )
 
 
-METHODS: dict[str, Callable] = {
-    "naive_split": run_naive_split,
-    "cqr": run_cqr,
-    "cqr_asym": run_cqr_asym,
-    "chr": run_chr,
-    "lvd": run_lvd,
-    "boosted_cqr": run_boosted_cqr,
-    "boosted_lcp": run_boosted_lcp,
-    "r2ccp": run_r2ccp,
-    "ordinal_aps": run_ordinal_aps,
+def _fit_boosted_quantiles(half, alpha, scale, cfg, cache):
+    return tuple(
+        _boosted(half, half.y, "pinball", cfg, cache, (), tau=tau) for tau in _taus(alpha)
+    )
+
+
+def _fit_boosted_spread(half, alpha, scale, cfg, cache):
+    """The mean network, and a boosted absolute-loss model of its |residual|
+    as the local scale."""
+    (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
+    abs_resid = np.abs(half.y - mean_model.predict_mean(half.X))
+    # The residuals come from the mean model, so its settings are fit inputs.
+    sig_model = _boosted(
+        half, abs_resid, "absolute", cfg, cache, (cfg.train, cfg.sigma_floor)
+    )
+    return mean_model, sig_model
+
+
+# Predictions: (learners, X, cfg) -> what the learners predict for the rows of X.
+
+
+def _mean(m, X, cfg):
+    return m[0].predict_mean(X)
+
+
+def _mean_sigma(m, X, cfg):
+    return m[0].predict_mean(X), m[0].predict_sigma(X)
+
+
+def _quantiles(m, X, cfg):
+    return m[0].predict(X)
+
+
+def _boosted_quantiles(m, X, cfg):
+    return np.sort(np.column_stack([b.predict(X) for b in m]), axis=1)
+
+
+def _mean_boosted_sigma(m, X, cfg):
+    return m[0].predict_mean(X), np.maximum(m[1].predict(X), cfg.sigma_floor)
+
+
+def _log_proba(m, X, cfg):
+    return m[0].predict_log_proba(X)
+
+
+def _proba(m, X, cfg):
+    return m[0].predict_proba(X)
+
+
+# Rules: (learners, conformal labels, conformal predictions, test predictions,
+# alpha, scale) -> (q_hat, test intervals, the learners' test point).
+
+
+def _naive_rule(m, y, mu_conf, mu_test, alpha, scale):
+    return (*naive_from_predictions(y, mu_conf, mu_test, alpha, scale), mu_test)
+
+
+def _lvd_rule(m, y, conf, test, alpha, scale):
+    (mu_conf, sig_conf), (mu_test, sig_test) = conf, test
+    q, ivs = lvd_from_predictions(y, mu_conf, sig_conf, mu_test, sig_test, alpha, scale)
+    return q, ivs, mu_test
+
+
+def _cqr_rule(m, y, conf, test, alpha, scale, symmetric=True):
+    q, ivs = cqr_from_quantiles(
+        y, conf[:, 0], conf[:, -1], test[:, 0], test[:, -1], alpha, scale, symmetric
+    )
+    return q, ivs, (test[:, 0] + test[:, -1]) / 2.0
+
+
+def _density_rule(y_cell, lows, highs, values, logp_conf, logp_test, alpha, scale):
+    """CHR/R2CCP: the score is the negative log mass of the label's cell; the
+    point is the mean cell value under the test density."""
+    conf_scores = -logp_conf[np.arange(len(y_cell)), y_cell]
+    thr, ivs = density_intervals_from_scores(
+        conf_scores, -logp_test, lows, highs, alpha, scale
+    )
+    return thr, ivs, np.exp(logp_test) @ values
+
+
+def _chr_rule(m, y, logp_conf, logp_test, alpha, scale):
+    model = m[0]
+    edges = model.bin_edges()
+    return _density_rule(
+        model.bin_index(y), edges[:-1], edges[1:], model.bin_centers(),
+        logp_conf, logp_test, alpha, scale,
+    )
+
+
+def _r2ccp_rule(m, y, logp_conf, logp_test, alpha, scale):
+    grid = m[0].grid
+    points = grid.points()
+    return _density_rule(
+        grid.nearest_index(y), points, points, points, logp_conf, logp_test, alpha, scale
+    )
+
+
+def _aps_rule(m, y, probs_conf, probs_test, alpha, scale):
+    y_index = y.astype(np.intp) - scale.min_label
+    return aps_from_probs(probs_conf, y_index, probs_test, alpha, scale)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table: a learner fit, its predictions and a rule."""
+
+    fit: Callable
+    predict: Callable
+    rule: Callable
+
+
+METHODS: dict[str, Method] = {
+    "naive_split": Method(_fit_mean, _mean, _naive_rule),
+    "cqr": Method(_fit_quantiles, _quantiles, _cqr_rule),
+    "cqr_asym": Method(_fit_quantiles, _quantiles, partial(_cqr_rule, symmetric=False)),
+    "chr": Method(_fit_chr_bins, _log_proba, _chr_rule),
+    "lvd": Method(_fit_mean_sigma, _mean_sigma, _lvd_rule),
+    "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, _cqr_rule),
+    "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, _lvd_rule),
+    "r2ccp": Method(_fit_grid, _log_proba, _r2ccp_rule),
+    "ordinal_aps": Method(_fit_label_bins, _proba, _aps_rule),
 }
+
+METHOD_NAMES = tuple(METHODS)
+
+# With zero boosting rounds a boosted method runs as its unboosted counterpart.
+_UNBOOSTED = {"boosted_cqr": "cqr", "boosted_lcp": "lvd"}
 
 
 def run_method(
     name: str, cal, test, alpha, scale, cfg=MethodConfig(), cache=None
 ) -> MethodResult:
+    """Method ``name`` calibrated on ``cal`` and applied to ``test``."""
     if name not in METHODS:
         raise DataError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
-    return METHODS[name](cal, test, alpha, scale, cfg, cache)
+    cal, test = _check_inputs(cal, test, alpha)
+    row = METHODS[_UNBOOSTED.get(name, name) if cfg.boost_rounds == 0 else name]
+    half, conf = _halves(cal)
+    learners = row.fit(half, alpha, scale, cfg, cache)
+    q_hat, intervals, y_hat = row.rule(
+        learners,
+        conf.y,
+        row.predict(learners, conf.X, cfg),
+        row.predict(learners, test.X, cfg),
+        alpha,
+        scale,
+    )
+    if cfg.point_predictor == "argmax_feature":
+        y_hat = test.X[:, : scale.k_max].argmax(axis=1) + float(scale.min_label)
+    return MethodResult(
+        method=name,
+        intervals=intervals,
+        y_hat=y_hat,
+        calibration=ConformalCalibration(name, alpha, q_hat, learners),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -386,55 +386,46 @@ def _dataset_rows(seed, method, datasets: Strata, intervals, y_hat, gts, scale) 
     return rows
 
 
+def _groups(rows: list[dict], cols: tuple[str, ...]) -> dict[tuple, list[dict]]:
+    """The rows by their values of ``cols``; each group keeps report order."""
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[c] for c in cols), []).append(r)
+    return groups
+
+
+def _summary(key: dict, rows: list[dict], metrics, with_std: bool = True) -> dict:
+    """``key``, the number of seed rows, and each metric's mean (and std)."""
+    entry = dict(key, n_seeds=len(rows))
+    for col in metrics:
+        mean, std = _mean_std([r[col] for r in rows])
+        entry[f"{col}_mean"] = mean
+        if with_std:
+            entry[f"{col}_std"] = std
+    return entry
+
+
+def _collapse(rows, cols, metrics, methods, with_std: bool = True) -> list[dict]:
+    """One summary per distinct value of ``cols``, in the order of ``methods``
+    and then of the remaining values."""
+    groups = _groups(rows, cols)
+    order = sorted(groups, key=lambda k: (methods.index(k[0]),) + k[1:])
+    return [_summary(dict(zip(cols, k)), groups[k], metrics, with_std) for k in order]
+
+
 def _aggregate(report: ExperimentReport, config: ExperimentConfig) -> None:
-    for method in config.methods:
-        rows = [r for r in report.per_seed if r["method"] == method]
-        if not rows:
-            continue
-        agg: dict = {"method": method, "n_seeds": len(rows)}
-        for col in SEED_METRICS:
-            mean, std = _mean_std([r[col] for r in rows])
-            agg[f"{col}_mean"] = mean
-            agg[f"{col}_std"] = std
-        report.aggregates.append(agg)
-
-    dataset_keys = sorted(
-        {(r["method"], r["dataset"]) for r in report.per_dataset},
-        key=lambda k: (config.methods.index(k[0]), k[1]),
+    methods = config.methods
+    by_method = _groups(report.per_seed, ("method",))
+    report.aggregates = [
+        _summary({"method": m}, by_method[(m,)], SEED_METRICS)
+        for m in methods
+        if (m,) in by_method
+    ]
+    report.per_dataset_agg = _collapse(
+        report.per_dataset, ("method", "dataset"), DATASET_METRICS, methods
     )
-    for method, dataset in dataset_keys:
-        rows = [
-            r
-            for r in report.per_dataset
-            if r["method"] == method and r["dataset"] == dataset
-        ]
-        agg = {"method": method, "dataset": dataset, "n_seeds": len(rows)}
-        for col in DATASET_METRICS:
-            mean, std = _mean_std([r[col] for r in rows])
-            agg[f"{col}_mean"] = mean
-            agg[f"{col}_std"] = std
-        report.per_dataset_agg.append(agg)
-
     # Collapse per-seed strata to their across-seed means in place.
-    strata_keys = sorted(
-        {(r["method"], r["kind"], r["stratum"]) for r in report.stratified},
-        key=lambda k: (config.methods.index(k[0]), k[1], k[2]),
+    report.stratified = _collapse(
+        report.stratified, ("method", "kind", "stratum"), STRATUM_METRICS, methods,
+        with_std=False,
     )
-    collapsed = []
-    for method, kind, stratum in strata_keys:
-        rows = [
-            r
-            for r in report.stratified
-            if r["method"] == method and r["kind"] == kind and r["stratum"] == stratum
-        ]
-        entry = {
-            "method": method,
-            "kind": kind,
-            "stratum": stratum,
-            "n_seeds": len(rows),
-        }
-        for col in STRATUM_METRICS:
-            mean, _ = _mean_std([r[col] for r in rows])
-            entry[f"{col}_mean"] = mean
-        collapsed.append(entry)
-    report.stratified = collapsed

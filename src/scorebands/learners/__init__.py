@@ -8,9 +8,9 @@ from .boosted import (
     pinball_gradient,
     pinball_loss,
 )
-from .grid import GridClassifier, GridConfig, fit_grid_classifier, grid_log_density
+from .grid import GridClassifier, GridConfig, fit_grid_classifier
 from .histdensity import HistDensityModel, fit_hist_density
-from .nets import Standardizer, TrainConfig, load_mlp, save_mlp
+from .nets import Standardizer, TrainConfig
 from .pointvar import PointVarModel, fit_point_var, fit_spread_head
 from .quantile import QuantileComponent, QuantileModel, fit_quantile, fit_quantile_model
 
@@ -33,9 +33,6 @@ __all__ = [
     "fit_spread_head",
     "fit_quantile",
     "fit_quantile_model",
-    "grid_log_density",
-    "load_mlp",
     "pinball_gradient",
     "pinball_loss",
-    "save_mlp",
 ]

@@ -69,9 +69,6 @@ class GridClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.predict_log_proba(X))
 
-    def expected_value(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X) @ self.grid.points()
-
 
 def fit_grid_classifier(
     X: np.ndarray, y: np.ndarray, grid: GridConfig, cfg: TrainConfig
@@ -83,12 +80,3 @@ def fit_grid_classifier(
     scaler = Standardizer.fit(X)
     params = fit_mlp(scaler.transform(X), targets, grid.n_points, softmax_ce_head, cfg)
     return GridClassifier(params=params, scaler=scaler, grid=grid)
-
-
-def grid_log_density(model: GridClassifier, x: np.ndarray, y: float) -> float:
-    """Log probability mass at the grid point nearest y (ties to lower)."""
-    grid = model.grid
-    if not grid.lo <= y <= grid.hi:
-        raise ValueError(f"y={y} outside grid range [{grid.lo}, {grid.hi}]")
-    logp = model.predict_log_proba(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return float(logp[0, grid.nearest_index(y)])

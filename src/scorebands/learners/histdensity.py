@@ -56,9 +56,6 @@ class HistDensityModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.predict_log_proba(X))
 
-    def expected_value(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X) @ self.bin_centers()
-
 
 def fit_hist_density(
     X: np.ndarray,

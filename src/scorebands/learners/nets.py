@@ -169,25 +169,3 @@ def unflatten_params(flat: np.ndarray, like: MLPParams) -> MLPParams:
         )
         pos += W.size + b.size
     return params
-
-
-def save_mlp(path, layer_sizes: list[int], params: MLPParams) -> None:
-    """Plain-text dump: layer sizes, then row-major weights and bias per layer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(str(s) for s in layer_sizes) + "\n")
-        for W, b in params:
-            fh.write(" ".join(repr(float(v)) for v in W.ravel()) + "\n")
-            fh.write(" ".join(repr(float(v)) for v in b) + "\n")
-
-
-def load_mlp(path) -> tuple[list[int], MLPParams]:
-    with open(path, encoding="utf-8") as fh:
-        layer_sizes = [int(s) for s in fh.readline().split()]
-        params: MLPParams = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            W = np.array([float(v) for v in fh.readline().split()]).reshape(
-                fan_in, fan_out
-            )
-            b = np.array([float(v) for v in fh.readline().split()])
-            params.append((W, b))
-    return layer_sizes, params

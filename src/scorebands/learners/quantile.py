@@ -28,10 +28,6 @@ class QuantileModel:
 
     components: tuple[QuantileComponent, ...]
 
-    @property
-    def tau_levels(self) -> tuple[float, ...]:
-        return tuple(c.tau for c in self.components)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """(n, n_levels) predictions, sorted per row so levels never cross."""
         stacked = np.column_stack([c.predict(X) for c in self.components])

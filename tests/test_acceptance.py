@@ -22,7 +22,6 @@ from scorebands.conformal import (
     conformal_quantile,
     run_method,
     run_mondrian,
-    run_naive_split,
 )
 from scorebands.core import Interval, RatingScale, clamp_interval, gt_array, make_split
 from scorebands.extract import ExtractionRecord, TokenLogprobEntry, extract
@@ -198,7 +197,7 @@ def test_criterion_05_mondrian_adaptation():
             seed, generator="heteroscedastic_groups", sigma=0.25, sigma_ratio=3.0
         )
         res_m = run_mondrian(cal, test, ALPHA, part, "naive_split", SCALE, cfg)
-        res_g = run_naive_split(cal, test, ALPHA, SCALE, cfg)
+        res_g = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
         low = [i for i, s in enumerate(test) if s.group_tag == "low"]
         high = [i for i, s in enumerate(test) if s.group_tag == "high"]
         cov_low.append(coverage([res_m.intervals[i] for i in low], gts[low]))
@@ -410,7 +409,7 @@ def test_criterion_10_protocol_shape_and_seed_stability():
         plan = make_split(4000, 0.5, seed)
         cal = [samples[i] for i in plan.cal_indices]
         test = [samples[i] for i in plan.test_indices]
-        res = run_naive_split(cal, test, ALPHA, SCALE, cfg)
+        res = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
         covs.append(coverage(res.intervals, gt_array(test)))
     checkpoints = [float(np.mean(covs[:k])) for k in (5, 10, 15, 20, 25, 30)]
     drift = max(checkpoints) - min(checkpoints)

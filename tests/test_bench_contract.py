@@ -53,3 +53,24 @@ def test_traced_mondrian_run_counts(spans):
     assert tracer.counts["conformal.run_mondrian.calls"] == 2 * len(methods)
     assert tracer.counts["runner.cells"] == 2 * len(methods)
     assert tracer.counts["metrics.stratified.calls"] == 2 * len(methods)
+
+
+def test_traced_run_counts_each_method_and_fit(spans):
+    samples, _ = generate_synthetic(SyntheticSpec(n=200, seed=0))
+    config = ExperimentConfig.from_dict(
+        {"seeds": [0], "epochs": 2, "boost_rounds": 2}
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = scorebands.run_experiment(config, samples)
+    finally:
+        restored = tracer.restore()
+    assert restored and tracer.missing == []
+    assert not report.errors
+    for method in config.methods:
+        assert tracer.counts[f"conformal.run_method.{method}.calls"] == 1, method
+    # One mean network with its spread head, two quantile networks, two
+    # histograms and one grid; two pinball forests and one |residual| forest.
+    assert tracer.counts["learners.fit_mlp.calls"] == 7
+    assert tracer.counts["learners.fit_boosted.calls"] == 3

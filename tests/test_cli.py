@@ -149,6 +149,19 @@ class TestRunCommand:
         assert "duplicate sample_id" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_unknown_point_predictor_is_data_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"point_predictor": "bogus", "seeds": [0],
+                        "input": str(samples)})
+        )
+        out_dir = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == EXIT_DATA
+        assert "point_predictor" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o")]) == EXIT_USAGE
 

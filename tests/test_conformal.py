@@ -27,12 +27,8 @@ from scorebands.conformal import (
     density_intervals_from_scores,
     lvd_from_predictions,
     naive_from_predictions,
-    run_boosted,
-    run_cqr,
-    run_lvd,
     run_method,
     run_mondrian,
-    run_naive_split,
 )
 from scorebands.core import DataError, Interval, Intervals, RatingScale, clamp_interval
 from scorebands.harness import SyntheticSpec, generate_synthetic
@@ -364,6 +360,14 @@ class TestLvdReduction:
 
 
 class TestMethodRunners:
+    def test_table_rows_in_report_order(self):
+        from scorebands.conformal import METHOD_NAMES
+
+        assert tuple(METHODS) == METHOD_NAMES == (
+            "naive_split", "cqr", "cqr_asym", "chr", "lvd", "boosted_cqr",
+            "boosted_lcp", "r2ccp", "ordinal_aps",
+        )
+
     def test_unknown_method(self):
         cal, test, _ = split_synth(n=100, seed=1)
         with pytest.raises(DataError):
@@ -372,9 +376,9 @@ class TestMethodRunners:
     def test_empty_inputs_rejected(self):
         cal, test, _ = split_synth(n=100, seed=1)
         with pytest.raises(DataError):
-            run_naive_split([], test, 0.1, SCALE, FAST)
+            run_method("naive_split", [], test, 0.1, SCALE, FAST)
         with pytest.raises(DataError):
-            run_naive_split(cal, [], 0.1, SCALE, FAST)
+            run_method("naive_split", cal, [], 0.1, SCALE, FAST)
 
     def test_all_methods_produce_valid_intervals(self):
         cal, test, gts = split_synth(n=700, seed=2, label_noise=0.35)
@@ -398,26 +402,39 @@ class TestMethodRunners:
     def test_cache_reuse_matches_fresh_fit(self):
         cal, test, _ = split_synth(n=500, seed=5, label_noise=0.35)
         cache = {}
-        run_lvd(cal, test, 0.1, SCALE, FAST, cache)  # populates pointvar_sigma
-        res_cached = run_naive_split(cal, test, 0.1, SCALE, FAST, cache)
-        res_fresh = run_naive_split(cal, test, 0.1, SCALE, FAST, None)
+        run_method("lvd", cal, test, 0.1, SCALE, FAST, cache)  # populates pointvar_sigma
+        res_cached = run_method("naive_split", cal, test, 0.1, SCALE, FAST, cache)
+        res_fresh = run_method("naive_split", cal, test, 0.1, SCALE, FAST, None)
         assert res_cached.intervals == res_fresh.intervals
 
     def test_boosted_zero_rounds_reduces(self):
         cal, test, _ = split_synth(n=500, seed=6, label_noise=0.35)
         cfg = MethodConfig(train=FAST.train, boost_rounds=0)
-        a = run_boosted(cal, test, 0.1, SCALE, cfg, None, variant="cqr")
-        b = run_cqr(cal, test, 0.1, SCALE, cfg, None)
+        a = run_method("boosted_cqr", cal, test, 0.1, SCALE, cfg, None)
+        b = run_method("cqr", cal, test, 0.1, SCALE, cfg, None)
         assert a.method == "boosted_cqr"
         assert a.intervals == b.intervals
-        a = run_boosted(cal, test, 0.1, SCALE, cfg, None, variant="lcp")
-        b = run_lvd(cal, test, 0.1, SCALE, cfg, None)
+        a = run_method("boosted_lcp", cal, test, 0.1, SCALE, cfg, None)
+        b = run_method("lvd", cal, test, 0.1, SCALE, cfg, None)
         assert a.intervals == b.intervals
+
+    def test_unknown_point_predictor_rejected(self):
+        with pytest.raises(DataError, match="point_predictor"):
+            MethodConfig(point_predictor="bogus")
+
+    def test_density_point_is_mean_cell_value(self):
+        cal, test, _ = split_synth(n=400, seed=7, label_noise=0.35)
+        X = as_batch(test).X
+        for method in ("chr", "r2ccp"):
+            res = run_method(method, cal, test, 0.1, SCALE, FAST)
+            (model,) = res.calibration.learners
+            values = model.bin_centers() if method == "chr" else model.grid.points()
+            assert np.array_equal(res.y_hat, model.predict_proba(X) @ values), method
 
     def test_argmax_feature_point_predictor(self):
         cal, test, _ = split_synth(n=400, seed=7)
         cfg = MethodConfig(train=FAST.train, point_predictor="argmax_feature")
-        res = run_naive_split(cal, test, 0.1, SCALE, cfg)
+        res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
         from scorebands.core import features_matrix
 
         expected = features_matrix(test)[:, :5].argmax(axis=1) + 1.0
@@ -470,7 +487,7 @@ class TestMondrian:
         cal, test, _ = split_synth(n=600, seed=8, label_noise=0.35)
         part = GroupPartition(name="all", group_of=None, tag_field="dataset_tag")
         res_m = run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
-        res_d = run_naive_split(cal, test, 0.1, SCALE, FAST)
+        res_d = run_method("naive_split", cal, test, 0.1, SCALE, FAST)
         assert res_m.intervals == res_d.intervals
         assert np.array_equal(res_m.y_hat, res_d.y_hat)
 
@@ -518,7 +535,7 @@ class TestMondrian:
         cal, test, _ = split_synth(
             n=2000, seed=13, generator="heteroscedastic_groups", sigma=0.25
         )
-        res = run_lvd(cal, test, 0.1, SCALE, FAST)
+        res = run_method("lvd", cal, test, 0.1, SCALE, FAST)
         low = [iv.width for iv, s in zip(res.intervals, test)
                if s.group_tag == "low"]
         high = [iv.width for iv, s in zip(res.intervals, test)
@@ -545,7 +562,7 @@ class TestMondrian:
         )
         part = BUILTIN_PARTITIONS["by_group_tag"]
         res_m = run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
-        res_g = run_naive_split(cal, test, 0.1, SCALE, FAST)
+        res_g = run_method("naive_split", cal, test, 0.1, SCALE, FAST)
         low = [i for i, s in enumerate(test) if s.group_tag == "low"]
         high = [i for i, s in enumerate(test) if s.group_tag == "high"]
         for idx in (low, high):

@@ -131,7 +131,7 @@ class TestLoadSamples:
 class TestSyntheticGenerators:
     def test_noiseless_limit(self):
         # Sharpness -> infinity and no label noise: features pin the label.
-        from scorebands.conformal import MethodConfig, run_naive_split
+        from scorebands.conformal import MethodConfig, run_method
         from scorebands.core import gt_array, make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
@@ -147,7 +147,7 @@ class TestSyntheticGenerators:
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1)
         )
-        res = run_naive_split(cal, test, 0.1, SCALE, cfg)
+        res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
         gts = gt_array(test)
         assert coverage(res.intervals, gts) >= 0.99
         assert np.mean([iv.width for iv in res.intervals]) < 0.5
@@ -155,7 +155,7 @@ class TestSyntheticGenerators:
     def test_default_label_noise_coverage_band(self):
         """Generator at its default settings (label_noise 0.2, temperature 1):
         split CP lands in the Monte-Carlo coverage band over 10 seeds."""
-        from scorebands.conformal import MethodConfig, run_naive_split
+        from scorebands.conformal import MethodConfig, run_method
         from scorebands.core import gt_array, make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
@@ -172,7 +172,7 @@ class TestSyntheticGenerators:
             plan = make_split(4000, 0.5, seed)
             cal = [samples[i] for i in plan.cal_indices]
             test = [samples[i] for i in plan.test_indices]
-            res = run_naive_split(cal, test, 0.1, SCALE, cfg)
+            res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
             covs.append(coverage(res.intervals, gt_array(test)))
         assert 0.88 <= float(np.mean(covs)) <= 0.92
 
@@ -441,6 +441,88 @@ class TestRunExperiment:
         other, _ = generate_synthetic(SyntheticSpec(n=10, seed=1, feature_dim=10))
         with pytest.raises(DataError):
             run_experiment(fast_config(seeds=[0]), samples + other)
+
+
+def _aggregate_reference(report, config):
+    """The former aggregation: one list filter per group."""
+    from scorebands.harness.runner import (
+        DATASET_METRICS, SEED_METRICS, STRATUM_METRICS, _mean_std,
+    )
+
+    def summary(entry, rows, cols, with_std):
+        entry["n_seeds"] = len(rows)
+        for col in cols:
+            mean, std = _mean_std([r[col] for r in rows])
+            entry[f"{col}_mean"] = mean
+            if with_std:
+                entry[f"{col}_std"] = std
+        return entry
+
+    order = config.methods.index
+    aggregates = []
+    for method in config.methods:
+        rows = [r for r in report.per_seed if r["method"] == method]
+        if rows:
+            aggregates.append(summary({"method": method}, rows, SEED_METRICS, True))
+    per_dataset = []
+    for m, d in sorted({(r["method"], r["dataset"]) for r in report.per_dataset},
+                       key=lambda k: (order(k[0]), k[1])):
+        rows = [r for r in report.per_dataset
+                if r["method"] == m and r["dataset"] == d]
+        per_dataset.append(
+            summary({"method": m, "dataset": d}, rows, DATASET_METRICS, True)
+        )
+    strata = []
+    for m, k, st in sorted(
+        {(r["method"], r["kind"], r["stratum"]) for r in report.stratified},
+        key=lambda key: (order(key[0]), key[1], key[2]),
+    ):
+        rows = [r for r in report.stratified
+                if r["method"] == m and r["kind"] == k and r["stratum"] == st]
+        strata.append(
+            summary({"method": m, "kind": k, "stratum": st}, rows,
+                    STRATUM_METRICS, False)
+        )
+    return aggregates, per_dataset, strata
+
+
+class TestAggregate:
+    def test_matches_filter_reference(self):
+        from scorebands.harness.runner import (
+            DATASET_METRICS, SEED_METRICS, STRATUM_METRICS, _aggregate,
+        )
+
+        rng = np.random.default_rng(0)
+        config = fast_config(methods=["r2ccp", "naive_split", "cqr"])
+
+        def value():
+            return None if rng.random() < 0.1 else float(rng.normal())
+
+        report = ExperimentReport(config=config.to_dict())
+        for seed in range(4):
+            for method in config.methods:
+                if seed == 2 and method == "cqr":
+                    continue  # a failed cell leaves no rows
+                report.per_seed.append(
+                    dict(seed=seed, method=method,
+                         **{c: value() for c in SEED_METRICS})
+                )
+                for dataset in rng.permutation(["b", "a", "c"])[: 2 + seed % 2]:
+                    report.per_dataset.append(
+                        dict(seed=seed, method=method, dataset=str(dataset),
+                             **{c: value() for c in DATASET_METRICS})
+                    )
+                for kind in ("group", "dataset"):
+                    for stratum in ("2", "10", "1"):
+                        report.stratified.append(
+                            dict(seed=seed, method=method, kind=kind,
+                                 stratum=stratum,
+                                 **{c: value() for c in STRATUM_METRICS})
+                        )
+        want = _aggregate_reference(report, config)
+        _aggregate(report, config)
+        got = (report.aggregates, report.per_dataset_agg, report.stratified)
+        assert json.dumps(got) == json.dumps(want)
 
 
 class TestEmitReport:

@@ -1,6 +1,6 @@
 """Learner tests: fits against closed-form oracles, gradient checks,
-determinism, serialization, and the boosted split search against the
-brute-force loop it replaced."""
+determinism, and the boosted split search against the brute-force loop
+it replaced."""
 
 import math
 
@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorebands.conformal import MethodConfig, run_method
+from scorebands.core import DataError, RatingScale
+from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.learners import (
     GridConfig,
     fit_boosted,
@@ -17,11 +20,8 @@ from scorebands.learners import (
     fit_point_var,
     fit_quantile,
     fit_quantile_model,
-    grid_log_density,
-    load_mlp,
     pinball_gradient,
     pinball_loss,
-    save_mlp,
 )
 from scorebands.learners.boosted import (
     _best_split,
@@ -135,6 +135,8 @@ class TestGridClassifier:
 
 
 class TestGridLogDensity:
+    """The r2ccp score: log mass at the label's nearest grid point."""
+
     def _uniform_model(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
@@ -145,17 +147,25 @@ class TestGridLogDensity:
         model.params[-1] = (np.zeros_like(W), np.zeros_like(b))
         return model, X
 
+    @staticmethod
+    def _log_mass(model, x, y):
+        logp = model.predict_log_proba(x.reshape(1, -1))
+        return float(logp[0, model.grid.nearest_index(y)])
+
     def test_uniform_density(self):
         model, X = self._uniform_model()
         for y in (0.5, 1.0, 3.3, 5.5):
-            assert grid_log_density(model, X[0], y) == pytest.approx(
+            assert self._log_mass(model, X[0], y) == pytest.approx(
                 math.log(1 / 41), abs=1e-12
             )
 
     def test_outside_grid_rejected(self):
-        model, X = self._uniform_model()
-        with pytest.raises(ValueError):
-            grid_log_density(model, X[0], 5.6)
+        # A grid that does not strictly contain the labels is refused
+        # before the grid classifier is fitted.
+        samples, _ = generate_synthetic(SyntheticSpec(n=40, seed=0))
+        cfg = MethodConfig(grid=GridConfig(lo=0.5, hi=5.0, n_points=37))
+        with pytest.raises(DataError, match="strictly contain"):
+            run_method("r2ccp", samples[:20], samples[20:], 0.1, RatingScale(), cfg)
 
     def test_one_hot_model(self):
         model, X = self._uniform_model()
@@ -164,7 +174,7 @@ class TestGridLogDensity:
         b = b.copy()
         b[hot] = 500.0
         model.params[-1] = (W, b)
-        assert grid_log_density(model, X[0], 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert self._log_mass(model, X[0], 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_midway_tie_uses_lower_point(self):
         model, X = self._uniform_model()
@@ -173,8 +183,8 @@ class TestGridLogDensity:
         b[20] = 1.0  # grid point 3.0
         b[21] = 2.0  # grid point 3.125
         model.params[-1] = (W, b)
-        lower = grid_log_density(model, X[0], 3.0)
-        at_tie = grid_log_density(model, X[0], 3.0625)
+        lower = self._log_mass(model, X[0], 3.0)
+        at_tie = self._log_mass(model, X[0], 3.0625)
         assert at_tie == lower
 
 
@@ -580,14 +590,3 @@ class TestDeterminism:
         b = fit_boosted(X, y, "pinball", 25, 3, 0.2, tau=0.9)
         assert np.array_equal(a.predict(X), b.predict(X))
         assert a.train_losses == b.train_losses
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(19)
-    sizes = [5, 8, 3]
-    params = init_params(sizes, rng)
-    path = tmp_path / "net.txt"
-    save_mlp(path, sizes, params)
-    sizes2, params2 = load_mlp(path)
-    assert sizes2 == sizes
-    assert np.array_equal(flatten_params(params), flatten_params(params2))
