@@ -3,74 +3,51 @@
 Converts score-token log-probability features plus human labels into
 split-conformal prediction intervals, with discrete boundary adjustment,
 group-conditional calibration, and a diagnostics suite.
+
+Public names are imported on first use (PEP 562), so importing one
+submodule, such as ``scorebands.extract``, loads only what it needs.
 """
 
-from .conformal import (
-    BUILTIN_PARTITIONS,
-    METHOD_NAMES,
-    ConformalCalibration,
-    GroupPartition,
-    MethodConfig,
-    MethodResult,
-    boundary_adjust,
-    conformal_quantile,
-    run_method,
-    run_mondrian,
-)
-from .core import (
-    Batch,
-    DataError,
-    FeatureVector,
-    Interval,
-    Intervals,
-    InvariantError,
-    LabeledSample,
-    RatingScale,
-    SplitPlan,
-    clamp_interval,
-    make_split,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
-    SyntheticSpec,
-    emit_report,
-    fuse,
-    generate_synthetic,
-    load_samples,
-    run_experiment,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_PARTITIONS",
-    "Batch",
-    "ConformalCalibration",
-    "DataError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FeatureVector",
-    "GroupPartition",
-    "Interval",
-    "Intervals",
-    "InvariantError",
-    "LabeledSample",
-    "METHOD_NAMES",
-    "MethodConfig",
-    "MethodResult",
-    "RatingScale",
-    "SplitPlan",
-    "SyntheticSpec",
-    "boundary_adjust",
-    "clamp_interval",
-    "conformal_quantile",
-    "emit_report",
-    "fuse",
-    "generate_synthetic",
-    "load_samples",
-    "make_split",
-    "run_experiment",
-    "run_method",
-    "run_mondrian",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "BUILTIN_PARTITIONS": "conformal",
+    "Batch": "core",
+    "ConformalCalibration": "conformal",
+    "DataError": "core",
+    "ExperimentConfig": "harness",
+    "ExperimentReport": "harness",
+    "FeatureVector": "core",
+    "GroupPartition": "conformal",
+    "Interval": "core",
+    "Intervals": "core",
+    "InvariantError": "core",
+    "METHOD_NAMES": "conformal",
+    "MethodConfig": "conformal",
+    "MethodResult": "conformal",
+    "RatingScale": "core",
+    "SplitPlan": "core",
+    "SyntheticSpec": "harness",
+    "conformal_quantile": "conformal",
+    "emit_report": "harness",
+    "fuse": "harness",
+    "generate_synthetic": "harness",
+    "load_samples": "harness",
+    "make_split": "core",
+    "run_experiment": "harness",
+    "run_method": "conformal",
+    "run_mondrian": "conformal",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

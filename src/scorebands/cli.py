@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .core import DataError, InvariantError, RatingScale
+from .core import Batch, DataError, InvariantError, RatingScale
 from .extract import ExtractConfig, extract_file
 from .harness import (
     ExperimentConfig,
@@ -163,8 +163,8 @@ def cmd_synth(args) -> int:
         sigma=args.sigma,
         sigma_ratio=args.sigma_ratio,
     )
-    samples, oracle = generate_synthetic(spec)
-    write_samples(samples, args.out, spec.scale)
+    batch, oracle = generate_synthetic(spec)
+    write_samples(batch, args.out, spec.scale)
     if args.oracle_out:
         with open(args.oracle_out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -180,7 +180,7 @@ def cmd_synth(args) -> int:
                 sort_keys=True,
             )
             fh.write("\n")
-    print(f"wrote {len(samples)} samples to {args.out}")
+    print(f"wrote {len(batch)} samples to {args.out}")
     return EXIT_OK
 
 
@@ -212,12 +212,12 @@ def cmd_run(args) -> int:
         raise UsageError("no input file (use --input or the config file)")
     if not config.out_dir:
         raise UsageError("no output directory (use --out or the config file)")
-    samples, line_errors = load_samples(config.input_path, config.scale)
+    batch, line_errors = load_samples(config.input_path, config.scale)
     if line_errors:
         print(f"skipped {len(line_errors)} malformed lines:", file=sys.stderr)
         for line_no, reason in line_errors:
             print(f"  line {line_no}: {reason}", file=sys.stderr)
-    report = run_experiment(config, samples)
+    report = run_experiment(config, batch)
     paths = emit_report(report, config.out_dir)
     with open(paths["summary"], encoding="utf-8") as fh:
         print(fh.read(), end="")
@@ -227,13 +227,14 @@ def cmd_run(args) -> int:
 
 def cmd_fuse(args) -> int:
     scale = RatingScale(k_max=args.k_max)
-    by_judge: dict[str, list] = {}
+    parts: dict[str, list[Batch]] = {}
     for path in args.inputs:
-        samples, errors = load_samples(path, scale)
+        batch, errors = load_samples(path, scale)
         if errors:
             print(f"{path}: skipped {len(errors)} malformed lines", file=sys.stderr)
-        for s in samples:
-            by_judge.setdefault(s.judge_tag, []).append(s)
+        for judge in dict.fromkeys(batch.judge.tolist()):
+            parts.setdefault(judge, []).append(batch[batch.judge == judge])
+    by_judge = {judge: Batch.concat(p) for judge, p in parts.items()}
     order = None
     if args.order:
         order = [j.strip() for j in args.order.split(",") if j.strip()]

@@ -23,14 +23,14 @@ import numpy as np
 from .core import (
     Batch,
     DataError,
-    Interval,
     Intervals,
-    LabeledSample,
     RatingScale,
     clamp_endpoints,
     decimal_fraction,
-    features_matrix,
 )
+# load_samples stacks its rows through this attribute: the one stacking
+# point of a run, and the one the benchmark's tracer counts.
+from .core import features_matrix  # noqa: F401
 from .learners import (
     GridConfig,
     TrainConfig,
@@ -113,13 +113,6 @@ def conformal_quantile(scores, alpha: float) -> float:
     return float(np.sort(scores, kind="stable")[rank - 1])
 
 
-def as_batch(data: Batch | list[LabeledSample]) -> Batch:
-    """A Batch as it is, or a sample list stacked into one."""
-    if isinstance(data, Batch):
-        return data
-    return Batch.from_samples(data, features_matrix(data))
-
-
 def _halves(batch: Batch) -> tuple[Batch, Batch]:
     """Learner half and conformal half of an already-shuffled calibration set."""
     cut = len(batch) // 2
@@ -138,14 +131,13 @@ def _interval(lo, hi, scale: RatingScale) -> Intervals:
     return Intervals(*clamp_endpoints(lo, hi, scale))
 
 
-def _check_inputs(cal, test, alpha) -> tuple[Batch, Batch]:
+def _check_inputs(cal: Batch, test: Batch, alpha) -> None:
     if not len(cal):
         raise DataError("empty calibration set")
     if not len(test):
         raise DataError("empty test set")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    return as_batch(cal), as_batch(test)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def density_intervals_from_scores(
     first = qualifies.argmax(axis=1)
     last = k - 1 - qualifies[:, ::-1].argmax(axis=1)
     some = qualifies.any(axis=1)
-    lo = np.where(some, np.asarray(lows, dtype=np.float64)[first], float(scale.min_label))
+    lo = np.where(some, np.asarray(lows, dtype=np.float64)[first], 1.0)
     hi = np.where(some, np.asarray(highs, dtype=np.float64)[last], float(scale.k_max))
     return thr, _interval(lo, hi, scale)
 
@@ -263,13 +255,6 @@ def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return order, masses, lows, highs
 
 
-def aps_growth_path(probs: np.ndarray) -> tuple[list[int], list[float]]:
-    """Label indices of one row in inclusion order, and the cumulative mass
-    after each inclusion (see :func:`_aps_paths`)."""
-    order, masses, _, _ = _aps_paths(probs)
-    return order[0].tolist(), masses[0].tolist()
-
-
 def aps_scores(probs: np.ndarray, label_index: np.ndarray) -> np.ndarray:
     """Per row, the cumulative mass at which the true label joins the set."""
     order, masses, _, _ = _aps_paths(probs)
@@ -292,17 +277,6 @@ def aps_sets(probs: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     return lows[rows, step], highs[rows, step]
 
 
-def aps_score(probs: np.ndarray, label_index: int) -> float:
-    """Cumulative mass needed before the true label joins the growing set."""
-    return float(aps_scores(probs, [label_index])[0])
-
-
-def aps_set(probs: np.ndarray, threshold: float) -> tuple[int, int]:
-    """Smallest greedy-grown contiguous index run with mass >= threshold."""
-    lo, hi = aps_sets(probs, threshold)
-    return int(lo[0]), int(hi[0])
-
-
 def aps_from_probs(
     probs_conf: np.ndarray,
     y_conf_index: np.ndarray,
@@ -312,10 +286,8 @@ def aps_from_probs(
 ) -> tuple[float, Intervals, np.ndarray]:
     q = conformal_quantile(aps_scores(probs_conf, y_conf_index), alpha)
     lo_idx, hi_idx = aps_sets(probs_test, q)
-    ivs = _interval(scale.min_label + lo_idx, scale.min_label + hi_idx, scale)
-    argmax_labels = (scale.min_label + np.asarray(probs_test).argmax(axis=1)).astype(
-        np.float64
-    )
+    ivs = _interval(1 + lo_idx, 1 + hi_idx, scale)
+    argmax_labels = (1 + np.asarray(probs_test).argmax(axis=1)).astype(np.float64)
     return q, ivs, argmax_labels
 
 
@@ -340,7 +312,7 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
 
 
 def _hist_density(half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
-    lo, hi = scale.min_label - 0.5, scale.k_max + 0.5
+    lo, hi = 0.5, scale.k_max + 0.5
     return _fit_cached(
         cache,
         ("hist", n_bins, lo, hi, cfg.train),
@@ -412,10 +384,10 @@ def _fit_label_bins(half, alpha, scale, cfg, cache):
 
 def _fit_grid(half, alpha, scale, cfg, cache):
     grid = cfg.grid
-    if not (grid.lo < scale.min_label and grid.hi > scale.k_max):
+    if not (grid.lo < 1 and grid.hi > scale.k_max):
         raise DataError(
             f"grid [{grid.lo}, {grid.hi}] must strictly contain the label "
-            f"range [{scale.min_label}, {scale.k_max}]"
+            f"range [1, {scale.k_max}]"
         )
     return (
         _fit_cached(
@@ -524,7 +496,7 @@ def _r2ccp_rule(m, y, logp_conf, logp_test, alpha, scale):
 
 
 def _aps_rule(m, y, probs_conf, probs_test, alpha, scale):
-    y_index = y.astype(np.intp) - scale.min_label
+    y_index = y.astype(np.intp) - 1
     return aps_from_probs(probs_conf, y_index, probs_test, alpha, scale)
 
 
@@ -556,12 +528,12 @@ _UNBOOSTED = {"boosted_cqr": "cqr", "boosted_lcp": "lvd"}
 
 
 def run_method(
-    name: str, cal, test, alpha, scale, cfg=MethodConfig(), cache=None
+    name: str, cal: Batch, test: Batch, alpha, scale, cfg=MethodConfig(), cache=None
 ) -> MethodResult:
     """Method ``name`` calibrated on ``cal`` and applied to ``test``."""
     if name not in METHODS:
         raise DataError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
-    cal, test = _check_inputs(cal, test, alpha)
+    _check_inputs(cal, test, alpha)
     row = METHODS[_UNBOOSTED.get(name, name) if cfg.boost_rounds == 0 else name]
     half, conf = _halves(cal)
     learners = row.fit(half, alpha, scale, cfg, cache)
@@ -574,7 +546,7 @@ def run_method(
         scale,
     )
     if cfg.point_predictor == "argmax_feature":
-        y_hat = test.X[:, : scale.k_max].argmax(axis=1) + float(scale.min_label)
+        y_hat = test.X[:, : scale.k_max].argmax(axis=1) + 1.0
     return MethodResult(
         method=name,
         intervals=intervals,
@@ -591,8 +563,8 @@ def run_method(
 def _adjusted_endpoints(
     lower: np.ndarray, upper: np.ndarray, scale: RatingScale, direction: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integer endpoints of each row, as int64 (see :func:`boundary_adjust`)."""
-    lo_label, hi_label = float(scale.min_label), float(scale.k_max)
+    """Integer endpoints of each row, as int64 (see :func:`adjust_all`)."""
+    lo_label, hi_label = 1.0, float(scale.k_max)
     if direction == "outward":
         al = np.maximum(lo_label, np.floor(lower))
         au = np.minimum(hi_label, np.ceil(upper))
@@ -608,7 +580,9 @@ def _adjusted_endpoints(
     return al.astype(np.int64), au.astype(np.int64)
 
 
-def adjust_all(intervals, scale: RatingScale, direction: str = "outward") -> Intervals:
+def adjust_all(
+    intervals: Intervals, scale: RatingScale, direction: str = "outward"
+) -> Intervals:
     """Snap every interval's continuous endpoints to integer labels.
 
     "outward" floors the lower and ceils the upper endpoint, so the adjusted
@@ -617,18 +591,10 @@ def adjust_all(intervals, scale: RatingScale, direction: str = "outward") -> Int
     it collapses to the label nearest the midpoint. "off" returns the
     intervals as they are. Infinite endpoints snap to the scale's ends.
     """
-    ivs = Intervals.of(intervals)
     if direction == "off":
-        return ivs
-    al, au = _adjusted_endpoints(ivs.lower, ivs.upper, scale, direction)
-    return Intervals(ivs.lower, ivs.upper, al, au)
-
-
-def boundary_adjust(
-    iv: Interval, scale: RatingScale, direction: str = "outward"
-) -> Interval:
-    """One interval through :func:`adjust_all`."""
-    return adjust_all([iv], scale, direction)[0]
+        return intervals
+    lower, upper = intervals.lower, intervals.upper
+    return Intervals(lower, upper, *_adjusted_endpoints(lower, upper, scale, direction))
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +668,8 @@ BUILTIN_PARTITIONS: dict[str, GroupPartition] = {
 
 
 def run_mondrian(
-    cal,
-    test,
+    cal: Batch,
+    test: Batch,
     alpha,
     partition: GroupPartition,
     inner: str,
@@ -723,7 +689,7 @@ def run_mondrian(
     quantile rank overflows and the group would silently get vacuous
     full-range intervals.
     """
-    cal, test = _check_inputs(cal, test, alpha)
+    _check_inputs(cal, test, alpha)
     if cache is None:
         cache = {}
     cal_groups = partition.labels(cal)

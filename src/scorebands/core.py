@@ -1,15 +1,15 @@
 """Shared domain types: rating scales, samples, intervals, and splits.
 
-``Interval`` and ``LabeledSample`` are single-value types. The hot path runs
-on their column forms: ``Intervals`` (endpoint arrays) and ``Batch``
-(feature matrix, scores and tag arrays), each built once and sliced by
-index arrays.
+Samples travel as one ``Batch`` (feature matrix, scores and tag arrays)
+and intervals as one ``Intervals`` (endpoint arrays), each built once and
+sliced by index arrays. ``Interval`` is what indexing one row of an
+``Intervals`` gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -25,34 +25,31 @@ class InvariantError(Exception):
 
 @dataclass(frozen=True)
 class RatingScale:
-    """Discrete Likert scale with integer labels ``min_label .. k_max``."""
+    """Discrete Likert scale with integer labels ``1 .. k_max``."""
 
     k_max: int = 5
-    min_label: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_label != 1:
-            raise ValueError("rating scales are anchored at min_label = 1")
         if self.k_max < 2:
             raise ValueError(f"k_max must be >= 2, got {self.k_max}")
 
     @property
     def labels(self) -> range:
-        return range(self.min_label, self.k_max + 1)
+        return range(1, self.k_max + 1)
 
     @property
     def max_width(self) -> int:
         """Widest possible interval on this scale (k_max - 1)."""
-        return self.k_max - self.min_label
+        return self.k_max - 1
 
 
 @dataclass(frozen=True)
 class FeatureVector:
     """Ordered score-token log-probabilities, one block of K per judge.
 
-    Entries must be finite and <= 0 (logs of probabilities). Length checks
-    against a concrete scale happen where the scale is known, see
-    :func:`validate_sample`.
+    Entries must be finite and <= 0 (logs of probabilities). This is what
+    transcript extraction yields per record; samples themselves travel as
+    rows of a :class:`Batch`.
     """
 
     values: tuple[float, ...]
@@ -71,32 +68,6 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One evaluation instance: features, human score, and bookkeeping tags."""
-
-    features: FeatureVector
-    gt_score: int
-    dataset_tag: str
-    judge_tag: str
-    sample_id: str
-    group_tag: str | None = None
-
-
-def validate_sample(sample: LabeledSample, scale: RatingScale) -> None:
-    """Check a sample against a concrete scale; raises DataError on violation."""
-    if not (scale.min_label <= sample.gt_score <= scale.k_max):
-        raise DataError(
-            f"sample {sample.sample_id!r}: gt_score {sample.gt_score} outside "
-            f"[{scale.min_label}, {scale.k_max}]"
-        )
-    if len(sample.features) % scale.k_max != 0:
-        raise DataError(
-            f"sample {sample.sample_id!r}: feature length {len(sample.features)} "
-            f"is not a multiple of k_max={scale.k_max}"
-        )
 
 
 @dataclass(frozen=True)
@@ -182,24 +153,6 @@ class Intervals:
         self.lower, self.upper = lower, upper
         self.adj_lower, self.adj_upper = adj_lower, adj_upper
 
-    @classmethod
-    def of(cls, intervals) -> "Intervals":
-        """An Intervals as it is, or a sequence of Interval as columns.
-
-        Adjusted endpoints are kept only when every interval has them; a
-        mixed list reads as unadjusted.
-        """
-        if isinstance(intervals, cls):
-            return intervals
-        ivs = list(intervals)
-        adjusted = bool(ivs) and all(iv.adj_lower is not None for iv in ivs)
-        return cls(
-            [iv.lower for iv in ivs],
-            [iv.upper for iv in ivs],
-            [iv.adj_lower for iv in ivs] if adjusted else None,
-            [iv.adj_upper for iv in ivs] if adjusted else None,
-        )
-
     @property
     def adjusted(self) -> bool:
         return self.adj_lower is not None
@@ -277,10 +230,9 @@ class Intervals:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A sample list as columns: features ``X`` (n, d), float64 scores
-    ``y``, and one array per tag (``group`` holds None for a sample with no
-    group tag). Rows keep the order of the samples; index a Batch with a
-    slice or an index array to take rows.
+    """Samples as columns: features ``X`` (n, d), float64 scores ``y``, and
+    one array per tag (``group`` holds None for a sample with no group
+    tag). Index a Batch with a slice or an index array to take rows.
     """
 
     X: np.ndarray
@@ -288,25 +240,66 @@ class Batch:
     dataset: np.ndarray
     group: np.ndarray
     sample_id: np.ndarray
+    judge: np.ndarray
 
     @classmethod
-    def from_samples(cls, samples: list[LabeledSample], X: np.ndarray) -> "Batch":
-        """The columns of ``samples``, with ``X`` their stacked features."""
-        return cls(
-            X=X,
-            y=gt_array(samples),
-            dataset=np.array([s.dataset_tag for s in samples], dtype=str),
-            group=np.array([s.group_tag for s in samples], dtype=object),
-            sample_id=np.array([s.sample_id for s in samples], dtype=object),
-        )
+    def concat(cls, parts: list["Batch"]) -> "Batch":
+        """The rows of ``parts`` in order; they must share one feature width."""
+        widths = sorted({p.X.shape[1] for p in parts})
+        if len(widths) > 1:
+            raise DataError(f"inconsistent feature lengths: {widths}")
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
     def __len__(self) -> int:
         return len(self.y)
 
     def __getitem__(self, rows) -> "Batch":
-        return Batch(
-            self.X[rows], self.y[rows], self.dataset[rows], self.group[rows],
-            self.sample_id[rows],
+        return Batch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def row_faults(
+    X: np.ndarray, y: np.ndarray, scale: RatingScale, first_key=0
+) -> dict[int, str]:
+    """The first broken row rule of each row that breaks one, by row index.
+
+    The rules, in this order: the label is one of 1..K; the width is a
+    positive multiple of K; every entry is finite and <= 0. An entry is
+    named by its column plus ``first_key`` (one per row, or one for all;
+    1 names a logprob by its label).
+    """
+    k = scale.k_max
+    n, width = X.shape
+    faults: dict[int, str] = {}
+    for i in np.flatnonzero(~np.isin(y, np.arange(1, k + 1))).tolist():
+        label = int(y[i]) if float(y[i]).is_integer() else float(y[i])
+        faults[i] = f"gt_score {label} outside [1, {k}]"
+    if width == 0 or width % k:
+        for i in range(n):
+            faults.setdefault(i, f"feature length {width} not a multiple of {k}")
+    bad = ~(np.isfinite(X) & (X <= 0))
+    first_key = np.broadcast_to(first_key, (n,))
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        j = int(bad[i].argmax())
+        v = float(X[i, j])
+        rule = "be finite" if not math.isfinite(v) else "be <= 0"
+        faults.setdefault(i, f"logprob '{j + int(first_key[i])}' must {rule}, got {v}")
+    return dict(sorted(faults.items()))
+
+
+def check_batch(batch: Batch, scale: RatingScale) -> None:
+    """Raise DataError naming the first sample that breaks a row rule (see
+    :func:`row_faults`), else the first repeat of a sample_id."""
+    faults = row_faults(batch.X, batch.y, scale)
+    if faults:
+        i, reason = next(iter(faults.items()))
+        raise DataError(f"sample {str(batch.sample_id[i])!r}: {reason}")
+    _, first = np.unique(batch.sample_id, return_index=True)
+    if len(first) < len(batch):
+        i = np.setdiff1d(np.arange(len(batch)), first)[0]
+        raise DataError(
+            f"duplicate sample_id {str(batch.sample_id[i])!r}: a repeated sample "
+            "could land in both calibration and test"
         )
 
 
@@ -357,25 +350,14 @@ def make_split(n: int, cal_fraction: float, seed: int) -> SplitPlan:
 def clamp_endpoints(
     lower: np.ndarray, upper: np.ndarray, scale: RatingScale
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp endpoint arrays into [min_label, k_max]; idempotent, never widens."""
-    lo = np.minimum(np.maximum(lower, float(scale.min_label)), float(scale.k_max))
-    hi = np.maximum(np.minimum(upper, float(scale.k_max)), float(scale.min_label))
+    """Clamp endpoint arrays into [1, k_max]; idempotent, never widens."""
+    lo = np.minimum(np.maximum(lower, 1.0), float(scale.k_max))
+    hi = np.maximum(np.minimum(upper, float(scale.k_max)), 1.0)
     return lo, hi
 
 
-def clamp_interval(iv: Interval, scale: RatingScale) -> Interval:
-    """One interval through :func:`clamp_endpoints`; keeps adjusted endpoints."""
-    lo, hi = clamp_endpoints(np.array([iv.lower]), np.array([iv.upper]), scale)
-    return Interval(float(lo[0]), float(hi[0]), iv.adj_lower, iv.adj_upper)
-
-
-def features_matrix(samples: list[LabeledSample]) -> np.ndarray:
-    """Stack sample features into an (n, d) float64 matrix."""
-    if not samples:
+def features_matrix(rows) -> np.ndarray:
+    """Stack feature rows of one length into an (n, d) float64 matrix."""
+    if not len(rows):
         return np.empty((0, 0), dtype=np.float64)
-    return np.asarray([s.features.values for s in samples], dtype=np.float64)
-
-
-def gt_array(samples: list[LabeledSample]) -> np.ndarray:
-    """Ground-truth scores as a float64 vector."""
-    return np.asarray([s.gt_score for s in samples], dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)

@@ -32,6 +32,9 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise DataError(f"unknown methods: {sorted(unknown)}")
+        repeated = {m for m in self.methods if self.methods.count(m) > 1}
+        if repeated:
+            raise DataError(f"methods named more than once: {sorted(repeated)}")
 
     def to_dict(self) -> dict:
         mc = self.method_config

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,18 +21,10 @@ from ..conformal import (
     BUILTIN_PARTITIONS,
     GroupPartition,
     adjust_all,
-    as_batch,
     run_method,
     run_mondrian,
 )
-from ..core import (
-    Batch,
-    DataError,
-    LabeledSample,
-    RatingScale,
-    make_split,
-    validate_sample,
-)
+from ..core import Batch, DataError, RatingScale, check_batch, make_split
 from ..metrics import (
     Strata,
     error_bins,
@@ -173,39 +165,22 @@ def _seed_row(
     scale: RatingScale,
     adjusted: bool,
 ) -> dict:
-    im = interval_metrics(intervals, gts)
-    pm = point_metrics(y_hat, gts, scale)
-    mid = midpoint_eval(intervals, gts)
-    row = {
+    """One per-seed row: the fields of the metric records, named as in
+    SEED_METRICS (the midpoint ones with a ``mid_`` prefix)."""
+    im = asdict(interval_metrics(intervals, gts))
+    pm = asdict(point_metrics(y_hat, gts, scale))
+    mid = asdict(midpoint_eval(intervals, gts))
+    fracs = informativeness(intervals, scale) if adjusted else (None, None, None)
+    return {
         "seed": seed,
         "method": method,
         "n_cal": n_cal,
         "n_test": n_test,
-        "coverage_raw": im.coverage_raw,
-        "coverage_adj": im.coverage_adj,
-        "width_raw": im.width_raw,
-        "width_adj": im.width_adj,
-        "pearson": pm.pearson,
-        "spearman": pm.spearman,
-        "kendall": pm.kendall,
-        "exact_acc": pm.exact_acc,
-        "relaxed_acc": pm.relaxed_acc,
-        "mae": pm.mae,
-        "bias": pm.bias,
-        "mid_pearson": mid.pearson,
-        "mid_spearman": mid.spearman,
-        "mid_kendall": mid.kendall,
-        "mid_mae": mid.mae,
-        "frac_decisive": None,
-        "frac_moderate": None,
-        "frac_uninformative": None,
+        **im,
+        **pm,
+        **{f"mid_{key}": value for key, value in mid.items()},
+        **dict(zip(("frac_decisive", "frac_moderate", "frac_uninformative"), fracs)),
     }
-    if adjusted:
-        decisive, moderate, uninformative = informativeness(intervals, scale)
-        row["frac_decisive"] = decisive
-        row["frac_moderate"] = moderate
-        row["frac_uninformative"] = uninformative
-    return row
 
 
 def _group_labels(test: Batch, partition: GroupPartition | None) -> np.ndarray | None:
@@ -217,32 +192,18 @@ def _group_labels(test: Batch, partition: GroupPartition | None) -> np.ndarray |
     return np.array(tags, dtype=str)
 
 
-def run_experiment(
-    config: ExperimentConfig, samples: list[LabeledSample]
-) -> ExperimentReport:
-    if not samples:
+def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
+    """Every (seed, method) cell of ``config`` on ``batch``; every split
+    slices the one Batch. A sample that breaks a row rule, or a repeated
+    sample_id, raises DataError before any split."""
+    if not len(batch):
         raise DataError("no samples to run on")
-    scale = config.scale
-    for s in samples:
-        validate_sample(s, scale)
-    lengths = {len(s.features) for s in samples}
-    if len(lengths) > 1:
-        raise DataError(f"inconsistent feature lengths: {sorted(lengths)}")
-    seen: set[str] = set()
-    for s in samples:
-        if s.sample_id in seen:
-            raise DataError(
-                f"duplicate sample_id {s.sample_id!r}: a repeated sample could "
-                "land in both calibration and test"
-            )
-        seen.add(s.sample_id)
+    check_batch(batch, config.scale)
     partition = resolve_partition(config.mondrian)
-    # One stacking of the samples; every split slices it.
-    batch = as_batch(samples)
 
     report = ExperimentReport(config=config.to_dict())
     for seed in config.seeds:
-        plan = make_split(len(samples), config.cal_fraction, seed)
+        plan = make_split(len(batch), config.cal_fraction, seed)
         if not plan.cal_indices or not plan.test_indices:
             report.errors.append(
                 _ledger_row(
@@ -317,21 +278,9 @@ def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
     strat = stratified(ivs, res.y_hat, gts, cell_keys)
     for kind in sorted(strat):
         for label in sorted(strat[kind]):
-            sm = strat[kind][label]
             rows["stratified"].append(
-                {
-                    "seed": seed,
-                    "method": method,
-                    "kind": kind,
-                    "stratum": label,
-                    "count": sm.count,
-                    "coverage_raw": sm.coverage_raw,
-                    "coverage_adj": sm.coverage_adj,
-                    "width_raw": sm.width_raw,
-                    "width_adj": sm.width_adj,
-                    "bias": sm.bias,
-                    "mae": sm.mae,
-                }
+                dict(seed=seed, method=method, kind=kind, stratum=label,
+                     **asdict(strat[kind][label]))
             )
     return rows
 
@@ -370,18 +319,9 @@ def _dataset_rows(seed, method, datasets: Strata, intervals, y_hat, gts, scale) 
         im = interval_metrics(intervals[idx], gts[idx])
         rho = pearson(y_hat[idx], gts[idx])
         rows.append(
-            {
-                "seed": seed,
-                "method": method,
-                "dataset": dataset,
-                "n": len(idx),
-                "width_raw": im.width_raw,
-                "width_adj": im.width_adj,
-                "pearson": rho,
-                "rsg": rsg(rho, im.width_raw, scale) if rho is not None else None,
-                "coverage_raw": im.coverage_raw,
-                "coverage_adj": im.coverage_adj,
-            }
+            dict(seed=seed, method=method, dataset=dataset, n=len(idx), pearson=rho,
+                 rsg=rsg(rho, im.width_raw, scale) if rho is not None else None,
+                 **asdict(im))
         )
     return rows
 

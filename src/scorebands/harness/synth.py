@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import DataError, FeatureVector, LabeledSample, RatingScale
+from ..core import Batch, DataError, RatingScale
 
 GENERATORS = ("homoscedastic", "heteroscedastic_groups", "peaked_logprob")
 
@@ -118,12 +118,10 @@ def _central_label_set(
         else:
             hi += 1
             mass += float(probs[hi])
-    return lo + scale.min_label, hi + scale.min_label, mass
+    return lo + 1, hi + 1, mass
 
 
-def generate_synthetic(
-    spec: SyntheticSpec,
-) -> tuple[list[LabeledSample], SyntheticOracle]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
     rng = np.random.default_rng(spec.seed)
     scale = spec.scale
     k = scale.k_max
@@ -135,10 +133,10 @@ def generate_synthetic(
         # nonconformity scores vary continuously). With probability
         # 1 - label_noise the emitted ground truth is the latent score
         # itself; otherwise it is drawn from the softmax.
-        s_star = rng.integers(scale.min_label, k + 1, size=spec.n)
+        s_star = rng.integers(1, k + 1, size=spec.n)
         temp = max(spec.temperature, 1e-6)
         tau = temp * rng.uniform(0.5, 2.0, size=spec.n)
-        labels = np.arange(scale.min_label, k + 1, dtype=np.float64)
+        labels = np.arange(1, k + 1, dtype=np.float64)
         logits = -((labels[None, :] - s_star[:, None]) ** 2) / tau[:, None]
         soft = np.exp(logits - logits.max(axis=1, keepdims=True))
         soft /= soft.sum(axis=1, keepdims=True)
@@ -148,29 +146,26 @@ def generate_synthetic(
         # cumsum entry can undershoot 1.0 by an ulp, so clip the index.
         u = rng.random(spec.n)
         cdf = np.cumsum(cond, axis=1)
-        gt = np.minimum((u[:, None] > cdf).sum(axis=1), k - 1) + scale.min_label
-        feat_center = s_star.astype(np.float64)
+        gt = np.minimum((u[:, None] > cdf).sum(axis=1), k - 1) + 1
         feats = _peaked_features(rng, cond, spec)
         lower = np.empty(spec.n)
         upper = np.empty(spec.n)
         mass = np.empty(spec.n)
         for i in range(spec.n):
-            lo, hi, m = _central_label_set(cond[i], 0.9, scale)
-            lower[i], upper[i], mass[i] = lo, hi, m
-        samples = _to_samples(feats, gt, spec, groups=None)
+            lower[i], upper[i], mass[i] = _central_label_set(cond[i], 0.9, scale)
         oracle = SyntheticOracle(
             spec=spec,
-            latent=feat_center,
+            latent=s_star.astype(np.float64),
             lower=lower,
             upper=upper,
             interval_mass=mass,
         )
-        return samples, oracle
+        return _batch(feats, gt, spec, groups=None), oracle
 
     # Regression-style generators: continuous latent mean plus Gaussian noise,
     # discretized to the integer scale. Features encode the latent mean, and
     # the noise level is visible through the peakedness of the logit block.
-    m = rng.uniform(scale.min_label + 0.5, k - 0.5, size=spec.n)
+    m = rng.uniform(1.5, k - 0.5, size=spec.n)
     if spec.generator == "homoscedastic":
         sigma = np.full(spec.n, spec.sigma)
         spread = np.full(spec.n, 1.0)
@@ -182,8 +177,7 @@ def generate_synthetic(
         groups = np.where(high, "high", "low")
     feats = _feature_blocks(rng, m, spread, spec)
     y_cont = m + sigma * rng.standard_normal(spec.n)
-    gt = np.clip(_round_half_up(y_cont), scale.min_label, k).astype(np.intp)
-    samples = _to_samples(feats, gt, spec, groups=groups)
+    gt = np.clip(_round_half_up(y_cont), 1, k)
     oracle = SyntheticOracle(
         spec=spec,
         latent=m,
@@ -193,26 +187,22 @@ def generate_synthetic(
         sigma=sigma,
         y_cont=y_cont,
     )
-    return samples, oracle
+    return _batch(feats, gt, spec, groups=groups), oracle
 
 
-def _to_samples(
-    feats: np.ndarray, gt: np.ndarray, spec: SyntheticSpec, groups
-) -> list[LabeledSample]:
-    samples = []
-    for i in range(spec.n):
-        group = str(groups[i]) if groups is not None else None
-        dataset = (
-            f"synthetic_{group}" if group is not None else f"synthetic_{spec.generator}"
-        )
-        samples.append(
-            LabeledSample(
-                features=FeatureVector(tuple(float(v) for v in feats[i])),
-                gt_score=int(gt[i]),
-                dataset_tag=dataset,
-                judge_tag="synthetic",
-                sample_id=f"s{i:06d}",
-                group_tag=group,
-            )
-        )
-    return samples
+def _batch(feats: np.ndarray, gt: np.ndarray, spec: SyntheticSpec, groups) -> Batch:
+    """The samples as columns; a group tag, when there is one, also names the
+    dataset."""
+    n = spec.n
+    return Batch(
+        X=feats,
+        y=gt.astype(np.float64),
+        dataset=(
+            np.full(n, f"synthetic_{spec.generator}")
+            if groups is None
+            else np.char.add("synthetic_", groups)
+        ),
+        group=np.full(n, None) if groups is None else groups.astype(object),
+        sample_id=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
+        judge=np.full(n, "synthetic"),
+    )

@@ -1,7 +1,7 @@
 """Scalar metrics and stratified diagnostics for interval and point quality.
 
-Interval metrics take an ``Intervals`` (or a list of ``Interval``, converted
-once on entry) and run as array expressions over its columns.
+Interval metrics take an ``Intervals`` and run as array expressions over
+its columns.
 
 Correlations that are undefined (fewer than two points, or zero variance,
 e.g. the midpoint of all-full-range intervals) return None rather than NaN;
@@ -71,10 +71,9 @@ class StratumMetrics:
     mae: float
 
 
-def coverage(intervals, gts, adjusted: bool = False) -> float:
+def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
     """Share of rows whose interval holds its target; the adjusted form
     compares int(target) with the integer endpoints."""
-    ivs = Intervals.of(intervals)
     y = np.asarray(gts, dtype=np.float64)
     if len(ivs) != len(y):
         raise DataError(f"{len(ivs)} intervals vs {len(y)} ground truths")
@@ -84,8 +83,7 @@ def coverage(intervals, gts, adjusted: bool = False) -> float:
     return int(np.count_nonzero(hits)) / len(ivs)
 
 
-def interval_metrics(intervals, gts) -> IntervalMetrics:
-    ivs = Intervals.of(intervals)
+def interval_metrics(ivs: Intervals, gts) -> IntervalMetrics:
     y = np.asarray(gts, dtype=np.float64)
     cov_raw = coverage(ivs, y, adjusted=False)
     width_raw = float(np.mean(ivs.width))
@@ -223,7 +221,7 @@ def correlations(pred, gt) -> tuple[float | None, float | None, float | None]:
 def round_to_label(y_hat, scale: RatingScale) -> np.ndarray:
     """Round half up to the nearest integer label, clipped into the scale."""
     arr = np.floor(np.asarray(y_hat, dtype=np.float64) + 0.5)
-    return np.clip(arr, scale.min_label, scale.k_max).astype(np.intp)
+    return np.clip(arr, 1, scale.k_max).astype(np.intp)
 
 
 def accuracy_metrics(pred, gt) -> AccuracyFragment:
@@ -256,8 +254,7 @@ def rsg(rho_d: float, w_d: float, scale: RatingScale) -> float:
     return abs(rho_d) - (1.0 - w_d / scale.max_width)
 
 
-def midpoint_eval(intervals, gts) -> MidpointReport:
-    ivs = Intervals.of(intervals)
+def midpoint_eval(ivs: Intervals, gts) -> MidpointReport:
     mid = (ivs.lower + ivs.upper) / 2.0
     gt = np.asarray(gts, dtype=np.float64)
     p, s, k = correlations(mid, gt)
@@ -305,7 +302,7 @@ class Strata:
 
 
 def stratified(
-    intervals,
+    ivs: Intervals,
     y_hat,
     gts,
     keys: dict,
@@ -315,7 +312,6 @@ def stratified(
     ``keys`` maps a family name (e.g. "gt_level", "dataset") to one stratum
     label per sample, or to those labels already grouped as a ``Strata``.
     """
-    ivs = Intervals.of(intervals)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     gt = np.asarray(gts, dtype=np.float64)
     out: dict[str, dict[str, StratumMetrics]] = {}
@@ -351,9 +347,8 @@ def bucket_widths(widths) -> tuple[float, float, float]:
     return decisive, moderate, float((w > 3).sum()) / n
 
 
-def informativeness(intervals, scale: RatingScale) -> tuple[float, float, float]:
+def informativeness(ivs: Intervals, scale: RatingScale) -> tuple[float, float, float]:
     """Width buckets of the integer-adjusted intervals."""
-    ivs = Intervals.of(intervals)
     if not len(ivs):
         raise DataError("informativeness of an empty set")
     if not ivs.adjusted:
@@ -369,13 +364,13 @@ def confusion(pred, gt, scale: RatingScale) -> tuple[np.ndarray, np.ndarray]:
     k = scale.k_max
     pred = np.asarray(pred, dtype=np.intp)
     gt = np.asarray(gt, dtype=np.intp)
-    if pred.min(initial=scale.min_label) < scale.min_label or pred.max(initial=k) > k:
+    if pred.min(initial=1) < 1 or pred.max(initial=k) > k:
         raise DataError("prediction labels outside the scale")
-    if gt.min(initial=scale.min_label) < scale.min_label or gt.max(initial=k) > k:
+    if gt.min(initial=1) < 1 or gt.max(initial=k) > k:
         raise DataError("ground-truth labels outside the scale")
     counts = np.zeros((k, k), dtype=np.float64)
     for p, g in zip(pred, gt):
-        counts[g - scale.min_label, p - scale.min_label] += 1.0
+        counts[g - 1, p - 1] += 1.0
     row_counts = counts.sum(axis=1)
     matrix = np.divide(
         counts,

@@ -18,12 +18,12 @@ import extraction_corpus as corpus
 from scorebands.conformal import (
     BUILTIN_PARTITIONS,
     MethodConfig,
-    boundary_adjust,
+    adjust_all,
     conformal_quantile,
     run_method,
     run_mondrian,
 )
-from scorebands.core import Interval, RatingScale, clamp_interval, gt_array, make_split
+from scorebands.core import Intervals, RatingScale, make_split
 from scorebands.extract import ExtractionRecord, TokenLogprobEntry, extract
 from scorebands.harness import (
     ExperimentConfig,
@@ -81,9 +81,9 @@ def _mc_split(seed, n=4000, **spec_kwargs):
     )
     samples, _ = generate_synthetic(spec)
     plan = make_split(n, 0.5, seed)
-    cal = [samples[i] for i in plan.cal_indices]
-    test = [samples[i] for i in plan.test_indices]
-    return cal, test, gt_array(test)
+    cal = samples[np.array(plan.cal_indices)]
+    test = samples[np.array(plan.test_indices)]
+    return cal, test, test.y
 
 
 def test_criterion_01_conformal_quantile_oracle():
@@ -151,8 +151,8 @@ def test_criterion_03_boundary_adjustment_monotone():
     gts = rng.integers(1, 6, n)
     violations = 0
     for i in range(n):
-        raw = Interval(float(lo[i]), float(hi[i]))
-        adj = boundary_adjust(raw, SCALE)
+        row = Intervals([float(lo[i])], [float(hi[i])])
+        raw, adj = row[0], adjust_all(row, SCALE)[0]
         raw_covers = raw.contains(float(gts[i]))
         adj_covers = adj.contains_adjusted(int(gts[i]))
         if raw_covers and not adj_covers:
@@ -198,10 +198,10 @@ def test_criterion_05_mondrian_adaptation():
         )
         res_m = run_mondrian(cal, test, ALPHA, part, "naive_split", SCALE, cfg)
         res_g = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
-        low = [i for i, s in enumerate(test) if s.group_tag == "low"]
-        high = [i for i, s in enumerate(test) if s.group_tag == "high"]
-        cov_low.append(coverage([res_m.intervals[i] for i in low], gts[low]))
-        cov_high.append(coverage([res_m.intervals[i] for i in high], gts[high]))
+        low = [i for i, g in enumerate(test.group) if g == "low"]
+        high = [i for i, g in enumerate(test.group) if g == "high"]
+        cov_low.append(coverage(res_m.intervals[low], gts[low]))
+        cov_high.append(coverage(res_m.intervals[high], gts[high]))
         w_mond.append(np.mean([res_m.intervals[i].width for i in low]))
         w_glob.append(np.mean([res_g.intervals[i].width for i in low]))
     mean_low, mean_high = float(np.mean(cov_low)), float(np.mean(cov_high))
@@ -233,9 +233,9 @@ def test_criterion_06_degenerate_collapse():
         )
         samples, _ = generate_synthetic(spec)
         plan = make_split(3000, 0.5, seed)
-        cal = [samples[i] for i in plan.cal_indices]
-        test = [samples[i] for i in plan.test_indices]
-        gts = gt_array(test)
+        cal = samples[np.array(plan.cal_indices)]
+        test = samples[np.array(plan.test_indices)]
+        gts = test.y
         cache: dict = {}
         for method in stats:
             res = run_method(method, cal, test, ALPHA, SCALE, MC_CONFIG, cache)
@@ -407,10 +407,10 @@ def test_criterion_10_protocol_shape_and_seed_stability():
     covs = []
     for seed in range(30):
         plan = make_split(4000, 0.5, seed)
-        cal = [samples[i] for i in plan.cal_indices]
-        test = [samples[i] for i in plan.test_indices]
+        cal = samples[np.array(plan.cal_indices)]
+        test = samples[np.array(plan.test_indices)]
         res = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
-        covs.append(coverage(res.intervals, gt_array(test)))
+        covs.append(coverage(res.intervals, test.y))
     checkpoints = [float(np.mean(covs[:k])) for k in (5, 10, 15, 20, 25, 30)]
     drift = max(checkpoints) - min(checkpoints)
     ok = split_ok and drift < 0.01

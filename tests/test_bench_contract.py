@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 import scorebands
-from scorebands.harness import ExperimentConfig, SyntheticSpec, generate_synthetic
+from scorebands.harness import (
+    ExperimentConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    write_samples,
+)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,10 +35,10 @@ def test_every_target_resolves(spans):
     assert missing == []
 
 
-def test_traced_mondrian_run_counts(spans):
-    samples, _ = generate_synthetic(
-        SyntheticSpec(n=400, seed=0, generator="heteroscedastic_groups")
-    )
+def test_traced_mondrian_run_counts(spans, tmp_path):
+    spec = SyntheticSpec(n=400, seed=0, generator="heteroscedastic_groups")
+    path = tmp_path / "samples.jsonl"
+    write_samples(generate_synthetic(spec)[0], path, spec.scale)
     methods = ["naive_split", "cqr", "ordinal_aps"]
     config = ExperimentConfig.from_dict(
         {"seeds": [0, 1], "methods": methods, "mondrian": "by_group_tag",
@@ -42,13 +47,15 @@ def test_traced_mondrian_run_counts(spans):
     tracer = spans.Tracer()
     tracer.install()
     try:
+        samples, line_errors = scorebands.load_samples(path, config.scale)
         report = scorebands.run_experiment(config, samples)
     finally:
         restored = tracer.restore()
     assert restored and tracer.missing == []
-    assert not report.errors
-    # The samples are stacked once per run; every split slices that stack.
-    assert tracer.counts["core.features_matrix.rows"] == len(samples)
+    assert not report.errors and not line_errors
+    # The samples are stacked once, at load; every split slices that stack.
+    assert tracer.counts["io.load_samples.lines"] == len(samples) == spec.n
+    assert tracer.counts["core.features_matrix.rows"] == spec.n
     assert tracer.counts["conformal.adjust_all.intervals"] == 2 * len(methods) * 200
     assert tracer.counts["conformal.run_mondrian.calls"] == 2 * len(methods)
     assert tracer.counts["runner.cells"] == 2 * len(methods)

@@ -149,6 +149,17 @@ class TestRunCommand:
         assert "duplicate sample_id" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_repeated_method_is_data_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path)
+        out_dir = tmp_path / "o"
+        code = main(
+            ["run", "--input", str(samples), "--out", str(out_dir),
+             "--seeds", "0", "--methods", "naive_split,naive_split"]
+        )
+        assert code == EXIT_DATA
+        assert "methods named more than once: ['naive_split']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_point_predictor_is_data_error(self, tmp_path, capsys):
         samples = _synth(tmp_path)
         cfg_path = tmp_path / "cfg.json"
@@ -259,3 +270,25 @@ class TestFuseCommand:
         row = json.loads(out.read_text().splitlines()[0])
         assert len(row["features"]) == 10
         assert row["judge"] == "j2+j1"
+
+    def test_fuse_splits_files_by_judge(self, tmp_path):
+        # One file holds both judges; a second file adds more rows of j1.
+        def line(i, judge, value):
+            return json.dumps({
+                "sample_id": f"s{i}", "judge": judge, "dataset": "d",
+                "gt_score": 1 + i % 5,
+                "logprobs": {str(k): value for k in range(1, 6)},
+            }) + "\n"
+
+        both = tmp_path / "both.jsonl"
+        both.write_text("".join(line(i, j, v) for i in range(3)
+                                for j, v in (("j1", -1.0), ("j2", -2.0))))
+        more = tmp_path / "more.jsonl"
+        more.write_text(line(3, "j1", -1.0) + line(4, "j1", -1.0))
+        out = tmp_path / "fused.jsonl"
+        code = main(["fuse", "--inputs", str(both), str(more), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [json.loads(r) for r in out.read_text().splitlines()]
+        assert [r["sample_id"] for r in rows] == ["s0", "s1", "s2"]
+        assert all(r["features"] == [-1.0] * 5 + [-2.0] * 5 for r in rows)
+        assert [r["gt_score"] for r in rows] == [1, 2, 3]

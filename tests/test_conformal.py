@@ -15,13 +15,11 @@ from scorebands.conformal import (
     GroupPartition,
     MethodConfig,
     MethodResult,
+    _aps_paths,
     adjust_all,
     aps_from_probs,
-    aps_growth_path,
-    aps_score,
-    aps_set,
-    as_batch,
-    boundary_adjust,
+    aps_scores,
+    aps_sets,
     conformal_quantile,
     cqr_from_quantiles,
     density_intervals_from_scores,
@@ -30,9 +28,9 @@ from scorebands.conformal import (
     run_method,
     run_mondrian,
 )
-from scorebands.core import DataError, Interval, Intervals, RatingScale, clamp_interval
+from scorebands.core import Batch, DataError, Intervals, RatingScale, clamp_endpoints
 from scorebands.harness import SyntheticSpec, generate_synthetic
-from scorebands.core import gt_array, make_split
+from scorebands.core import make_split
 from scorebands.learners import GridConfig, PointVarModel, TrainConfig
 from scorebands.learners.nets import Standardizer, init_params
 from scorebands.metrics import coverage
@@ -44,11 +42,10 @@ FAST = MethodConfig(train=TrainConfig(epochs=60, batch_size=256, learning_rate=0
 
 def split_synth(n=1200, seed=0, **kwargs):
     spec = SyntheticSpec(n=n, seed=seed, **kwargs)
-    samples, _ = generate_synthetic(spec)
+    batch, _ = generate_synthetic(spec)
     plan = make_split(n, 0.5, seed)
-    cal = [samples[i] for i in plan.cal_indices]
-    test = [samples[i] for i in plan.test_indices]
-    return cal, test, gt_array(test)
+    test = batch[np.array(plan.test_indices)]
+    return batch[np.array(plan.cal_indices)], test, test.y
 
 
 class TestConformalQuantile:
@@ -249,19 +246,21 @@ class TestDensityIntervals:
 
 class TestOrdinalAps:
     def test_growth_path_greedy(self):
-        order, masses = aps_growth_path(np.array([0.1, 0.2, 0.4, 0.2, 0.1]))
-        assert order[0] == 2
+        order, masses, _, _ = _aps_paths(np.array([[0.1, 0.2, 0.4, 0.2, 0.1]]))
+        assert order[0, 0] == 2
         # tie between index 1 and 3 resolved to the lower label
-        assert order[1] == 1
-        assert masses[-1] == pytest.approx(1.0)
+        assert order[0, 1] == 1
+        assert masses[0, -1] == pytest.approx(1.0)
 
     def test_one_hot_singleton(self):
-        probs = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        assert aps_set(probs, 0.9) == (2, 2)
+        probs = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+        lo, hi = aps_sets(probs, 0.9)
+        assert (lo.tolist(), hi.tolist()) == ([2], [2])
 
     def test_two_adjacent_labels(self):
-        probs = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
-        assert aps_set(probs, 0.9) == (0, 1)
+        probs = np.array([[0.5, 0.5, 0.0, 0.0, 0.0]])
+        lo, hi = aps_sets(probs, 0.9)
+        assert (lo.tolist(), hi.tolist()) == ([0], [1])
 
     def test_near_uniform_full_set(self):
         probs_conf = np.tile([0.21, 0.2, 0.2, 0.2, 0.19], (200, 1))
@@ -270,36 +269,39 @@ class TestOrdinalAps:
         assert all((iv.lower, iv.upper) == (1.0, 5.0) for iv in ivs)
 
     def test_score_is_mass_at_inclusion(self):
-        probs = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-        assert aps_score(probs, 2) == pytest.approx(0.4)
-        assert aps_score(probs, 1) == pytest.approx(0.6)
-        assert aps_score(probs, 4) == pytest.approx(1.0)
+        probs = np.tile([0.1, 0.2, 0.4, 0.2, 0.1], (3, 1))
+        assert aps_scores(probs, [2, 1, 4]) == pytest.approx([0.4, 0.6, 1.0])
+
+
+def adjust_one(lo, hi, direction="outward"):
+    """The interval [lo, hi] through adjust_all, as a one-row Intervals."""
+    return adjust_all(Intervals([lo], [hi]), SCALE, direction)[0]
 
 
 class TestBoundaryAdjust:
     def test_outward_examples(self):
-        iv = boundary_adjust(Interval(2.3, 4.7), SCALE)
+        iv = adjust_one(2.3, 4.7)
         assert (iv.adj_lower, iv.adj_upper) == (2, 5)
-        iv = boundary_adjust(Interval(1.0, 5.0), SCALE)
+        iv = adjust_one(1.0, 5.0)
         assert (iv.adj_lower, iv.adj_upper) == (1, 5)
-        iv = boundary_adjust(Interval(3.0, 3.0), SCALE)
+        iv = adjust_one(3.0, 3.0)
         assert (iv.adj_lower, iv.adj_upper) == (3, 3)
 
     def test_inward_variant(self):
-        iv = boundary_adjust(Interval(2.3, 4.7), SCALE, direction="inward")
+        iv = adjust_one(2.3, 4.7, direction="inward")
         assert (iv.adj_lower, iv.adj_upper) == (3, 4)
 
     def test_inward_collapse_when_no_integer_inside(self):
-        iv = boundary_adjust(Interval(2.2, 2.8), SCALE, direction="inward")
+        iv = adjust_one(2.2, 2.8, direction="inward")
         assert (iv.adj_lower, iv.adj_upper) == (3, 3)
 
     def test_off_leaves_unadjusted(self):
-        iv = boundary_adjust(Interval(2.3, 4.7), SCALE, direction="off")
+        iv = adjust_one(2.3, 4.7, direction="off")
         assert iv.adj_lower is None
 
     def test_unknown_direction(self):
         with pytest.raises(DataError):
-            boundary_adjust(Interval(2.0, 3.0), SCALE, direction="sideways")
+            adjust_one(2.0, 3.0, direction="sideways")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,8 +309,9 @@ class TestBoundaryAdjust:
         width=st.floats(0.0, 4.0, allow_nan=False),
     )
     def test_outward_expansion_monotone(self, lo, width):
-        raw = clamp_interval(Interval(lo, lo + width), SCALE)
-        adj = boundary_adjust(raw, SCALE)
+        raw = Intervals(*clamp_endpoints(np.array([lo]), np.array([lo + width]), SCALE))
+        adj = adjust_all(raw, SCALE)[0]
+        raw = raw[0]
         assert adj.adj_lower <= raw.lower
         assert adj.adj_upper >= raw.upper
         assert adj.adj_width >= raw.width - 1e-12
@@ -320,13 +323,11 @@ class TestBoundaryAdjust:
 
 class TestLvdReduction:
     def _constant_sigma_model(self, cal):
-        from scorebands.core import features_matrix
-
-        X = features_matrix(cal)
+        X = cal.X
         cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
         from scorebands.learners import fit_point_var
 
-        model = fit_point_var(X[: len(X) // 2], gt_array(cal[: len(cal) // 2]),
+        model = fit_point_var(X[: len(X) // 2], cal[: len(cal) // 2].y,
                               cfg, fit_sigma=False)
         # splice in a sigma head that always outputs exactly 1.0
         rng = np.random.default_rng(0)
@@ -342,14 +343,12 @@ class TestLvdReduction:
         )
 
     def test_unit_sigma_equals_naive(self):
-        from scorebands.core import features_matrix
-
         cal, test, gts = split_synth(n=600, seed=4)
         model = self._constant_sigma_model(cal)
         half = len(cal) // 2
         cal_conf = cal[half:]
-        Xc, Xt = features_matrix(cal_conf), features_matrix(test)
-        y_conf = gt_array(cal_conf)
+        Xc, Xt = cal_conf.X, test.X
+        y_conf = cal_conf.y
         mu_c, mu_t = model.predict_mean(Xc), model.predict_mean(Xt)
         sig_c, sig_t = model.predict_sigma(Xc), model.predict_sigma(Xt)
         assert np.all(sig_c == 1.0)
@@ -376,9 +375,9 @@ class TestMethodRunners:
     def test_empty_inputs_rejected(self):
         cal, test, _ = split_synth(n=100, seed=1)
         with pytest.raises(DataError):
-            run_method("naive_split", [], test, 0.1, SCALE, FAST)
+            run_method("naive_split", cal[:0], test, 0.1, SCALE, FAST)
         with pytest.raises(DataError):
-            run_method("naive_split", cal, [], 0.1, SCALE, FAST)
+            run_method("naive_split", cal, test[:0], 0.1, SCALE, FAST)
 
     def test_all_methods_produce_valid_intervals(self):
         cal, test, gts = split_synth(n=700, seed=2, label_noise=0.35)
@@ -424,7 +423,7 @@ class TestMethodRunners:
 
     def test_density_point_is_mean_cell_value(self):
         cal, test, _ = split_synth(n=400, seed=7, label_noise=0.35)
-        X = as_batch(test).X
+        X = test.X
         for method in ("chr", "r2ccp"):
             res = run_method(method, cal, test, 0.1, SCALE, FAST)
             (model,) = res.calibration.learners
@@ -435,38 +434,38 @@ class TestMethodRunners:
         cal, test, _ = split_synth(n=400, seed=7)
         cfg = MethodConfig(train=FAST.train, point_predictor="argmax_feature")
         res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
-        from scorebands.core import features_matrix
-
-        expected = features_matrix(test)[:, :5].argmax(axis=1) + 1.0
+        expected = test.X[:, :5].argmax(axis=1) + 1.0
         assert np.array_equal(res.y_hat, expected)
 
 
 class TestNonDefaultScale:
     def test_all_methods_on_three_point_scale(self):
         from scorebands.conformal import METHOD_NAMES
-        from scorebands.core import FeatureVector, LabeledSample, gt_array
 
         scale = RatingScale(k_max=3)
         rng = np.random.default_rng(0)
-        samples = []
+        rows, gts = [], []
         for i in range(800):
             s = int(rng.integers(1, 4))
             logits = -np.square(np.arange(1, 4) - s) + 0.4 * rng.standard_normal(3)
-            f = logits - np.log(np.exp(logits).sum())
-            gt = s if rng.random() > 0.3 else int(rng.integers(1, 4))
-            samples.append(
-                LabeledSample(FeatureVector(tuple(f)), gt, "d", "j", f"s{i}")
-            )
+            rows.append(logits - np.log(np.exp(logits).sum()))
+            gts.append(s if rng.random() > 0.3 else int(rng.integers(1, 4)))
+        batch = Batch(
+            X=np.array(rows), y=np.array(gts, dtype=np.float64),
+            dataset=np.full(800, "d"), group=np.full(800, None),
+            sample_id=np.array([f"s{i}" for i in range(800)], dtype=object),
+            judge=np.full(800, "j"),
+        )
         plan = make_split(800, 0.5, 0)
-        cal = [samples[i] for i in plan.cal_indices]
-        test = [samples[i] for i in plan.test_indices]
+        cal = batch[np.array(plan.cal_indices)]
+        test = batch[np.array(plan.test_indices)]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1),
             grid=GridConfig(lo=0.5, hi=3.5, resolution=0.125, n_points=25),
             chr_bins=6,
             boost_rounds=30,
         )
-        gts = gt_array(test)
+        gts = test.y
         for method in METHOD_NAMES:
             res = run_method(method, cal, test, 0.1, scale, cfg, {})
             assert 0.8 <= coverage(res.intervals, gts) <= 1.0
@@ -536,10 +535,8 @@ class TestMondrian:
             n=2000, seed=13, generator="heteroscedastic_groups", sigma=0.25
         )
         res = run_method("lvd", cal, test, 0.1, SCALE, FAST)
-        low = [iv.width for iv, s in zip(res.intervals, test)
-               if s.group_tag == "low"]
-        high = [iv.width for iv, s in zip(res.intervals, test)
-                if s.group_tag == "high"]
+        low = res.intervals.width[test.group == "low"]
+        high = res.intervals.width[test.group == "high"]
         assert np.mean(high) > np.mean(low)
 
     def test_r2ccp_narrower_than_naive_on_heteroscedastic(self):
@@ -563,10 +560,10 @@ class TestMondrian:
         part = BUILTIN_PARTITIONS["by_group_tag"]
         res_m = run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
         res_g = run_method("naive_split", cal, test, 0.1, SCALE, FAST)
-        low = [i for i, s in enumerate(test) if s.group_tag == "low"]
-        high = [i for i, s in enumerate(test) if s.group_tag == "high"]
+        low = np.flatnonzero(test.group == "low")
+        high = np.flatnonzero(test.group == "high")
         for idx in (low, high):
-            cov = coverage([res_m.intervals[i] for i in idx], gts[idx])
+            cov = coverage(res_m.intervals[idx], gts[idx])
             assert 0.84 <= cov <= 0.96
         w_m_low = np.mean([res_m.intervals[i].width for i in low])
         w_g_low = np.mean([res_g.intervals[i].width for i in low])
@@ -583,8 +580,8 @@ def reference_interval(lo, hi, scale):
         lo = hi = (lo + hi) / 2.0
     lo, hi = float(lo), float(hi)
     return (
-        float(min(max(lo, scale.min_label), scale.k_max)),
-        float(max(min(hi, scale.k_max), scale.min_label)),
+        float(min(max(lo, 1), scale.k_max)),
+        float(max(min(hi, scale.k_max), 1)),
     )
 
 
@@ -592,15 +589,15 @@ def reference_adjust(lower, upper, scale, direction):
     if direction == "off":
         return None
     if direction == "outward":
-        al = max(scale.min_label, math.floor(lower))
+        al = max(1, math.floor(lower))
         au = min(scale.k_max, math.ceil(upper))
     else:
         al = math.ceil(lower)
         au = math.floor(upper)
         if al > au:
             al = au = int(math.floor((lower + upper) / 2.0 + 0.5))
-        al = min(max(al, scale.min_label), scale.k_max)
-        au = min(max(au, scale.min_label), scale.k_max)
+        al = min(max(al, 1), scale.k_max)
+        au = min(max(au, 1), scale.k_max)
     return int(al), int(au)
 
 
@@ -610,7 +607,7 @@ def reference_density(conf_scores, neg_logp, lows, highs, alpha, scale):
     for row in neg_logp:
         qualifying = np.flatnonzero(row <= thr)
         if qualifying.size == 0:
-            out.append((float(scale.min_label), float(scale.k_max)))
+            out.append((float(1), float(scale.k_max)))
         else:
             out.append(reference_interval(lows[qualifying[0]], highs[qualifying[-1]], scale))
     return thr, out
@@ -658,7 +655,7 @@ def reference_aps(probs_conf, y_idx, probs_test, alpha, scale):
     out = []
     for p in probs_test:
         lo_idx, hi_idx = reference_aps_set(p, q)
-        out.append(reference_interval(scale.min_label + lo_idx, scale.min_label + hi_idx, scale))
+        out.append(reference_interval(1 + lo_idx, 1 + hi_idx, scale))
     return q, out
 
 
@@ -740,10 +737,15 @@ class TestColumnarIdentity:
         assert q == want_q
         assert pairs(ivs) == want
         assert labels.tolist() == [1.0 + int(np.argmax(p)) for p in probs_test]
-        for p in probs_test[:50]:
-            assert aps_growth_path(p) == reference_growth_path(p)
-            for thr in (0.0, 0.5, q, 1.0, 2.0):
-                assert aps_set(p, thr) == reference_aps_set(p, thr)
+        order, masses, _, _ = _aps_paths(probs_test[:50])
+        assert list(zip(order.tolist(), masses.tolist())) == [
+            reference_growth_path(p) for p in probs_test[:50]
+        ]
+        for thr in (0.0, 0.5, q, 1.0, 2.0):
+            lo, hi = aps_sets(probs_test[:50], thr)
+            assert list(zip(lo.tolist(), hi.tolist())) == [
+                reference_aps_set(p, thr) for p in probs_test[:50]
+            ]
 
     @pytest.mark.parametrize("k", [3, 5, 10])
     @pytest.mark.parametrize("direction", ["outward", "inward", "off"])
@@ -761,18 +763,19 @@ class TestColumnarIdentity:
             assert ivs.adj_lower.dtype == np.int64
             assert list(zip(ivs.adj_lower.tolist(), ivs.adj_upper.tolist())) == want
         for i in range(0, 2000, 97):
-            one = boundary_adjust(Interval(float(lo[i]), float(hi[i])), scale, direction)
+            one = adjust_all(Intervals(lo[i : i + 1], hi[i : i + 1]), scale, direction)[0]
             got = None if one.adj_lower is None else (one.adj_lower, one.adj_upper)
             assert got == want[i]
 
-    def test_adjusting_a_list_equals_adjusting_columns(self):
-        raw = [Interval(1.2, 3.7), Interval(2.0, 2.0), Interval(4.5, 5.0)]
-        assert adjust_all(raw, SCALE) == adjust_all(Intervals.of(raw), SCALE)
-        assert list(adjust_all(raw, SCALE)) == [boundary_adjust(iv, SCALE) for iv in raw]
+    def test_adjusting_one_row_equals_adjusting_columns(self):
+        raw = Intervals([1.2, 2.0, 4.5], [3.7, 2.0, 5.0])
+        for direction in ("outward", "inward"):
+            rows = [adjust_all(raw[i : i + 1], SCALE, direction)[0] for i in range(3)]
+            assert list(adjust_all(raw, SCALE, direction)) == rows
 
     def test_unknown_direction_rejected_for_any_length(self):
         with pytest.raises(DataError):
-            adjust_all([], SCALE, direction="sideways")
+            adjust_all(Intervals([], []), SCALE, direction="sideways")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -892,18 +895,8 @@ class TestCacheKeys:
 
 
 class TestBatchEntry:
-    def test_lists_and_batches_give_one_result(self):
-        cal, test, _ = split_synth(n=400, seed=23)
-        cfg = TestCacheKeys.FAST_FIT
-        for method in sorted(METHODS):
-            from_lists = run_method(method, cal, test, 0.1, SCALE, cfg)
-            from_batch = run_method(method, as_batch(cal), as_batch(test), 0.1, SCALE, cfg)
-            assert from_lists.intervals == from_batch.intervals, method
-            assert np.array_equal(from_lists.y_hat, from_batch.y_hat), method
-
     def test_partition_labels_by_dataset(self):
-        cal, _, _ = split_synth(n=200, seed=24)
-        batch = as_batch(cal)
+        batch, _, _ = split_synth(n=200, seed=24)
         tags = sorted(set(batch.dataset.tolist()))
         part = GroupPartition(name="p", group_of={t: f"g-{t}" for t in tags})
-        assert part.labels(batch).tolist() == [f"g-{s.dataset_tag}" for s in cal]
+        assert part.labels(batch).tolist() == [f"g-{d}" for d in batch.dataset.tolist()]

@@ -13,15 +13,31 @@ from scorebands.core import (
     FeatureVector,
     Interval,
     Intervals,
-    LabeledSample,
     RatingScale,
-    clamp_interval,
+    check_batch,
+    clamp_endpoints,
     features_matrix,
     make_split,
-    validate_sample,
+    row_faults,
 )
 
 SCALE = RatingScale()
+
+
+def make_batch(X, y, sample_ids=None, dataset="d", group=None, judge="j"):
+    """A Batch of the rows of X with labels y and constant tags."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    if sample_ids is None:
+        sample_ids = [f"s{i}" for i in range(n)]
+    return Batch(
+        X=X,
+        y=np.asarray(y, dtype=np.float64),
+        dataset=np.full(n, dataset),
+        group=np.full(n, group, dtype=object),
+        sample_id=np.array(sample_ids, dtype=object),
+        judge=np.full(n, judge),
+    )
 
 
 class TestRatingScale:
@@ -33,8 +49,6 @@ class TestRatingScale:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             RatingScale(k_max=1)
-        with pytest.raises(ValueError):
-            RatingScale(k_max=5, min_label=0)
 
 
 class TestFeatureVector:
@@ -114,8 +128,7 @@ class TestIntervals:
 
     def test_round_trip_and_equality(self):
         items = [Interval(1.0, 2.0), Interval(2.0, 5.0)]
-        ivs = Intervals.of(items)
-        assert Intervals.of(ivs) is ivs
+        ivs = Intervals([iv.lower for iv in items], [iv.upper for iv in items])
         assert list(ivs) == items
         assert ivs == Intervals([1.0, 2.0], [2.0, 5.0])
         assert ivs != Intervals([1.0, 2.0], [2.0, 4.0])
@@ -130,57 +143,109 @@ class TestIntervals:
 
 
 class TestBatch:
-    def _samples(self):
-        return [
-            LabeledSample(
-                features=FeatureVector((-1.0 - i, -2.0, -3.0, -4.0, -5.0)),
-                gt_score=1 + i % 5,
-                dataset_tag=f"d{i % 2}",
-                judge_tag="j",
-                sample_id=f"s{i}",
-                group_tag=None if i == 3 else "g",
-            )
-            for i in range(6)
-        ]
+    def _batch(self):
+        X = [[-1.0 - i, -2.0, -3.0, -4.0, -5.0] for i in range(6)]
+        return Batch(
+            X=np.array(X),
+            y=np.array([1 + i % 5 for i in range(6)], dtype=np.float64),
+            dataset=np.array([f"d{i % 2}" for i in range(6)]),
+            group=np.array([None if i == 3 else "g" for i in range(6)], dtype=object),
+            sample_id=np.array([f"s{i}" for i in range(6)], dtype=object),
+            judge=np.array(["j1", "j2"] * 3),
+        )
 
     def test_columns_follow_sample_order(self):
-        samples = self._samples()
-        batch = Batch.from_samples(samples, features_matrix(samples))
+        batch = self._batch()
         assert len(batch) == 6
         assert batch.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
         assert batch.dataset.tolist() == ["d0", "d1"] * 3
         assert batch.group.tolist() == ["g", "g", "g", None, "g", "g"]
         rows = batch[np.array([4, 1])]
         assert rows.sample_id.tolist() == ["s4", "s1"]
+        assert rows.judge.tolist() == ["j1", "j2"]
         assert rows.X[:, 0].tolist() == [-5.0, -2.0]
         assert batch[3:].y.tolist() == [4.0, 5.0, 1.0]
 
+    def test_concat_keeps_row_order(self):
+        batch = self._batch()
+        both = Batch.concat([batch[4:], batch[:2]])
+        assert both.sample_id.tolist() == ["s4", "s5", "s0", "s1"]
+        assert both.X[:, 0].tolist() == [-5.0, -6.0, -1.0, -2.0]
+        assert both.group.tolist() == ["g", "g", "g", "g"]
+
+    def test_concat_rejects_mixed_widths(self):
+        wide = make_batch(np.full((2, 10), -1.0), [1, 2])
+        with pytest.raises(DataError, match=r"inconsistent feature lengths: \[5, 10\]"):
+            Batch.concat([self._batch(), wide])
+
 
 class TestValidateSample:
-    def _sample(self, gt=3, n_feat=5):
-        return LabeledSample(
-            features=FeatureVector((-1.0,) * n_feat),
-            gt_score=gt,
-            dataset_tag="d",
-            judge_tag="j",
-            sample_id="s",
-        )
+    """The row rules and unique ids, as ``run_experiment`` applies them."""
+
+    def _batch(self, gt=3, n_feat=5):
+        return make_batch(np.full((2, n_feat), -1.0), [3, gt], ["a", "s"])
 
     def test_ok(self):
-        validate_sample(self._sample(), SCALE)
+        check_batch(self._batch(), SCALE)
 
     def test_gt_out_of_range(self):
-        with pytest.raises(DataError):
-            validate_sample(self._sample(gt=6), SCALE)
-        with pytest.raises(DataError):
-            validate_sample(self._sample(gt=0), SCALE)
+        with pytest.raises(DataError, match=r"sample 's': gt_score 6 outside \[1, 5\]"):
+            check_batch(self._batch(gt=6), SCALE)
+        with pytest.raises(DataError, match=r"sample 's': gt_score 0 outside \[1, 5\]"):
+            check_batch(self._batch(gt=0), SCALE)
 
     def test_bad_feature_length(self):
-        with pytest.raises(DataError):
-            validate_sample(self._sample(n_feat=7), SCALE)
+        with pytest.raises(DataError, match="feature length 7 not a multiple of 5"):
+            check_batch(self._batch(n_feat=7), SCALE)
 
     def test_fused_length_ok(self):
-        validate_sample(self._sample(n_feat=15), SCALE)
+        check_batch(self._batch(n_feat=15), SCALE)
+
+
+class TestRowRules:
+    def test_first_fault_of_each_row(self):
+        X = np.full((6, 5), -1.0)
+        X[1, 3] = np.nan
+        X[2, 0] = 0.5
+        X[3, 2], X[3, 4] = np.inf, 2.0  # the first broken entry is named
+        X[4, 1] = np.nan  # and a bad label comes before any entry
+        y = np.array([1, 2, 3, 4, 9, 2.5])
+        assert row_faults(X, y, SCALE) == {
+            1: "logprob '3' must be finite, got nan",
+            2: "logprob '0' must be <= 0, got 0.5",
+            3: "logprob '2' must be finite, got inf",
+            4: "gt_score 9 outside [1, 5]",
+            5: "gt_score 2.5 outside [1, 5]",
+        }
+
+    def test_entries_named_by_label_from_first_key(self):
+        X = np.array([[-1.0, -1.0, -np.inf, -1.0, -1.0]] * 2)
+        faults = row_faults(X, np.array([1.0, 1.0]), SCALE, np.array([1, 0]))
+        assert faults == {
+            0: "logprob '3' must be finite, got -inf",
+            1: "logprob '2' must be finite, got -inf",
+        }
+
+    def test_width_rule_applies_to_every_row(self):
+        faults = row_faults(np.full((2, 7), -1.0), np.array([1.0, 0.0]), SCALE)
+        assert faults == {
+            0: "feature length 7 not a multiple of 5",
+            1: "gt_score 0 outside [1, 5]",
+        }
+
+    def test_clean_rows_have_no_faults(self):
+        assert row_faults(np.zeros((3, 10)), np.array([1.0, 3.0, 5.0]), SCALE) == {}
+
+    def test_first_offending_sample_named(self):
+        batch = make_batch(np.full((3, 5), -1.0), [1, 2, 3], ["a", "b", "c"])
+        batch.X[2, 0] = 1.0
+        with pytest.raises(DataError, match=r"sample 'c': logprob '0' must be <= 0"):
+            check_batch(batch, SCALE)
+
+    def test_duplicate_id_rejected_by_name(self):
+        batch = make_batch(np.full((4, 5), -1.0), [1, 2, 3, 4], ["a", "b", "a", "b"])
+        with pytest.raises(DataError, match="duplicate sample_id 'a'"):
+            check_batch(batch, SCALE)
 
 
 class TestMakeSplit:
@@ -252,7 +317,15 @@ class TestMakeSplit:
         assert cal & test == set()
 
 
+def clamp_interval(iv: Interval, scale: RatingScale) -> Interval:
+    """One interval through clamp_endpoints."""
+    lo, hi = clamp_endpoints(np.array([iv.lower]), np.array([iv.upper]), scale)
+    return Interval(float(lo[0]), float(hi[0]))
+
+
 class TestClampInterval:
+    """clamp_endpoints, one row at a time."""
+
     def test_both_sides(self):
         iv = clamp_interval(Interval(-0.3, 6.2), SCALE)
         assert (iv.lower, iv.upper) == (1.0, 5.0)
@@ -280,20 +353,12 @@ class TestClampInterval:
         twice = clamp_interval(once, SCALE)
         assert once == twice
         assert once.width <= iv.width + 1e-12
-        assert SCALE.min_label <= once.lower <= once.upper <= SCALE.k_max
+        assert 1 <= once.lower <= once.upper <= SCALE.k_max
 
 
 def test_features_matrix_shape():
-    samples = [
-        LabeledSample(
-            features=FeatureVector((-1.0, -2.0, -3.0, -4.0, -5.0)),
-            gt_score=2,
-            dataset_tag="d",
-            judge_tag="j",
-            sample_id=f"s{i}",
-        )
-        for i in range(3)
-    ]
-    X = features_matrix(samples)
+    X = features_matrix([[-1.0, -2.0, -3.0, -4.0, -5.0]] * 3)
     assert X.shape == (3, 5)
+    assert X.dtype == np.float64
     assert X[0, 1] == -2.0
+    assert features_matrix([]).shape == (0, 0)

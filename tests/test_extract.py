@@ -310,3 +310,26 @@ def test_parse_record_errors():
         parse_record({"tokens": []})
     with pytest.raises(DataError):
         parse_record({"sample_id": "x"})
+
+
+def test_import_loads_no_conformal_layer():
+    """Importing extraction leaves the learners, methods and harness unloaded."""
+    import os
+    import subprocess
+    import sys
+
+    import scorebands
+
+    heavy = ("scorebands.conformal", "scorebands.learners", "scorebands.harness",
+             "scorebands.metrics")
+    code = (
+        "import sys, scorebands.extract; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scorebands.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"

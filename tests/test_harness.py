@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from scorebands.core import DataError, FeatureVector, LabeledSample, RatingScale
+from scorebands.core import Batch, DataError, RatingScale
 from scorebands.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -64,7 +64,10 @@ class TestLoadSamples:
         self._write(path, [sample_line(i) for i in range(3)])
         samples, errors = load_samples(path)
         assert len(samples) == 3 and not errors
-        assert samples[0].features.values == (-5.0, -4.0, -0.5, -2.0, -6.0)
+        assert samples.X[0].tolist() == [-5.0, -4.0, -0.5, -2.0, -6.0]
+        assert samples.y.tolist() == [3.0] * 3
+        assert samples.sample_id.tolist() == ["s0", "s1", "s2"]
+        assert samples.judge.tolist() == ["j1"] * 3
 
     def test_missing_gt_collected(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -104,13 +107,13 @@ class TestLoadSamples:
         obj["features"] = [-1.0] * 10  # fused two-judge vector
         self._write(path, [obj])
         samples, _ = load_samples(path)
-        assert len(samples[0].features) == 10
+        assert samples.X.shape == (1, 10)
 
     def test_group_passthrough(self, tmp_path):
         path = tmp_path / "s.jsonl"
         self._write(path, [sample_line(0, group="easy")])
         samples, _ = load_samples(path)
-        assert samples[0].group_tag == "easy"
+        assert samples.group.tolist() == ["easy"]
 
     def test_write_read_round_trip(self, tmp_path):
         spec = SyntheticSpec(n=20, seed=1, generator="heteroscedastic_groups")
@@ -119,20 +122,194 @@ class TestLoadSamples:
         write_samples(samples, path, SCALE)
         loaded, errors = load_samples(path)
         assert not errors
-        assert [s.sample_id for s in loaded] == [s.sample_id for s in samples]
-        assert all(
-            a.features.values == b.features.values
-            and a.gt_score == b.gt_score
-            and a.group_tag == b.group_tag
-            for a, b in zip(loaded, samples)
-        )
+        for column in ("X", "y", "dataset", "group", "sample_id", "judge"):
+            assert np.array_equal(getattr(loaded, column), getattr(samples, column)), column
+
+
+# ---------------------------------------------------------------------------
+# The former per-line parser, kept as the reference for the columnar loader.
+# ---------------------------------------------------------------------------
+
+REFERENCE_FIELDS = ("sample_id", "judge", "dataset", "gt_score")
+
+
+def _reference_logprob(value, key):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"logprob {key!r} must be a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise DataError(f"logprob {key!r} must be finite, got {v}")
+    if v > 0:
+        raise DataError(f"logprob {key!r} must be <= 0, got {v}")
+    return v
+
+
+def _reference_parse_line(obj, scale):
+    if not isinstance(obj, dict):
+        raise DataError("line is not an object")
+    for key in REFERENCE_FIELDS:
+        if key not in obj:
+            raise DataError(f"missing field {key!r}")
+    gt = obj["gt_score"]
+    if isinstance(gt, bool) or not isinstance(gt, int):
+        raise DataError(f"gt_score must be an integer, got {gt!r}")
+    if not 1 <= gt <= scale.k_max:
+        raise DataError(f"gt_score {gt} outside [1, {scale.k_max}]")
+    if "logprobs" in obj:
+        logprobs = obj["logprobs"]
+        if not isinstance(logprobs, dict):
+            raise DataError("logprobs must be an object")
+        values = []
+        for label in scale.labels:
+            key = str(label)
+            if key not in logprobs:
+                raise DataError(f"logprobs missing label {key!r}")
+            values.append(_reference_logprob(logprobs[key], key))
+    elif "features" in obj:
+        feats = obj["features"]
+        if not isinstance(feats, list) or not feats:
+            raise DataError("features must be a non-empty list")
+        if len(feats) % scale.k_max != 0:
+            raise DataError(
+                f"feature length {len(feats)} not a multiple of {scale.k_max}"
+            )
+        values = [_reference_logprob(v, str(i)) for i, v in enumerate(feats)]
+    else:
+        raise DataError("line has neither 'logprobs' nor 'features'")
+    group = obj.get("group")
+    return {
+        "features": tuple(values),
+        "gt_score": gt,
+        "dataset": str(obj["dataset"]),
+        "judge": str(obj["judge"]),
+        "sample_id": str(obj["sample_id"]),
+        "group": str(group) if group is not None else None,
+    }
+
+
+def reference_load_samples(path, scale=SCALE):
+    samples, errors = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append((line_no, f"invalid JSON: {exc}"))
+                continue
+            try:
+                samples.append(_reference_parse_line(obj, scale))
+            except DataError as exc:
+                errors.append((line_no, str(exc)))
+    return samples, errors
+
+
+def _with(i, drop=(), **changes):
+    obj = sample_line(i, group="g" if i % 2 else None)
+    for key in drop:
+        del obj[key]
+    obj.update(changes)
+    return obj
+
+
+def _lp(**entries):
+    lp = {"1": -5.0, "2": -4.0, "3": -0.5, "4": -2.0, "5": -6.0}
+    lp.update({k.lstrip("_"): v for k, v in entries.items()})
+    return lp
+
+
+# (line, whether it has exactly one fault); None marks a good line.
+LOADER_CASES = [
+    (_with(0), None),
+    ("", None),
+    (_with(1, drop=("logprobs",), features=[-1.0, -2, -0.0, -4.5, -3.0]), None),
+    ("{broken", True),
+    ("[1, 2]", True),
+    (_with(2, drop=("judge",)), True),
+    (_with(3, gt_score=True), True),
+    (_with(4, gt_score=3.0), True),
+    (_with(5, gt_score=0), True),
+    (_with(6, gt_score=6), True),
+    ("   ", None),
+    (_with(7, logprobs={"1": -1.0, "2": -1.0, "3": -1.0, "5": -1.0}), True),
+    (_with(8, logprobs=_lp(_2="x")), True),
+    (_with(9, logprobs=_lp(_3=math.nan)), True),
+    (_with(10, drop=("logprobs",), features=[-1.0, -1.0, math.inf, -1.0, -1.0]), True),
+    (_with(11, logprobs=_lp(_1=-math.inf)), True),
+    (_with(12, logprobs=_lp(_5=0.25)), True),
+    (_with(13, drop=("logprobs",), features=[-1.0] * 7), True),
+    (_with(14, drop=("logprobs",), features=[]), True),
+    (_with(15, drop=("logprobs",), features=[-1.0, None, -1.0, -1.0, -1.0]), True),
+    (_with(16, logprobs=[-1.0] * 5), True),
+    (_with(17, drop=("logprobs",)), True),
+    (_with(18, logprobs=_lp(_2=False)), True),
+    (_with(19, logprobs=_lp(_4=3)), True),
+    # A valid width on its own, broken by an entry: dropped, not a second width.
+    (_with(20, drop=("logprobs",), features=[-1.0] * 9 + [math.nan]), True),
+    # Several faults on one line: the line is rejected, by some message.
+    (_with(21, gt_score=0, logprobs=_lp(_2=math.nan)), False),
+    (_with(22, gt_score=9, drop=("logprobs",), features=[-1.0] * 6), False),
+    (_with(23, logprobs=_lp(_1=1.0, _4=math.nan)), False),
+    (_with(24, drop=("logprobs",), features=[1, 1, 1, 1, 1]), False),
+    (_with(25, dataset=7, sample_id=25, group=3), None),
+    (_with(26, logprobs=_lp(_3=0)), None),
+]
+
+
+class TestLoaderOracle:
+    """The columnar loader keeps what the former per-line parser kept."""
+
+    def test_columns_and_line_errors_match_reference(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for line, _ in LOADER_CASES:
+                fh.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
+        want, want_errors = reference_load_samples(path)
+        batch, errors = load_samples(path)
+        assert len(batch) == len(want) == 4
+        assert batch.X.tolist() == [list(s["features"]) for s in want]
+        assert batch.y.tolist() == [float(s["gt_score"]) for s in want]
+        for column in ("dataset", "judge", "sample_id", "group"):
+            assert getattr(batch, column).tolist() == [s[column] for s in want], column
+        assert [n for n, _ in errors] == [n for n, _ in want_errors]
+        # Blank lines count for numbering: line i + 1 holds LOADER_CASES[i].
+        single = {i + 1 for i, (_, one) in enumerate(LOADER_CASES) if one}
+        assert {n for n, _ in errors} >= single
+        for (n, reason), (_, want_reason) in zip(errors, want_errors):
+            if n in single:
+                assert reason == want_reason, n
+
+    def test_label_beyond_float_range_is_a_line_error(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        huge = json.dumps(_with(1)).replace('"gt_score": 3', '"gt_score": 1' + "0" * 400)
+        path.write_text(json.dumps(_with(0)) + "\n" + huge + "\n")
+        batch, errors = load_samples(path)
+        assert len(batch) == 1
+        assert [n for n, _ in errors] == [n for n, _ in reference_load_samples(path)[1]]
+        assert errors[0][1] == "gt_score 9007199254740992 outside [1, 5]"  # 2**53
+
+    def test_mixed_widths_of_kept_rows_rejected(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        wide = _with(1, drop=("logprobs",), features=[-1.0] * 10)
+        path.write_text(json.dumps(_with(0)) + "\n" + json.dumps(wide) + "\n")
+        with pytest.raises(DataError, match=r"inconsistent feature lengths: \[5, 10\]"):
+            load_samples(path)
+
+    def test_empty_file_gives_empty_batch(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n\n")
+        batch, errors = load_samples(path)
+        assert len(batch) == 0 and errors == []
+        with pytest.raises(DataError, match="no samples"):
+            run_experiment(fast_config(seeds=[0]), batch)
 
 
 class TestSyntheticGenerators:
     def test_noiseless_limit(self):
         # Sharpness -> infinity and no label noise: features pin the label.
         from scorebands.conformal import MethodConfig, run_method
-        from scorebands.core import gt_array, make_split
+        from scorebands.core import make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
 
@@ -142,13 +319,13 @@ class TestSyntheticGenerators:
         samples, oracle = generate_synthetic(spec)
         assert np.all(oracle.interval_mass == 1.0)
         plan = make_split(len(samples), 0.5, 0)
-        cal = [samples[i] for i in plan.cal_indices]
-        test = [samples[i] for i in plan.test_indices]
+        cal = samples[np.array(plan.cal_indices)]
+        test = samples[np.array(plan.test_indices)]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1)
         )
         res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
-        gts = gt_array(test)
+        gts = test.y
         assert coverage(res.intervals, gts) >= 0.99
         assert np.mean([iv.width for iv in res.intervals]) < 0.5
 
@@ -156,7 +333,7 @@ class TestSyntheticGenerators:
         """Generator at its default settings (label_noise 0.2, temperature 1):
         split CP lands in the Monte-Carlo coverage band over 10 seeds."""
         from scorebands.conformal import MethodConfig, run_method
-        from scorebands.core import gt_array, make_split
+        from scorebands.core import make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
 
@@ -170,10 +347,10 @@ class TestSyntheticGenerators:
                               temperature=1.0)
             )
             plan = make_split(4000, 0.5, seed)
-            cal = [samples[i] for i in plan.cal_indices]
-            test = [samples[i] for i in plan.test_indices]
+            cal = samples[np.array(plan.cal_indices)]
+            test = samples[np.array(plan.test_indices)]
             res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
-            covs.append(coverage(res.intervals, gt_array(test)))
+            covs.append(coverage(res.intervals, test.y))
         assert 0.88 <= float(np.mean(covs)) <= 0.92
 
     @pytest.mark.parametrize(
@@ -186,7 +363,7 @@ class TestSyntheticGenerators:
         if oracle.y_cont is not None:
             targets = oracle.y_cont
         else:
-            targets = np.array([s.gt_score for s in samples], dtype=float)
+            targets = samples.y
         emp = oracle.empirical_coverage(targets)
         mass = oracle.interval_mass
         se = math.sqrt(float((mass * (1 - mass)).sum())) / len(mass)
@@ -199,7 +376,7 @@ class TestSyntheticGenerators:
         )
         samples, oracle = generate_synthetic(spec)
         widths = oracle.upper - oracle.lower
-        groups = np.array([s.group_tag for s in samples])
+        groups = samples.group
         w_low = widths[groups == "low"].mean()
         w_high = widths[groups == "high"].mean()
         assert w_high / w_low == pytest.approx(3.0, abs=1e-12)
@@ -208,7 +385,7 @@ class TestSyntheticGenerators:
     def test_feature_dim_blocks(self):
         spec = SyntheticSpec(n=10, seed=5, feature_dim=15)
         samples, _ = generate_synthetic(spec)
-        assert len(samples[0].features) == 15
+        assert samples.X.shape == (10, 15)
 
     def test_invalid_specs(self):
         with pytest.raises(DataError):
@@ -226,30 +403,26 @@ class TestSyntheticGenerators:
             samples, _ = generate_synthetic(
                 SyntheticSpec(n=50, seed=6, generator=generator)
             )
-            for s in samples:
-                assert all(v <= 0 and math.isfinite(v) for v in s.features.values)
+            assert np.all(np.isfinite(samples.X) & (samples.X <= 0))
 
     def test_deterministic(self):
         a, _ = generate_synthetic(SyntheticSpec(n=30, seed=7))
         b, _ = generate_synthetic(SyntheticSpec(n=30, seed=7))
-        assert all(
-            x.features.values == y.features.values and x.gt_score == y.gt_score
-            for x, y in zip(a, b)
-        )
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
 class TestFuse:
-    def _samples(self, judge, ids, gt=None, dim=5):
-        return [
-            LabeledSample(
-                features=FeatureVector(tuple([-float(k + 1)] * dim)),
-                gt_score=gt or 3,
-                dataset_tag="d",
-                judge_tag=judge,
-                sample_id=sid,
-            )
-            for k, sid in enumerate(ids)
-        ]
+    def _samples(self, judge, ids, gt=None, dim=5, value=None):
+        n = len(ids)
+        X = [[-float(k + 1) if value is None else value] * dim for k in range(n)]
+        return Batch(
+            X=np.array(X),
+            y=np.full(n, float(gt or 3)),
+            dataset=np.full(n, "d"),
+            group=np.full(n, None),
+            sample_id=np.array(ids, dtype=object),
+            judge=np.full(n, judge),
+        )
 
     def test_three_judges_give_15_features(self):
         by_judge = {
@@ -257,16 +430,14 @@ class TestFuse:
         }
         fused, dropped = fuse(by_judge, ["j1", "j2", "j3"])
         assert len(fused) == 2
-        assert len(fused[0].features) == 15
+        assert fused.X.shape == (2, 15)
         assert not dropped
-        assert fused[0].judge_tag == "j1+j2+j3"
+        assert fused.judge.tolist() == ["j1+j2+j3"] * 2
 
     def test_single_judge_identity(self):
         samples = self._samples("j1", ["a", "b", "c"])
         fused, dropped = fuse({"j1": samples})
-        assert [f.features.values for f in fused] == [
-            s.features.values for s in samples
-        ]
+        assert np.array_equal(fused.X, samples.X)
         assert not dropped
 
     def test_missing_id_dropped_and_counted(self):
@@ -275,7 +446,7 @@ class TestFuse:
             "j2": self._samples("j2", ["a", "c"]),
         }
         fused, dropped = fuse(by_judge, ["j1", "j2"])
-        assert [f.sample_id for f in fused] == ["a", "c"]
+        assert fused.sample_id.tolist() == ["a", "c"]
         assert dropped == ["b"]
 
     def test_gt_mismatch_rejected_with_id(self):
@@ -287,21 +458,13 @@ class TestFuse:
     def test_order_permutes_blocks(self):
         by_judge = {
             "j1": self._samples("j1", ["a"]),
-            "j2": [
-                LabeledSample(
-                    features=FeatureVector((-9.0,) * 5),
-                    gt_score=3,
-                    dataset_tag="d",
-                    judge_tag="j2",
-                    sample_id="a",
-                )
-            ],
+            "j2": self._samples("j2", ["a"], value=-9.0),
         }
         f12, _ = fuse(by_judge, ["j1", "j2"])
         f21, _ = fuse(by_judge, ["j2", "j1"])
-        assert f12[0].features.values[:5] == f21[0].features.values[5:]
-        assert f12[0].features.values[5:] == f21[0].features.values[:5]
-        assert f12[0].gt_score == f21[0].gt_score
+        assert f12.X[0, :5].tolist() == f21.X[0, 5:].tolist() == [-1.0] * 5
+        assert f12.X[0, 5:].tolist() == f21.X[0, :5].tolist() == [-9.0] * 5
+        assert f12.y.tolist() == f21.y.tolist()
 
     def test_order_must_match_judges(self):
         with pytest.raises(DataError):
@@ -383,7 +546,7 @@ class TestRunExperiment:
 
     def test_duplicate_sample_id_rejected(self):
         samples = self._samples(n=100)
-        samples.insert(40, samples[7])
+        samples = samples[np.insert(np.arange(100), 40, 7)]
         with pytest.raises(DataError, match="duplicate sample_id 's000007'"):
             run_experiment(fast_config(seeds=[0]), samples)
 
@@ -436,11 +599,16 @@ class TestRunExperiment:
         with pytest.raises(DataError):
             run_experiment(config, self._samples())
 
-    def test_inconsistent_feature_lengths_rejected(self):
+    def test_inconsistent_feature_lengths_rejected(self, tmp_path):
+        # One Batch holds one width, so mixed widths are refused at load.
         samples = self._samples(n=50)
         other, _ = generate_synthetic(SyntheticSpec(n=10, seed=1, feature_dim=10))
-        with pytest.raises(DataError):
-            run_experiment(fast_config(seeds=[0]), samples + other)
+        write_samples(samples, tmp_path / "a.jsonl", SCALE)
+        write_samples(other, tmp_path / "b.jsonl", SCALE)
+        path = tmp_path / "mixed.jsonl"
+        path.write_text((tmp_path / "a.jsonl").read_text() + (tmp_path / "b.jsonl").read_text())
+        with pytest.raises(DataError, match=r"inconsistent feature lengths: \[5, 10\]"):
+            load_samples(path)
 
 
 def _aggregate_reference(report, config):
@@ -706,10 +874,12 @@ class TestCellFailures:
         samples = self._samples(generator="heteroscedastic_groups")
         plan = make_split(len(samples), 0.5, 0)
         i = (plan.test_indices if side == "test" else plan.cal_indices)[0]
-        samples[i] = dataclasses.replace(samples[i], group_tag=None)
+        group = samples.group.copy()
+        group[i] = None
+        samples = dataclasses.replace(samples, group=group)
         config = fast_config(seeds=[0], methods=["naive_split", "lvd"],
                              mondrian="by_group_tag")
-        return run_experiment(config, samples), samples[i].sample_id
+        return run_experiment(config, samples), samples.sample_id[i]
 
     def test_missing_group_in_test_set(self):
         report, sample_id = self._missing_group_at("test")

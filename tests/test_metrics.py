@@ -33,6 +33,17 @@ from scorebands.metrics import (
 SCALE = RatingScale()
 
 
+def columns(items):
+    """A list of Interval as one Intervals, adjusted when every item is."""
+    adjusted = bool(items) and all(iv.adj_lower is not None for iv in items)
+    return Intervals(
+        [iv.lower for iv in items],
+        [iv.upper for iv in items],
+        [iv.adj_lower for iv in items] if adjusted else None,
+        [iv.adj_upper for iv in items] if adjusted else None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # O(n^2) brute-force oracles, independent of the library implementations.
 # ---------------------------------------------------------------------------
@@ -153,22 +164,22 @@ def assert_same_midrank(v):
 
 class TestCoverage:
     def test_full_range_always_covers(self):
-        ivs = [Interval(1.0, 5.0)] * 4
+        ivs = columns([Interval(1.0, 5.0)] * 4)
         assert coverage(ivs, [1, 3, 5, 2]) == 1.0
 
     def test_miss(self):
-        assert coverage([Interval(2.0, 3.0)], [4]) == 0.0
+        assert coverage(columns([Interval(2.0, 3.0)]), [4]) == 0.0
 
     def test_half(self):
-        ivs = [Interval(2.5, 4.5), Interval(1.0, 2.0)]
+        ivs = columns([Interval(2.5, 4.5), Interval(1.0, 2.0)])
         assert coverage(ivs, [3, 3]) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            coverage([Interval(1.0, 2.0)], [1, 2])
+            coverage(columns([Interval(1.0, 2.0)]), [1, 2])
 
     def test_adjusted(self):
-        ivs = [Interval(2.5, 4.5, adj_lower=2, adj_upper=5)]
+        ivs = columns([Interval(2.5, 4.5, adj_lower=2, adj_upper=5)])
         assert coverage(ivs, [2], adjusted=True) == 1.0
         assert coverage(ivs, [2], adjusted=False) == 0.0
 
@@ -362,13 +373,13 @@ class TestRsg:
 class TestMidpoint:
     def test_degenerate_exact(self):
         gts = [1, 2, 3, 4, 5]
-        ivs = [Interval(float(y), float(y)) for y in gts]
+        ivs = columns([Interval(float(y), float(y)) for y in gts])
         rep = midpoint_eval(ivs, gts)
         assert rep.pearson == pytest.approx(1.0)
         assert rep.mae == 0.0
 
     def test_constant_midpoint_undefined(self):
-        ivs = [Interval(1.0, 5.0)] * 4
+        ivs = columns([Interval(1.0, 5.0)] * 4)
         rep = midpoint_eval(ivs, [1, 2, 4, 5])
         assert rep.pearson is None
         assert rep.spearman is None
@@ -377,7 +388,7 @@ class TestMidpoint:
 
 class TestStratified:
     def _intervals(self, n):
-        return [Interval(2.0, 4.0, adj_lower=2, adj_upper=4)] * n
+        return columns([Interval(2.0, 4.0, adj_lower=2, adj_upper=4)] * n)
 
     def test_single_stratum_equals_global(self):
         gts = [2, 3, 4, 5]
@@ -391,7 +402,7 @@ class TestStratified:
         assert sm.count == 4
 
     def test_two_strata_weighted_mean(self):
-        ivs = [Interval(1.0, 5.0)] * 2 + [Interval(2.0, 2.5)] * 2
+        ivs = columns([Interval(1.0, 5.0)] * 2 + [Interval(2.0, 2.5)] * 2)
         gts = [3, 3, 4, 4]
         out = stratified(ivs, [3.0] * 4, gts, {"g": ["a", "a", "b", "b"]})
         assert out["g"]["a"].coverage_raw == 1.0
@@ -403,10 +414,10 @@ class TestStratified:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 60))
         gts = rng.integers(1, 6, n)
-        ivs = [
+        ivs = columns([
             Interval(float(lo), float(lo + w))
             for lo, w in zip(rng.uniform(1, 4, n), rng.uniform(0, 1, n))
-        ]
+        ])
         labels = [str(v) for v in rng.integers(0, 3, n)]
         out = stratified(ivs, gts.astype(float), gts, {"k": labels})
         total = sum(sm.count for sm in out["k"].values())
@@ -438,13 +449,13 @@ class TestInformativeness:
 
     def test_requires_adjusted(self):
         with pytest.raises(DataError):
-            informativeness([Interval(1.0, 2.0)], SCALE)
+            informativeness(columns([Interval(1.0, 2.0)]), SCALE)
 
     def test_on_adjusted_intervals(self):
-        ivs = [
+        ivs = columns([
             Interval(2.2, 2.8, adj_lower=2, adj_upper=3),
             Interval(1.2, 4.8, adj_lower=1, adj_upper=5),
-        ]
+        ])
         assert informativeness(ivs, SCALE) == (0.5, 0.0, 0.5)
 
 
@@ -557,11 +568,10 @@ class TestColumnarMetricsIdentity:
         rng = np.random.default_rng(k)
         ivs = random_intervals(rng, 3000, k, adjusted)
         gts = rng.integers(1, k + 1, 3000)
-        cols = Intervals.of(ivs)
+        cols = columns(ivs)
         assert cols.adjusted == adjusted
         for adj in (False, True) if adjusted else (False,):
             assert coverage(cols, gts, adj) == reference_coverage(ivs, gts, adj)
-            assert coverage(ivs, gts, adj) == reference_coverage(ivs, gts, adj)
         assert interval_metrics(cols, gts) == reference_interval_metrics(ivs, gts)
         mid = np.array([(iv.lower + iv.upper) / 2.0 for iv in ivs])
         assert midpoint_eval(cols, gts).mae == float(np.abs(mid - gts).mean())
@@ -581,9 +591,9 @@ class TestColumnarMetricsIdentity:
             "ints": list(rng.integers(0, 12, n)),
         }
         want = reference_stratified(ivs, y_hat, gts, keys)
-        assert stratified(ivs, y_hat, gts, keys) == want
+        assert stratified(columns(ivs), y_hat, gts, keys) == want
         grouped = {kind: Strata.of(labels) for kind, labels in keys.items()}
-        assert stratified(Intervals.of(ivs), y_hat, gts, grouped) == want
+        assert stratified(columns(ivs), y_hat, gts, grouped) == want
         assert list(want["gt_level"])[:2] == (["1", "10"] if k == 10 else ["1", "2"])
 
     def test_strata_rows_ascending(self):
@@ -596,16 +606,10 @@ class TestColumnarMetricsIdentity:
         rng = np.random.default_rng(7)
         ivs = random_intervals(rng, 500, 5, adjusted=True)
         widths = [iv.adj_width for iv in ivs]
-        assert informativeness(Intervals.of(ivs), SCALE) == bucket_widths(widths)
-
-    def test_mixed_list_reads_as_unadjusted(self):
-        ivs = [Interval(1.0, 2.0, 1, 2), Interval(2.0, 3.0)]
-        assert interval_metrics(ivs, [1, 2]).coverage_adj is None
-        with pytest.raises(DataError):
-            informativeness(ivs, SCALE)
+        assert informativeness(columns(ivs), SCALE) == bucket_widths(widths)
 
     def test_adjusted_coverage_needs_finite_targets(self):
-        ivs = [Interval(1.0, 2.0, 1, 2)]
+        ivs = columns([Interval(1.0, 2.0, 1, 2)])
         with pytest.raises(ValueError):
             coverage(ivs, [math.nan], adjusted=True)
 
@@ -619,4 +623,5 @@ class TestColumnarMetricsIdentity:
         gts = rng.integers(1, k + 1, n)
         y_hat = rng.uniform(0, k + 1, n)
         keys = {"k": [str(v) for v in rng.integers(0, 12, n)]}
-        assert stratified(ivs, y_hat, gts, keys) == reference_stratified(ivs, y_hat, gts, keys)
+        want = reference_stratified(ivs, y_hat, gts, keys)
+        assert stratified(columns(ivs), y_hat, gts, keys) == want
