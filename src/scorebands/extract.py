@@ -9,8 +9,10 @@ scan for the last rating-digit token.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import DataError, FeatureVector, RatingScale
@@ -45,32 +47,57 @@ def _sort_top_k(top_k) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(((t, float(lp)) for t, lp in top_k), key=key))
 
 
+def _parse_logprob(value) -> float:
+    if value is None:
+        return math.nan
+    return float(value)
+
+
+def _check_logprobs(logprob: float, top_k_logprobs) -> None:
+    """Each top-k logprob, then the token's own, must be <= 0 or NaN."""
+    for lp in top_k_logprobs:
+        if lp > 0:
+            raise ValueError(f"top-k logprob must be <= 0, got {lp}")
+    if logprob > 0:
+        raise ValueError(f"logprob must be <= 0, got {logprob}")
+
+
 @dataclass(frozen=True)
 class TokenLogprobEntry:
-    """One generated token with its logprob and top-k alternatives."""
+    """One generated token with its logprob and top-k alternatives, the
+    top-k sorted by logprob, highest first, NaN last, ties as listed."""
 
     token_text: str
     logprob: float
     top_k: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for _, lp in self.top_k:
-            if not math.isnan(lp) and lp > 0:
-                raise ValueError(f"top-k logprob must be <= 0, got {lp}")
-        if not math.isnan(self.logprob) and self.logprob > 0:
-            raise ValueError(f"logprob must be <= 0, got {self.logprob}")
+        _check_logprobs(self.logprob, [lp for _, lp in self.top_k])
         object.__setattr__(self, "top_k", _sort_top_k(self.top_k))
 
 
 @dataclass(frozen=True)
 class ExtractionRecord:
+    """One transcript as token columns: texts, logprobs, and the top-k
+    (text, logprob) pairs as read, a None logprob standing for NaN.
+    :func:`parse_record` checks every token; :func:`extract` builds the
+    converted, checked and sorted entry of the score token alone."""
+
     sample_id: str
-    tokens: tuple[TokenLogprobEntry, ...]
+    texts: tuple[str, ...]
+    logprobs: tuple[float, ...]
+    top_k: tuple[Sequence[Sequence], ...]
     declared_score: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.tokens:
+        if not self.texts:
             raise ValueError("transcript has no tokens")
+        if not len(self.texts) == len(self.logprobs) == len(self.top_k):
+            raise ValueError("token columns differ in length")
+
+    def entry(self, i: int) -> TokenLogprobEntry:
+        top_k = tuple((str(text), _parse_logprob(lp)) for text, lp in self.top_k[i])
+        return TokenLogprobEntry(self.texts[i], self.logprobs[i], top_k)
 
 
 @dataclass(frozen=True)
@@ -84,6 +111,8 @@ class ExtractionResult:
 
 def normalize_token(raw: str, markers: tuple[str, ...] = ExtractConfig.markers) -> str:
     """Strip leading whitespace and sentence-piece style markers."""
+    if not (raw[:1].isspace() or raw.startswith(markers)):
+        return raw
     text = raw
     while True:
         stripped = text.lstrip()
@@ -95,11 +124,10 @@ def normalize_token(raw: str, markers: tuple[str, ...] = ExtractConfig.markers) 
         text = stripped
 
 
-def _digit_value(text: str, scale: RatingScale) -> int | None:
-    for label in scale.labels:
-        if text == str(label):
-            return label
-    return None
+@functools.cache
+def _rating_digits(scale: RatingScale) -> dict[str, int]:
+    """Each rating label's token text, as a lookup table."""
+    return {str(label): label for label in scale.labels}
 
 
 def find_score_position(
@@ -108,39 +136,50 @@ def find_score_position(
     cfg: ExtractConfig = ExtractConfig(),
 ) -> tuple[int, str]:
     """Locate the rating-digit token; returns (token index, stage name)."""
-    norm = [normalize_token(t.token_text, cfg.markers) for t in rec.tokens]
+    digits = _rating_digits(scale)
+    markers = cfg.markers
+    norm = [normalize_token(text, markers) for text in rec.texts]
     n = len(norm)
 
     # Stage 1: literal anchor, possibly split across adjacent tokens and
     # tolerating a trailing space. Only the first anchor occurrence counts.
+    # A match starts with a prefix of the anchor or the anchor itself.
+    anchor = cfg.anchor
     anchor_end = None
-    for i in range(n):
+    for i, start in enumerate(norm):
+        if not anchor.startswith(start) and start.rstrip() != anchor:
+            continue
         cat = ""
         for w in range(min(cfg.anchor_span, n - i)):
             cat += norm[i + w]
-            if cat.rstrip() == cfg.anchor:
+            if cat.rstrip() == anchor:
                 anchor_end = i + w
                 break
-            if len(cat.rstrip()) >= len(cfg.anchor):
+            if len(cat.rstrip()) >= len(anchor):
                 break
         if anchor_end is not None:
             break
     if anchor_end is not None:
         for j in range(anchor_end + 1, n):
-            if _digit_value(norm[j], scale) is not None:
+            if norm[j] in digits:
                 return j, STAGE_ANCHORED
 
     # Stage 2: case-insensitive keyword followed by a digit within the window.
-    for i in range(n):
-        low = norm[i].lower()
-        if any(kw in low for kw in cfg.keywords):
-            for j in range(i + 1, min(i + 1 + cfg.window, n)):
-                if _digit_value(norm[j], scale) is not None:
-                    return j, STAGE_KEYWORD
+    keywords = cfg.keywords
+    for i, text in enumerate(norm):
+        low = text.lower()
+        for kw in keywords:
+            if kw in low:
+                break
+        else:
+            continue
+        for j in range(i + 1, min(i + 1 + cfg.window, n)):
+            if norm[j] in digits:
+                return j, STAGE_KEYWORD
 
     # Stage 3: backward scan for the last rating digit.
     for j in range(n - 1, -1, -1):
-        if _digit_value(norm[j], scale) is not None:
+        if norm[j] in digits:
             return j, STAGE_BACKWARD
 
     raise ExtractionFailure(
@@ -159,20 +198,18 @@ def build_feature_vector(
 
     Slot j always holds label j's logprob: a missing rating token gets the
     floor, a NaN logprob gets the NaN fill, so the output is always finite.
+    A label listed more than once takes its first pair in the sorted top-k.
     """
+    digits = _rating_digits(scale)
+    found: dict[int, float] = {}
+    for text, lp in entry.top_k:
+        label = digits.get(normalize_token(text, markers))
+        if label is not None:
+            found.setdefault(label, lp)
     values = []
     for label in scale.labels:
-        want = str(label)
-        lp = None
-        for text, cand in entry.top_k:
-            if normalize_token(text, markers) == want:
-                lp = cand
-                break
-        if lp is None:
-            lp = floor
-        elif math.isnan(lp):
-            lp = nan_fill
-        values.append(float(lp))
+        lp = found.get(label, floor)
+        values.append(nan_fill if math.isnan(lp) else float(lp))
     return FeatureVector(tuple(values))
 
 
@@ -182,10 +219,9 @@ def extract(
     cfg: ExtractConfig = ExtractConfig(),
 ) -> ExtractionResult:
     pos, stage = find_score_position(rec, scale, cfg)
-    entry = rec.tokens[pos]
+    entry = rec.entry(pos)
     features = build_feature_vector(entry, scale, cfg.floor, cfg.nan_fill, cfg.markers)
-    score = _digit_value(normalize_token(entry.token_text, cfg.markers), scale)
-    assert score is not None  # guaranteed by find_score_position
+    score = _rating_digits(scale)[normalize_token(entry.token_text, cfg.markers)]
     mismatch = rec.declared_score is not None and rec.declared_score != score
     return ExtractionResult(
         score_position=pos,
@@ -201,31 +237,38 @@ def extract(
 # ---------------------------------------------------------------------------
 
 
-def _parse_logprob(value) -> float:
+def _declared_score(value) -> int | None:
     if value is None:
-        return math.nan
-    return float(value)
+        return None
+    if type(value) is bool or (type(value) is float and not value.is_integer()):
+        raise ValueError(f"declared_score must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_record(obj: dict) -> ExtractionRecord:
+    """One parsed transcript line as a record; raises DataError on the first
+    fault. Token by token: its text, its logprob, each top-k pair's shape
+    and logprob, then the <= 0 rule (see :func:`_check_logprobs`); then the
+    sample id, the declared score, and at least one token."""
+    nan = math.nan
+    texts, logprobs, top_k = [], [], []
     try:
-        tokens = tuple(
-            TokenLogprobEntry(
-                token_text=str(t["text"]),
-                logprob=_parse_logprob(t.get("logprob")),
-                top_k=tuple(
-                    (str(text), _parse_logprob(lp)) for text, lp in t.get("top_k", [])
-                ),
-            )
-            for t in obj["tokens"]
-        )
-        declared = obj.get("declared_score")
+        for t in obj["tokens"]:
+            texts.append(str(t["text"]))
+            lp = t.get("logprob")
+            lp = nan if lp is None else float(lp)
+            pairs = t.get("top_k", ())
+            _check_logprobs(lp, [nan if v is None else float(v) for _, v in pairs])
+            logprobs.append(lp)
+            top_k.append(pairs)
         return ExtractionRecord(
             sample_id=str(obj["sample_id"]),
-            tokens=tokens,
-            declared_score=int(declared) if declared is not None else None,
+            texts=tuple(texts),
+            logprobs=tuple(logprobs),
+            top_k=tuple(top_k),
+            declared_score=_declared_score(obj.get("declared_score")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad transcript record: {exc}") from exc
 
 
@@ -261,8 +304,9 @@ def extract_file(
                 continue
             summary.n_records += 1
             try:
+                # ValueError also covers an integer too long to convert.
                 rec = parse_record(json.loads(line))
-            except (json.JSONDecodeError, DataError) as exc:
+            except (ValueError, DataError) as exc:
                 summary.parse_errors.append((line_no, str(exc)))
                 continue
             try:

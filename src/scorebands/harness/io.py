@@ -9,6 +9,7 @@ numbers; only a file with no usable line at all is rejected outright.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -44,9 +45,15 @@ def _entries(obj, label_keys: list[str]) -> tuple[list, bool]:
     else:
         raise DataError("line has neither 'logprobs' nor 'features'")
     for i, v in enumerate(values):
-        if type(v) is not float and type(v) is not int:
+        if type(v) is float:
+            continue
+        if type(v) is not int:
             key = label_keys[i] if by_label else str(i)
             raise DataError(f"logprob {key!r} must be a number, got {v!r}")
+        try:
+            float(v)
+        except OverflowError:  # beyond float range, like the literal 1e400
+            values[i] = -math.inf if v < 0 else math.inf
     return values, by_label
 
 
@@ -70,7 +77,7 @@ def load_samples(
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 errors.append((line_no, f"invalid JSON: {exc}"))
                 continue
             try:

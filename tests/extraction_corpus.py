@@ -8,6 +8,7 @@ Token spec: (text, top) where top is a dict of top-k token -> logprob for
 that position (None means the generic digit top-k).
 """
 
+import json
 import math
 
 TOP_FULL = {"1": -6.0, "2": -4.5, "3": -2.2, "4": -0.2, "5": -5.0}
@@ -148,3 +149,32 @@ FAILURE = [
 ]
 
 CASES = ANCHORED + KEYWORD + BACKWARD + MISMATCH
+
+
+# Transcript lines with numbers out of range: each but the first is a parse
+# error on its line, never a crash.
+ANCHORED_TOKENS = json.dumps(
+    [{"text": "Score:", "logprob": -0.1, "top_k": []},
+     {"text": "4", "logprob": -0.2, "top_k": [["4", -0.2], ["3", -2.0]]}]
+)
+BIG = "1" + "0" * 400  # a JSON integer beyond float range
+OUT_OF_RANGE_LINES = [
+    # (line, fragment of its parse error; None for a kept line)
+    ('{"sample_id": "a", "declared_score": 4.0, "tokens": ' + ANCHORED_TOKENS + "}", None),
+    ('{"sample_id": "b", "tokens": [{"text": "4", "logprob": -' + BIG + "}]}",
+     "int too large to convert to float"),
+    ('{"sample_id": "c", "tokens": [{"text": "4", "top_k": [["4", -' + BIG + "]]}]}",
+     "int too large to convert to float"),
+    ('{"sample_id": "d", "declared_score": 1e400, "tokens": ' + ANCHORED_TOKENS + "}",
+     "declared_score must be an integer, got inf"),
+    ('{"sample_id": "e", "declared_score": true, "tokens": ' + ANCHORED_TOKENS + "}",
+     "declared_score must be an integer, got True"),
+    ('{"sample_id": "f", "declared_score": 3.7, "tokens": ' + ANCHORED_TOKENS + "}",
+     "declared_score must be an integer, got 3.7"),
+    ('{"sample_id": "g", "tokens": [{"text": "4", "logprob": -1' + "0" * 5000 + "}]}",
+     "Exceeds the limit (4300 digits)"),
+]
+
+
+def write_out_of_range(path):
+    path.write_text("".join(line + "\n" for line, _ in OUT_OF_RANGE_LINES), encoding="utf-8")

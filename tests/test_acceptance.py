@@ -24,7 +24,7 @@ from scorebands.conformal import (
     run_mondrian,
 )
 from scorebands.core import Intervals, RatingScale, make_split
-from scorebands.extract import ExtractionRecord, TokenLogprobEntry, extract
+from scorebands.extract import ExtractionRecord, extract
 from scorebands.harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -344,22 +344,20 @@ def test_criterion_08_correlation_oracles():
 def test_criterion_09_extraction_corpus():
     """The hand-built transcript corpus extracts with zero deviations."""
 
-    def entry(text, top):
-        return TokenLogprobEntry(
-            token_text=text,
-            logprob=-0.1,
-            top_k=tuple((t, lp) for t, lp in (top or corpus.TOP_FULL).items()),
+    def record(case):
+        tokens = case["tokens"]
+        return ExtractionRecord(
+            sample_id=case["id"],
+            texts=tuple(t for t, _ in tokens),
+            logprobs=(-0.1,) * len(tokens),
+            top_k=tuple(tuple((top or corpus.TOP_FULL).items()) for _, top in tokens),
+            declared_score=case.get("declared"),
         )
 
     n_total = len(corpus.CASES) + len(corpus.FAILURE)
     wrong = []
     for case in corpus.CASES:
-        rec = ExtractionRecord(
-            sample_id=case["id"],
-            tokens=tuple(entry(t, top) for t, top in case["tokens"]),
-            declared_score=case.get("declared"),
-        )
-        result = extract(rec, SCALE)
+        result = extract(record(case), SCALE)
         if (
             result.stage_used != case["expect_stage"]
             or result.score_position != case["expect_pos"]
@@ -367,12 +365,8 @@ def test_criterion_09_extraction_corpus():
         ):
             wrong.append(case["id"])
     for case in corpus.FAILURE:
-        rec = ExtractionRecord(
-            sample_id=case["id"],
-            tokens=tuple(entry(t, top) for t, top in case["tokens"]),
-        )
         try:
-            extract(rec, SCALE)
+            extract(record(case), SCALE)
             wrong.append(case["id"])
         except Exception:
             pass

@@ -3,11 +3,13 @@ these tests keep a refactor from breaking a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import scorebands
+import scorebands.extract as sbx
 from scorebands.harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -15,15 +17,19 @@ from scorebands.harness import (
     write_samples,
 )
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _by_path("bench_spans", BENCH / "spans.py")
 
 
 def test_every_target_resolves(spans):
@@ -81,3 +87,35 @@ def test_traced_run_counts_each_method_and_fit(spans):
     # histograms and one grid; two pinball forests and one |residual| forest.
     assert tracer.counts["learners.fit_mlp.calls"] == 7
     assert tracer.counts["learners.fit_boosted.calls"] == 3
+
+
+def test_traced_extract_counts_each_layer(spans, tmp_path):
+    """parse_record, find_score_position and build_feature_vector each stay
+    a call per record, so their spans measure what their names say."""
+    gen = _by_path("bench_gen", BENCH / "gen.py")
+    path = tmp_path / "transcripts.jsonl"
+    gen.write_transcripts(path, 2, n=200)
+    decodable = 0  # lines json.loads reads; a blank line is not one
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            json.loads(line)
+        except ValueError:
+            continue
+        decodable += 1
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        summary = sbx.extract_file(path, tmp_path / "features.jsonl")
+    finally:
+        restored = tracer.restore()
+    assert restored and tracer.missing == []
+    assert summary.n_ok and summary.n_failed and summary.parse_errors
+    parsed = summary.n_ok + summary.n_failed
+    assert tracer.counts["extract.extract_file.calls"] == 1
+    assert tracer.counts["extract.parse_record.calls"] == decodable
+    assert tracer.counts["extract.find_score_position.calls"] == parsed
+    assert len(tracer.positions) == summary.n_ok
+    for stage, count in summary.stage_counts.items():
+        assert tracer.counts[f"extract.stage.{stage}"] == count
+    assert tracer.counts["extract.build_feature_vector.calls"] == summary.n_ok
+    assert tracer.counts["extract.failed"] == summary.n_failed + len(summary.parse_errors)

@@ -3,6 +3,7 @@
 import json
 import os
 
+import extraction_corpus as corpus
 import pytest
 
 from scorebands.cli import (
@@ -236,6 +237,21 @@ class TestExtractCommand:
         assert "1/2" in stdout or "extracted 1" in stdout
         parsed = json.loads(out.read_text().splitlines()[0])
         assert parsed["extracted_score"] == 4
+
+
+    def test_out_of_range_numbers_listed_not_fatal(self, tmp_path, capsys):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_out_of_range(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "extracted 1/7" in captured.out
+        listed = captured.err.splitlines()
+        for n, (_, fragment) in enumerate(corpus.OUT_OF_RANGE_LINES, start=1):
+            if fragment:
+                assert any(
+                    line.startswith(f"  line {n}: ") and fragment in line for line in listed
+                ), n
 
 
 class TestFuseCommand:

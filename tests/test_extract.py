@@ -1,8 +1,11 @@
 """Extraction tests: token normalization, the three-stage position heuristic,
 feature building, and transcript file processing."""
 
+import importlib.util
 import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +34,23 @@ def entry(text, top=None, logprob=-0.1):
     return TokenLogprobEntry(token_text=text, logprob=logprob, top_k=top_k)
 
 
-def record(case):
+def make_record(sample_id, tokens, declared=None):
+    """A record from (text, top-k dict or None) pairs, each logprob -0.1."""
     return ExtractionRecord(
-        sample_id=case["id"],
-        tokens=tuple(entry(text, top) for text, top in case["tokens"]),
-        declared_score=case.get("declared"),
+        sample_id=sample_id,
+        texts=tuple(text for text, _ in tokens),
+        logprobs=(-0.1,) * len(tokens),
+        top_k=tuple(tuple((top or {}).items()) for _, top in tokens),
+        declared_score=declared,
     )
+
+
+def record(case):
+    return make_record(case["id"], case["tokens"], case.get("declared"))
+
+
+def plain(*texts):
+    return make_record("x", [(text, None) for text in texts])
 
 
 class TestNormalizeToken:
@@ -79,28 +93,17 @@ class TestFindScorePosition:
     def test_stage_precedence(self):
         # All three stages would fire somewhere; stage 1 must win, and its
         # digit differs from what stages 2 and 3 would return.
-        rec = ExtractionRecord(
-            sample_id="prec",
-            tokens=tuple(
-                entry(t) for t in
-                ["rating", "2", "Score", ":", "4", "then", "5"]
-            ),
-        )
+        rec = plain("rating", "2", "Score", ":", "4", "then", "5")
         pos, stage = find_score_position(rec, SCALE)
         assert (pos, stage) == (4, "anchored")
 
     def test_failure(self):
-        rec = ExtractionRecord(
-            sample_id="none", tokens=(entry("no"), entry("digits"))
-        )
+        rec = plain("no", "digits")
         with pytest.raises(ExtractionFailure):
             find_score_position(rec, SCALE)
 
     def test_window_is_configurable(self):
-        tokens = ["score", "a", "b", "c"]
-        rec = ExtractionRecord(
-            sample_id="w", tokens=tuple(entry(t) for t in tokens + ["4"])
-        )
+        rec = plain("score", "a", "b", "c", "4")
         pos, stage = find_score_position(rec, SCALE, ExtractConfig(window=8))
         assert stage == "keyword"
         narrow = ExtractConfig(window=2)
@@ -142,6 +145,19 @@ class TestBuildFeatureVector:
             assert fv.values[0] == floor and fv.values[4] == floor
             assert fv.values[1:4] == (-4.5, -2.2, -0.2)
 
+    def test_duplicate_label_rule(self):
+        # The highest logprob wins; an equal one (here 0.0 and -0.0, which
+        # print differently) goes to the first listed; NaN only when no
+        # number matches.
+        def slot4(top):
+            return build_feature_vector(entry("4", top), SCALE).values[3]
+
+        assert slot4({"4": -2.0, "▁4": -1.0}) == -1.0
+        assert math.copysign(1.0, slot4({"4": 0.0, "▁4": -0.0})) == 1.0
+        assert math.copysign(1.0, slot4({"4": -0.0, "▁4": 0.0})) == -1.0
+        assert slot4({"4": math.nan, "▁4": -3.0}) == -3.0
+        assert slot4({"4": math.nan, "▁4": math.nan}) == -100.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         present=st.lists(st.sampled_from(["1", "2", "3", "4", "5"]),
@@ -174,9 +190,8 @@ class TestExtract:
         assert extract(rec_ok, SCALE).declared_mismatch is False
 
     def test_failure_propagates(self):
-        rec = ExtractionRecord(sample_id="f", tokens=(entry("nope"),))
         with pytest.raises(ExtractionFailure):
-            extract(rec, SCALE)
+            extract(plain("nope"), SCALE)
 
 
 class TestCorpus:
@@ -205,12 +220,8 @@ class TestCorpus:
 
     @pytest.mark.parametrize("case", corpus.FAILURE, ids=lambda c: c["id"])
     def test_failure_case(self, case):
-        rec = ExtractionRecord(
-            sample_id=case["id"],
-            tokens=tuple(entry(text, top) for text, top in case["tokens"]),
-        )
         with pytest.raises(ExtractionFailure):
-            extract(rec, SCALE)
+            extract(make_record(case["id"], case["tokens"]), SCALE)
 
 
 class TestEntryValidation:
@@ -225,7 +236,18 @@ class TestEntryValidation:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            ExtractionRecord(sample_id="e", tokens=())
+            ExtractionRecord(sample_id="e", texts=(), logprobs=(), top_k=())
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            ExtractionRecord(sample_id="r", texts=("4",), logprobs=(), top_k=((),))
+
+    def test_score_entry_checked_and_sorted(self):
+        rec = make_record("s", [("Score:", None), ("4", {"3": -2.2, "4": -0.2})])
+        assert rec.entry(1).top_k == (("4", -0.2), ("3", -2.2))
+        bad = make_record("b", [("Score:", None), ("4", {"4": 0.5})])
+        with pytest.raises(ValueError, match="top-k logprob must be <= 0"):
+            extract(bad, SCALE)
 
 
 class TestFileIO:
@@ -305,6 +327,18 @@ class TestFileIO:
         assert row["features"][3] == -100.0  # NaN-marked logprob filled
 
 
+def test_out_of_range_numbers_are_line_errors(tmp_path):
+    inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+    corpus.write_out_of_range(inp)
+    summary = extract_file(inp, out, SCALE)
+    assert summary.n_records == len(corpus.OUT_OF_RANGE_LINES)
+    assert summary.n_ok == 1 and summary.n_mismatch == 0  # 4.0 declares 4
+    want = [(n, frag) for n, (_, frag) in enumerate(corpus.OUT_OF_RANGE_LINES, 1) if frag]
+    assert [n for n, _ in summary.parse_errors] == [n for n, _ in want]
+    for (_, reason), (n, frag) in zip(summary.parse_errors, want):
+        assert frag in reason, n
+
+
 def test_parse_record_errors():
     with pytest.raises(DataError):
         parse_record({"tokens": []})
@@ -333,3 +367,260 @@ def test_import_loads_no_conformal_layer():
         env=env,
     )
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The former per-token path, kept as the oracle: one TokenLogprobEntry per
+# token, each normalised and matched against str(label) on every call.
+# ---------------------------------------------------------------------------
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    sample_id: str
+    tokens: tuple
+    declared_score: int | None = None
+
+
+def _reference_logprob(value):
+    return math.nan if value is None else float(value)
+
+
+def reference_parse_record(obj):
+    try:
+        tokens = tuple(
+            TokenLogprobEntry(
+                token_text=str(t["text"]),
+                logprob=_reference_logprob(t.get("logprob")),
+                top_k=tuple(
+                    (str(text), _reference_logprob(lp)) for text, lp in t.get("top_k", [])
+                ),
+            )
+            for t in obj["tokens"]
+        )
+        declared = obj.get("declared_score")
+        sample_id = str(obj["sample_id"])
+        declared = int(declared) if declared is not None else None
+        if not tokens:
+            raise ValueError("transcript has no tokens")
+        return ReferenceRecord(sample_id, tokens, declared)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad transcript record: {exc}") from exc
+
+
+def reference_normalize_token(raw, markers=ExtractConfig.markers):
+    text = raw
+    while True:
+        stripped = text.lstrip()
+        for marker in markers:
+            if stripped.startswith(marker):
+                stripped = stripped[len(marker) :]
+        if stripped == text:
+            return text
+        text = stripped
+
+
+def reference_digit_value(text, scale):
+    for label in scale.labels:
+        if text == str(label):
+            return label
+    return None
+
+
+def reference_find_score_position(rec, scale, cfg=ExtractConfig()):
+    norm = [reference_normalize_token(t.token_text, cfg.markers) for t in rec.tokens]
+    n = len(norm)
+    anchor_end = None
+    for i in range(n):
+        cat = ""
+        for w in range(min(cfg.anchor_span, n - i)):
+            cat += norm[i + w]
+            if cat.rstrip() == cfg.anchor:
+                anchor_end = i + w
+                break
+            if len(cat.rstrip()) >= len(cfg.anchor):
+                break
+        if anchor_end is not None:
+            break
+    if anchor_end is not None:
+        for j in range(anchor_end + 1, n):
+            if reference_digit_value(norm[j], scale) is not None:
+                return j, "anchored"
+    for i in range(n):
+        low = norm[i].lower()
+        if any(kw in low for kw in cfg.keywords):
+            for j in range(i + 1, min(i + 1 + cfg.window, n)):
+                if reference_digit_value(norm[j], scale) is not None:
+                    return j, "keyword"
+    for j in range(n - 1, -1, -1):
+        if reference_digit_value(norm[j], scale) is not None:
+            return j, "backward"
+    raise ExtractionFailure(f"no rating digit in transcript {rec.sample_id!r}")
+
+
+def reference_build_feature_vector(entry, scale, floor=-11.5, nan_fill=-100.0,
+                                   markers=ExtractConfig.markers):
+    values = []
+    for label in scale.labels:
+        lp = None
+        for text, cand in entry.top_k:
+            if reference_normalize_token(text, markers) == str(label):
+                lp = cand
+                break
+        if lp is None:
+            lp = floor
+        elif math.isnan(lp):
+            lp = nan_fill
+        values.append(float(lp))
+    return tuple(values)
+
+
+def reference_outcome(obj, scale=SCALE, cfg=ExtractConfig()):
+    """("error", message), ("failed", sample id) or ("ok", position, stage,
+    score, features as written, mismatch flag) by the former path."""
+    try:
+        rec = reference_parse_record(obj)
+    except DataError as exc:
+        return ("error", str(exc))
+    try:
+        pos, stage = reference_find_score_position(rec, scale, cfg)
+    except ExtractionFailure:
+        return ("failed", rec.sample_id)
+    entry = rec.tokens[pos]
+    features = reference_build_feature_vector(
+        entry, scale, cfg.floor, cfg.nan_fill, cfg.markers
+    )
+    score = reference_digit_value(reference_normalize_token(entry.token_text, cfg.markers), scale)
+    mismatch = rec.declared_score is not None and rec.declared_score != score
+    return ("ok", pos, stage, score, json.dumps(features), mismatch)
+
+
+def outcome(obj, scale=SCALE, cfg=ExtractConfig()):
+    try:
+        rec = parse_record(obj)
+    except DataError as exc:
+        return ("error", str(exc))
+    try:
+        result = extract(rec, scale, cfg)
+    except ExtractionFailure:
+        return ("failed", rec.sample_id)
+    return ("ok", result.score_position, result.stage_used, result.extracted_score,
+            json.dumps(result.features.values), result.declared_mismatch)
+
+
+@pytest.fixture(scope="module")
+def gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReferenceOracle:
+    """The columnar path extracts what the former per-token path did."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_benchmark_transcripts(self, gen, tmp_path, seed):
+        path = tmp_path / "transcripts.jsonl"
+        planted = gen.write_transcripts(path, seed, n=300)
+        seen = {"ok": 0, "failed": 0, "error": 0}
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            got = outcome(obj)
+            assert got == reference_outcome(obj), line_no
+            seen[got[0]] += 1
+        # Each of the generator's faulty lines carries a single fault.
+        assert all(seen.values()), seen
+        assert sum(p["outcome"] == "ok" for p in planted) == seen["ok"]
+
+    def test_file_summary(self, gen, tmp_path):
+        path = tmp_path / "transcripts.jsonl"
+        gen.write_transcripts(path, 5, n=300)
+        summary = extract_file(path, tmp_path / "features.jsonl", SCALE)
+        want_errors, want_failed, want_rows = [], [], []
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                want_errors.append((line_no, str(exc)))
+                continue
+            got = reference_outcome(obj)
+            if got[0] == "error":
+                want_errors.append((line_no, got[1]))
+            elif got[0] == "failed":
+                want_failed.append(got[1])
+            else:
+                want_rows.append(got)
+        assert summary.parse_errors == want_errors
+        assert [sid for sid, _ in summary.failures] == want_failed
+        assert summary.n_ok == len(want_rows)
+        assert summary.n_mismatch == sum(row[5] for row in want_rows)
+        rows = [json.loads(x) for x in (tmp_path / "features.jsonl").read_text().splitlines()]
+        assert [(r["stage"], r["extracted_score"], json.dumps(r["features"])) for r in rows] == [
+            (w[2], w[3], w[4]) for w in want_rows
+        ]
+
+
+# Token texts: anchor pieces, keywords, rating digits with and without
+# markers, non-rating numbers, empty and blank texts.
+TEXTS = st.sampled_from(
+    ["Score", ":", "Score:", "Sc", "ore", "S", "core:", ": ", " ", "", "▁Score",
+     "Score: ", "rating", "RATING", "the", "x", "0", "6", "10", "1", "3", "5",
+     " 2", "▁4", "Ġ5", " ▁1", "Ġ 3", "4 ", "\n5", "\t", "▁", "Ġ"]
+)
+TOP_TEXTS = st.sampled_from(["1", "2", "3", "4", "5", " 3", "▁4", "Ġ2", "x", "", "▁"])
+TOP_LPS = st.sampled_from([-0.5, -0.5, -1.25, -3.0, 0.0, -0.0, None])
+
+
+@st.composite
+def transcript(draw):
+    n = draw(st.integers(1, 14))
+    tokens = []
+    for _ in range(n):
+        top = draw(st.lists(st.tuples(TOP_TEXTS, TOP_LPS), max_size=7))
+        tokens.append({"text": draw(TEXTS), "logprob": draw(TOP_LPS),
+                       "top_k": [list(pair) for pair in top]})
+    obj = {"sample_id": "h", "tokens": tokens}
+    declared = draw(st.sampled_from([None, 1, 2, 3, 4, 5, 7]))
+    if declared is not None:
+        obj["declared_score"] = declared
+    # At most one fault, so the messages must agree too.
+    fault = draw(st.sampled_from(
+        [None] * 14 + ["positive", "top_positive", "no_text", "pair", "no_id", "empty"]
+    ))
+    i = draw(st.integers(0, n - 1))
+    if fault == "positive":
+        tokens[i]["logprob"] = 0.25
+    elif fault == "top_positive":
+        tokens[i]["top_k"].append(["2", 1.5])
+    elif fault == "no_text":
+        del tokens[i]["text"]
+    elif fault == "pair":
+        tokens[i]["top_k"].append(["3"])
+    elif fault == "no_id":
+        del obj["sample_id"]
+    elif fault == "empty":
+        obj["tokens"] = []
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=transcript(), window=st.integers(1, 8), span=st.integers(1, 3))
+def test_matches_reference_on_generated_transcripts(obj, window, span):
+    cfg = ExtractConfig(window=window, anchor_span=span)
+    assert outcome(obj, SCALE, cfg) == reference_outcome(obj, SCALE, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=transcript())
+def test_matches_reference_on_a_three_point_scale(obj):
+    scale = RatingScale(k_max=3)
+    assert outcome(obj, scale) == reference_outcome(obj, scale)

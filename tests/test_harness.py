@@ -289,6 +289,24 @@ class TestLoaderOracle:
         assert [n for n, _ in errors] == [n for n, _ in reference_load_samples(path)[1]]
         assert errors[0][1] == "gt_score 9007199254740992 outside [1, 5]"  # 2**53
 
+    def test_entry_beyond_float_range_is_a_line_error(self, tmp_path):
+        # The reference overflows on these lines, so the errors are pinned
+        # directly: such an integer reads as the float literal of its value.
+        big = "1" + "0" * 400
+        keyed = json.dumps(_with(1)).replace('"1": -5.0', '"1": -' + big)
+        listed = json.dumps(_with(2, drop=("logprobs",), features=[-1.0] * 5))
+        listed = listed.replace("[-1.0, -1.0, -1.0", "[-1.0, -1.0, " + big)
+        too_long = json.dumps(_with(3)).replace('"1": -5.0', '"1": -1' + "0" * 5000)
+        path = tmp_path / "huge.jsonl"
+        path.write_text("\n".join([json.dumps(_with(0)), keyed, listed, too_long]) + "\n")
+        batch, errors = load_samples(path)
+        assert batch.sample_id.tolist() == ["s0"]
+        assert errors[:2] == [
+            (2, "logprob '1' must be finite, got -inf"),
+            (3, "logprob '2' must be finite, got inf"),
+        ]
+        assert errors[2][0] == 4 and errors[2][1].startswith("invalid JSON: Exceeds the limit")
+
     def test_mixed_widths_of_kept_rows_rejected(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         wide = _with(1, drop=("logprobs",), features=[-1.0] * 10)
