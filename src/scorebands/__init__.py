@@ -17,18 +17,18 @@ _EXPORTS = {
     "BUILTIN_PARTITIONS": "conformal",
     "Batch": "core",
     "ConformalCalibration": "conformal",
-    "DataError": "core",
+    "DataError": "base",
     "ExperimentConfig": "harness",
     "ExperimentReport": "harness",
-    "FeatureVector": "core",
+    "FeatureVector": "extract",
     "GroupPartition": "conformal",
     "Interval": "core",
     "Intervals": "core",
-    "InvariantError": "core",
+    "InvariantError": "base",
     "METHOD_NAMES": "conformal",
     "MethodConfig": "conformal",
     "MethodResult": "conformal",
-    "RatingScale": "core",
+    "RatingScale": "base",
     "SplitPlan": "core",
     "SyntheticSpec": "harness",
     "conformal_quantile": "conformal",

@@ -12,19 +12,10 @@ import argparse
 import json
 import sys
 
-from .core import Batch, DataError, InvariantError, RatingScale
+# The harness, and with it numpy, is imported by the subcommands that use
+# it, so `extract` runs on the standard library alone.
+from .base import GENERATORS, DataError, InvariantError, RatingScale
 from .extract import ExtractConfig, extract_file
-from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
-    emit_report,
-    fuse,
-    generate_synthetic,
-    load_samples,
-    run_experiment,
-    write_samples,
-)
-from .harness.synth import GENERATORS, SyntheticSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +143,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .harness import SyntheticSpec, generate_synthetic, write_samples
+
     spec = SyntheticSpec(
         n=args.n,
         generator=args.generator,
@@ -185,6 +178,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .harness import ExperimentConfig, emit_report, load_samples, run_experiment
+
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = ExperimentConfig.from_dict(json.load(fh))
@@ -226,6 +221,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .core import Batch
+    from .harness import fuse, load_samples, write_samples
+
     scale = RatingScale(k_max=args.k_max)
     parts: dict[str, list[Batch]] = {}
     for path in args.inputs:
@@ -248,6 +246,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .harness import ExperimentReport, emit_report
+
     with open(args.report, encoding="utf-8") as fh:
         report = ExperimentReport.from_dict(json.load(fh))
     paths = emit_report(report, args.out)

@@ -1,4 +1,7 @@
-"""Shared domain types: rating scales, samples, intervals, and splits.
+"""Shared array types: samples, intervals, and splits.
+
+The errors and ``RatingScale`` are defined in :mod:`scorebands.base`,
+which needs no numpy, and imported here under the same names.
 
 Samples travel as one ``Batch`` (feature matrix, scores and tag arrays)
 and intervals as one ``Intervals`` (endpoint arrays), each built once and
@@ -14,60 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-
-class DataError(Exception):
-    """Input data violates a documented contract (bad file, bad record)."""
-
-
-class InvariantError(Exception):
-    """An internal invariant was violated; indicates a bug, not bad input."""
-
-
-@dataclass(frozen=True)
-class RatingScale:
-    """Discrete Likert scale with integer labels ``1 .. k_max``."""
-
-    k_max: int = 5
-
-    def __post_init__(self) -> None:
-        if self.k_max < 2:
-            raise ValueError(f"k_max must be >= 2, got {self.k_max}")
-
-    @property
-    def labels(self) -> range:
-        return range(1, self.k_max + 1)
-
-    @property
-    def max_width(self) -> int:
-        """Widest possible interval on this scale (k_max - 1)."""
-        return self.k_max - 1
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Ordered score-token log-probabilities, one block of K per judge.
-
-    Entries must be finite and <= 0 (logs of probabilities). This is what
-    transcript extraction yields per record; samples themselves travel as
-    rows of a :class:`Batch`.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("feature vector must be non-empty")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"feature entries must be finite, got {v}")
-            if v > 0:
-                raise ValueError(f"log-probabilities must be <= 0, got {v}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+from .base import DataError, InvariantError, RatingScale
 
 
 @dataclass(frozen=True)

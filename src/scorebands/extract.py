@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import DataError, FeatureVector, RatingScale
+from .base import DataError, RatingScale, utf8_line
 
 STAGE_ANCHORED = "anchored"
 STAGE_KEYWORD = "keyword"
@@ -60,6 +60,30 @@ def _check_logprobs(logprob: float, top_k_logprobs) -> None:
             raise ValueError(f"top-k logprob must be <= 0, got {lp}")
     if logprob > 0:
         raise ValueError(f"logprob must be <= 0, got {logprob}")
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """Ordered score-token log-probabilities, one block of K per judge.
+
+    Entries must be finite and <= 0 (logs of probabilities). This is what
+    extraction yields per record; samples themselves travel as rows of a
+    :class:`~scorebands.core.Batch`.
+    """
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("feature vector must be non-empty")
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"feature entries must be finite, got {v}")
+            if v > 0:
+                raise ValueError(f"log-probabilities must be <= 0, got {v}")
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -196,8 +220,9 @@ def build_feature_vector(
 ) -> FeatureVector:
     """Logprob of each rating token "1".."K" from the entry's top-k.
 
-    Slot j always holds label j's logprob: a missing rating token gets the
-    floor, a NaN logprob gets the NaN fill, so the output is always finite.
+    Slot j always holds label j's logprob: a missing rating token, or one
+    whose logprob is -inf, gets the floor, a NaN logprob gets the NaN fill,
+    so the output is always finite.
     A label listed more than once takes its first pair in the sorted top-k.
     """
     digits = _rating_digits(scale)
@@ -208,7 +233,9 @@ def build_feature_vector(
             found.setdefault(label, lp)
     values = []
     for label in scale.labels:
-        lp = found.get(label, floor)
+        lp = found.get(label, -math.inf)  # absent: probability 0
+        if lp == -math.inf:
+            lp = floor
         values.append(nan_fill if math.isnan(lp) else float(lp))
     return FeatureVector(tuple(values))
 
@@ -294,9 +321,12 @@ def extract_file(
     scale: RatingScale = RatingScale(),
     cfg: ExtractConfig = ExtractConfig(),
 ) -> ExtractionSummary:
-    """Extract every transcript line; failures are flagged and skipped."""
+    """Extract every transcript line; failures are flagged and skipped.
+
+    A line that holds bytes that are not UTF-8 is a parse error.
+    """
     summary = ExtractionSummary()
-    with open(in_path, encoding="utf-8") as fin, open(
+    with open(in_path, encoding="utf-8", errors="surrogateescape") as fin, open(
         out_path, "w", encoding="utf-8"
     ) as fout:
         for line_no, line in enumerate(fin, start=1):
@@ -305,7 +335,7 @@ def extract_file(
             summary.n_records += 1
             try:
                 # ValueError also covers an integer too long to convert.
-                rec = parse_record(json.loads(line))
+                rec = parse_record(json.loads(utf8_line(line)))
             except (ValueError, DataError) as exc:
                 summary.parse_errors.append((line_no, str(exc)))
                 continue

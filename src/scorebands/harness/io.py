@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .. import conformal
+from ..base import utf8_line
 from ..core import Batch, DataError, RatingScale, row_faults
 
 REQUIRED_FIELDS = ("sample_id", "judge", "dataset", "gt_score")
@@ -66,19 +67,23 @@ def load_samples(
     stacked once per feature width, and the row rules of
     :func:`~scorebands.core.row_faults` run over each matrix. A broken line
     becomes a ``(line number, reason)`` error; a file whose kept rows have
-    more than one feature length raises DataError.
+    more than one feature length raises DataError. A line that holds bytes
+    that are not UTF-8 is a broken line.
     """
     label_keys = [str(label) for label in scale.labels]
     errors: list[tuple[int, str]] = []
     line_nos, rows, by_label, gts, tags = [], [], [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(utf8_line(line))
             except ValueError as exc:  # also an integer too long to convert
                 errors.append((line_no, f"invalid JSON: {exc}"))
+                continue
+            except DataError as exc:
+                errors.append((line_no, str(exc)))
                 continue
             try:
                 values, labelled = _entries(obj, label_keys)

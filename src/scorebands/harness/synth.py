@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..base import GENERATORS
 from ..core import Batch, DataError, RatingScale
-
-GENERATORS = ("homoscedastic", "heteroscedastic_groups", "peaked_logprob")
 
 # Standard normal quantile at 0.95: central 90% mass lies within +/- this.
 Z_90 = 1.6448536269514722

@@ -178,3 +178,38 @@ OUT_OF_RANGE_LINES = [
 
 def write_out_of_range(path):
     path.write_text("".join(line + "\n" for line, _ in OUT_OF_RANGE_LINES), encoding="utf-8")
+
+
+# A rating token whose top-k logprob is -inf, written as -Infinity or as
+# -1e400 (beyond float range): its slot gets the floor, like a missing one.
+MINUS_INF_TOKENS = [
+    {"text": "Score:", "logprob": -0.1, "top_k": []},
+    {"text": "4", "logprob": -0.2, "top_k": [["4", -0.2], ["3", -math.inf]]},
+]
+MINUS_INF_LINES = [
+    '{"sample_id": "i1", "tokens": ' + json.dumps(MINUS_INF_TOKENS) + "}",
+    '{"sample_id": "i2", "tokens": '
+    + json.dumps(MINUS_INF_TOKENS).replace("-Infinity", "-1e400") + "}",
+]
+MINUS_INF_FEATURES = [-11.5, -11.5, -11.5, -0.2, -11.5]
+
+
+def write_minus_inf(path):
+    path.write_text("".join(line + "\n" for line in MINUS_INF_LINES), encoding="utf-8")
+
+
+# Line 2 holds a byte that is not UTF-8, and a lone "\r" ends line 3: line 2
+# is a parse error, and lines 1, 3 and 4 are extracted.
+NOT_UTF8_ERROR = (
+    "line is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 16: "
+    "invalid start byte"
+)
+
+
+def write_not_utf8(path):
+    def line(sample_id: bytes) -> bytes:
+        return b'{"sample_id": "' + sample_id + b'", "tokens": ' + ANCHORED_TOKENS.encode() + b"}"
+
+    path.write_bytes(
+        line(b"a") + b"\n" + line(b"b\xff") + b"\n" + line(b"c") + b"\r" + line(b"d") + b"\r\n"
+    )

@@ -1,11 +1,15 @@
 """CLI tests: subcommand round trips and exit codes."""
 
+import importlib
 import json
 import os
+import subprocess
+import sys
 
 import extraction_corpus as corpus
 import pytest
 
+import scorebands
 from scorebands.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -31,6 +35,15 @@ def test_parse_methods():
     assert parse_methods("r2ccp,chr") == ("r2ccp", "chr")
 
 
+@pytest.mark.parametrize("name", sorted(scorebands._EXPORTS))
+def test_export_resolves_to_its_module(name):
+    module_name = f"scorebands.{scorebands._EXPORTS[name]}"
+    value = getattr(scorebands, name)
+    assert value is getattr(importlib.import_module(module_name), name)
+    defined_in = getattr(value, "__module__", module_name)
+    assert defined_in == module_name or defined_in.startswith(module_name + ".")
+
+
 def _synth(tmp_path, name="samples.jsonl", n=320, extra=()):
     path = tmp_path / name
     code = main(
@@ -51,6 +64,14 @@ class TestSynthCommand:
         row = json.loads(lines[0])
         assert set(row) >= {"sample_id", "judge", "dataset", "gt_score",
                             "logprobs"}
+
+    def test_unknown_generator_is_usage_error(self, tmp_path, capsys):
+        code = main(["synth", "--generator", "bogus", "--n", "10",
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --generator: invalid choice")
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_oracle_out(self, tmp_path):
         oracle_path = tmp_path / "oracle.json"
@@ -252,6 +273,42 @@ class TestExtractCommand:
                 assert any(
                     line.startswith(f"  line {n}: ") and fragment in line for line in listed
                 ), n
+
+    def test_minus_inf_top_k_logprob_gets_the_floor(self, tmp_path, capsys):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_minus_inf(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out)])
+        assert code == EXIT_OK
+        assert "extracted 2/2" in capsys.readouterr().out
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["features"] for row in rows] == [corpus.MINUS_INF_FEATURES] * 2
+
+    def test_line_not_utf8_listed_not_fatal(self, tmp_path, capsys):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_not_utf8(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "extracted 3/4" in captured.out
+        assert f"  line 2: {corpus.NOT_UTF8_ERROR}" in captured.err.splitlines()
+
+    def test_module_entry_point_loads_no_numpy(self, tmp_path):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        inp.write_text(corpus.MINUS_INF_LINES[0] + "\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scorebands.__file__)))
+        # -X importtime lists every module the process imports on stderr.
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "scorebands.cli", "extract",
+             "--input", str(inp), "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert run.returncode == EXIT_OK, run.stderr
+        assert "extracted 1/1" in run.stdout
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "scorebands.extract" in imported
+        assert "numpy" not in imported and "scorebands.core" not in imported
 
 
 class TestFuseCommand:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scorebands.core import (
     Batch,
     DataError,
-    FeatureVector,
     Interval,
     Intervals,
     RatingScale,
@@ -49,27 +48,6 @@ class TestRatingScale:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             RatingScale(k_max=1)
-
-
-class TestFeatureVector:
-    def test_rejects_positive(self):
-        with pytest.raises(ValueError):
-            FeatureVector((0.5, -1.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureVector((-1.0, math.nan))
-        with pytest.raises(ValueError):
-            FeatureVector((-1.0, -math.inf))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FeatureVector(())
-
-    def test_zero_allowed(self):
-        fv = FeatureVector((0.0, -2.0, -3.0, -4.0, -5.0))
-        assert len(fv) == 5
-        assert fv.as_array().dtype == np.float64
 
 
 class TestInterval:

@@ -17,6 +17,7 @@ from scorebands.extract import (
     ExtractConfig,
     ExtractionFailure,
     ExtractionRecord,
+    FeatureVector,
     TokenLogprobEntry,
     build_feature_vector,
     extract,
@@ -111,6 +112,26 @@ class TestFindScorePosition:
         assert stage == "backward"  # digit fell outside the keyword window
 
 
+class TestFeatureVector:
+    def test_rejects_positive(self):
+        with pytest.raises(ValueError):
+            FeatureVector((0.5, -1.0))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            FeatureVector((-1.0, math.nan))
+        with pytest.raises(ValueError):
+            FeatureVector((-1.0, -math.inf))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            FeatureVector(())
+
+    def test_zero_allowed(self):
+        fv = FeatureVector((0.0, -2.0, -3.0, -4.0, -5.0))
+        assert len(fv) == 5
+
+
 class TestBuildFeatureVector:
     def test_full_passthrough_in_label_order(self):
         fv = build_feature_vector(entry("4", corpus.TOP_FULL), SCALE)
@@ -125,6 +146,14 @@ class TestBuildFeatureVector:
         fv = build_feature_vector(entry("4", corpus.TOP_NAN_4), SCALE)
         assert fv.values == corpus.FEATURES_NAN
         assert fv.values[3] == -100.0
+
+    def test_minus_inf_floored(self):
+        top = {"4": -0.2, "3": -math.inf, "▁3": -math.inf, "5": -math.inf}
+        fv = build_feature_vector(entry("4", top), SCALE, floor=-9.0)
+        assert fv.values == (-9.0, -9.0, -9.0, -0.2, -9.0)
+        # A finite pair of the same label still wins over -inf.
+        fv = build_feature_vector(entry("4", {"3": -math.inf, "▁3": -7.0}), SCALE)
+        assert fv.values[2] == -7.0
 
     def test_slots_track_labels_not_rank_order(self):
         shuffled = {"3": -2.2, "1": -6.0, "5": -5.0, "2": -4.5, "4": -0.2}
@@ -163,7 +192,8 @@ class TestBuildFeatureVector:
         present=st.lists(st.sampled_from(["1", "2", "3", "4", "5"]),
                          unique=True),
         lps=st.lists(
-            st.one_of(st.floats(-30, 0, allow_nan=False), st.just(math.nan)),
+            st.one_of(st.floats(-30, 0, allow_nan=False), st.just(math.nan),
+                      st.just(-math.inf)),
             min_size=5, max_size=5,
         ),
     )
@@ -339,6 +369,25 @@ def test_out_of_range_numbers_are_line_errors(tmp_path):
         assert frag in reason, n
 
 
+def test_minus_inf_top_k_logprob_gets_the_floor(tmp_path):
+    inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+    corpus.write_minus_inf(inp)
+    summary = extract_file(inp, out, SCALE)
+    assert summary.n_ok == len(corpus.MINUS_INF_LINES) and not summary.parse_errors
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["features"] for row in rows] == [corpus.MINUS_INF_FEATURES] * 2
+
+
+def test_line_not_utf8_is_a_parse_error(tmp_path):
+    inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+    corpus.write_not_utf8(inp)
+    summary = extract_file(inp, out, SCALE)
+    assert summary.n_records == 4 and summary.n_ok == 3
+    assert summary.parse_errors == [(2, corpus.NOT_UTF8_ERROR)]
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["sample_id"] for row in rows] == ["a", "c", "d"]
+
+
 def test_parse_record_errors():
     with pytest.raises(DataError):
         parse_record({"tokens": []})
@@ -347,26 +396,27 @@ def test_parse_record_errors():
 
 
 def test_import_loads_no_conformal_layer():
-    """Importing extraction leaves the learners, methods and harness unloaded."""
+    """Importing extraction, or the errors and the scale from the package,
+    leaves numpy, the array types, the learners, methods and harness
+    unloaded."""
     import os
     import subprocess
     import sys
 
     import scorebands
 
-    heavy = ("scorebands.conformal", "scorebands.learners", "scorebands.harness",
-             "scorebands.metrics")
-    code = (
-        "import sys, scorebands.extract; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
+    heavy = ("numpy", "scorebands.core", "scorebands.conformal", "scorebands.learners",
+             "scorebands.harness", "scorebands.metrics")
     src = os.path.dirname(os.path.dirname(os.path.abspath(scorebands.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "[]"
+    for statement in ("import scorebands.extract",
+                      "from scorebands import RatingScale, DataError"):
+        code = f"import sys; {statement}; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "[]", statement
 
 
 # ---------------------------------------------------------------------------

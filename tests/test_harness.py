@@ -115,6 +115,17 @@ class TestLoadSamples:
         samples, _ = load_samples(path)
         assert samples.group.tolist() == ["easy"]
 
+    def test_line_not_utf8_is_a_line_error(self, tmp_path):
+        # Line 2 holds a byte that is not UTF-8; a lone "\r" ends line 3.
+        path = tmp_path / "s.jsonl"
+        lines = [json.dumps(sample_line(i)).encode() for i in range(4)]
+        lines[1] = lines[1].replace(b'"s1"', b'"s\xff"')
+        path.write_bytes(lines[0] + b"\n" + lines[1] + b"\n" + lines[2] + b"\r" + lines[3] + b"\n")
+        samples, errors = load_samples(path)
+        assert samples.sample_id.tolist() == ["s0", "s2", "s3"]
+        assert errors == [(2, "line is not UTF-8: 'utf-8' codec can't decode byte "
+                              "0xff in position 16: invalid start byte")]
+
     def test_write_read_round_trip(self, tmp_path):
         spec = SyntheticSpec(n=20, seed=1, generator="heteroscedastic_groups")
         samples, _ = generate_synthetic(spec)
