@@ -126,7 +126,10 @@ def build_parser() -> _Parser:
 
 def cmd_extract(args) -> int:
     scale = RatingScale(k_max=args.k_max)
-    cfg = ExtractConfig(floor=args.floor, nan_fill=args.nan_fill, window=args.window)
+    try:
+        cfg = ExtractConfig(floor=args.floor, nan_fill=args.nan_fill, window=args.window)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     summary = extract_file(args.input, args.out, scale, cfg)
     print(
         f"extracted {summary.n_ok}/{summary.n_records} transcripts "

@@ -13,6 +13,7 @@ second, preserving exchangeability of the scores.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +34,8 @@ from .core import (
 from .core import features_matrix  # noqa: F401
 from .learners import (
     GridConfig,
+    PointVarModel,
+    QuantileModel,
     TrainConfig,
     fit_boosted,
     fit_grid_classifier,
@@ -299,6 +302,8 @@ def aps_from_probs(
 # across methods that run on the identical calibration half within one
 # experiment cell. Each key holds every input of its fit besides that data:
 # the learner, its targets (taus, bins, grid) and its training settings.
+# The cache also keeps the predictions that several methods make (see
+# `_KEPT`), so that each is worked out once per split.
 # ---------------------------------------------------------------------------
 
 
@@ -309,6 +314,38 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
     if cache is not None:
         cache[key] = model
     return model
+
+
+# The predictions a cache keeps: those that several methods make, of the
+# mean network (naive_split, lvd, boosted_lcp) and of the quantile pair
+# (cqr, cqr_asym). Every other prediction is one method's, and keeping it
+# would only raise the peak memory of a split.
+_KEPT = frozenset({(PointVarModel, "predict_mean"), (QuantileModel, "predict")})
+
+
+def _shared(cache: dict | None, X: np.ndarray) -> Callable:
+    """`shared(model, what)`: ``model.<what>(X)``, worked out once per cache
+    when it is a prediction the cache keeps (see `_KEPT`).
+
+    The key names the rows by their shape, dtype and a BLAKE2b digest of
+    their bytes, so an entry serves only rows equal to those it was worked
+    out on, without holding them. The entry keeps its model, so the model's
+    id stays its own. A kept array is read-only, so the methods that share
+    it cannot change it for one another.
+    """
+    rows = X.shape, X.dtype.str, hashlib.blake2b(np.ascontiguousarray(X)).digest()
+
+    def shared(model, what: str) -> np.ndarray:
+        if cache is None or (type(model), what) not in _KEPT:
+            return getattr(model, what)(X)
+        key = ("predicted", what, id(model), rows)
+        if key not in cache:
+            value = getattr(model, what)(X)
+            value.flags.writeable = False
+            cache[key] = model, value
+        return cache[key][1]
+
+    return shared
 
 
 def _hist_density(half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
@@ -351,14 +388,21 @@ def _fit_mean(half, alpha, scale, cfg, cache):
     )
 
 
+def _abs_resid(half, mean_model, cache):
+    """|y - mean| on the learner half: the target of every spread model."""
+    mean = _shared(cache, half.X)(mean_model, "predict_mean")
+    return np.abs(half.y - mean)
+
+
 def _fit_mean_sigma(half, alpha, scale, cfg, cache):
-    """The mean network with a spread head fit to its residuals."""
+    """The mean network, and the same network with a spread head fit to its
+    residuals."""
     (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
-    return (
-        _fit_cached(
-            cache,
-            ("pointvar_sigma", cfg.train, cfg.sigma_floor),
-            lambda: fit_spread_head(mean_model, half.X, half.y, cfg.train),
+    return mean_model, _fit_cached(
+        cache,
+        ("pointvar_sigma", cfg.train, cfg.sigma_floor),
+        lambda: fit_spread_head(
+            mean_model, half.X, _abs_resid(half, mean_model, cache), cfg.train
         ),
     )
 
@@ -408,43 +452,46 @@ def _fit_boosted_spread(half, alpha, scale, cfg, cache):
     """The mean network, and a boosted absolute-loss model of its |residual|
     as the local scale."""
     (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
-    abs_resid = np.abs(half.y - mean_model.predict_mean(half.X))
     # The residuals come from the mean model, so its settings are fit inputs.
     sig_model = _boosted(
-        half, abs_resid, "absolute", cfg, cache, (cfg.train, cfg.sigma_floor)
+        half, _abs_resid(half, mean_model, cache), "absolute", cfg, cache,
+        (cfg.train, cfg.sigma_floor),
     )
     return mean_model, sig_model
 
 
-# Predictions: (learners, X, cfg) -> what the learners predict for the rows of X.
+# Predictions: (learners, cfg, shared) -> what the learners predict for the
+# rows that `shared` (see `_shared`) predicts on.
 
 
-def _mean(m, X, cfg):
-    return m[0].predict_mean(X)
+def _mean(m, cfg, shared):
+    return shared(m[0], "predict_mean")
 
 
-def _mean_sigma(m, X, cfg):
-    return m[0].predict_mean(X), m[0].predict_sigma(X)
+def _mean_sigma(m, cfg, shared):
+    return shared(m[0], "predict_mean"), shared(m[1], "predict_sigma")
 
 
-def _quantiles(m, X, cfg):
-    return m[0].predict(X)
+def _quantiles(m, cfg, shared):
+    return shared(m[0], "predict")
 
 
-def _boosted_quantiles(m, X, cfg):
-    return np.sort(np.column_stack([b.predict(X) for b in m]), axis=1)
+def _boosted_quantiles(m, cfg, shared):
+    return np.sort(np.column_stack([shared(b, "predict") for b in m]), axis=1)
 
 
-def _mean_boosted_sigma(m, X, cfg):
-    return m[0].predict_mean(X), np.maximum(m[1].predict(X), cfg.sigma_floor)
+def _mean_boosted_sigma(m, cfg, shared):
+    return shared(m[0], "predict_mean"), np.maximum(
+        shared(m[1], "predict"), cfg.sigma_floor
+    )
 
 
-def _log_proba(m, X, cfg):
-    return m[0].predict_log_proba(X)
+def _log_proba(m, cfg, shared):
+    return shared(m[0], "predict_log_proba")
 
 
-def _proba(m, X, cfg):
-    return m[0].predict_proba(X)
+def _proba(m, cfg, shared):
+    return shared(m[0], "predict_proba")
 
 
 # Rules: (learners, conformal labels, conformal predictions, test predictions,
@@ -540,8 +587,8 @@ def run_method(
     q_hat, intervals, y_hat = row.rule(
         learners,
         conf.y,
-        row.predict(learners, conf.X, cfg),
-        row.predict(learners, test.X, cfg),
+        row.predict(learners, cfg, _shared(cache, conf.X)),
+        row.predict(learners, cfg, _shared(cache, test.X)),
         alpha,
         scale,
     )

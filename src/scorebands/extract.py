@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .base import DataError, RatingScale, utf8_line
+from .base import DataError, RatingScale, decoded_lines, utf8_line
 
 STAGE_ANCHORED = "anchored"
 STAGE_KEYWORD = "keyword"
@@ -37,6 +37,16 @@ class ExtractConfig:
     markers: tuple[str, ...] = ("▁", "Ġ")  # sentence-piece, byte-BPE
     floor: float = -11.5  # log(1e-5), for rating tokens absent from top-k
     nan_fill: float = -100.0
+
+    def __post_init__(self) -> None:
+        # A value written in place of a logprob must be one: finite and <= 0.
+        # The message names the field and the CLI flag that sets it.
+        for name, flag in (("floor", "--floor"), ("nan_fill", "--nan-fill")):
+            value = getattr(self, name)
+            if not -math.inf < value <= 0:  # also false for NaN
+                raise ValueError(
+                    f"{name} ({flag}) must be a finite log-probability <= 0, got {value}"
+                )
 
 
 def _sort_top_k(top_k) -> tuple[tuple[str, float], ...]:
@@ -326,11 +336,9 @@ def extract_file(
     A line that holds bytes that are not UTF-8 is a parse error.
     """
     summary = ExtractionSummary()
-    with open(in_path, encoding="utf-8", errors="surrogateescape") as fin, open(
-        out_path, "w", encoding="utf-8"
-    ) as fout:
-        for line_no, line in enumerate(fin, start=1):
-            if not line.strip():
+    with open(in_path, "rb") as fin, open(out_path, "w", encoding="utf-8") as fout:
+        for line_no, line in enumerate(decoded_lines(fin), start=1):
+            if isinstance(line, str) and not line.strip():
                 continue
             summary.n_records += 1
             try:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .. import conformal
-from ..base import utf8_line
+from ..base import decoded_lines, utf8_line
 from ..core import Batch, DataError, RatingScale, row_faults
 
 REQUIRED_FIELDS = ("sample_id", "judge", "dataset", "gt_score")
@@ -73,9 +73,9 @@ def load_samples(
     label_keys = [str(label) for label in scale.labels]
     errors: list[tuple[int, str]] = []
     line_nos, rows, by_label, gts, tags = [], [], [], [], []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(decoded_lines(fh), start=1):
+            if isinstance(line, str) and not line.strip():
                 continue
             try:
                 obj = json.loads(utf8_line(line))

@@ -1,14 +1,16 @@
 """Dense tanh networks trained with plain mini-batch gradient descent.
 
 All trainable backends in this package share this engine: a stack of tanh
-hidden layers with a linear output, a loss head that turns the linear output
-into (loss, d_output), and a fixed-budget SGD loop. Everything is seeded, so
-fits are bit-for-bit reproducible.
+hidden layers with a linear output, a loss head that gives the loss on the
+linear output and its gradient there, and a fixed-budget SGD loop that
+evaluates only the gradient: training computes no loss. Everything is
+seeded, so fits are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -86,35 +88,61 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_ce_head(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy against integer class indices."""
+@dataclass(frozen=True)
+class Head:
+    """A loss on the network's linear output, and its gradient there.
+
+    Training evaluates `grad` alone. Calling the head gives ``(loss, d_out)``,
+    the pair the gradient checks compare against finite differences.
+    """
+
+    loss: Callable[[np.ndarray, np.ndarray], float]
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.loss(out, target), self.grad(out, target)
+
+
+def _softmax_ce_loss(out: np.ndarray, target: np.ndarray) -> float:
+    return float(-log_softmax(out)[np.arange(out.shape[0]), target].mean())
+
+
+def _softmax_ce_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
     n = out.shape[0]
-    logp = log_softmax(out)
-    loss = -logp[np.arange(n), target].mean()
-    d_out = np.exp(logp)
+    d_out = np.exp(log_softmax(out))
     d_out[np.arange(n), target] -= 1.0
-    return float(loss), d_out / n
+    return d_out / n
 
 
-def squared_head(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Half mean squared error on a single output column."""
-    n = out.shape[0]
+# Cross-entropy against integer class indices.
+softmax_ce_head = Head(_softmax_ce_loss, _softmax_ce_grad)
+
+
+def _squared_loss(out: np.ndarray, target: np.ndarray) -> float:
     r = out[:, 0] - target
-    loss = 0.5 * float((r * r).mean())
-    return loss, (r / n)[:, None]
+    return 0.5 * float((r * r).mean())
 
 
-def pinball_head(tau: float):
+def _squared_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
+    return ((out[:, 0] - target) / out.shape[0])[:, None]
+
+
+# Half mean squared error on a single output column.
+squared_head = Head(_squared_loss, _squared_grad)
+
+
+def pinball_head(tau: float) -> Head:
     """Mean pinball (quantile) loss at level tau on a single output column."""
 
-    def head(out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-        n = out.shape[0]
+    def loss(out: np.ndarray, target: np.ndarray) -> float:
         u = target - out[:, 0]
-        loss = float(np.maximum(tau * u, (tau - 1.0) * u).mean())
-        du = np.where(u > 0, tau, tau - 1.0)
-        return loss, (-du / n)[:, None]
+        return float(np.maximum(tau * u, (tau - 1.0) * u).mean())
 
-    return head
+    def grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
+        du = np.where(target - out[:, 0] > 0, tau, tau - 1.0)
+        return (-du / out.shape[0])[:, None]
+
+    return Head(loss, grad)
 
 
 def loss_and_grads(
@@ -129,28 +157,70 @@ def fit_mlp(
     X: np.ndarray,
     target: np.ndarray,
     out_dim: int,
-    head,
+    head: Head,
     cfg: TrainConfig,
 ) -> MLPParams:
-    """Train with plain mini-batch SGD for a fixed epoch budget."""
+    """Train with plain mini-batch SGD for a fixed epoch budget.
+
+    Each step does the arithmetic of `loss_and_grads` and then
+    ``W - lr * dW``, in the same order, so the fit matches that plain loop
+    bit for bit. It evaluates only the head's gradient, never its loss.
+    Every weight and bias is a view into one flat vector and every gradient
+    a view into another, so the update is two in-place operations. Products
+    go into buffers made once per fit, and bias adds and tanh run in place.
+    """
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
     rng = np.random.default_rng(cfg.seed)
-    layer_sizes = [X.shape[1], *cfg.hidden, out_dim]
-    params = init_params(layer_sizes, rng)
+    init = init_params([X.shape[1], *cfg.hidden, out_dim], rng)
+    theta = flatten_params(init)
+    d_theta = np.empty_like(theta)
+    params = unflatten_params(theta, init)
+    grads = unflatten_params(d_theta, init)
     n = len(X)
     bs = max(1, min(cfg.batch_size, n))
     lr = cfg.learning_rate
+    # Per layer, sized for a full batch: its output, and the product that
+    # carries the gradient back to the layer below.
+    outs = [np.empty((bs, W.shape[1])) for W, _ in params]
+    backs = [None] + [np.empty((bs, W.shape[0])) for W, _ in params[1:]]
+    last = len(params) - 1
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        X_epoch, t_epoch = X[order], target[order]
         for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            _, grads = loss_and_grads(params, X[idx], target[idx], head)
-            params = [
-                (W - lr * dW, b - lr * db)
-                for (W, b), (dW, db) in zip(params, grads)
-            ]
-    return params
+            a = X_epoch[start : start + bs]
+            m = len(a)
+            acts = [a]
+            for layer, (W, b) in enumerate(params):
+                z = outs[layer][:m]
+                np.matmul(a, W, out=z)
+                z += b
+                if layer < last:
+                    np.tanh(z, out=z)
+                acts.append(z)
+                a = z
+            delta = head.grad(a, t_epoch[start : start + bs])
+            for layer in range(last, -1, -1):
+                a_prev = acts[layer]
+                dW, db = grads[layer]
+                np.matmul(a_prev.T, delta, out=dW)
+                np.add.reduce(delta, axis=0, out=db)
+                if layer:
+                    W = params[layer][0]
+                    back = backs[layer][:m]
+                    if W.shape[1] == 1:  # one product per element: exact
+                        np.multiply(delta, W.T, out=back)
+                    else:
+                        np.matmul(delta, W.T, out=back)
+                    # a_prev is not read again: it becomes 1 - a_prev**2.
+                    np.multiply(a_prev, a_prev, out=a_prev)
+                    np.subtract(1.0, a_prev, out=a_prev)
+                    back *= a_prev
+                    delta = back
+            d_theta *= lr
+            theta -= d_theta
+    return [(W.copy(), b.copy()) for W, b in params]
 
 
 def flatten_params(params: MLPParams) -> np.ndarray:
@@ -158,13 +228,14 @@ def flatten_params(params: MLPParams) -> np.ndarray:
 
 
 def unflatten_params(flat: np.ndarray, like: MLPParams) -> MLPParams:
+    """Views into `flat`, shaped like the layers of `like`."""
     params: MLPParams = []
     pos = 0
     for W, b in like:
         params.append(
             (
                 flat[pos : pos + W.size].reshape(W.shape),
-                flat[pos + W.size : pos + W.size + b.size].copy(),
+                flat[pos + W.size : pos + W.size + b.size],
             )
         )
         pos += W.size + b.size

@@ -47,18 +47,20 @@ def fit_point_var(
         scaler=scaler,
         sigma_floor=sigma_floor,
     )
-    return fit_spread_head(model, X, y, cfg) if fit_sigma else model
+    if not fit_sigma:
+        return model
+    return fit_spread_head(model, X, np.abs(y - model.predict_mean(X)), cfg)
 
 
 def fit_spread_head(
-    model: PointVarModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
+    model: PointVarModel, X: np.ndarray, abs_resid: np.ndarray, cfg: TrainConfig
 ) -> PointVarModel:
-    """`model` with a spread head fit to the absolute residuals of its mean head.
+    """`model` with a spread head fit to `abs_resid`, the absolute residuals
+    of its mean head on X.
 
-    `X` and `y` must be the mean head's training set. The mean head is kept
-    as it is, so a cached mean-only model gains a spread head without being
+    `X` must be the mean head's training set. The mean head is kept as it
+    is, so a cached mean-only model gains a spread head without being
     trained again.
     """
-    abs_resid = np.abs(y - model.predict_mean(X))
     sigma_params = fit_mlp(model.scaler.transform(X), abs_resid, 1, squared_head, cfg)
     return replace(model, sigma_params=sigma_params)

@@ -292,6 +292,24 @@ class TestExtractCommand:
         assert "extracted 3/4" in captured.out
         assert f"  line 2: {corpus.NOT_UTF8_ERROR}" in captured.err.splitlines()
 
+    @pytest.mark.parametrize("name,flag,value,shown", [
+        ("floor", "--floor", "1.0", "1.0"),
+        ("floor", "--floor", "nan", "nan"),
+        ("floor", "--floor", "inf", "inf"),
+        ("nan_fill", "--nan-fill", "2", "2.0"),
+    ])
+    def test_fill_that_is_no_logprob_is_usage_error(self, tmp_path, capsys, name, flag,
+                                                    value, shown):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_minus_inf(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out), flag, value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: {name} ({flag}) must be a finite log-probability <= 0, "
+            f"got {shown}\n"
+        )
+        assert not out.exists()
+
     def test_module_entry_point_loads_no_numpy(self, tmp_path):
         inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
         inp.write_text(corpus.MINUS_INF_LINES[0] + "\n", encoding="utf-8")

@@ -891,7 +891,90 @@ class TestCacheKeys:
         res_s = run_method("naive_split", cal, test, 0.1, SCALE, other, shared)
         res_f = run_method("naive_split", cal, test, 0.1, SCALE, other, {})
         assert res_s.intervals == res_f.intervals
-        assert len(shared) == 2
+        fits = [key for key in shared if key[0] != "predicted"]
+        assert len(fits) == 2
+
+    @staticmethod
+    def count_predictions(monkeypatch) -> list:
+        """(method name, rows) of every mean-network and quantile-pair call."""
+        from scorebands.learners import QuantileModel
+
+        calls = []
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, X):
+                calls.append((name, len(X)))
+                return original(self, X)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(PointVarModel, "predict_mean")
+        counted(QuantileModel, "predict")
+        return calls
+
+    @staticmethod
+    def once_per_split(cal, test) -> list:
+        """The calls of every method of one split: the mean network predicts
+        the learner half, the conformal half and the test set once each; the
+        quantile pair the last two."""
+        n_learn, n_conf = len(cal) // 2, len(cal) - len(cal) // 2
+        return [("predict_mean", n) for n in (n_learn, n_conf, len(test))] + [
+            ("predict", n) for n in (n_conf, len(test))
+        ]
+
+    def test_each_prediction_is_made_once_per_split(self, monkeypatch):
+        calls = self.count_predictions(monkeypatch)
+        cal, test, _ = split_synth(n=601, seed=23, label_noise=0.35)
+        shared: dict = {}
+        results = {
+            m: run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, shared) for m in METHODS
+        }
+        assert sorted(calls) == sorted(self.once_per_split(cal, test))
+        for m, res in results.items():
+            fresh = run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, {})
+            assert res.intervals == fresh.intervals, m
+            assert np.array_equal(res.y_hat, fresh.y_hat), m
+
+    def test_each_prediction_is_made_once_per_group(self, monkeypatch):
+        cal, test, _ = split_synth(
+            n=900, seed=25, label_noise=0.35, generator="heteroscedastic_groups"
+        )
+        part = BUILTIN_PARTITIONS["by_group_tag"]
+        calls = self.count_predictions(monkeypatch)
+        shared: dict = {}
+        for m in METHODS:
+            run_mondrian(cal, test, 0.1, part, m, SCALE, self.FAST_FIT, cache=shared)
+        cal_groups, test_groups = part.labels(cal), part.labels(test)
+        want = []
+        for g in shared:
+            want += self.once_per_split(cal[cal_groups == g], test[test_groups == g])
+        assert len(shared) > 1 and sorted(calls) == sorted(want)
+
+    def test_one_cache_serves_other_test_sets(self):
+        cal, test, _ = split_synth(n=600, seed=26, label_noise=0.35)
+        _, other, _ = split_synth(n=500, seed=27, label_noise=0.35)
+        shared: dict = {}
+        for m in METHODS:
+            for rows in (test, other, test[::-1], test[::2], test):
+                res_s = run_method(m, cal, rows, 0.1, SCALE, self.FAST_FIT, shared)
+                res_f = run_method(m, cal, rows, 0.1, SCALE, self.FAST_FIT, {})
+                assert res_s.intervals == res_f.intervals, m
+                assert np.array_equal(res_s.y_hat, res_f.y_hat), m
+
+    def test_shared_predictions_are_read_only(self):
+        cal, test, _ = split_synth(n=600, seed=28)
+        shared: dict = {}
+        for m in METHODS:
+            run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        # The mean network's on three parts, the quantile pair's on two.
+        predicted = [v[1] for k, v in shared.items() if k[0] == "predicted"]
+        assert len(predicted) == 5
+        assert not any(a.flags.writeable for a in predicted)
+        res = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        with pytest.raises(ValueError, match="read-only"):
+            res.y_hat[0] = 0.0
 
 
 class TestBatchEntry:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extraction_corpus as corpus
+from scorebands.base import decoded_lines
 from scorebands.core import DataError, RatingScale
 from scorebands.extract import (
     ExtractConfig,
@@ -386,6 +387,78 @@ def test_line_not_utf8_is_a_parse_error(tmp_path):
     assert summary.parse_errors == [(2, corpus.NOT_UTF8_ERROR)]
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [row["sample_id"] for row in rows] == ["a", "c", "d"]
+
+
+@pytest.mark.parametrize("field", ["floor", "nan_fill"])
+@pytest.mark.parametrize("value", [1.0, 1e-300, math.nan, math.inf, -math.inf])
+def test_fill_values_must_be_finite_logprobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExtractConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e308])
+def test_fill_values_at_the_edges_are_accepted(value):
+    cfg = ExtractConfig(floor=value, nan_fill=value)
+    assert cfg.floor == value and cfg.nan_fill == value
+
+
+def reference_lines(path):
+    """(line number, line) as the former text-mode reader gave them: the
+    file opened as text with escaped bad bytes, and each non-ASCII line
+    encoded again to find them. A bad line is its error message."""
+    out = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = f"line is not UTF-8: {exc}"
+            out.append((line_no, line))
+    return out
+
+
+def binary_lines(path):
+    """(line number, line) from `decoded_lines`. A bad line is its error
+    message."""
+    with open(path, "rb") as fh:
+        return [
+            (line_no, str(line) if isinstance(line, DataError) else line)
+            for line_no, line in enumerate(decoded_lines(fh), start=1)
+        ]
+
+
+class TestDecodedLines:
+    """`decoded_lines` splits and numbers lines as text mode does, and names
+    a bad line's first bad byte as the former reader did."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"a": 1}\r\n{"b": 2}\r\n',
+        b'{"a": \r\n{"b": \r',
+        b'one\rtwo\r\nthree\nfour',
+        b"\xef\xbb\xbf{}\nx\n",
+        b"ok\n\xff\nok\r",
+        b"ab\xe2\x82\r\ncd\xe2\x82",
+        b"\r\r\n\n\r",
+        b"\xc2\xa0\n\x0b\x0c\x1c\n\xc2\x85\n",
+        b"\xef\xbb\xbf\xff\r\n",
+        b"",
+    ])
+    def test_matches_text_mode(self, tmp_path, data):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(data)
+        assert binary_lines(path) == reference_lines(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        [b"a", b" ", b"\r", b"\n", b"\xff", b"\xe2", b"\x82", b"\xac", b"\xef\xbb\xbf",
+         b"\xc2\xa0", b"\xe2\x80\xa8", b"\xed\xa0\x80"]), max_size=20))
+    def test_property_matches_text_mode(self, tmp_path_factory, parts):
+        path = tmp_path_factory.mktemp("lines") / "lines.txt"
+        path.write_bytes(b"".join(parts))
+        assert binary_lines(path) == reference_lines(path)
 
 
 def test_parse_record_errors():

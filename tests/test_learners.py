@@ -29,6 +29,7 @@ from scorebands.learners.boosted import (
     _quantile_leaf,
 )
 from scorebands.learners.nets import (
+    Head,
     TrainConfig,
     fit_mlp,
     flatten_params,
@@ -514,6 +515,30 @@ class TestSplitSearch:
         assert np.array_equal(model.predict(X), pred)
         assert model.train_losses == losses
 
+    @pytest.mark.parametrize("loss,tau", [("pinball", 0.05), ("absolute", None)])
+    def test_tie_free_fit_matches_reference(self, loss, tau):
+        rng = np.random.default_rng(36)
+        X = rng.normal(size=(300, 4))
+        assert all(len(np.unique(col)) == len(col) for col in X.T)
+        y = rng.integers(1, 6, 300).astype(float)
+        model = fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
+        pred, losses = reference_fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
+        assert np.array_equal(model.predict(X), pred)
+        assert model.train_losses == losses
+
+    @pytest.mark.parametrize("loss,tau", [("pinball", 0.95), ("absolute", None)])
+    def test_fit_with_ties_in_some_subsamples_matches_reference(self, loss, tau):
+        # Each column holds one tied pair of rows, so a round's subsample
+        # holds the tie in some rounds and not in others.
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(60, 3))
+        X[7], X[40, 1] = X[3], X[9, 1]
+        y = rng.integers(1, 6, 60).astype(float)
+        model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
+        pred, losses = reference_fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
+        assert np.array_equal(model.predict(X), pred)
+        assert model.train_losses == losses
+
     def test_leaf_values_match_numpy(self):
         rng = np.random.default_rng(35)
         for n in range(1, 120):
@@ -570,6 +595,102 @@ class TestGradients:
                 dn[i] -= eps
                 fd = (pinball_loss(y, up, tau) - pinball_loss(y, dn, tau)) / (2 * eps)
                 assert abs(-g[i] / len(y) - fd) < 1e-9
+
+
+def reference_fit_mlp(X, target, out_dim, head, cfg):
+    """The former training loop, kept verbatim: a loss and a fresh gradient
+    list per step from loss_and_grads, and new arrays for every update."""
+    if len(X) == 0:
+        raise ValueError("cannot fit on an empty training set")
+    rng = np.random.default_rng(cfg.seed)
+    layer_sizes = [X.shape[1], *cfg.hidden, out_dim]
+    params = init_params(layer_sizes, rng)
+    n = len(X)
+    bs = max(1, min(cfg.batch_size, n))
+    lr = cfg.learning_rate
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            _, grads = loss_and_grads(params, X[idx], target[idx], head)
+            params = [
+                (W - lr * dW, b - lr * db)
+                for (W, b), (dW, db) in zip(params, grads)
+            ]
+    return params
+
+
+def assert_same_params(got, want):
+    assert len(got) == len(want)
+    for (W, b), (W_ref, b_ref) in zip(got, want):
+        assert W.shape == W_ref.shape and b.shape == b_ref.shape
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+
+def _head_case(kind, out_dim, n, rng):
+    """(target, head) for one loss head on n rows."""
+    if kind == "softmax":
+        return rng.integers(0, out_dim, n), softmax_ce_head
+    y = rng.uniform(1, 5, n)
+    return y, squared_head if kind == "squared" else pinball_head(float(kind))
+
+
+HEAD_CASES = [("squared", 1), ("0.05", 1), ("0.95", 1),
+              ("softmax", 5), ("softmax", 9), ("softmax", 41)]
+
+
+class TestFitMlpOracle:
+    """fit_mlp gives bit for bit the parameters of the former loop."""
+
+    @pytest.mark.parametrize("kind,out_dim", HEAD_CASES)
+    @pytest.mark.parametrize("n", [1, 100, 128, 1001])
+    @pytest.mark.parametrize("hidden", [(64, 32), (8,), ()])
+    def test_matches_reference(self, kind, out_dim, n, hidden):
+        rng = np.random.default_rng(n + out_dim + len(hidden))
+        X = rng.normal(size=(n, 5))
+        target, head = _head_case(kind, out_dim, n, rng)
+        cfg = TrainConfig(epochs=3, hidden=hidden)
+        assert_same_params(fit_mlp(X, target, out_dim, head, cfg),
+                           reference_fit_mlp(X, target, out_dim, head, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(HEAD_CASES),
+        n=st.integers(1, 300),
+        d=st.integers(1, 6),
+        hidden=st.lists(st.integers(1, 12), max_size=3).map(tuple),
+        batch_size=st.integers(1, 130),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_reference(self, case, n, d, hidden, batch_size, epochs,
+                                        seed):
+        kind, out_dim = case
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        target, head = _head_case(kind, out_dim, n, rng)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.1,
+                          seed=seed % 1000, hidden=hidden)
+        assert_same_params(fit_mlp(X, target, out_dim, head, cfg),
+                           reference_fit_mlp(X, target, out_dim, head, cfg))
+
+    def test_training_evaluates_no_loss(self):
+        def no_loss(out, target):
+            raise AssertionError("fit_mlp evaluated a loss")
+
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(150, 5))
+        y = rng.uniform(1, 5, 150)
+        cfg = TrainConfig(epochs=4)
+        assert_same_params(fit_mlp(X, y, 1, Head(no_loss, squared_head.grad), cfg),
+                           reference_fit_mlp(X, y, 1, squared_head, cfg))
+
+    def test_returns_arrays_of_its_own(self):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(40, 3))
+        params = fit_mlp(X, rng.uniform(1, 5, 40), 1, squared_head, TrainConfig(epochs=2))
+        arrays = [a for layer in params for a in layer]
+        assert all(a.base is None for a in arrays)
 
 
 class TestDeterminism:
