@@ -28,6 +28,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # A float such as "-1e308" or "-inf" is a value: argparse would take
+        # the first for an unknown option and the second for "-i nf".
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
     def error(self, message):  # argparse would exit(2); usage errors are 1
         raise UsageError(message)
 

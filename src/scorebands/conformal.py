@@ -381,9 +381,7 @@ def _fit_mean(half, alpha, scale, cfg, cache):
         _fit_cached(
             cache,
             ("pointvar_mean", cfg.train, cfg.sigma_floor),
-            lambda: fit_point_var(
-                half.X, half.y, cfg.train, fit_sigma=False, sigma_floor=cfg.sigma_floor
-            ),
+            lambda: fit_point_var(half.X, half.y, cfg.train, sigma_floor=cfg.sigma_floor),
         ),
     )
 

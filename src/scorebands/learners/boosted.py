@@ -7,13 +7,19 @@ for pinball). With line-searched leaves and a learning rate in (0, 1] the
 training loss is non-increasing round over round by convexity.
 
 Trees are grown by exact greedy split search over presorted columns (Chen &
-Guestrin 2016, XGBoost's column blocks). Each round argsorts every feature
-once, stably, on the round's subsample. A child node inherits its parent's
+Guestrin 2016, XGBoost's column blocks). Each fit ranks every column once;
+each round stably argsorts the ranks of its subsample, which orders the rows
+as a stable sort of their values would. A child node inherits its parent's
 column orders filtered to its own rows; filtering keeps a stable order
 stable, so every node sees the order a fresh stable argsort of its rows
 would give, and the same prefix sums. Within a node the gains of all cuts
 of all features come from one numpy expression over those prefix sums.
-A round costs one O(d·n log n) sort and O(d·n) per tree level.
+A round costs one sort, a radix sort in O(d·n) up to 65 536 rows, and
+O(d·n) per tree level.
+
+Trees are stored as perfect depth-3 heaps of arrays (the perfect-tree
+traversal of Hummingbird, Nakandala et al. 2020), so prediction is three
+vectorised comparisons per tree.
 """
 
 from __future__ import annotations
@@ -22,19 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _best_split(
@@ -76,69 +69,59 @@ def _best_split(
     return f, (xs[f, i - 1] + xs[f, i]) / 2.0
 
 
-def _fit_tree(X: np.ndarray, g: np.ndarray, depth: int, min_leaf: int) -> TreeNode:
-    """The splits of one tree on all rows of X, with each column sorted once.
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Row f holds the dense rank of each value of X[:, f] among the column's.
 
-    Leaf values are left at 0.0 for `_fit_leaves` to set.
+    Equal values share a rank (-0.0 and 0.0, and all NaNs, included), so a
+    stable argsort of any rows' ranks is the stable float argsort of the same
+    rows. numpy radix-sorts 16-bit keys, and no column of at most 65 536 rows
+    holds more distinct values than fit in one.
     """
-    order = np.argsort(X.T, axis=1, kind="stable")
-    return _grow(X, g, np.arange(len(X)), order, depth, min_leaf)
+    dtype = np.uint16 if len(X) <= 1 << 16 else np.uint32
+    ranks = [np.unique(col, return_inverse=True)[1] for col in X.T]
+    return np.stack(ranks).astype(dtype)
 
 
-def _grow(X, g, rows, order, depth, min_leaf) -> TreeNode:
-    split = _best_split(X, g, rows, order, min_leaf) if depth > 0 else None
-    if split is None:
-        return TreeNode()
-    f, thr = split
-    goes_left = X[:, f] <= thr
-    in_left = goes_left[order]
-    d = len(order)
-    left_rows, right_rows = rows[goes_left[rows]], rows[~goes_left[rows]]
-    left_order = order[in_left].reshape(d, -1)
-    right_order = order[~in_left].reshape(d, -1)
-    return TreeNode(
-        feature=f,
-        threshold=thr,
-        left=_grow(X, g, left_rows, left_order, depth - 1, min_leaf),
-        right=_grow(X, g, right_rows, right_order, depth - 1, min_leaf),
-    )
+def _fit_tree(Xs, gs, order, X, resid, depth, min_leaf, leaf_value):
+    """One round's tree as a depth-3 heap, and its output on all rows of X.
 
+    Splits are searched on the subsample (Xs, gs); row f of `order` sorts its
+    column f stably. Node k's children are 2k+1, for rows with
+    x[feature[k]] <= threshold[k], and 2k+2; a node that did not split keeps
+    threshold +inf. Each split partitions the rows of all of X by the same
+    test, and each leaf's value is line-searched on the residuals of the rows
+    that reach it: fitting leaf values on all rows keeps each round a true
+    descent step on the training loss (for any learning rate in (0, 1], by
+    convexity). The value fills every heap leaf the leaf spans, so a row sent
+    right at a padded node (NaN) gets it too.
+    """
+    feature = np.zeros(7, dtype=np.intp)
+    threshold = np.full(7, np.inf)
+    value = np.empty(8)
+    step = np.empty(len(X))
 
-def _route(node: TreeNode, X: np.ndarray):
-    """Yield each leaf with the ascending indices of the rows of X it holds."""
-    stack = [(node, np.arange(len(X)))]
+    stack = [(0, 0, np.arange(len(Xs)), order, np.arange(len(X)))]
     while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            yield nd, idx
+        node, level, rows, order, full_rows = stack.pop()
+        split = _best_split(Xs, gs, rows, order, min_leaf) if level < depth else None
+        if split is None:
+            v = float(leaf_value(resid[full_rows])) if full_rows.size else 0.0
+            span = 1 << (3 - level)
+            first = (node + 1) * span - 8
+            value[first : first + span] = v
+            step[full_rows] = v
             continue
-        mask = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-
-
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    for leaf, idx in _route(node, X):
-        out[idx] = leaf.value
-    return out
-
-
-def _fit_leaves(
-    node: TreeNode, X: np.ndarray, resid: np.ndarray, leaf_value
-) -> np.ndarray:
-    """Line-search every leaf value on the full training residuals.
-
-    Tree structure may come from a subsample; fitting leaf values on all
-    routed samples keeps each round a true descent step on the training
-    loss (for any learning rate in (0, 1], by convexity of the losses).
-    Returns the tree's predictions on X.
-    """
-    out = np.empty(len(X))
-    for leaf, idx in _route(node, X):
-        leaf.value = float(leaf_value(resid[idx])) if idx.size else 0.0
-        out[idx] = leaf.value
-    return out
+        f, thr = split
+        feature[node], threshold[node] = f, thr
+        goes_left = Xs[:, f] <= thr
+        in_left = goes_left[order]
+        d = len(order)
+        full_left = X[full_rows, f] <= thr
+        stack.append((2 * node + 1, level + 1, rows[goes_left[rows]],
+                      order[in_left].reshape(d, -1), full_rows[full_left]))
+        stack.append((2 * node + 2, level + 1, rows[~goes_left[rows]],
+                      order[~in_left].reshape(d, -1), full_rows[~full_left]))
+    return (feature, threshold, value), step
 
 
 def _quantile_leaf(res: np.ndarray, tau: float) -> float:
@@ -185,17 +168,28 @@ def absolute_gradient(y: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoostedModel:
+    """Boosted trees, one per round. A tree is (feature[7], threshold[7],
+    value[8]): a perfect depth-3 heap, as `_fit_tree` lays it out."""
+
     loss: str  # "absolute" or "pinball"
     tau: float | None
     base_prediction: float
-    trees: tuple[TreeNode, ...]
+    trees: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     learning_rate: float
     train_losses: tuple[float, ...] = field(default=())
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.full(len(X), self.base_prediction)
-        for tree in self.trees:
-            pred += self.learning_rate * _tree_predict(tree, X)
+        """Three comparisons per row and tree (NaN goes right); trees are
+        added in round order."""
+        # Column-major, so a feature past X's last column is out of bounds.
+        n = len(X)
+        flat, rows = X.ravel(order="F"), np.arange(n)
+        pred = np.full(n, self.base_prediction)
+        for feature, threshold, value in self.trees:
+            node = np.zeros(n, dtype=np.intp)
+            for _ in range(3):
+                node = 2 * node + 2 - (flat[feature[node] * n + rows] <= threshold[node])
+            pred += self.learning_rate * value[node - 7]
         return pred
 
 
@@ -247,17 +241,20 @@ def fit_boosted(
     rng = np.random.default_rng(seed)
     n = len(y)
     n_sub = max(2 * min_leaf, int(round(subsample * n)))
+    ranks = _dense_ranks(X)
     pred = np.full(n, base)
-    trees: list[TreeNode] = []
+    trees = []
     losses = [loss_fn(pred)]
     for _ in range(rounds):
         g = grad_fn(pred)
         if n_sub < n:
             idx = rng.choice(n, size=n_sub, replace=False)
-            tree = _fit_tree(X[idx], g[idx], depth, min_leaf)
+            Xs, gs, rs = X[idx], g[idx], ranks[:, idx]
         else:
-            tree = _fit_tree(X, g, depth, min_leaf)
-        pred = pred + rate * _fit_leaves(tree, X, y - pred, leaf_value)
+            Xs, gs, rs = X, g, ranks
+        order = np.argsort(rs, axis=1, kind="stable")
+        tree, step = _fit_tree(Xs, gs, order, X, y - pred, depth, min_leaf, leaf_value)
+        pred = pred + rate * step
         trees.append(tree)
         losses.append(loss_fn(pred))
     return BoostedModel(

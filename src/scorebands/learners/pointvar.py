@@ -36,20 +36,17 @@ def fit_point_var(
     X: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    fit_sigma: bool = True,
     sigma_floor: float = 1e-3,
 ) -> PointVarModel:
+    """The mean head alone; `fit_spread_head` adds the spread head."""
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
     scaler = Standardizer.fit(X)
-    model = PointVarModel(
+    return PointVarModel(
         mean_params=fit_mlp(scaler.transform(X), y, 1, squared_head, cfg),
         scaler=scaler,
         sigma_floor=sigma_floor,
     )
-    if not fit_sigma:
-        return model
-    return fit_spread_head(model, X, np.abs(y - model.predict_mean(X)), cfg)
 
 
 def fit_spread_head(

@@ -46,13 +46,6 @@ class IntervalMetrics:
 
 
 @dataclass(frozen=True)
-class RsgEntry:
-    rho_d: float
-    w_d: float
-    rsg: float
-
-
-@dataclass(frozen=True)
 class MidpointReport:
     pearson: float | None
     spearman: float | None

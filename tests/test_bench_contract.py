@@ -87,6 +87,9 @@ def test_traced_run_counts_each_method_and_fit(spans):
     # histograms and one grid; two pinball forests and one |residual| forest.
     assert tracer.counts["learners.fit_mlp.calls"] == 7
     assert tracer.counts["learners.fit_boosted.calls"] == 3
+    # The rounds counter reads len(model.trees): one tree per round.
+    rounds = config.method_config.boost_rounds
+    assert tracer.counts["learners.fit_boosted.rounds"] == 3 * rounds
 
 
 def test_traced_extract_counts_each_layer(spans, tmp_path):

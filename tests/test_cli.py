@@ -292,11 +292,26 @@ class TestExtractCommand:
         assert "extracted 3/4" in captured.out
         assert f"  line 2: {corpus.NOT_UTF8_ERROR}" in captured.err.splitlines()
 
+    @pytest.mark.parametrize("flags,features", [
+        (["--floor", "-1e308"], [-1e308, -1e308, -1e308, -0.2, -1e308]),
+        (["--nan-fill", "-1e2"], corpus.MINUS_INF_FEATURES),
+    ])
+    def test_fill_in_exponent_form_after_a_space(self, tmp_path, capsys, flags,
+                                                 features):
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_minus_inf(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out), *flags])
+        assert code == EXIT_OK, capsys.readouterr().err
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["features"] for row in rows] == [features] * 2
+
     @pytest.mark.parametrize("name,flag,value,shown", [
         ("floor", "--floor", "1.0", "1.0"),
         ("floor", "--floor", "nan", "nan"),
         ("floor", "--floor", "inf", "inf"),
+        ("floor", "--floor", "-inf", "-inf"),
         ("nan_fill", "--nan-fill", "2", "2.0"),
+        ("nan_fill", "--nan-fill", "-nan", "nan"),
     ])
     def test_fill_that_is_no_logprob_is_usage_error(self, tmp_path, capsys, name, flag,
                                                     value, shown):

@@ -327,8 +327,7 @@ class TestLvdReduction:
         cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
         from scorebands.learners import fit_point_var
 
-        model = fit_point_var(X[: len(X) // 2], cal[: len(cal) // 2].y,
-                              cfg, fit_sigma=False)
+        model = fit_point_var(X[: len(X) // 2], cal[: len(cal) // 2].y, cfg)
         # splice in a sigma head that always outputs exactly 1.0
         rng = np.random.default_rng(0)
         sigma_params = init_params([X.shape[1], 4, 1], rng)

@@ -18,6 +18,7 @@ from scorebands.learners import (
     fit_grid_classifier,
     fit_hist_density,
     fit_point_var,
+    fit_spread_head,
     fit_quantile,
     fit_quantile_model,
     pinball_gradient,
@@ -25,6 +26,7 @@ from scorebands.learners import (
 )
 from scorebands.learners.boosted import (
     _best_split,
+    _dense_ranks,
     _median_leaf,
     _quantile_leaf,
 )
@@ -265,6 +267,11 @@ class TestHistDensity:
         assert edges[0] == 0.5 and edges[-1] == 5.5
 
 
+def fit_mean_and_spread(X, y, cfg):
+    model = fit_point_var(X, y, cfg)
+    return fit_spread_head(model, X, np.abs(y - model.predict_mean(X)), cfg)
+
+
 class TestPointVar:
     def test_homoscedastic_sigma_flat(self):
         """Constant-noise data: the fitted scale is flat (relative sd <= 20%)
@@ -272,7 +279,7 @@ class TestPointVar:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(1500, 5))
         y = 3.0 + 0.6 * X[:, 0] + 0.5 * rng.standard_normal(1500)
-        model = fit_point_var(X, y, FAST)
+        model = fit_mean_and_spread(X, y, FAST)
         sigma = model.predict_sigma(rng.normal(size=(300, 5)))
         assert sigma.std() / sigma.mean() <= 0.2
         assert sigma.mean() == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=0.15)
@@ -280,7 +287,7 @@ class TestPointVar:
     def test_zero_noise_sigma_at_floor(self):
         X = np.zeros((200, 3))
         y = np.full(200, 3.0)
-        model = fit_point_var(X, y, FAST)
+        model = fit_mean_and_spread(X, y, FAST)
         sigma = model.predict_sigma(X[:20])
         assert np.all(sigma == model.sigma_floor)
 
@@ -291,7 +298,7 @@ class TestPointVar:
         X = np.where(cluster[:, None], 1.0, -1.0) + 0.05 * rng.standard_normal((n, 4))
         sig = np.where(cluster, 0.9, 0.3)
         y = 3.0 + sig * rng.standard_normal(n)
-        model = fit_point_var(X, y, FAST)
+        model = fit_mean_and_spread(X, y, FAST)
         hi = model.predict_sigma(np.ones((1, 4)))[0]
         lo = model.predict_sigma(-np.ones((1, 4)))[0]
         # true mean-absolute-residual ratio is exactly 0.9 / 0.3
@@ -299,7 +306,7 @@ class TestPointVar:
 
     def test_mean_only_model_has_no_sigma(self):
         X = np.zeros((50, 2))
-        model = fit_point_var(X, np.full(50, 2.0), FAST, fit_sigma=False)
+        model = fit_point_var(X, np.full(50, 2.0), FAST)
         with pytest.raises(ValueError):
             model.predict_sigma(X)
 
@@ -347,6 +354,14 @@ class TestBoosted:
         with pytest.raises(ValueError):
             fit_boosted(X, np.where(np.arange(20) == 3, np.nan, 1.0), "absolute", 5)
 
+    def test_predict_on_too_few_columns_raises(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(100, 3))
+        model = fit_boosted(X, np.where(X[:, 2] > 0, 4.0, 1.0), "absolute", 3, depth=1)
+        assert all(feature[0] == 2 for feature, _, _ in model.trees)
+        with pytest.raises(IndexError):
+            model.predict(X[:, :2])
+
 
 def reference_best_split(X, g, min_leaf):
     """Brute-force split search: an argsort per feature per node and a
@@ -380,7 +395,8 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
     """Boosting as the brute-force version did it: trees grown on the
     subsample with reference_best_split and numpy's own quantile/median leaf
     values, then leaves refit on all rows. Returns (predictions on X,
-    training losses)."""
+    training losses, predict), where predict walks each row of its input
+    down the trees one by one."""
     if loss == "pinball":
         base = float(np.quantile(y, tau, method="inverted_cdf"))
         grad = lambda r: pinball_gradient(y, r, tau)
@@ -415,6 +431,7 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
     n_sub = max(2 * min_leaf, int(round(subsample * n)))
     pred = np.full(n, base)
     losses = [loss_fn(pred)]
+    trees = []
     for _ in range(rounds):
         g, resid = grad(pred), y - pred
         if n_sub < n:
@@ -429,7 +446,20 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
             step[rows] = leaf["value"]
         pred = pred + rate * step
         losses.append(loss_fn(pred))
-    return pred, tuple(losses)
+        trees.append(tree)
+
+    def predict(Z):
+        out = np.empty(len(Z))
+        for i, z in enumerate(Z):
+            p = base
+            for node in trees:
+                while "value" not in node:
+                    node = node["left"] if z[node["f"]] <= node["thr"] else node["right"]
+                p += rate * node["value"]
+            out[i] = p
+        return out
+
+    return pred, tuple(losses), predict
 
 
 def presorted_split(X, g, min_leaf):
@@ -509,7 +539,7 @@ class TestSplitSearch:
         X[:, 4] = 1.0
         y = rng.integers(1, 6, 240).astype(float)
         model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample)
-        pred, losses = reference_fit_boosted(
+        pred, losses, _ = reference_fit_boosted(
             X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample
         )
         assert np.array_equal(model.predict(X), pred)
@@ -522,7 +552,7 @@ class TestSplitSearch:
         assert all(len(np.unique(col)) == len(col) for col in X.T)
         y = rng.integers(1, 6, 300).astype(float)
         model = fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
-        pred, losses = reference_fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
+        pred, losses, _ = reference_fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
         assert np.array_equal(model.predict(X), pred)
         assert model.train_losses == losses
 
@@ -535,8 +565,31 @@ class TestSplitSearch:
         X[7], X[40, 1] = X[3], X[9, 1]
         y = rng.integers(1, 6, 60).astype(float)
         model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
-        pred, losses = reference_fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
+        pred, losses, _ = reference_fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
         assert np.array_equal(model.predict(X), pred)
+        assert model.train_losses == losses
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("loss,tau", [("pinball", 0.9), ("absolute", None)])
+    def test_array_trees_match_reference_on_held_out_rows(self, depth, loss, tau):
+        # Column 1 is extract-like: most rows hold the floor for an absent
+        # rating token. Column 2 mixes 0.0 with -0.0, which compare equal.
+        # Held-out rows hold NaN, which goes right at every node, including
+        # the padding below a leaf that stopped above depth 3.
+        rng = np.random.default_rng(38)
+        n = 200
+        X = rng.normal(size=(n + 100, 4))
+        X[:, 1] = np.where(rng.random(n + 100) < 0.8, -11.5, X[:, 1])
+        X[:, 2] = rng.choice([0.0, -0.0, 1.0, -1.0], size=n + 100)
+        X[n::7, 0] = np.nan
+        X[n + 1 :: 5, 3] = np.nan
+        y = rng.integers(1, 6, n).astype(float)
+        model = fit_boosted(X[:n], y, loss, 30, depth, 0.2, tau=tau)
+        pred, losses, predict = reference_fit_boosted(X[:n], y, loss, 30, depth, 0.2,
+                                                      tau=tau)
+        assert len(model.trees) == 30
+        assert np.array_equal(model.predict(X[:n]), pred)
+        assert np.array_equal(model.predict(X), predict(X))
         assert model.train_losses == losses
 
     def test_leaf_values_match_numpy(self):
@@ -549,6 +602,29 @@ class TestSplitSearch:
                 assert _quantile_leaf(r, tau) == np.quantile(
                     r, tau, method="inverted_cdf"
                 )
+
+
+class TestDenseRanks:
+    """A stable sort of dense ranks orders any rows as the stable float
+    argsort of their values does, tied or not."""
+
+    @pytest.mark.parametrize("n,dtype", [(300, np.uint16), (65_536, np.uint16),
+                                         (70_000, np.uint32)])
+    def test_rank_order_is_stable_float_order(self, n, dtype):
+        rng = np.random.default_rng(39)
+        X = np.column_stack([
+            rng.normal(size=n),
+            np.round(rng.normal(size=n)),
+            np.where(rng.random(n) < 0.8, -11.5, rng.normal(size=n)),
+            rng.choice([0.0, -0.0, 1.0], size=n),
+        ])
+        assert len(np.unique(X[:, 0])) == n
+        ranks = _dense_ranks(X)
+        assert ranks.dtype == dtype
+        assert ranks[0].max() == n - 1
+        for rows in (np.arange(n), rng.choice(n, n // 2, replace=False)):
+            assert np.array_equal(np.argsort(ranks[:, rows], axis=1, kind="stable"),
+                                  np.argsort(X[rows].T, axis=1, kind="stable"))
 
 
 class TestGradients:
