@@ -22,7 +22,6 @@ _EXPORTS = {
     "ExperimentReport": "harness",
     "FeatureVector": "extract",
     "GroupPartition": "conformal",
-    "Interval": "core",
     "Intervals": "core",
     "InvariantError": "base",
     "METHOD_NAMES": "conformal",

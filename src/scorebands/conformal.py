@@ -50,7 +50,6 @@ class MethodConfig:
     """Knobs shared by every interval constructor."""
 
     train: TrainConfig = TrainConfig()
-    grid: GridConfig = GridConfig()
     chr_bins: int = 9
     boost_rounds: int = 200
     boost_depth: int = 3
@@ -425,12 +424,7 @@ def _fit_label_bins(half, alpha, scale, cfg, cache):
 
 
 def _fit_grid(half, alpha, scale, cfg, cache):
-    grid = cfg.grid
-    if not (grid.lo < 1 and grid.hi > scale.k_max):
-        raise DataError(
-            f"grid [{grid.lo}, {grid.hi}] must strictly contain the label "
-            f"range [1, {scale.k_max}]"
-        )
+    grid = GridConfig.for_scale(scale.k_max)
     return (
         _fit_cached(
             cache,

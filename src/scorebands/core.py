@@ -5,8 +5,7 @@ which needs no numpy, and imported here under the same names.
 
 Samples travel as one ``Batch`` (feature matrix, scores and tag arrays)
 and intervals as one ``Intervals`` (endpoint arrays), each built once and
-sliced by index arrays. ``Interval`` is what indexing one row of an
-``Intervals`` gives.
+sliced by index arrays.
 """
 
 from __future__ import annotations
@@ -20,55 +19,15 @@ import numpy as np
 from .base import DataError, InvariantError, RatingScale
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A continuous prediction interval plus its optional integer-aligned form."""
-
-    lower: float
-    upper: float
-    adj_lower: int | None = None
-    adj_upper: int | None = None
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError(f"interval endpoint is NaN ({self.lower}, {self.upper})")
-        if self.lower > self.upper:
-            raise ValueError(f"interval lower {self.lower} > upper {self.upper}")
-        if (self.adj_lower is None) != (self.adj_upper is None):
-            raise ValueError("adjusted endpoints must be set together")
-        if self.adj_lower is not None and self.adj_lower > self.adj_upper:
-            raise ValueError(
-                f"adjusted lower {self.adj_lower} > upper {self.adj_upper}"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def adj_width(self) -> int | None:
-        if self.adj_lower is None:
-            return None
-        return self.adj_upper - self.adj_lower
-
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
-
-    def contains_adjusted(self, y: int) -> bool:
-        if self.adj_lower is None:
-            raise InvariantError("interval has no adjusted endpoints")
-        return self.adj_lower <= y <= self.adj_upper
-
-
 class Intervals:
-    """A set of intervals as columns: the array form of ``list[Interval]``.
+    """A set of intervals as columns.
 
     ``lower`` and ``upper`` are float64 arrays; ``adj_lower`` and
-    ``adj_upper`` are int64 arrays, set together or both None. The checks
-    are Interval's, over every row: no NaN endpoint, lower <= upper, and
-    adjusted lower <= adjusted upper. Indexing with an integer gives an
-    ``Interval``; with a slice or an index array, an ``Intervals``. Treat
-    the arrays as read-only.
+    ``adj_upper`` are int64 arrays, set together or both None. Every row is
+    checked: no NaN endpoint, lower <= upper, and adjusted lower <= adjusted
+    upper. Index with a slice or an index array to take rows; an integer
+    key raises TypeError, so an Intervals is not iterable. Treat the arrays
+    as read-only.
     """
 
     __slots__ = ("lower", "upper", "adj_lower", "adj_upper")
@@ -136,15 +95,8 @@ class Intervals:
         return len(self.lower)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            if self.adj_lower is None:
-                return Interval(float(self.lower[key]), float(self.upper[key]))
-            return Interval(
-                float(self.lower[key]),
-                float(self.upper[key]),
-                int(self.adj_lower[key]),
-                int(self.adj_upper[key]),
-            )
+        if not isinstance(key, slice) and np.ndim(key) == 0:
+            raise TypeError(f"Intervals takes a slice or an index array, not {key!r}")
         # A subset of checked rows needs no second check.
         out = object.__new__(Intervals)
         out.lower, out.upper = self.lower[key], self.upper[key]
@@ -153,9 +105,6 @@ class Intervals:
         else:
             out.adj_lower, out.adj_upper = self.adj_lower[key], self.adj_upper[key]
         return out
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Intervals):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 from ..conformal import METHOD_NAMES, MethodConfig
 from ..core import DataError, RatingScale
-from ..learners import GridConfig, TrainConfig
+from ..learners import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class ExperimentConfig:
             "learning_rate": tr.learning_rate,
             "train_seed": tr.seed,
             "hidden": list(tr.hidden),
-            "grid_lo": mc.grid.lo,
-            "grid_hi": mc.grid.hi,
-            "grid_resolution": mc.grid.resolution,
-            "grid_points": mc.grid.n_points,
             "chr_bins": mc.chr_bins,
             "boost_rounds": mc.boost_rounds,
             "boost_depth": mc.boost_depth,
@@ -83,15 +79,8 @@ class ExperimentConfig:
             seed=int(merged["train_seed"]),
             hidden=tuple(int(h) for h in merged["hidden"]),
         )
-        grid = GridConfig(
-            lo=float(merged["grid_lo"]),
-            hi=float(merged["grid_hi"]),
-            resolution=float(merged["grid_resolution"]),
-            n_points=int(merged["grid_points"]),
-        )
         method_config = MethodConfig(
             train=train,
-            grid=grid,
             chr_bins=int(merged["chr_bins"]),
             boost_rounds=int(merged["boost_rounds"]),
             boost_depth=int(merged["boost_depth"]),

@@ -25,7 +25,7 @@ vectorised comparisons per tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +176,6 @@ class BoostedModel:
     base_prediction: float
     trees: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     learning_rate: float
-    train_losses: tuple[float, ...] = field(default=())
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Three comparisons per row and tree (NaN goes right); trees are
@@ -228,12 +227,10 @@ def fit_boosted(
             raise ValueError("pinball loss needs tau in (0, 1)")
         base = float(np.quantile(y, tau, method="inverted_cdf"))
         grad_fn = lambda r: pinball_gradient(y, r, tau)
-        loss_fn = lambda r: pinball_loss(y, r, tau)
         leaf_value = lambda res: _quantile_leaf(res, tau)
     elif loss == "absolute":
         base = float(np.median(y))
         grad_fn = lambda r: absolute_gradient(y, r)
-        loss_fn = lambda r: absolute_loss(y, r)
         leaf_value = _median_leaf
     else:
         raise ValueError(f"unknown loss {loss!r}")
@@ -244,7 +241,6 @@ def fit_boosted(
     ranks = _dense_ranks(X)
     pred = np.full(n, base)
     trees = []
-    losses = [loss_fn(pred)]
     for _ in range(rounds):
         g = grad_fn(pred)
         if n_sub < n:
@@ -256,12 +252,10 @@ def fit_boosted(
         tree, step = _fit_tree(Xs, gs, order, X, y - pred, depth, min_leaf, leaf_value)
         pred = pred + rate * step
         trees.append(tree)
-        losses.append(loss_fn(pred))
     return BoostedModel(
         loss=loss,
         tau=tau,
         base_prediction=base,
         trees=tuple(trees),
         learning_rate=rate,
-        train_losses=tuple(losses),
     )

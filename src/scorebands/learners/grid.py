@@ -38,6 +38,12 @@ class GridConfig:
                 f"[{self.lo}, {self.hi}] at resolution {self.resolution}"
             )
 
+    @classmethod
+    def for_scale(cls, k_max: int) -> "GridConfig":
+        """Eight points per label over [0.5, k_max + 0.5], a range that
+        strictly contains the labels 1..k_max."""
+        return cls(0.5, k_max + 0.5, 0.125, 8 * k_max + 1)
+
     def points(self) -> np.ndarray:
         return self.lo + self.resolution * np.arange(self.n_points)
 

@@ -69,20 +69,6 @@ def forward(params: MLPParams, X: np.ndarray) -> tuple[list[np.ndarray], np.ndar
     return acts, out
 
 
-def backward(params: MLPParams, acts: list[np.ndarray], d_out: np.ndarray) -> MLPParams:
-    """Gradients for every (W, b) given d_loss/d_output."""
-    grads: MLPParams = [None] * len(params)  # type: ignore[list-item]
-    delta = d_out
-    for layer in range(len(params) - 1, -1, -1):
-        a_prev = acts[layer]
-        dW = a_prev.T @ delta
-        db = delta.sum(axis=0)
-        grads[layer] = (dW, db)
-        if layer > 0:
-            delta = (delta @ params[layer][0].T) * (1.0 - a_prev * a_prev)
-    return grads
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -92,15 +78,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class Head:
     """A loss on the network's linear output, and its gradient there.
 
-    Training evaluates `grad` alone. Calling the head gives ``(loss, d_out)``,
-    the pair the gradient checks compare against finite differences.
+    Training evaluates `grad` alone. `loss` is the objective that the
+    gradient checks differentiate by finite differences.
     """
 
     loss: Callable[[np.ndarray, np.ndarray], float]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, out: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.loss(out, target), self.grad(out, target)
 
 
 def _softmax_ce_loss(out: np.ndarray, target: np.ndarray) -> float:
@@ -145,12 +128,61 @@ def pinball_head(tau: float) -> Head:
     return Head(loss, grad)
 
 
-def loss_and_grads(
-    params: MLPParams, X: np.ndarray, target: np.ndarray, head
-) -> tuple[float, MLPParams]:
-    acts, out = forward(params, X)
-    loss, d_out = head(out, target)
-    return loss, backward(params, acts, d_out)
+def gradient_scratch(params: MLPParams, rows: int) -> tuple[list, list]:
+    """Scratch for `batch_gradient` on batches of up to `rows` rows, in the
+    parameters' dtype: per layer, its output, and the product that carries
+    the gradient back to the layer below."""
+    outs = [np.empty((rows, W.shape[1]), W.dtype) for W, _ in params]
+    backs = [None] + [np.empty((rows, W.shape[0]), W.dtype) for W, _ in params[1:]]
+    return outs, backs
+
+
+def batch_gradient(
+    params: MLPParams,
+    grads: MLPParams,
+    scratch: tuple[list, list],
+    X: np.ndarray,
+    target: np.ndarray,
+    head: Head,
+) -> None:
+    """Write into `grads` the gradient of ``head.loss(forward(params, X)[1],
+    target)`` with respect to every (W, b) of `params`.
+
+    It evaluates only the head's gradient, never its loss. Products go into
+    the buffers of `scratch` (from `gradient_scratch`), and bias adds and
+    tanh run in place. X and `params` are left as they are.
+    """
+    outs, backs = scratch
+    m = len(X)
+    last = len(params) - 1
+    a = X
+    acts = [a]
+    for layer, (W, b) in enumerate(params):
+        z = outs[layer][:m]
+        np.matmul(a, W, out=z)
+        z += b
+        if layer < last:
+            np.tanh(z, out=z)
+        acts.append(z)
+        a = z
+    delta = head.grad(a, target)
+    for layer in range(last, -1, -1):
+        a_prev = acts[layer]
+        dW, db = grads[layer]
+        np.matmul(a_prev.T, delta, out=dW)
+        np.add.reduce(delta, axis=0, out=db)
+        if layer:
+            W = params[layer][0]
+            back = backs[layer][:m]
+            if W.shape[1] == 1:  # one product per element: exact
+                np.multiply(delta, W.T, out=back)
+            else:
+                np.matmul(delta, W.T, out=back)
+            # a_prev is not read again: it becomes 1 - a_prev**2.
+            np.multiply(a_prev, a_prev, out=a_prev)
+            np.subtract(1.0, a_prev, out=a_prev)
+            back *= a_prev
+            delta = back
 
 
 def fit_mlp(
@@ -162,12 +194,12 @@ def fit_mlp(
 ) -> MLPParams:
     """Train with plain mini-batch SGD for a fixed epoch budget.
 
-    Each step does the arithmetic of `loss_and_grads` and then
-    ``W - lr * dW``, in the same order, so the fit matches that plain loop
-    bit for bit. It evaluates only the head's gradient, never its loss.
-    Every weight and bias is a view into one flat vector and every gradient
-    a view into another, so the update is two in-place operations. Products
-    go into buffers made once per fit, and bias adds and tanh run in place.
+    Each step fills the flat gradient vector with `batch_gradient` and then
+    takes ``theta - lr * d_theta``. Every weight and bias is a view into
+    `theta` and every gradient a view into `d_theta`, so the update is two
+    in-place operations. The step does the arithmetic of a plain loop that
+    makes new arrays for every product and update, in the same order, so
+    the fit matches that loop bit for bit.
     """
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
@@ -180,44 +212,13 @@ def fit_mlp(
     n = len(X)
     bs = max(1, min(cfg.batch_size, n))
     lr = cfg.learning_rate
-    # Per layer, sized for a full batch: its output, and the product that
-    # carries the gradient back to the layer below.
-    outs = [np.empty((bs, W.shape[1])) for W, _ in params]
-    backs = [None] + [np.empty((bs, W.shape[0])) for W, _ in params[1:]]
-    last = len(params) - 1
+    scratch = gradient_scratch(params, bs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         X_epoch, t_epoch = X[order], target[order]
         for start in range(0, n, bs):
-            a = X_epoch[start : start + bs]
-            m = len(a)
-            acts = [a]
-            for layer, (W, b) in enumerate(params):
-                z = outs[layer][:m]
-                np.matmul(a, W, out=z)
-                z += b
-                if layer < last:
-                    np.tanh(z, out=z)
-                acts.append(z)
-                a = z
-            delta = head.grad(a, t_epoch[start : start + bs])
-            for layer in range(last, -1, -1):
-                a_prev = acts[layer]
-                dW, db = grads[layer]
-                np.matmul(a_prev.T, delta, out=dW)
-                np.add.reduce(delta, axis=0, out=db)
-                if layer:
-                    W = params[layer][0]
-                    back = backs[layer][:m]
-                    if W.shape[1] == 1:  # one product per element: exact
-                        np.multiply(delta, W.T, out=back)
-                    else:
-                        np.matmul(delta, W.T, out=back)
-                    # a_prev is not read again: it becomes 1 - a_prev**2.
-                    np.multiply(a_prev, a_prev, out=a_prev)
-                    np.subtract(1.0, a_prev, out=a_prev)
-                    back *= a_prev
-                    delta = back
+            batch_gradient(params, grads, scratch, X_epoch[start : start + bs],
+                           t_epoch[start : start + bs], head)
             d_theta *= lr
             theta -= d_theta
     return [(W.copy(), b.copy()) for W, b in params]

@@ -348,27 +348,3 @@ def informativeness(ivs: Intervals, scale: RatingScale) -> tuple[float, float, f
         raise DataError("informativeness needs adjusted intervals")
     return bucket_widths(ivs.adj_width)
 
-
-def confusion(pred, gt, scale: RatingScale) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized K x K matrix (ground-truth rows) plus raw row counts.
-
-    Rows with no samples stay all-zero; the returned counts flag them.
-    """
-    k = scale.k_max
-    pred = np.asarray(pred, dtype=np.intp)
-    gt = np.asarray(gt, dtype=np.intp)
-    if pred.min(initial=1) < 1 or pred.max(initial=k) > k:
-        raise DataError("prediction labels outside the scale")
-    if gt.min(initial=1) < 1 or gt.max(initial=k) > k:
-        raise DataError("ground-truth labels outside the scale")
-    counts = np.zeros((k, k), dtype=np.float64)
-    for p, g in zip(pred, gt):
-        counts[g - 1, p - 1] += 1.0
-    row_counts = counts.sum(axis=1)
-    matrix = np.divide(
-        counts,
-        row_counts[:, None],
-        out=np.zeros_like(counts),
-        where=row_counts[:, None] > 0,
-    )
-    return matrix, row_counts.astype(np.intp)

@@ -126,6 +126,39 @@ class TestRunCommand:
         assert report["config"]["alpha"] == 0.1  # flag wins over file
         assert report["config"]["epochs"] == 30
 
+    def test_seven_point_scale_runs_every_method(self, tmp_path, capsys):
+        # r2ccp's grid follows --k-max, so no method lands in the ledger.
+        from scorebands.core import RatingScale
+        from scorebands.harness import SyntheticSpec, generate_synthetic, write_samples
+
+        scale = RatingScale(k_max=7)
+        batch, _ = generate_synthetic(
+            SyntheticSpec(n=240, feature_dim=7, label_noise=0.35, scale=scale)
+        )
+        samples = tmp_path / "k7.jsonl"
+        write_samples(batch, samples, scale)
+        out_dir = tmp_path / "k7"
+        code = main(
+            ["run", "--input", str(samples), "--out", str(out_dir), "--k-max", "7",
+             "--seeds", "0", "--methods", "all", "--epochs", "5",
+             "--batch-size", "256", "--boost-rounds", "5"]
+        )
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["errors"] == []
+        assert sorted(row["method"] for row in report["per_seed"]) == sorted(
+            scorebands.METHOD_NAMES
+        )
+        assert not any(key.startswith("grid") for key in report["config"])
+
+    def test_grid_fields_are_unknown_config_fields(self, tmp_path, capsys):
+        samples = _synth(tmp_path, n=100)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid_points": 41, "input": str(samples)}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_DATA
+        assert "unknown config fields: ['grid_points']" in capsys.readouterr().err
+
     def test_emit_intervals_flag(self, tmp_path):
         samples = _synth(tmp_path, n=200)
         out_dir = tmp_path / "with_ivs"

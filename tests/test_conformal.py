@@ -111,7 +111,7 @@ class TestNaive:
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0] * 10)
         q, ivs = naive_from_predictions(y, y, y, 0.1, SCALE)
         assert q == 0.0
-        assert all(iv.width == 0.0 for iv in ivs)
+        assert np.all(ivs.width == 0.0)
         assert coverage(ivs, y) == 1.0
 
     def test_symmetric_intervals(self):
@@ -119,13 +119,13 @@ class TestNaive:
         mu_conf = np.full(9, 3.0)
         q, ivs = naive_from_predictions(y_conf, mu_conf, np.array([3.0]), 0.1, SCALE)
         assert q == 0.5  # rank ceil(10*0.9)=9 of |resid|
-        assert (ivs[0].lower, ivs[0].upper) == (2.5, 3.5)
+        assert (ivs.lower[0], ivs.upper[0]) == (2.5, 3.5)
 
     def test_rank_overflow_full_range(self):
         y = np.array([3.0, 4.0])
         q, ivs = naive_from_predictions(y, y, np.array([2.0]), 0.1, SCALE)
         assert q == math.inf
-        assert (ivs[0].lower, ivs[0].upper) == (1.0, 5.0)
+        assert (ivs.lower[0], ivs.upper[0]) == (1.0, 5.0)
 
 
 class TestCqrArithmetic:
@@ -150,7 +150,7 @@ class TestCqrArithmetic:
         y = np.linspace(2, 4, 50)
         q, ivs = cqr_from_quantiles(y, y, y, y[:10], y[:10], 0.1, SCALE)
         assert q == 0.0
-        assert all(iv.width == 0.0 for iv in ivs)
+        assert np.all(ivs.width == 0.0)
 
     def test_negative_correction_collapses_to_midpoint(self):
         # Conformal scores strongly negative -> q < 0 can cross endpoints.
@@ -159,7 +159,7 @@ class TestCqrArithmetic:
         hi = np.full(20, 5.0)
         q, ivs = cqr_from_quantiles(y, lo, hi, np.array([3.0]), np.array([3.1]), 0.1, SCALE)
         assert q < 0
-        assert ivs[0].lower <= ivs[0].upper
+        assert ivs.lower[0] <= ivs.upper[0]
 
     def test_asymmetric_per_side(self):
         # Constant over-wide margins: per-side scores are exactly lo - y =
@@ -176,8 +176,8 @@ class TestCqrArithmetic:
         )
         assert q_lo == pytest.approx(-0.2, abs=1e-9)
         assert q_hi == pytest.approx(-0.6, abs=1e-9)
-        assert ivs[0].lower == pytest.approx(3.0, abs=1e-9)
-        assert ivs[0].upper == pytest.approx(3.0, abs=1e-9)
+        assert ivs.lower[0] == pytest.approx(3.0, abs=1e-9)
+        assert ivs.upper[0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestDensityIntervals:
@@ -190,8 +190,7 @@ class TestDensityIntervals:
             np.full(100, math.log(41)), neg_logp, pts, pts, 0.1, SCALE
         )
         assert thr == pytest.approx(math.log(41))
-        for iv in ivs:
-            assert (iv.lower, iv.upper) == (1.0, 5.0)
+        assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_one_hot_single_point(self):
         pts = self.GRID.points()
@@ -200,15 +199,15 @@ class TestDensityIntervals:
         thr, ivs = density_intervals_from_scores(
             np.zeros(100), row[None, :], pts, pts, 0.1, SCALE
         )
-        assert (ivs[0].lower, ivs[0].upper) == (3.0, 3.0)
-        assert ivs[0].width == 0.0
+        assert (ivs.lower[0], ivs.upper[0]) == (3.0, 3.0)
+        assert ivs.width[0] == 0.0
 
     def test_no_qualifying_point_full_range(self):
         pts = self.GRID.points()
         thr, ivs = density_intervals_from_scores(
             np.zeros(100), np.full((2, 41), 5.0), pts, pts, 0.1, SCALE
         )
-        assert all((iv.lower, iv.upper) == (1.0, 5.0) for iv in ivs)
+        assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_hull_of_qualifying_points(self):
         pts = self.GRID.points()
@@ -218,7 +217,7 @@ class TestDensityIntervals:
         thr, ivs = density_intervals_from_scores(
             np.zeros(50), row[None, :], pts, pts, 0.1, SCALE
         )
-        assert (ivs[0].lower, ivs[0].upper) == (2.0, 4.0)
+        assert (ivs.lower[0], ivs.upper[0]) == (2.0, 4.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -230,16 +229,16 @@ class TestDensityIntervals:
         thr, ivs = density_intervals_from_scores(
             conf, neg_logp, pts, pts, 0.1, SCALE
         )
-        for row, iv in zip(neg_logp, ivs):
+        for row, lower, upper in zip(neg_logp, ivs.lower, ivs.upper):
             qual = np.flatnonzero(row <= thr)
             if qual.size == 0:
-                assert (iv.lower, iv.upper) == (1.0, 5.0)
+                assert (lower, upper) == (1.0, 5.0)
             else:
                 lo = min(max(pts[qual[0]], 1.0), 5.0)
                 hi = max(min(pts[qual[-1]], 5.0), 1.0)
                 if lo > hi:
                     lo = hi = (lo + hi) / 2
-                assert (iv.lower, iv.upper) == (lo, hi)
+                assert (lower, upper) == (lo, hi)
                 # endpoints themselves qualify (no dangling gap at the rim)
                 assert row[qual[0]] <= thr and row[qual[-1]] <= thr
 
@@ -266,7 +265,7 @@ class TestOrdinalAps:
         probs_conf = np.tile([0.21, 0.2, 0.2, 0.2, 0.19], (200, 1))
         y_idx = np.tile(np.arange(5), 40)
         q, ivs, point = aps_from_probs(probs_conf, y_idx, probs_conf[:5], 0.1, SCALE)
-        assert all((iv.lower, iv.upper) == (1.0, 5.0) for iv in ivs)
+        assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_score_is_mass_at_inclusion(self):
         probs = np.tile([0.1, 0.2, 0.4, 0.2, 0.1], (3, 1))
@@ -274,30 +273,26 @@ class TestOrdinalAps:
 
 
 def adjust_one(lo, hi, direction="outward"):
-    """The interval [lo, hi] through adjust_all, as a one-row Intervals."""
-    return adjust_all(Intervals([lo], [hi]), SCALE, direction)[0]
+    """The adjusted endpoints of [lo, hi] through adjust_all, or None when
+    adjust_all leaves it unadjusted."""
+    iv = adjust_all(Intervals([lo], [hi]), SCALE, direction)
+    return (int(iv.adj_lower[0]), int(iv.adj_upper[0])) if iv.adjusted else None
 
 
 class TestBoundaryAdjust:
     def test_outward_examples(self):
-        iv = adjust_one(2.3, 4.7)
-        assert (iv.adj_lower, iv.adj_upper) == (2, 5)
-        iv = adjust_one(1.0, 5.0)
-        assert (iv.adj_lower, iv.adj_upper) == (1, 5)
-        iv = adjust_one(3.0, 3.0)
-        assert (iv.adj_lower, iv.adj_upper) == (3, 3)
+        assert adjust_one(2.3, 4.7) == (2, 5)
+        assert adjust_one(1.0, 5.0) == (1, 5)
+        assert adjust_one(3.0, 3.0) == (3, 3)
 
     def test_inward_variant(self):
-        iv = adjust_one(2.3, 4.7, direction="inward")
-        assert (iv.adj_lower, iv.adj_upper) == (3, 4)
+        assert adjust_one(2.3, 4.7, direction="inward") == (3, 4)
 
     def test_inward_collapse_when_no_integer_inside(self):
-        iv = adjust_one(2.2, 2.8, direction="inward")
-        assert (iv.adj_lower, iv.adj_upper) == (3, 3)
+        assert adjust_one(2.2, 2.8, direction="inward") == (3, 3)
 
     def test_off_leaves_unadjusted(self):
-        iv = adjust_one(2.3, 4.7, direction="off")
-        assert iv.adj_lower is None
+        assert adjust_one(2.3, 4.7, direction="off") is None
 
     def test_unknown_direction(self):
         with pytest.raises(DataError):
@@ -310,15 +305,15 @@ class TestBoundaryAdjust:
     )
     def test_outward_expansion_monotone(self, lo, width):
         raw = Intervals(*clamp_endpoints(np.array([lo]), np.array([lo + width]), SCALE))
-        adj = adjust_all(raw, SCALE)[0]
-        raw = raw[0]
-        assert adj.adj_lower <= raw.lower
-        assert adj.adj_upper >= raw.upper
-        assert adj.adj_width >= raw.width - 1e-12
+        adj = adjust_all(raw, SCALE)
+        (al,), (au,), (rl,), (ru,) = adj.adj_lower, adj.adj_upper, raw.lower, raw.upper
+        assert al <= rl
+        assert au >= ru
+        assert adj.adj_width[0] >= raw.width[0] - 1e-12
         # adjusted set contains every integer the raw interval contains
         for label in SCALE.labels:
-            if raw.lower <= label <= raw.upper:
-                assert adj.adj_lower <= label <= adj.adj_upper
+            if rl <= label <= ru:
+                assert al <= label <= au
 
 
 class TestLvdReduction:
@@ -386,8 +381,8 @@ class TestMethodRunners:
             res = run_method(method, cal, test, 0.1, SCALE, FAST, {})
             assert len(res.intervals) == len(test)
             assert len(res.y_hat) == len(test)
-            for iv in res.intervals:
-                assert 1.0 <= iv.lower <= iv.upper <= 5.0
+            ivs = res.intervals
+            assert np.all((1.0 <= ivs.lower) & (ivs.lower <= ivs.upper) & (ivs.upper <= 5.0))
             assert 0.8 <= coverage(res.intervals, gts) <= 1.0
 
     def test_deterministic(self):
@@ -460,7 +455,6 @@ class TestNonDefaultScale:
         test = batch[np.array(plan.test_indices)]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1),
-            grid=GridConfig(lo=0.5, hi=3.5, resolution=0.125, n_points=25),
             chr_bins=6,
             boost_rounds=30,
         )
@@ -468,7 +462,8 @@ class TestNonDefaultScale:
         for method in METHOD_NAMES:
             res = run_method(method, cal, test, 0.1, scale, cfg, {})
             assert 0.8 <= coverage(res.intervals, gts) <= 1.0
-            assert all(1.0 <= iv.lower <= iv.upper <= 3.0 for iv in res.intervals)
+            ivs = res.intervals
+            assert np.all((1.0 <= ivs.lower) & (ivs.lower <= ivs.upper) & (ivs.upper <= 3.0))
 
 
 class TestMondrian:
@@ -547,9 +542,7 @@ class TestMondrian:
             cache = {}
             for method in widths:
                 res = run_method(method, cal, test, 0.1, SCALE, FAST, cache)
-                widths[method].append(
-                    np.mean([iv.width for iv in res.intervals])
-                )
+                widths[method].append(np.mean(res.intervals.width))
         assert np.mean(widths["r2ccp"]) < np.mean(widths["naive_split"])
 
     def test_heteroscedastic_adaptation(self):
@@ -564,8 +557,8 @@ class TestMondrian:
         for idx in (low, high):
             cov = coverage(res_m.intervals[idx], gts[idx])
             assert 0.84 <= cov <= 0.96
-        w_m_low = np.mean([res_m.intervals[i].width for i in low])
-        w_g_low = np.mean([res_g.intervals[i].width for i in low])
+        w_m_low = np.mean(res_m.intervals.width[low])
+        w_g_low = np.mean(res_g.intervals.width[low])
         assert w_m_low < 0.9 * w_g_low
 
 
@@ -762,15 +755,16 @@ class TestColumnarIdentity:
             assert ivs.adj_lower.dtype == np.int64
             assert list(zip(ivs.adj_lower.tolist(), ivs.adj_upper.tolist())) == want
         for i in range(0, 2000, 97):
-            one = adjust_all(Intervals(lo[i : i + 1], hi[i : i + 1]), scale, direction)[0]
-            got = None if one.adj_lower is None else (one.adj_lower, one.adj_upper)
+            one = adjust_all(Intervals(lo[i : i + 1], hi[i : i + 1]), scale, direction)
+            got = (one.adj_lower[0], one.adj_upper[0]) if one.adjusted else None
             assert got == want[i]
 
     def test_adjusting_one_row_equals_adjusting_columns(self):
         raw = Intervals([1.2, 2.0, 4.5], [3.7, 2.0, 5.0])
         for direction in ("outward", "inward"):
-            rows = [adjust_all(raw[i : i + 1], SCALE, direction)[0] for i in range(3)]
-            assert list(adjust_all(raw, SCALE, direction)) == rows
+            rows = [adjust_all(raw[i : i + 1], SCALE, direction) for i in range(3)]
+            cols = adjust_all(raw, SCALE, direction)
+            assert [cols[i : i + 1] for i in range(3)] == rows
 
     def test_unknown_direction_rejected_for_any_length(self):
         with pytest.raises(DataError):

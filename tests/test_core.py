@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scorebands.core import (
     Batch,
     DataError,
-    Interval,
     Intervals,
+    InvariantError,
     RatingScale,
     check_batch,
     clamp_endpoints,
@@ -51,30 +51,33 @@ class TestRatingScale:
 
 
 class TestInterval:
+    """The checks and accessors of one row, on a one-row Intervals."""
+
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            Interval(3.0, 2.0)
+            Intervals([3.0], [2.0])
         with pytest.raises(ValueError):
-            Interval(1.0, 2.0, adj_lower=3, adj_upper=2)
+            Intervals([1.0], [2.0], adj_lower=[3], adj_upper=[2])
 
     def test_adjusted_set_together(self):
         with pytest.raises(ValueError):
-            Interval(1.0, 2.0, adj_lower=1, adj_upper=None)
+            Intervals([1.0], [2.0], adj_lower=[1], adj_upper=None)
 
     def test_contains(self):
-        iv = Interval(2.0, 4.0, adj_lower=2, adj_upper=4)
-        assert iv.contains(2.0) and iv.contains(4.0) and not iv.contains(4.5)
-        assert iv.contains_adjusted(3) and not iv.contains_adjusted(5)
-        assert iv.width == 2.0
-        assert iv.adj_width == 2
+        iv = Intervals([2.0], [4.0], adj_lower=[2], adj_upper=[4])
+        assert iv.contains(2.0)[0] and iv.contains(4.0)[0] and not iv.contains(4.5)[0]
+        assert iv.contains_adjusted(3)[0] and not iv.contains_adjusted(5)[0]
+        assert iv.width[0] == 2.0
+        assert iv.adj_width[0] == 2
 
     def test_nan_endpoint_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            Interval(math.nan, 2.0)
+            Intervals([math.nan], [2.0])
 
 
 class TestIntervals:
     def test_same_checks_and_messages_as_interval(self):
+        # One bad row gives the same message alone as after a good row.
         cases = [
             ((3.0, 2.0, None, None), "interval lower 3.0 > upper 2.0"),
             ((1.0, 2.0, 3, 2), "adjusted lower 3 > upper 2"),
@@ -83,7 +86,9 @@ class TestIntervals:
         ]
         for (lo, hi, al, au), message in cases:
             with pytest.raises(ValueError, match=message):
-                Interval(lo, hi, al, au)
+                Intervals(
+                    [lo], [hi], None if al is None else [al], None if au is None else [au]
+                )
             with pytest.raises(ValueError, match=message):
                 Intervals(
                     [1.0, lo], [1.0, hi],
@@ -95,29 +100,39 @@ class TestIntervals:
         ivs = Intervals([1.0, 2.5, 3.0], [2.0, 4.5, 3.0], [1, 2, 3], [2, 5, 3])
         assert len(ivs) == 3
         assert ivs.adj_lower.dtype == np.int64
-        assert ivs[1] == Interval(2.5, 4.5, 2, 5)
-        assert isinstance(ivs[1].adj_lower, int)
+        assert ivs[1:2] == Intervals([2.5], [4.5], [2], [5])
+        assert ivs[1:2].adj_lower.dtype == np.int64
         assert ivs[np.array([2, 0])] == Intervals([3.0, 1.0], [3.0, 2.0], [3, 1], [3, 2])
-        assert list(ivs[1:]) == [Interval(2.5, 4.5, 2, 5), Interval(3.0, 3.0, 3, 3)]
+        assert ivs[1:] == Intervals([2.5, 3.0], [4.5, 3.0], [2, 3], [5, 3])
         assert ivs.width.tolist() == [1.0, 2.0, 0.0]
         assert ivs.adj_width.tolist() == [1, 3, 0]
         assert ivs.contains([2.0, 5.0, 3.0]).tolist() == [True, False, True]
         assert ivs.contains_adjusted([2, 5, 4]).tolist() == [True, True, False]
 
     def test_round_trip_and_equality(self):
-        items = [Interval(1.0, 2.0), Interval(2.0, 5.0)]
-        ivs = Intervals([iv.lower for iv in items], [iv.upper for iv in items])
-        assert list(ivs) == items
+        lower, upper = [1.0, 2.0], [2.0, 5.0]
+        ivs = Intervals(lower, upper)
+        assert (ivs.lower.tolist(), ivs.upper.tolist()) == (lower, upper)
         assert ivs == Intervals([1.0, 2.0], [2.0, 5.0])
         assert ivs != Intervals([1.0, 2.0], [2.0, 4.0])
         assert ivs != Intervals([1.0, 2.0], [2.0, 5.0], [1, 2], [2, 5])
         assert not ivs.adjusted and ivs.adj_width is None
 
     def test_unadjusted_has_no_adjusted_coverage(self):
-        from scorebands.core import InvariantError
-
         with pytest.raises(InvariantError):
             Intervals([1.0], [2.0]).contains_adjusted([1])
+
+    @pytest.mark.parametrize("key", [0, -1, np.int64(1), np.array(1), 1.0])
+    def test_one_row_key_raises(self, key):
+        # A row is read from the columns; a scalar key is refused rather
+        # than giving an Intervals of 0-d arrays.
+        ivs = Intervals([1.0, 2.5], [2.0, 4.5], [1, 2], [2, 5])
+        with pytest.raises(TypeError, match="slice or an index array"):
+            ivs[key]
+
+    def test_not_iterable(self):
+        with pytest.raises(TypeError):
+            list(Intervals([1.0, 2.5], [2.0, 4.5]))
 
 
 class TestBatch:
@@ -295,30 +310,29 @@ class TestMakeSplit:
         assert cal & test == set()
 
 
-def clamp_interval(iv: Interval, scale: RatingScale) -> Interval:
-    """One interval through clamp_endpoints."""
-    lo, hi = clamp_endpoints(np.array([iv.lower]), np.array([iv.upper]), scale)
-    return Interval(float(lo[0]), float(hi[0]))
+def clamp_interval(lower: float, upper: float, scale: RatingScale) -> Intervals:
+    """One interval through clamp_endpoints, as a one-row Intervals."""
+    return Intervals(*clamp_endpoints(np.array([lower]), np.array([upper]), scale))
 
 
 class TestClampInterval:
     """clamp_endpoints, one row at a time."""
 
     def test_both_sides(self):
-        iv = clamp_interval(Interval(-0.3, 6.2), SCALE)
-        assert (iv.lower, iv.upper) == (1.0, 5.0)
+        iv = clamp_interval(-0.3, 6.2, SCALE)
+        assert (iv.lower[0], iv.upper[0]) == (1.0, 5.0)
 
     def test_identity(self):
-        iv = clamp_interval(Interval(2.0, 4.0), SCALE)
-        assert (iv.lower, iv.upper) == (2.0, 4.0)
+        iv = clamp_interval(2.0, 4.0, SCALE)
+        assert (iv.lower[0], iv.upper[0]) == (2.0, 4.0)
 
     def test_one_sided(self):
-        iv = clamp_interval(Interval(4.5, 7.0), SCALE)
-        assert (iv.lower, iv.upper) == (4.5, 5.0)
+        iv = clamp_interval(4.5, 7.0, SCALE)
+        assert (iv.lower[0], iv.upper[0]) == (4.5, 5.0)
 
     def test_degenerate_above_range(self):
-        iv = clamp_interval(Interval(6.0, 7.0), SCALE)
-        assert (iv.lower, iv.upper) == (5.0, 5.0)
+        iv = clamp_interval(6.0, 7.0, SCALE)
+        assert (iv.lower[0], iv.upper[0]) == (5.0, 5.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -326,12 +340,12 @@ class TestClampInterval:
         width=st.floats(0, 20, allow_nan=False),
     )
     def test_idempotent_and_narrowing(self, lo, width):
-        iv = Interval(lo, lo + width)
-        once = clamp_interval(iv, SCALE)
-        twice = clamp_interval(once, SCALE)
+        iv = Intervals([lo], [lo + width])
+        once = clamp_interval(iv.lower[0], iv.upper[0], SCALE)
+        twice = clamp_interval(once.lower[0], once.upper[0], SCALE)
         assert once == twice
-        assert once.width <= iv.width + 1e-12
-        assert 1 <= once.lower <= once.upper <= SCALE.k_max
+        assert once.width[0] <= iv.width[0] + 1e-12
+        assert 1 <= once.lower[0] <= once.upper[0] <= SCALE.k_max
 
 
 def test_features_matrix_shape():

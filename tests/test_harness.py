@@ -356,7 +356,7 @@ class TestSyntheticGenerators:
         res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
         gts = test.y
         assert coverage(res.intervals, gts) >= 0.99
-        assert np.mean([iv.width for iv in res.intervals]) < 0.5
+        assert np.mean(res.intervals.width) < 0.5
 
     def test_default_label_noise_coverage_band(self):
         """Generator at its default settings (label_noise 0.2, temperature 1):

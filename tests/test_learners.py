@@ -3,17 +3,16 @@ determinism, and the boosted split search against the brute-force loop
 it replaced."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebands.conformal import MethodConfig, run_method
-from scorebands.core import DataError, RatingScale
-from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.learners import (
     GridConfig,
+    absolute_loss,
     fit_boosted,
     fit_grid_classifier,
     fit_hist_density,
@@ -30,13 +29,17 @@ from scorebands.learners.boosted import (
     _median_leaf,
     _quantile_leaf,
 )
+from scorebands.learners import nets
 from scorebands.learners.nets import (
     Head,
+    MLPParams,
     TrainConfig,
+    batch_gradient,
     fit_mlp,
     flatten_params,
+    forward,
+    gradient_scratch,
     init_params,
-    loss_and_grads,
     pinball_head,
     softmax_ce_head,
     squared_head,
@@ -47,8 +50,10 @@ FAST = TrainConfig(epochs=150, batch_size=128, learning_rate=0.05)
 
 
 def max_rel_grad_error(params, X, target, head, eps=1e-4):
-    """Central finite differences against the analytic gradient."""
-    _, grads = loss_and_grads(params, X, target, head)
+    """Central finite differences of ``head.loss`` against the gradient
+    that training uses, `batch_gradient`."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
+    batch_gradient(params, grads, gradient_scratch(params, len(X)), X, target, head)
     flat = flatten_params(params)
     analytic = flatten_params(grads)
     numeric = np.empty_like(flat)
@@ -57,8 +62,8 @@ def max_rel_grad_error(params, X, target, head, eps=1e-4):
         up[i] += eps
         dn = flat.copy()
         dn[i] -= eps
-        lu, _ = loss_and_grads(unflatten_params(up, params), X, target, head)
-        ld, _ = loss_and_grads(unflatten_params(dn, params), X, target, head)
+        lu = head.loss(forward(unflatten_params(up, params), X)[1], target)
+        ld = head.loss(forward(unflatten_params(dn, params), X)[1], target)
         numeric[i] = (lu - ld) / (2 * eps)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -80,6 +85,21 @@ class TestGridConfig:
         pts = grid.points()
         assert pts[0] == 0.5 and pts[-1] == 5.5
         assert np.allclose(np.diff(pts), 0.125)
+
+    def test_grid_follows_the_scale(self):
+        # r2ccp's grid comes from the scale: half a label beyond each end,
+        # eight points per label, so every label is a grid point strictly
+        # inside the ends.
+        assert GridConfig.for_scale(5) == GridConfig()
+        assert GridConfig.for_scale(3) == GridConfig(0.5, 3.5, 0.125, 25)
+        for k_max in (2, 3, 5, 7, 10):
+            grid = GridConfig.for_scale(k_max)
+            pts = grid.points()
+            assert (pts[0], pts[-1], len(pts)) == (0.5, k_max + 0.5, 8 * k_max + 1)
+            labels = np.arange(1.0, k_max + 1)
+            idx = grid.nearest_index(labels)
+            assert np.array_equal(pts[idx], labels)
+            assert 0 < idx[0] and idx[-1] < grid.n_points - 1
 
     def test_inconsistent_rejected(self):
         with pytest.raises(ValueError):
@@ -161,14 +181,6 @@ class TestGridLogDensity:
             assert self._log_mass(model, X[0], y) == pytest.approx(
                 math.log(1 / 41), abs=1e-12
             )
-
-    def test_outside_grid_rejected(self):
-        # A grid that does not strictly contain the labels is refused
-        # before the grid classifier is fitted.
-        samples, _ = generate_synthetic(SyntheticSpec(n=40, seed=0))
-        cfg = MethodConfig(grid=GridConfig(lo=0.5, hi=5.0, n_points=37))
-        with pytest.raises(DataError, match="strictly contain"):
-            run_method("r2ccp", samples[:20], samples[20:], 0.1, RatingScale(), cfg)
 
     def test_one_hot_model(self):
         model, X = self._uniform_model()
@@ -325,7 +337,11 @@ class TestBoosted:
         y = rng.integers(1, 6, 300).astype(float)
         for loss, tau in (("absolute", None), ("pinball", 0.05), ("pinball", 0.95)):
             model = fit_boosted(X, y, loss, rounds=60, depth=3, rate=0.2, tau=tau)
-            diffs = np.diff(model.train_losses)
+            losses = []
+            for r in range(61):  # the training loss after each round
+                pred = replace(model, trees=model.trees[:r]).predict(X)
+                losses.append(pinball_loss(y, pred, tau) if tau else absolute_loss(y, pred))
+            diffs = np.diff(losses)
             assert np.max(diffs) <= 1e-9
 
     def test_step_function_beats_constant(self):
@@ -395,17 +411,15 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
     """Boosting as the brute-force version did it: trees grown on the
     subsample with reference_best_split and numpy's own quantile/median leaf
     values, then leaves refit on all rows. Returns (predictions on X,
-    training losses, predict), where predict walks each row of its input
-    down the trees one by one."""
+    predict), where predict walks each row of its input down the trees one
+    by one."""
     if loss == "pinball":
         base = float(np.quantile(y, tau, method="inverted_cdf"))
         grad = lambda r: pinball_gradient(y, r, tau)
-        loss_fn = lambda r: pinball_loss(y, r, tau)
         leaf_value = lambda res: np.quantile(res, tau, method="inverted_cdf")
     else:
         base = float(np.median(y))
         grad = lambda r: np.sign(y - r)
-        loss_fn = lambda r: float(np.abs(y - r).mean())
         leaf_value = np.median
 
     def grow(Xn, gn, rn, d):
@@ -430,7 +444,6 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
     n = len(y)
     n_sub = max(2 * min_leaf, int(round(subsample * n)))
     pred = np.full(n, base)
-    losses = [loss_fn(pred)]
     trees = []
     for _ in range(rounds):
         g, resid = grad(pred), y - pred
@@ -445,7 +458,6 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
         for leaf, rows in leaves(tree, np.arange(n)):
             step[rows] = leaf["value"]
         pred = pred + rate * step
-        losses.append(loss_fn(pred))
         trees.append(tree)
 
     def predict(Z):
@@ -459,7 +471,7 @@ def reference_fit_boosted(X, y, loss, rounds, depth, rate, tau=None,
             out[i] = p
         return out
 
-    return pred, tuple(losses), predict
+    return pred, predict
 
 
 def presorted_split(X, g, min_leaf):
@@ -539,11 +551,10 @@ class TestSplitSearch:
         X[:, 4] = 1.0
         y = rng.integers(1, 6, 240).astype(float)
         model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample)
-        pred, losses, _ = reference_fit_boosted(
+        pred, _ = reference_fit_boosted(
             X, y, loss, 40, 3, 0.2, tau=tau, subsample=subsample
         )
         assert np.array_equal(model.predict(X), pred)
-        assert model.train_losses == losses
 
     @pytest.mark.parametrize("loss,tau", [("pinball", 0.05), ("absolute", None)])
     def test_tie_free_fit_matches_reference(self, loss, tau):
@@ -552,9 +563,8 @@ class TestSplitSearch:
         assert all(len(np.unique(col)) == len(col) for col in X.T)
         y = rng.integers(1, 6, 300).astype(float)
         model = fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
-        pred, losses, _ = reference_fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
+        pred, _ = reference_fit_boosted(X, y, loss, 30, 3, 0.2, tau=tau)
         assert np.array_equal(model.predict(X), pred)
-        assert model.train_losses == losses
 
     @pytest.mark.parametrize("loss,tau", [("pinball", 0.95), ("absolute", None)])
     def test_fit_with_ties_in_some_subsamples_matches_reference(self, loss, tau):
@@ -565,9 +575,8 @@ class TestSplitSearch:
         X[7], X[40, 1] = X[3], X[9, 1]
         y = rng.integers(1, 6, 60).astype(float)
         model = fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
-        pred, losses, _ = reference_fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
+        pred, _ = reference_fit_boosted(X, y, loss, 40, 3, 0.2, tau=tau)
         assert np.array_equal(model.predict(X), pred)
-        assert model.train_losses == losses
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("loss,tau", [("pinball", 0.9), ("absolute", None)])
@@ -585,12 +594,11 @@ class TestSplitSearch:
         X[n + 1 :: 5, 3] = np.nan
         y = rng.integers(1, 6, n).astype(float)
         model = fit_boosted(X[:n], y, loss, 30, depth, 0.2, tau=tau)
-        pred, losses, predict = reference_fit_boosted(X[:n], y, loss, 30, depth, 0.2,
+        pred, predict = reference_fit_boosted(X[:n], y, loss, 30, depth, 0.2,
                                                       tau=tau)
         assert len(model.trees) == 30
         assert np.array_equal(model.predict(X[:n]), pred)
         assert np.array_equal(model.predict(X), predict(X))
-        assert model.train_losses == losses
 
     def test_leaf_values_match_numpy(self):
         rng = np.random.default_rng(35)
@@ -657,6 +665,24 @@ class TestGradients:
             target = rng.uniform(1, 5, 12)  # far from the kink at init
             assert max_rel_grad_error(params, X, target, pinball_head(tau)) < 1e-4
 
+    def test_gradient_in_the_parameters_dtype(self):
+        # Scratch and products follow the parameters' dtype: a float32 net
+        # gets a float32 gradient close to the float64 one.
+        rng = np.random.default_rng(22)
+        params = self._net(rng, 1)
+        X = rng.normal(size=(12, 3))
+        target = rng.uniform(1, 5, 12)
+        _, want = loss_and_grads(params, X, target, squared_head)
+        params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in params]
+        grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params32]
+        scratch = gradient_scratch(params32, len(X))
+        assert all(buf.dtype == np.float32 for buf in scratch[0] + scratch[1][1:])
+        batch_gradient(params32, grads, scratch, X.astype(np.float32),
+                       target.astype(np.float32), squared_head)
+        got = flatten_params(grads)
+        assert got.dtype == np.float32
+        assert np.allclose(got, flatten_params(want), rtol=1e-4, atol=1e-6)
+
     def test_boosted_pinball_gradient(self):
         rng = np.random.default_rng(16)
         y = rng.uniform(1, 5, 40)
@@ -673,9 +699,32 @@ class TestGradients:
                 assert abs(-g[i] / len(y) - fd) < 1e-9
 
 
+def backward(params: MLPParams, acts: list[np.ndarray], d_out: np.ndarray) -> MLPParams:
+    """Gradients for every (W, b) given d_loss/d_output."""
+    grads: MLPParams = [None] * len(params)  # type: ignore[list-item]
+    delta = d_out
+    for layer in range(len(params) - 1, -1, -1):
+        a_prev = acts[layer]
+        dW = a_prev.T @ delta
+        db = delta.sum(axis=0)
+        grads[layer] = (dW, db)
+        if layer > 0:
+            delta = (delta @ params[layer][0].T) * (1.0 - a_prev * a_prev)
+    return grads
+
+
+def loss_and_grads(
+    params: MLPParams, X: np.ndarray, target: np.ndarray, head
+) -> tuple[float, MLPParams]:
+    acts, out = forward(params, X)
+    loss, d_out = head.loss(out, target), head.grad(out, target)
+    return loss, backward(params, acts, d_out)
+
+
 def reference_fit_mlp(X, target, out_dim, head, cfg):
     """The former training loop, kept verbatim: a loss and a fresh gradient
-    list per step from loss_and_grads, and new arrays for every update."""
+    list per step from loss_and_grads (forward, then backward), and new
+    arrays for every update."""
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
     rng = np.random.default_rng(cfg.seed)
@@ -761,6 +810,26 @@ class TestFitMlpOracle:
         assert_same_params(fit_mlp(X, y, 1, Head(no_loss, squared_head.grad), cfg),
                            reference_fit_mlp(X, y, 1, squared_head, cfg))
 
+    def test_each_step_is_one_checked_gradient(self, monkeypatch):
+        # fit_mlp steps with batch_gradient, the function the gradient
+        # checks differentiate: once per batch, on each batch's rows.
+        rng = np.random.default_rng(21)
+        n, cfg = 300, TrainConfig(epochs=3, batch_size=128)
+        X = rng.normal(size=(n, 4))
+        y = rng.uniform(1, 5, n)
+        want = fit_mlp(X, y, 1, squared_head, cfg)
+        rows = []
+
+        def counting(params, grads, scratch, X_batch, target, head):
+            rows.append(len(X_batch))
+            return batch_gradient(params, grads, scratch, X_batch, target, head)
+
+        monkeypatch.setattr(nets, "batch_gradient", counting)
+        got = fit_mlp(X, y, 1, squared_head, cfg)
+        assert len(rows) == cfg.epochs * math.ceil(n / cfg.batch_size)
+        assert rows == [128, 128, 44] * cfg.epochs
+        assert_same_params(got, want)
+
     def test_returns_arrays_of_its_own(self):
         rng = np.random.default_rng(20)
         X = rng.normal(size=(40, 3))
@@ -786,4 +855,3 @@ class TestDeterminism:
         a = fit_boosted(X, y, "pinball", 25, 3, 0.2, tau=0.9)
         b = fit_boosted(X, y, "pinball", 25, 3, 0.2, tau=0.9)
         assert np.array_equal(a.predict(X), b.predict(X))
-        assert a.train_losses == b.train_losses

@@ -1,20 +1,20 @@
 """Metric tests, including brute-force correlation oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebands.core import DataError, Interval, Intervals, RatingScale
+from scorebands.core import DataError, Intervals, InvariantError, RatingScale
 from scorebands.metrics import (
     IntervalMetrics,
     Strata,
     StratumMetrics,
     accuracy_metrics,
     bucket_widths,
-    confusion,
     correlations,
     coverage,
     error_bins,
@@ -31,6 +31,46 @@ from scorebands.metrics import (
 )
 
 SCALE = RatingScale()
+
+
+@dataclass(frozen=True)
+class Interval:
+    """One interval: the row type of the per-row reference oracles below."""
+
+    lower: float
+    upper: float
+    adj_lower: int | None = None
+    adj_upper: int | None = None
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"interval endpoint is NaN ({self.lower}, {self.upper})")
+        if self.lower > self.upper:
+            raise ValueError(f"interval lower {self.lower} > upper {self.upper}")
+        if (self.adj_lower is None) != (self.adj_upper is None):
+            raise ValueError("adjusted endpoints must be set together")
+        if self.adj_lower is not None and self.adj_lower > self.adj_upper:
+            raise ValueError(
+                f"adjusted lower {self.adj_lower} > upper {self.adj_upper}"
+            )
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
+
+    @property
+    def adj_width(self) -> int | None:
+        if self.adj_lower is None:
+            return None
+        return self.adj_upper - self.adj_lower
+
+    def contains(self, y: float) -> bool:
+        return self.lower <= y <= self.upper
+
+    def contains_adjusted(self, y: int) -> bool:
+        if self.adj_lower is None:
+            raise InvariantError("interval has no adjusted endpoints")
+        return self.adj_lower <= y <= self.adj_upper
 
 
 def columns(items):
@@ -164,22 +204,22 @@ def assert_same_midrank(v):
 
 class TestCoverage:
     def test_full_range_always_covers(self):
-        ivs = columns([Interval(1.0, 5.0)] * 4)
+        ivs = Intervals([1.0] * 4, [5.0] * 4)
         assert coverage(ivs, [1, 3, 5, 2]) == 1.0
 
     def test_miss(self):
-        assert coverage(columns([Interval(2.0, 3.0)]), [4]) == 0.0
+        assert coverage(Intervals([2.0], [3.0]), [4]) == 0.0
 
     def test_half(self):
-        ivs = columns([Interval(2.5, 4.5), Interval(1.0, 2.0)])
+        ivs = Intervals([2.5, 1.0], [4.5, 2.0])
         assert coverage(ivs, [3, 3]) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            coverage(columns([Interval(1.0, 2.0)]), [1, 2])
+            coverage(Intervals([1.0], [2.0]), [1, 2])
 
     def test_adjusted(self):
-        ivs = columns([Interval(2.5, 4.5, adj_lower=2, adj_upper=5)])
+        ivs = Intervals([2.5], [4.5], [2], [5])
         assert coverage(ivs, [2], adjusted=True) == 1.0
         assert coverage(ivs, [2], adjusted=False) == 0.0
 
@@ -373,13 +413,13 @@ class TestRsg:
 class TestMidpoint:
     def test_degenerate_exact(self):
         gts = [1, 2, 3, 4, 5]
-        ivs = columns([Interval(float(y), float(y)) for y in gts])
+        ivs = Intervals(gts, gts)
         rep = midpoint_eval(ivs, gts)
         assert rep.pearson == pytest.approx(1.0)
         assert rep.mae == 0.0
 
     def test_constant_midpoint_undefined(self):
-        ivs = columns([Interval(1.0, 5.0)] * 4)
+        ivs = Intervals([1.0] * 4, [5.0] * 4)
         rep = midpoint_eval(ivs, [1, 2, 4, 5])
         assert rep.pearson is None
         assert rep.spearman is None
@@ -388,7 +428,7 @@ class TestMidpoint:
 
 class TestStratified:
     def _intervals(self, n):
-        return columns([Interval(2.0, 4.0, adj_lower=2, adj_upper=4)] * n)
+        return Intervals([2.0] * n, [4.0] * n, [2] * n, [4] * n)
 
     def test_single_stratum_equals_global(self):
         gts = [2, 3, 4, 5]
@@ -402,7 +442,7 @@ class TestStratified:
         assert sm.count == 4
 
     def test_two_strata_weighted_mean(self):
-        ivs = columns([Interval(1.0, 5.0)] * 2 + [Interval(2.0, 2.5)] * 2)
+        ivs = Intervals([1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 2.5, 2.5])
         gts = [3, 3, 4, 4]
         out = stratified(ivs, [3.0] * 4, gts, {"g": ["a", "a", "b", "b"]})
         assert out["g"]["a"].coverage_raw == 1.0
@@ -414,10 +454,8 @@ class TestStratified:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 60))
         gts = rng.integers(1, 6, n)
-        ivs = columns([
-            Interval(float(lo), float(lo + w))
-            for lo, w in zip(rng.uniform(1, 4, n), rng.uniform(0, 1, n))
-        ])
+        lo = rng.uniform(1, 4, n)
+        ivs = Intervals(lo, lo + rng.uniform(0, 1, n))
         labels = [str(v) for v in rng.integers(0, 3, n)]
         out = stratified(ivs, gts.astype(float), gts, {"k": labels})
         total = sum(sm.count for sm in out["k"].values())
@@ -449,50 +487,11 @@ class TestInformativeness:
 
     def test_requires_adjusted(self):
         with pytest.raises(DataError):
-            informativeness(columns([Interval(1.0, 2.0)]), SCALE)
+            informativeness(Intervals([1.0], [2.0]), SCALE)
 
     def test_on_adjusted_intervals(self):
-        ivs = columns([
-            Interval(2.2, 2.8, adj_lower=2, adj_upper=3),
-            Interval(1.2, 4.8, adj_lower=1, adj_upper=5),
-        ])
+        ivs = Intervals([2.2, 1.2], [2.8, 4.8], [2, 1], [3, 5])
         assert informativeness(ivs, SCALE) == (0.5, 0.0, 0.5)
-
-
-class TestConfusion:
-    def test_identity(self):
-        m, counts = confusion([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], SCALE)
-        assert np.array_equal(m, np.eye(5))
-        assert list(counts) == [1, 1, 1, 1, 1]
-
-    def test_constant_prediction(self):
-        m, counts = confusion([4, 4, 4], [1, 3, 5], SCALE)
-        for row in (0, 2, 4):
-            assert m[row, 3] == 1.0
-        assert m[1].sum() == 0.0  # empty row stays zero, flagged by count
-        assert counts[1] == 0
-
-    def test_counting_oracle(self):
-        rng = np.random.default_rng(3)
-        pred = rng.integers(1, 6, 200)
-        gt = rng.integers(1, 6, 200)
-        m, counts = confusion(pred, gt, SCALE)
-        for g in range(1, 6):
-            for p in range(1, 6):
-                want = sum(1 for a, b in zip(pred, gt) if a == p and b == g)
-                got = m[g - 1, p - 1] * counts[g - 1]
-                assert got == pytest.approx(want)
-
-    def test_rows_normalized(self):
-        rng = np.random.default_rng(4)
-        m, counts = confusion(rng.integers(1, 6, 50), rng.integers(1, 6, 50), SCALE)
-        for i, c in enumerate(counts):
-            if c > 0:
-                assert m[i].sum() == pytest.approx(1.0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            confusion([6], [1], SCALE)
 
 
 class TestPointMetrics:
@@ -609,7 +608,7 @@ class TestColumnarMetricsIdentity:
         assert informativeness(columns(ivs), SCALE) == bucket_widths(widths)
 
     def test_adjusted_coverage_needs_finite_targets(self):
-        ivs = columns([Interval(1.0, 2.0, 1, 2)])
+        ivs = Intervals([1.0], [2.0], [1], [2])
         with pytest.raises(ValueError):
             coverage(ivs, [math.nan], adjusted=True)
 
