@@ -87,7 +87,8 @@ def build_parser() -> _Parser:
     p_syn.add_argument("--n", type=int, required=True)
     p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--out", "-o", required=True)
-    p_syn.add_argument("--feature-dim", type=int, default=5)
+    p_syn.add_argument("--k-max", type=int, default=5)
+    p_syn.add_argument("--feature-dim", type=int, default=None)  # default: --k-max
     p_syn.add_argument("--temperature", type=float, default=1.0)
     p_syn.add_argument("--label-noise", type=float, default=0.2)
     p_syn.add_argument("--logit-noise", type=float, default=0.5)
@@ -133,8 +134,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _scale(k_max: int) -> RatingScale:
+    try:
+        return RatingScale(k_max=k_max)
+    except ValueError as exc:
+        raise UsageError(f"--k-max: {exc}") from None
+
+
 def cmd_extract(args) -> int:
-    scale = RatingScale(k_max=args.k_max)
+    scale = _scale(args.k_max)
     try:
         cfg = ExtractConfig(floor=args.floor, nan_fill=args.nan_fill, window=args.window)
     except ValueError as exc:
@@ -157,16 +165,18 @@ def cmd_extract(args) -> int:
 def cmd_synth(args) -> int:
     from .harness import SyntheticSpec, generate_synthetic, write_samples
 
+    scale = _scale(args.k_max)
     spec = SyntheticSpec(
         n=args.n,
         generator=args.generator,
-        feature_dim=args.feature_dim,
+        feature_dim=args.feature_dim or scale.k_max,
         seed=args.seed,
         temperature=args.temperature,
         label_noise=args.label_noise,
         logit_noise=args.logit_noise,
         sigma=args.sigma,
         sigma_ratio=args.sigma_ratio,
+        scale=scale,
     )
     batch, oracle = generate_synthetic(spec)
     write_samples(batch, args.out, spec.scale)
@@ -236,7 +246,7 @@ def cmd_fuse(args) -> int:
     from .core import Batch
     from .harness import fuse, load_samples, write_samples
 
-    scale = RatingScale(k_max=args.k_max)
+    scale = _scale(args.k_max)
     parts: dict[str, list[Batch]] = {}
     for path in args.inputs:
         batch, errors = load_samples(path, scale)

@@ -316,7 +316,7 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
 
 
 # The predictions a cache keeps: those that several methods make, of the
-# mean network (naive_split, lvd, boosted_lcp) and of the quantile pair
+# mean network (naive_split, lvd, boosted_lcp) and of the quantile network
 # (cqr, cqr_asym). Every other prediction is one method's, and keeping it
 # would only raise the peak memory of a split.
 _KEPT = frozenset({(PointVarModel, "predict_mean"), (QuantileModel, "predict")})
@@ -424,7 +424,7 @@ def _fit_label_bins(half, alpha, scale, cfg, cache):
 
 
 def _fit_grid(half, alpha, scale, cfg, cache):
-    grid = GridConfig.for_scale(scale.k_max)
+    grid = GridConfig(scale.k_max)
     return (
         _fit_cached(
             cache,

@@ -23,7 +23,14 @@ STAGE_BACKWARD = "backward"
 
 
 class ExtractionFailure(Exception):
-    """No rating digit could be located anywhere in the transcript."""
+    """No rating label could be read off the transcript."""
+
+
+# The failure reason of a rating digit that runs into adjacent digit tokens
+# on a scale of ten or more labels: the top-k at a "1" cannot tell label 1
+# from the first token of 10-19.
+MULTI_TOKEN_LABEL = "multi-token label"
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,19 @@ def _rating_digits(scale: RatingScale) -> dict[str, int]:
     return {str(label): label for label in scale.labels}
 
 
+def _whole_label(rec: ExtractionRecord, scale: RatingScale, j: int, stage: str):
+    """(j, stage), unless K >= 10 and token j + 1 starts with a digit, or
+    token j starts with one right after a token that ends with one."""
+    texts = rec.texts
+    if scale.k_max >= 10 and (
+        (j + 1 < len(texts) and texts[j + 1][:1] in _DIGITS)
+        or (j and texts[j][:1] in _DIGITS and texts[j - 1][-1:] in _DIGITS)
+    ):
+        raise ExtractionFailure(f"{MULTI_TOKEN_LABEL}: rating digit {texts[j]!r} at "
+                                f"token {j} of {rec.sample_id!r} joins the digits next to it")
+    return j, stage
+
+
 def find_score_position(
     rec: ExtractionRecord,
     scale: RatingScale,
@@ -196,7 +216,7 @@ def find_score_position(
     if anchor_end is not None:
         for j in range(anchor_end + 1, n):
             if norm[j] in digits:
-                return j, STAGE_ANCHORED
+                return _whole_label(rec, scale, j, STAGE_ANCHORED)
 
     # Stage 2: case-insensitive keyword followed by a digit within the window.
     keywords = cfg.keywords
@@ -209,12 +229,12 @@ def find_score_position(
             continue
         for j in range(i + 1, min(i + 1 + cfg.window, n)):
             if norm[j] in digits:
-                return j, STAGE_KEYWORD
+                return _whole_label(rec, scale, j, STAGE_KEYWORD)
 
     # Stage 3: backward scan for the last rating digit.
     for j in range(n - 1, -1, -1):
         if norm[j] in digits:
-            return j, STAGE_BACKWARD
+            return _whole_label(rec, scale, j, STAGE_BACKWARD)
 
     raise ExtractionFailure(
         f"no rating digit in transcript {rec.sample_id!r}"

@@ -12,7 +12,7 @@ from .grid import GridClassifier, GridConfig, fit_grid_classifier
 from .histdensity import HistDensityModel, fit_hist_density
 from .nets import Standardizer, TrainConfig
 from .pointvar import PointVarModel, fit_point_var, fit_spread_head
-from .quantile import QuantileComponent, QuantileModel, fit_quantile, fit_quantile_model
+from .quantile import QuantileModel, fit_quantile_model
 
 __all__ = [
     "BoostedModel",
@@ -20,7 +20,6 @@ __all__ = [
     "GridConfig",
     "HistDensityModel",
     "PointVarModel",
-    "QuantileComponent",
     "QuantileModel",
     "Standardizer",
     "TrainConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "fit_hist_density",
     "fit_point_var",
     "fit_spread_head",
-    "fit_quantile",
     "fit_quantile_model",
     "pinball_gradient",
     "pinball_loss",

@@ -8,6 +8,7 @@ mass at a label's nearest grid point serves as a density nonconformity score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,26 +24,16 @@ from .nets import (
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Uniform grid over an extended label range."""
+    """Eight points per label over [0.5, k_max + 0.5], a range that strictly
+    contains the labels 1..k_max."""
 
-    lo: float = 0.5
-    hi: float = 5.5
-    resolution: float = 0.125
-    n_points: int = 41
+    k_max: int = 5
+    lo: ClassVar[float] = 0.5
+    resolution: ClassVar[float] = 0.125
 
-    def __post_init__(self) -> None:
-        span = (self.hi - self.lo) / self.resolution
-        if abs(span - (self.n_points - 1)) > 1e-9:
-            raise ValueError(
-                f"grid of {self.n_points} points does not tile "
-                f"[{self.lo}, {self.hi}] at resolution {self.resolution}"
-            )
-
-    @classmethod
-    def for_scale(cls, k_max: int) -> "GridConfig":
-        """Eight points per label over [0.5, k_max + 0.5], a range that
-        strictly contains the labels 1..k_max."""
-        return cls(0.5, k_max + 0.5, 0.125, 8 * k_max + 1)
+    @property
+    def n_points(self) -> int:
+        return 8 * self.k_max + 1
 
     def points(self) -> np.ndarray:
         return self.lo + self.resolution * np.arange(self.n_points)
@@ -72,16 +63,11 @@ class GridClassifier:
         _, out = forward(self.params, self.scaler.transform(X))
         return log_softmax(out)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.exp(self.predict_log_proba(X))
-
 
 def fit_grid_classifier(
     X: np.ndarray, y: np.ndarray, grid: GridConfig, cfg: TrainConfig
 ) -> GridClassifier:
     """Cross-entropy fit against each label's nearest grid point."""
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty training set")
     targets = grid.nearest_index(np.asarray(y, dtype=np.float64).reshape(-1))
     scaler = Standardizer.fit(X)
     params = fit_mlp(scaler.transform(X), targets, grid.n_points, softmax_ce_head, cfg)

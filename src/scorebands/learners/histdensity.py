@@ -66,8 +66,6 @@ def fit_hist_density(
     hi: float = 5.5,
 ) -> HistDensityModel:
     """Cross-entropy fit on binned labels."""
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty training set")
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
     width = (hi - lo) / n_bins

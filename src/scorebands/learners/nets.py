@@ -3,8 +3,8 @@
 All trainable backends in this package share this engine: a stack of tanh
 hidden layers with a linear output, a loss head that gives the loss on the
 linear output and its gradient there, and a fixed-budget SGD loop that
-evaluates only the gradient: training computes no loss. Everything is
-seeded, so fits are bit-for-bit reproducible.
+evaluates only the gradient, in float32: training computes no loss. Fits
+return float64 parameters and are seeded, so bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
+        if len(X) == 0:
+            raise ValueError("cannot fit on an empty training set")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std < 1e-8, 1.0, std)
@@ -78,8 +80,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class Head:
     """A loss on the network's linear output, and its gradient there.
 
-    Training evaluates `grad` alone. `loss` is the objective that the
-    gradient checks differentiate by finite differences.
+    Training evaluates `grad` alone, which keeps the dtype of `out`.
+    `loss` is the objective that the gradient checks differentiate.
     """
 
     loss: Callable[[np.ndarray, np.ndarray], float]
@@ -91,10 +93,12 @@ def _softmax_ce_loss(out: np.ndarray, target: np.ndarray) -> float:
 
 
 def _softmax_ce_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
-    n = out.shape[0]
-    d_out = np.exp(log_softmax(out))
-    d_out[np.arange(n), target] -= 1.0
-    return d_out / n
+    d_out = out - out.max(axis=1, keepdims=True)
+    np.exp(d_out, out=d_out)
+    d_out /= d_out.sum(axis=1, keepdims=True)
+    d_out[np.arange(len(out)), target] -= 1.0
+    d_out /= len(out)
+    return d_out
 
 
 # Cross-entropy against integer class indices.
@@ -114,16 +118,20 @@ def _squared_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
 squared_head = Head(_squared_loss, _squared_grad)
 
 
-def pinball_head(tau: float) -> Head:
-    """Mean pinball (quantile) loss at level tau on a single output column."""
+def pinball_head(*taus: float) -> Head:
+    """Output column j is the quantile at level ``taus[j]`` of one target:
+    the sum over the levels of the mean pinball (quantile) loss."""
+    levels = np.array(taus, dtype=np.float64)
 
     def loss(out: np.ndarray, target: np.ndarray) -> float:
-        u = target - out[:, 0]
-        return float(np.maximum(tau * u, (tau - 1.0) * u).mean())
+        u = target[:, None] - out
+        return float(np.maximum(levels * u, (levels - 1.0) * u).mean(axis=0).sum())
 
     def grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
-        du = np.where(target - out[:, 0] > 0, tau, tau - 1.0)
-        return (-du / out.shape[0])[:, None]
+        tau = levels.astype(out.dtype)
+        du = np.where(target[:, None] - out > 0, tau, tau - 1)
+        du /= -out.shape[0]
+        return du
 
     return Head(loss, grad)
 
@@ -192,26 +200,26 @@ def fit_mlp(
     head: Head,
     cfg: TrainConfig,
 ) -> MLPParams:
-    """Train with plain mini-batch SGD for a fixed epoch budget.
+    """Train with plain mini-batch SGD for a fixed epoch budget, in float32.
 
-    Each step fills the flat gradient vector with `batch_gradient` and then
-    takes ``theta - lr * d_theta``. Every weight and bias is a view into
-    `theta` and every gradient a view into `d_theta`, so the update is two
-    in-place operations. The step does the arithmetic of a plain loop that
-    makes new arrays for every product and update, in the same order, so
-    the fit matches that loop bit for bit.
+    The float64-drawn weights, X and a float target are cast once. Each step
+    fills the flat gradient with `batch_gradient` and takes ``theta - lr *
+    d_theta`` in place: every weight and bias is a view into `theta`, every
+    gradient one into `d_theta`. Returns float64 copies of the parameters.
     """
     if len(X) == 0:
         raise ValueError("cannot fit on an empty training set")
     rng = np.random.default_rng(cfg.seed)
     init = init_params([X.shape[1], *cfg.hidden, out_dim], rng)
-    theta = flatten_params(init)
+    theta = flatten_params(init).astype(np.float32)
     d_theta = np.empty_like(theta)
     params = unflatten_params(theta, init)
     grads = unflatten_params(d_theta, init)
+    X = X.astype(np.float32)
+    target = target.astype(np.float32) if target.dtype.kind == "f" else target
     n = len(X)
     bs = max(1, min(cfg.batch_size, n))
-    lr = cfg.learning_rate
+    lr = np.float32(cfg.learning_rate)
     scratch = gradient_scratch(params, bs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -221,7 +229,7 @@ def fit_mlp(
                            t_epoch[start : start + bs], head)
             d_theta *= lr
             theta -= d_theta
-    return [(W.copy(), b.copy()) for W, b in params]
+    return [(W.astype(np.float64), b.astype(np.float64)) for W, b in params]
 
 
 def flatten_params(params: MLPParams) -> np.ndarray:

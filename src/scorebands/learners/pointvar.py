@@ -39,8 +39,6 @@ def fit_point_var(
     sigma_floor: float = 1e-3,
 ) -> PointVarModel:
     """The mean head alone; `fit_spread_head` adds the spread head."""
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty training set")
     scaler = Standardizer.fit(X)
     return PointVarModel(
         mean_params=fit_mlp(scaler.transform(X), y, 1, squared_head, cfg),

@@ -1,4 +1,4 @@
-"""Pinball-loss quantile regressors, one small network per level."""
+"""Pinball-loss quantile regression: one small network, one output per level."""
 
 from __future__ import annotations
 
@@ -10,47 +10,29 @@ from .nets import MLPParams, Standardizer, TrainConfig, fit_mlp, forward, pinbal
 
 
 @dataclass(frozen=True)
-class QuantileComponent:
-    """A single fitted conditional quantile."""
+class QuantileModel:
+    """Conditional quantiles at the levels `taus`, with crossing removed by
+    post-sorting."""
 
-    tau: float
+    taus: tuple[float, ...]
     params: MLPParams
     scaler: Standardizer
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        _, out = forward(self.params, self.scaler.transform(X))
-        return out[:, 0]
-
-
-@dataclass(frozen=True)
-class QuantileModel:
-    """Several quantile levels with crossing removed by post-sorting."""
-
-    components: tuple[QuantileComponent, ...]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
         """(n, n_levels) predictions, sorted per row so levels never cross."""
-        stacked = np.column_stack([c.predict(X) for c in self.components])
-        return np.sort(stacked, axis=1)
-
-
-def fit_quantile(
-    X: np.ndarray, y: np.ndarray, tau: float, cfg: TrainConfig
-) -> QuantileComponent:
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty training set")
-    scaler = Standardizer.fit(X)
-    params = fit_mlp(scaler.transform(X), y, 1, pinball_head(tau), cfg)
-    return QuantileComponent(tau=tau, params=params, scaler=scaler)
+        _, out = forward(self.params, self.scaler.transform(X))
+        return np.sort(out, axis=1)
 
 
 def fit_quantile_model(
     X: np.ndarray, y: np.ndarray, taus: tuple[float, ...], cfg: TrainConfig
 ) -> QuantileModel:
+    """One network trained on the sum of the levels' mean pinball losses
+    (Romano, Patterson & Candès 2019 train the CQR pair this way)."""
     if tuple(sorted(taus)) != tuple(taus):
         raise ValueError("tau levels must be given in ascending order")
-    return QuantileModel(
-        components=tuple(fit_quantile(X, y, tau, cfg) for tau in taus)
-    )
+    if not all(0.0 < tau < 1.0 for tau in taus):
+        raise ValueError(f"tau levels must be in (0, 1), got {taus}")
+    scaler = Standardizer.fit(X)
+    params = fit_mlp(scaler.transform(X), y, len(taus), pinball_head(*taus), cfg)
+    return QuantileModel(taus=tuple(taus), params=params, scaler=scaler)

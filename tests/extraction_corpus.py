@@ -150,6 +150,23 @@ FAILURE = [
 
 CASES = ANCHORED + KEYWORD + BACKWARD + MISMATCH
 
+# Ten-point scale (K = 10), where a label may take two digits. A rating
+# digit split from adjacent digits fails the record as a multi-token label;
+# a whole "10", or a "1" followed by a non-digit, extracts.
+TEN_POINT = [
+    case("t01", "anchored", ["Score", ":"], " 10"),
+    case("t02", "backward", ["final", "mark"], "10", suffix=["."]),
+    case("t03", "anchored", ["Score", ":"], " 1", suffix=["/", "10"]),
+    case("t04", "keyword", ["the", "rating", "is"], "1", suffix=["."]),
+]
+
+TEN_POINT_FAILURE = [
+    {"id": "tf01", "tokens": [(t, None) for t in ["Score", ":", " 1", "0"]]},
+    {"id": "tf02", "tokens": [(t, None) for t in ["I", "give", "it", "1", "0"]]},
+    {"id": "tf03", "tokens": [(t, None) for t in ["rating", "=", " 1", "0", "/10"]]},
+    {"id": "tf04", "tokens": [(t, None) for t in ["so", " 1", "1"]]},
+]
+
 
 # Transcript lines with numbers out of range: each but the first is a parse
 # error on its line, never a crash.

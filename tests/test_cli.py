@@ -65,6 +65,12 @@ class TestSynthCommand:
         assert set(row) >= {"sample_id", "judge", "dataset", "gt_score",
                             "logprobs"}
 
+    def test_bad_scale_is_usage_error(self, tmp_path, capsys):
+        for command in (["synth", "--n", "10"], ["extract", "--input", "x.jsonl"]):
+            code = main([*command, "--out", str(tmp_path / "s.jsonl"), "--k-max", "1"])
+            assert code == EXIT_USAGE
+            assert "--k-max: k_max must be >= 2, got 1" in capsys.readouterr().err
+
     def test_unknown_generator_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--generator", "bogus", "--n", "10",
                      "--out", str(tmp_path / "s.jsonl")])
@@ -128,15 +134,9 @@ class TestRunCommand:
 
     def test_seven_point_scale_runs_every_method(self, tmp_path, capsys):
         # r2ccp's grid follows --k-max, so no method lands in the ledger.
-        from scorebands.core import RatingScale
-        from scorebands.harness import SyntheticSpec, generate_synthetic, write_samples
-
-        scale = RatingScale(k_max=7)
-        batch, _ = generate_synthetic(
-            SyntheticSpec(n=240, feature_dim=7, label_noise=0.35, scale=scale)
-        )
-        samples = tmp_path / "k7.jsonl"
-        write_samples(batch, samples, scale)
+        samples = _synth(tmp_path, "k7.jsonl", n=240, extra=("--k-max", "7"))
+        row = json.loads(samples.read_text().splitlines()[0])
+        assert sorted(row["logprobs"], key=int) == [str(k) for k in range(1, 8)]
         out_dir = tmp_path / "k7"
         code = main(
             ["run", "--input", str(samples), "--out", str(out_dir), "--k-max", "7",

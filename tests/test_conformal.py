@@ -422,7 +422,8 @@ class TestMethodRunners:
             res = run_method(method, cal, test, 0.1, SCALE, FAST)
             (model,) = res.calibration.learners
             values = model.bin_centers() if method == "chr" else model.grid.points()
-            assert np.array_equal(res.y_hat, model.predict_proba(X) @ values), method
+            probs = np.exp(model.predict_log_proba(X))
+            assert np.array_equal(res.y_hat, probs @ values), method
 
     def test_argmax_feature_point_predictor(self):
         cal, test, _ = split_synth(n=400, seed=7)

@@ -15,6 +15,7 @@ import extraction_corpus as corpus
 from scorebands.base import decoded_lines
 from scorebands.core import DataError, RatingScale
 from scorebands.extract import (
+    MULTI_TOKEN_LABEL,
     ExtractConfig,
     ExtractionFailure,
     ExtractionRecord,
@@ -253,6 +254,21 @@ class TestCorpus:
     def test_failure_case(self, case):
         with pytest.raises(ExtractionFailure):
             extract(make_record(case["id"], case["tokens"]), SCALE)
+
+    @pytest.mark.parametrize("case", corpus.TEN_POINT, ids=lambda c: c["id"])
+    def test_ten_point_case(self, case):
+        result = extract(record(case), RatingScale(k_max=10))
+        assert result.stage_used == case["expect_stage"]
+        assert result.score_position == case["expect_pos"]
+        assert result.extracted_score == case["expect_score"]
+
+    @pytest.mark.parametrize("case", corpus.TEN_POINT_FAILURE, ids=lambda c: c["id"])
+    def test_ten_point_split_label_fails(self, case):
+        rec = make_record(case["id"], case["tokens"])
+        with pytest.raises(ExtractionFailure, match=f"^{MULTI_TOKEN_LABEL}: "):
+            extract(rec, RatingScale(k_max=10))
+        # Below ten labels no label has two digits, so the rule is off.
+        assert extract(rec, SCALE).extracted_score == 1
 
 
 class TestEntryValidation:
