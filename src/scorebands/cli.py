@@ -102,9 +102,11 @@ def build_parser() -> _Parser:
     p_run.add_argument("--input", "-i", default=None)
     p_run.add_argument("--out", "-o", default=None)
     p_run.add_argument("--alpha", type=float, default=None)
-    p_run.add_argument("--seeds", default=None, help='e.g. "0-9" or "0,1,2"')
+    p_run.add_argument("--seeds", type=parse_seeds, default=None,
+                       help='e.g. "0-9" or "0,1,2"')
     p_run.add_argument("--cal-fraction", type=float, default=None)
-    p_run.add_argument("--methods", default=None, help='comma list or "all"')
+    p_run.add_argument("--methods", type=parse_methods, default=None,
+                       help='comma list or "all"')
     p_run.add_argument("--mondrian", default=None, help="partition name or file")
     p_run.add_argument("--adjust", choices=("outward", "inward", "off"), default=None)
     p_run.add_argument("--k-max", type=int, default=None)
@@ -115,7 +117,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--boost-rounds", type=int, default=None)
     p_run.add_argument("--point-predictor", choices=("model", "argmax_feature"),
                        default=None)
-    p_run.add_argument("--emit-intervals", action="store_true", default=False,
+    p_run.add_argument("--emit-intervals", action="store_const", const=True,
                        help="write per-sample interval lines (intervals.jsonl)")
     p_run.set_defaults(func=cmd_run)
 
@@ -139,6 +141,14 @@ def _scale(k_max: int) -> RatingScale:
         return RatingScale(k_max=k_max)
     except ValueError as exc:
         raise UsageError(f"--k-max: {exc}") from None
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{path} is not a JSON file: {exc}") from None
 
 
 def cmd_extract(args) -> int:
@@ -202,29 +212,13 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     from .harness import ExperimentConfig, emit_report, load_samples, run_experiment
 
+    config = ExperimentConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
-    else:
-        config = ExperimentConfig()
-    config = config.with_overrides(
-        alpha=args.alpha,
-        seeds=parse_seeds(args.seeds) if args.seeds else None,
-        cal_fraction=args.cal_fraction,
-        methods=parse_methods(args.methods) if args.methods else None,
-        mondrian=args.mondrian,
-        adjust=args.adjust,
-        k_max=args.k_max,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        chr_bins=args.chr_bins,
-        boost_rounds=args.boost_rounds,
-        point_predictor=args.point_predictor,
-        input=args.input,
-        out=args.out,
-        emit_intervals=True if args.emit_intervals else None,
-    )
+        config = ExperimentConfig.from_dict(_read_json(args.config))
+    # Every run flag's dest is its config key.
+    d = config.to_dict()
+    d.update((k, v) for k, v in vars(args).items() if k in d and v is not None)
+    config = ExperimentConfig.from_dict(d)
     if not config.input_path:
         raise UsageError("no input file (use --input or the config file)")
     if not config.out_dir:
@@ -270,8 +264,7 @@ def cmd_fuse(args) -> int:
 def cmd_report(args) -> int:
     from .harness import ExperimentReport, emit_report
 
-    with open(args.report, encoding="utf-8") as fh:
-        report = ExperimentReport.from_dict(json.load(fh))
+    report = ExperimentReport.from_dict(_read_json(args.report))
     paths = emit_report(report, args.out)
     print(f"re-rendered report files in {args.out}")
     for kind in sorted(paths):

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..conformal import METHOD_NAMES, MethodConfig
 from ..core import DataError, RatingScale
@@ -38,75 +38,74 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         mc = self.method_config
-        tr = mc.train
-        return {
-            "alpha": self.alpha,
-            "seeds": list(self.seeds),
-            "cal_fraction": self.cal_fraction,
-            "methods": list(self.methods),
-            "mondrian": self.mondrian,
-            "adjust": self.adjust,
-            "k_max": self.scale.k_max,
-            "epochs": tr.epochs,
-            "batch_size": tr.batch_size,
-            "learning_rate": tr.learning_rate,
-            "train_seed": tr.seed,
-            "hidden": list(tr.hidden),
-            "chr_bins": mc.chr_bins,
-            "boost_rounds": mc.boost_rounds,
-            "boost_depth": mc.boost_depth,
-            "boost_rate": mc.boost_rate,
-            "sigma_floor": mc.sigma_floor,
-            "point_predictor": mc.point_predictor,
-            "input": self.input_path,
-            "out": self.out_dir,
-            "emit_intervals": self.emit_intervals,
-        }
+        records = {"config": self, "scale": self.scale, "method": mc, "train": mc.train}
+        out = {}
+        for key, (record, attr, _) in FIELDS.items():
+            value = getattr(records[record], attr)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        base = cls()
-        known = set(base.to_dict())
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """The config with ``data``'s non-None fields over the defaults; a
+        field of the wrong type or out of range is a DataError naming it."""
+        if not isinstance(data, dict):
+            raise DataError("config is not a JSON object")
+        unknown = set(data) - set(FIELDS)
         if unknown:
             raise DataError(f"unknown config fields: {sorted(unknown)}")
-        merged = base.to_dict()
-        merged.update({k: v for k, v in data.items() if v is not None})
-        train = TrainConfig(
-            epochs=int(merged["epochs"]),
-            batch_size=int(merged["batch_size"]),
-            learning_rate=float(merged["learning_rate"]),
-            seed=int(merged["train_seed"]),
-            hidden=tuple(int(h) for h in merged["hidden"]),
-        )
-        method_config = MethodConfig(
-            train=train,
-            chr_bins=int(merged["chr_bins"]),
-            boost_rounds=int(merged["boost_rounds"]),
-            boost_depth=int(merged["boost_depth"]),
-            boost_rate=float(merged["boost_rate"]),
-            sigma_floor=float(merged["sigma_floor"]),
-            point_predictor=str(merged["point_predictor"]),
-        )
-        return cls(
-            alpha=float(merged["alpha"]),
-            seeds=tuple(int(s) for s in merged["seeds"]),
-            cal_fraction=float(merged["cal_fraction"]),
-            methods=tuple(merged["methods"]),
-            mondrian=merged["mondrian"],
-            adjust=str(merged["adjust"]),
-            scale=RatingScale(k_max=int(merged["k_max"])),
-            method_config=method_config,
-            input_path=merged["input"],
-            out_dir=merged["out"],
-            emit_intervals=bool(merged["emit_intervals"]),
-        )
+        merged = cls().to_dict()
+        merged.update((k, v) for k, v in data.items() if v is not None)
+        kwargs: dict[str, dict] = {"config": {}, "scale": {}, "method": {}, "train": {}}
+        for key, (record, attr, convert) in FIELDS.items():
+            try:
+                kwargs[record][attr] = convert(merged[key]) if convert else merged[key]
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"config field {key!r}: {exc}") from None
+        try:
+            scale = RatingScale(**kwargs["scale"])
+        except ValueError as exc:
+            raise DataError(f"config field 'k_max': {exc}") from None
+        train = TrainConfig(**kwargs["train"])
+        method_config = MethodConfig(train=train, **kwargs["method"])
+        return cls(scale=scale, method_config=method_config, **kwargs["config"])
 
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        data = self.to_dict()
-        for key, value in overrides.items():
-            if value is not None:
-                if key not in data:
-                    raise DataError(f"unknown config field {key!r}")
-                data[key] = value
-        return ExperimentConfig.from_dict(data)
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _ints(values) -> tuple[int, ...]:
+    if isinstance(values, str):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
+# Each config key, once: the record that holds it (the ExperimentConfig, its
+# RatingScale, its MethodConfig or that one's TrainConfig), its attribute
+# there, and the conversion of a JSON value (None keeps the value as it is).
+FIELDS = {
+    "alpha": ("config", "alpha", float),
+    "seeds": ("config", "seeds", _ints),
+    "cal_fraction": ("config", "cal_fraction", float),
+    "methods": ("config", "methods", tuple),
+    "mondrian": ("config", "mondrian", None),
+    "adjust": ("config", "adjust", str),
+    "k_max": ("scale", "k_max", int),
+    "epochs": ("train", "epochs", int),
+    "batch_size": ("train", "batch_size", int),
+    "learning_rate": ("train", "learning_rate", float),
+    "train_seed": ("train", "seed", int),
+    "hidden": ("train", "hidden", _ints),
+    "chr_bins": ("method", "chr_bins", int),
+    "boost_rounds": ("method", "boost_rounds", int),
+    "boost_depth": ("method", "boost_depth", int),
+    "boost_rate": ("method", "boost_rate", float),
+    "sigma_floor": ("method", "sigma_floor", float),
+    "point_predictor": ("method", "point_predictor", str),
+    "input": ("config", "input_path", None),
+    "out": ("config", "out_dir", None),
+    "emit_intervals": ("config", "emit_intervals", _bool),
+}

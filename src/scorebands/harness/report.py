@@ -77,13 +77,12 @@ def _summary_text(report: ExperimentReport) -> str:
     )
     lines.append(header)
     for agg in report.aggregates:
+        spreads = (
+            f"{_fmt(agg[f'{m}_mean']) + ' +/- ' + _fmt(agg[f'{m}_std']):>16}"
+            for m in ("coverage_raw", "width_raw", "coverage_adj", "width_adj")
+        )
         lines.append(
-            f"{agg['method']:<14}"
-            f"{_fmt(agg['coverage_raw_mean']) + ' +/- ' + _fmt(agg['coverage_raw_std']):>16}"
-            f"{_fmt(agg['width_raw_mean']) + ' +/- ' + _fmt(agg['width_raw_std']):>16}"
-            f"{_fmt(agg['coverage_adj_mean']) + ' +/- ' + _fmt(agg['coverage_adj_std']):>16}"
-            f"{_fmt(agg['width_adj_mean']) + ' +/- ' + _fmt(agg['width_adj_std']):>16}"
-            f"{_fmt(agg['frac_decisive_mean']):>10}"
+            f"{agg['method']:<14}{''.join(spreads)}{_fmt(agg['frac_decisive_mean']):>10}"
         )
     if report.per_dataset_agg:
         lines.append("")

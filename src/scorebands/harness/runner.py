@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,35 +94,30 @@ class ExperimentReport:
     schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "per_seed": self.per_seed,
-            "aggregates": self.aggregates,
-            "per_dataset": self.per_dataset,
-            "per_dataset_agg": self.per_dataset_agg,
-            "stratified": self.stratified,
-            "intervals": self.intervals,
-            "errors": self.errors,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
+    def from_dict(cls, data) -> "ExperimentReport":
+        """The report a ``to_dict`` wrote; ``intervals`` may be absent."""
+        if not isinstance(data, dict):
+            raise DataError("report is not a JSON object")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise DataError(
                 f"report schema {version!r} unsupported (expected {SCHEMA_VERSION!r})"
             )
-        return cls(
-            config=data["config"],
-            per_seed=list(data["per_seed"]),
-            aggregates=list(data["aggregates"]),
-            per_dataset=list(data["per_dataset"]),
-            per_dataset_agg=list(data["per_dataset_agg"]),
-            stratified=list(data["stratified"]),
-            intervals=list(data.get("intervals", [])),
-            errors=list(data["errors"]),
-        )
+        tables = {}
+        for f in fields(cls):
+            if f.name == "schema_version":
+                continue
+            if f.name not in data and f.name != "intervals":
+                raise DataError(f"report lacks {f.name!r}")
+            value = data.get(f.name, [])
+            kind, what = (dict, "an object") if f.name == "config" else (list, "a list")
+            if not isinstance(value, kind):
+                raise DataError(f"report {f.name!r} is not {what}")
+            tables[f.name] = kind(value)
+        return cls(**tables)
 
 
 def resolve_partition(spec: str | None) -> GroupPartition | None:
@@ -154,31 +149,18 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return mean, std
 
 
-def _seed_row(
-    seed: int,
-    method: str,
-    n_cal: int,
-    n_test: int,
-    intervals,
-    y_hat,
-    gts,
-    scale: RatingScale,
-    adjusted: bool,
-) -> dict:
-    """One per-seed row: the fields of the metric records, named as in
-    SEED_METRICS (the midpoint ones with a ``mid_`` prefix)."""
-    im = asdict(interval_metrics(intervals, gts))
-    pm = asdict(point_metrics(y_hat, gts, scale))
-    mid = asdict(midpoint_eval(intervals, gts))
-    fracs = informativeness(intervals, scale) if adjusted else (None, None, None)
+def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, gts,
+              scale: RatingScale) -> dict:
+    """One per-seed row: the metric families' dicts, keyed as in SEED_METRICS."""
+    fracs = informativeness(intervals, scale) if intervals.adjusted else (None,) * 3
     return {
         "seed": seed,
         "method": method,
         "n_cal": n_cal,
-        "n_test": n_test,
-        **im,
-        **pm,
-        **{f"mid_{key}": value for key, value in mid.items()},
+        "n_test": len(intervals),
+        **interval_metrics(intervals, gts),
+        **point_metrics(y_hat, gts, scale),
+        **midpoint_eval(intervals, gts),
         **dict(zip(("frac_decisive", "frac_moderate", "frac_uninformative"), fracs)),
     }
 
@@ -205,13 +187,8 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
     for seed in config.seeds:
         plan = make_split(len(batch), config.cal_fraction, seed)
         if not plan.cal_indices or not plan.test_indices:
-            report.errors.append(
-                _ledger_row(
-                    seed,
-                    "*",
-                    DataError("split produced an empty calibration or test set"),
-                )
-            )
+            empty = DataError("split produced an empty calibration or test set")
+            report.errors.append(_ledger_row(seed, "*", empty))
             continue
         cal = batch[np.array(plan.cal_indices, dtype=np.intp)]
         test = batch[np.array(plan.test_indices, dtype=np.intp)]
@@ -236,17 +213,15 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
                 report.errors.append(_ledger_row(seed, method, exc))
                 continue
             # A cell adds all of its rows or, when it fails, none.
-            report.per_seed.append(rows["per_seed"])
-            report.intervals.extend(rows["intervals"])
-            report.per_dataset.extend(rows["per_dataset"])
-            report.stratified.extend(rows["stratified"])
+            for table, new in rows.items():
+                getattr(report, table).extend(new)
 
     _aggregate(report, config)
     return report
 
 
 def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
-    """Every report row of one (seed, method) cell."""
+    """Every report row of one (seed, method) cell, by its report table."""
     scale = config.scale
     if partition is None:
         res = run_method(
@@ -260,10 +235,7 @@ def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
     ivs = adjust_all(res.intervals, scale, config.adjust)
     gts = test.y
     rows: dict = {
-        "per_seed": _seed_row(
-            seed, method, len(cal), len(test), ivs, res.y_hat, gts, scale,
-            config.adjust != "off",
-        ),
+        "per_seed": [_seed_row(seed, method, len(cal), ivs, res.y_hat, gts, scale)],
         "intervals": (
             _interval_lines(seed, method, test, ivs, res.y_hat, gts)
             if config.emit_intervals
@@ -280,7 +252,7 @@ def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
         for label in sorted(strat[kind]):
             rows["stratified"].append(
                 dict(seed=seed, method=method, kind=kind, stratum=label,
-                     **asdict(strat[kind][label]))
+                     **strat[kind][label])
             )
     return rows
 
@@ -320,8 +292,8 @@ def _dataset_rows(seed, method, datasets: Strata, intervals, y_hat, gts, scale) 
         rho = pearson(y_hat[idx], gts[idx])
         rows.append(
             dict(seed=seed, method=method, dataset=dataset, n=len(idx), pearson=rho,
-                 rsg=rsg(rho, im.width_raw, scale) if rho is not None else None,
-                 **asdict(im))
+                 rsg=rsg(rho, im["width_raw"], scale) if rho is not None else None,
+                 **im)
         )
     return rows
 

@@ -1,7 +1,8 @@
 """Scalar metrics and stratified diagnostics for interval and point quality.
 
 Interval metrics take an ``Intervals`` and run as array expressions over
-its columns.
+its columns. The metric families return dicts keyed by their report
+columns, so the runner merges them into report rows as they are.
 
 Correlations that are undefined (fewer than two points, or zero variance,
 e.g. the midpoint of all-full-range intervals) return None rather than NaN;
@@ -18,52 +19,6 @@ import numpy as np
 from .core import DataError, Intervals, RatingScale
 
 
-@dataclass(frozen=True)
-class PointMetrics:
-    pearson: float | None
-    spearman: float | None
-    kendall: float | None
-    exact_acc: float
-    relaxed_acc: float
-    mae: float
-    bias: float
-
-
-@dataclass(frozen=True)
-class AccuracyFragment:
-    exact_acc: float
-    relaxed_acc: float
-    mae: float
-    bias: float
-
-
-@dataclass(frozen=True)
-class IntervalMetrics:
-    coverage_raw: float
-    coverage_adj: float | None
-    width_raw: float
-    width_adj: float | None
-
-
-@dataclass(frozen=True)
-class MidpointReport:
-    pearson: float | None
-    spearman: float | None
-    kendall: float | None
-    mae: float
-
-
-@dataclass(frozen=True)
-class StratumMetrics:
-    count: int
-    coverage_raw: float
-    coverage_adj: float | None
-    width_raw: float
-    width_adj: float | None
-    bias: float
-    mae: float
-
-
 def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
     """Share of rows whose interval holds its target; the adjusted form
     compares int(target) with the integer endpoints."""
@@ -76,15 +31,21 @@ def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
     return int(np.count_nonzero(hits)) / len(ivs)
 
 
-def interval_metrics(ivs: Intervals, gts) -> IntervalMetrics:
+def interval_metrics(ivs: Intervals, gts) -> dict:
+    """coverage_raw, coverage_adj, width_raw and width_adj; the adjusted
+    two are None for intervals with no integer endpoints."""
     y = np.asarray(gts, dtype=np.float64)
-    cov_raw = coverage(ivs, y, adjusted=False)
-    width_raw = float(np.mean(ivs.width))
-    if not ivs.adjusted:
-        return IntervalMetrics(cov_raw, None, width_raw, None)
-    # Integer widths averaged as int64, the dtype a list of ints gives.
-    width_adj = float(np.mean(ivs.adj_width))
-    return IntervalMetrics(cov_raw, coverage(ivs, y, adjusted=True), width_raw, width_adj)
+    out = {
+        "coverage_raw": coverage(ivs, y, adjusted=False),
+        "coverage_adj": None,
+        "width_raw": float(np.mean(ivs.width)),
+        "width_adj": None,
+    }
+    if ivs.adjusted:
+        out["coverage_adj"] = coverage(ivs, y, adjusted=True)
+        # Integer widths averaged as int64, the dtype a list of ints gives.
+        out["width_adj"] = float(np.mean(ivs.adj_width))
+    return out
 
 
 def midrank(values) -> np.ndarray:
@@ -217,7 +178,7 @@ def round_to_label(y_hat, scale: RatingScale) -> np.ndarray:
     return np.clip(arr, 1, scale.k_max).astype(np.intp)
 
 
-def accuracy_metrics(pred, gt) -> AccuracyFragment:
+def accuracy_metrics(pred, gt) -> dict:
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if len(pred) != len(gt):
@@ -225,19 +186,23 @@ def accuracy_metrics(pred, gt) -> AccuracyFragment:
     if len(pred) == 0:
         raise DataError("accuracy metrics of an empty set")
     diff = pred.astype(np.float64) - gt.astype(np.float64)
-    return AccuracyFragment(
-        exact_acc=float((diff == 0).mean()),
-        relaxed_acc=float((np.abs(diff) <= 1).mean()),
-        mae=float(np.abs(diff).mean()),
-        bias=float(diff.mean()),
-    )
+    return {
+        "exact_acc": float((diff == 0).mean()),
+        "relaxed_acc": float((np.abs(diff) <= 1).mean()),
+        "mae": float(np.abs(diff).mean()),
+        "bias": float(diff.mean()),
+    }
 
 
-def point_metrics(y_hat, gt, scale: RatingScale) -> PointMetrics:
+def point_metrics(y_hat, gt, scale: RatingScale) -> dict:
     """Correlations on the raw predictions, accuracy on their rounded labels."""
     p, s, k = correlations(y_hat, gt)
-    acc = accuracy_metrics(round_to_label(y_hat, scale), np.asarray(gt))
-    return PointMetrics(p, s, k, acc.exact_acc, acc.relaxed_acc, acc.mae, acc.bias)
+    return {
+        "pearson": p,
+        "spearman": s,
+        "kendall": k,
+        **accuracy_metrics(round_to_label(y_hat, scale), np.asarray(gt)),
+    }
 
 
 def rsg(rho_d: float, w_d: float, scale: RatingScale) -> float:
@@ -247,11 +212,17 @@ def rsg(rho_d: float, w_d: float, scale: RatingScale) -> float:
     return abs(rho_d) - (1.0 - w_d / scale.max_width)
 
 
-def midpoint_eval(ivs: Intervals, gts) -> MidpointReport:
+def midpoint_eval(ivs: Intervals, gts) -> dict:
+    """Point metrics of the interval midpoints, keyed ``mid_*``."""
     mid = (ivs.lower + ivs.upper) / 2.0
     gt = np.asarray(gts, dtype=np.float64)
     p, s, k = correlations(mid, gt)
-    return MidpointReport(p, s, k, mae=float(np.abs(mid - gt).mean()))
+    return {
+        "mid_pearson": p,
+        "mid_spearman": s,
+        "mid_kendall": k,
+        "mid_mae": float(np.abs(mid - gt).mean()),
+    }
 
 
 def error_bins(y_hat, gts, scale: RatingScale) -> np.ndarray:
@@ -299,32 +270,28 @@ def stratified(
     y_hat,
     gts,
     keys: dict,
-) -> dict[str, dict[str, StratumMetrics]]:
-    """Per-stratum coverage/width/bias for each key family.
+) -> dict[str, dict[str, dict]]:
+    """Per-stratum count, interval metrics, bias and MAE for each key family.
 
     ``keys`` maps a family name (e.g. "gt_level", "dataset") to one stratum
     label per sample, or to those labels already grouped as a ``Strata``.
     """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     gt = np.asarray(gts, dtype=np.float64)
-    out: dict[str, dict[str, StratumMetrics]] = {}
+    out: dict[str, dict[str, dict]] = {}
     for kind, labels in keys.items():
         if len(labels) != len(ivs):
             raise DataError(f"key {kind!r} has {len(labels)} labels for "
                             f"{len(ivs)} samples")
         out[kind] = {}
         for lab, idx in Strata.of(labels):
-            im = interval_metrics(ivs[idx], gt[idx])
             diff = y_hat[idx] - gt[idx]
-            out[kind][lab] = StratumMetrics(
-                count=len(idx),
-                coverage_raw=im.coverage_raw,
-                coverage_adj=im.coverage_adj,
-                width_raw=im.width_raw,
-                width_adj=im.width_adj,
-                bias=float(diff.mean()),
-                mae=float(np.abs(diff).mean()),
-            )
+            out[kind][lab] = {
+                "count": len(idx),
+                **interval_metrics(ivs[idx], gt[idx]),
+                "bias": float(diff.mean()),
+                "mae": float(np.abs(diff).mean()),
+            }
     return out
 
 

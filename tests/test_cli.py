@@ -16,6 +16,7 @@ from scorebands.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     parse_methods,
     parse_seeds,
@@ -241,6 +242,71 @@ class TestRunCommand:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["run", "--frobnicate"]) == EXIT_USAGE
 
+    def test_every_run_flag_is_a_config_key(self):
+        from scorebands.harness import ExperimentConfig
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
+        assert dests <= set(ExperimentConfig().to_dict())
+
+    def test_scale_flag_below_two_is_data_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path, n=50)
+        out_dir = tmp_path / "o"
+        code = main(["run", "--input", str(samples), "--out", str(out_dir),
+                     "--k-max", "1"])
+        assert code == EXIT_DATA
+        assert "config field 'k_max': k_max must be >= 2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"epochs": "x"}, "epochs"),
+        ({"seeds": 3}, "seeds"),
+        ({"seeds": "012"}, "seeds"),
+        ({"hidden": [8, "y"]}, "hidden"),
+        ({"k_max": 1}, "k_max"),
+        ({"emit_intervals": "false"}, "emit_intervals"),
+    ])
+    def test_bad_config_field_is_data_error(self, tmp_path, capsys, fields, name):
+        samples = _synth(tmp_path, n=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(fields, input=str(samples))))
+        out_dir = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == EXIT_DATA
+        assert f"data error: config field {name!r}: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{\"epochs\": ", "is not a JSON file"),
+        ("3", "config is not a JSON object"),
+        ("null", "config is not a JSON object"),
+    ])
+    def test_config_file_not_a_json_object_is_data_error(self, tmp_path, capsys,
+                                                         text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "a-b"),
+        ("--seeds", "-1"),
+        ("--seeds", ""),
+        ("--seeds", ","),
+        ("--methods", ""),
+    ])
+    def test_bad_seed_or_method_list_is_usage_error(self, tmp_path, capsys, flag,
+                                                    value):
+        samples = _synth(tmp_path, n=50)
+        out_dir = tmp_path / "o"
+        code = main(["run", "--input", str(samples), "--out", str(out_dir),
+                     "--methods", "naive_split", "--seeds", "0", "--epochs", "1",
+                     flag, value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out_dir.exists()
+
 
 class TestReportCommand:
     def test_rerender_byte_identical(self, tmp_path):
@@ -260,6 +326,36 @@ class TestReportCommand:
         for name in os.listdir(out_dir):
             with open(out_dir / name, "rb") as f1, open(two / name, "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda report: [report], "report is not a JSON object"),
+        (lambda report: {k: v for k, v in report.items() if k != "per_seed"},
+         "report lacks 'per_seed'"),
+        (lambda report: dict(report, aggregates=3), "report 'aggregates' is not a list"),
+        (lambda report: dict(report, config=[]), "report 'config' is not an object"),
+    ])
+    def test_bad_report_is_data_error(self, tmp_path, capsys, change, message):
+        report = {"schema_version": "1", "config": {}, "per_seed": [],
+                  "aggregates": [], "per_dataset": [], "per_dataset_agg": [],
+                  "stratified": [], "errors": []}
+        assert main(["report", "-r", self._write(tmp_path, json.dumps(report)),
+                     "-o", str(tmp_path / "ok")]) == EXIT_OK
+        path = self._write(tmp_path, json.dumps(change(report)))
+        out_dir = tmp_path / "o"
+        assert main(["report", "-r", path, "-o", str(out_dir)]) == EXIT_DATA
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_report_file_not_json_is_data_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, '{"schema_version": "1",')
+        assert main(["report", "-r", path, "-o", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"data error: {path} is not a JSON file" in capsys.readouterr().err
+
+    @staticmethod
+    def _write(tmp_path, text) -> str:
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        return str(path)
 
 
 class TestExtractCommand:

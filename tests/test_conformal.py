@@ -106,6 +106,34 @@ class TestDecimalAlpha:
         assert conformal_quantile(range(1, n + 1), float(alpha)) == expected
 
 
+class TestQuantileLaw:
+    """On n i.i.d. Uniform(0, 1) scores, q_hat is the order statistic U_(r),
+    r = ceil((n+1)(1-alpha)), which is Beta(r, n+1-r) exactly:
+    P(U_(r) <= x) = P(Bin(n, x) >= r) (Vovk 2012)."""
+
+    DRAWS = 3000
+
+    @pytest.mark.parametrize("n, alpha", [(19, 0.1), (19, 0.3), (49, 0.05), (9, 0.3)])
+    def test_order_statistic_law(self, n, alpha):
+        from fractions import Fraction
+
+        r = math.ceil((n + 1) * (1 - Fraction(str(alpha))))
+        q = np.sort([
+            conformal_quantile(np.random.default_rng(seed).uniform(size=n), alpha)
+            for seed in range(self.DRAWS)
+        ])
+        cdf = sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(r, n + 1))
+        i = np.arange(1, self.DRAWS + 1)
+        ks = max(np.max(i / self.DRAWS - cdf), np.max(cdf - (i - 1) / self.DRAWS))
+        # The asymptotic Kolmogorov critical value at p = 1e-3.
+        assert ks < math.sqrt(-math.log(1e-3 / 2) / 2) / math.sqrt(self.DRAWS)
+        # E[U_(r)] = r/(n+1) lies in [1-alpha, 1-alpha + 1/(n+1)]; the sample
+        # mean may fall 4 standard errors outside, as it can sit on the lower
+        # end when (n+1)(1-alpha) is an integer.
+        se = math.sqrt(r * (n + 1 - r) / ((n + 1) ** 2 * (n + 2)) / self.DRAWS)
+        assert 1 - alpha - 4 * se <= q.mean() <= 1 - alpha + 1 / (n + 1) + 4 * se
+
+
 class TestNaive:
     def test_perfect_predictor(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0] * 10)

@@ -813,7 +813,8 @@ class TestExperimentConfig:
             ExperimentConfig(methods=("nope",))
 
     def test_overrides(self):
-        config = ExperimentConfig().with_overrides(alpha=0.2, epochs=10)
+        data = dict(ExperimentConfig().to_dict(), alpha=0.2, epochs=10)
+        config = ExperimentConfig.from_dict(data)
         assert config.alpha == 0.2
         assert config.method_config.train.epochs == 10
 

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from scorebands.core import DataError, Intervals, InvariantError, RatingScale
 from scorebands.metrics import (
-    IntervalMetrics,
     Strata,
-    StratumMetrics,
     accuracy_metrics,
     bucket_widths,
     correlations,
@@ -352,19 +350,19 @@ class TestRankBitIdentity:
 class TestAccuracy:
     def test_example(self):
         frag = accuracy_metrics([3, 4], [4, 4])
-        assert frag.exact_acc == 0.5
-        assert frag.relaxed_acc == 1.0
-        assert frag.mae == 0.5
-        assert frag.bias == -0.5
+        assert frag["exact_acc"] == 0.5
+        assert frag["relaxed_acc"] == 1.0
+        assert frag["mae"] == 0.5
+        assert frag["bias"] == -0.5
 
     def test_perfect(self):
         frag = accuracy_metrics([1, 2, 3], [1, 2, 3])
-        assert frag.exact_acc == 1.0 and frag.mae == 0.0 and frag.bias == 0.0
+        assert frag["exact_acc"] == 1.0 and frag["mae"] == 0.0 and frag["bias"] == 0.0
 
     def test_worst_case(self):
         frag = accuracy_metrics([5, 5, 5], [1, 1, 1])
-        assert frag.relaxed_acc == 0.0
-        assert frag.bias == 4.0
+        assert frag["relaxed_acc"] == 0.0
+        assert frag["bias"] == 4.0
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -375,8 +373,8 @@ class TestAccuracy:
         pred = rng.integers(1, 6, 100)
         gt = rng.integers(1, 6, 100)
         frag = accuracy_metrics(pred, gt)
-        assert frag.exact_acc <= frag.relaxed_acc
-        assert abs(frag.bias) <= frag.mae
+        assert frag["exact_acc"] <= frag["relaxed_acc"]
+        assert abs(frag["bias"]) <= frag["mae"]
 
 
 class TestRoundToLabel:
@@ -415,15 +413,15 @@ class TestMidpoint:
         gts = [1, 2, 3, 4, 5]
         ivs = Intervals(gts, gts)
         rep = midpoint_eval(ivs, gts)
-        assert rep.pearson == pytest.approx(1.0)
-        assert rep.mae == 0.0
+        assert rep["mid_pearson"] == pytest.approx(1.0)
+        assert rep["mid_mae"] == 0.0
 
     def test_constant_midpoint_undefined(self):
         ivs = Intervals([1.0] * 4, [5.0] * 4)
         rep = midpoint_eval(ivs, [1, 2, 4, 5])
-        assert rep.pearson is None
-        assert rep.spearman is None
-        assert rep.mae == pytest.approx(1.5)
+        assert rep["mid_pearson"] is None
+        assert rep["mid_spearman"] is None
+        assert rep["mid_mae"] == pytest.approx(1.5)
 
 
 class TestStratified:
@@ -437,16 +435,16 @@ class TestStratified:
         out = stratified(ivs, y_hat, gts, {"all": ["x"] * 4})
         sm = out["all"]["x"]
         im = interval_metrics(ivs, gts)
-        assert sm.coverage_raw == im.coverage_raw
-        assert sm.coverage_adj == im.coverage_adj
-        assert sm.count == 4
+        assert sm["coverage_raw"] == im["coverage_raw"]
+        assert sm["coverage_adj"] == im["coverage_adj"]
+        assert sm["count"] == 4
 
     def test_two_strata_weighted_mean(self):
         ivs = Intervals([1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 2.5, 2.5])
         gts = [3, 3, 4, 4]
         out = stratified(ivs, [3.0] * 4, gts, {"g": ["a", "a", "b", "b"]})
-        assert out["g"]["a"].coverage_raw == 1.0
-        assert out["g"]["b"].coverage_raw == 0.0
+        assert out["g"]["a"]["coverage_raw"] == 1.0
+        assert out["g"]["b"]["coverage_raw"] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -458,10 +456,10 @@ class TestStratified:
         ivs = Intervals(lo, lo + rng.uniform(0, 1, n))
         labels = [str(v) for v in rng.integers(0, 3, n)]
         out = stratified(ivs, gts.astype(float), gts, {"k": labels})
-        total = sum(sm.count for sm in out["k"].values())
+        total = sum(sm["count"] for sm in out["k"].values())
         assert total == n
         recomposed = (
-            sum(sm.count * sm.coverage_raw for sm in out["k"].values()) / n
+            sum(sm["count"] * sm["coverage_raw"] for sm in out["k"].values()) / n
         )
         assert recomposed == pytest.approx(coverage(ivs, gts), abs=1e-12)
 
@@ -497,8 +495,8 @@ class TestInformativeness:
 class TestPointMetrics:
     def test_bundles_correlations_and_accuracy(self):
         pm = point_metrics([1.2, 2.1, 2.9, 4.4, 4.6], [1, 2, 3, 4, 5], SCALE)
-        assert pm.exact_acc == 1.0
-        assert pm.pearson == pytest.approx(
+        assert pm["exact_acc"] == 1.0
+        assert pm["pearson"] == pytest.approx(
             pearson_oracle([1.2, 2.1, 2.9, 4.4, 4.6], [1, 2, 3, 4, 5])
         )
 
@@ -523,7 +521,8 @@ def reference_interval_metrics(intervals, gts):
     have_adj = all(iv.adj_lower is not None for iv in intervals)
     cov_adj = reference_coverage(intervals, gts, adjusted=True) if have_adj else None
     width_adj = float(np.mean([iv.adj_width for iv in intervals])) if have_adj else None
-    return IntervalMetrics(cov_raw, cov_adj, width_raw, width_adj)
+    return {"coverage_raw": cov_raw, "coverage_adj": cov_adj,
+            "width_raw": width_raw, "width_adj": width_adj}
 
 
 def reference_stratified(intervals, y_hat, gts, keys):
@@ -539,10 +538,12 @@ def reference_stratified(intervals, y_hat, gts, keys):
             idx = buckets[lab]
             im = reference_interval_metrics([intervals[i] for i in idx], gt[idx])
             diff = y_hat[idx] - gt[idx]
-            out[kind][lab] = StratumMetrics(
-                len(idx), im.coverage_raw, im.coverage_adj, im.width_raw,
-                im.width_adj, float(diff.mean()), float(np.abs(diff).mean()),
-            )
+            out[kind][lab] = {
+                "count": len(idx), "coverage_raw": im["coverage_raw"],
+                "coverage_adj": im["coverage_adj"], "width_raw": im["width_raw"],
+                "width_adj": im["width_adj"], "bias": float(diff.mean()),
+                "mae": float(np.abs(diff).mean()),
+            }
     return out
 
 
@@ -573,7 +574,7 @@ class TestColumnarMetricsIdentity:
             assert coverage(cols, gts, adj) == reference_coverage(ivs, gts, adj)
         assert interval_metrics(cols, gts) == reference_interval_metrics(ivs, gts)
         mid = np.array([(iv.lower + iv.upper) / 2.0 for iv in ivs])
-        assert midpoint_eval(cols, gts).mae == float(np.abs(mid - gts).mean())
+        assert midpoint_eval(cols, gts)["mid_mae"] == float(np.abs(mid - gts).mean())
 
     @pytest.mark.parametrize("k", [3, 5, 10])
     def test_stratified(self, k):

@@ -118,9 +118,9 @@ def shape():
             im = interval_metrics(ivs[idx], test.y[idx])
             tau = kendall_tau_b(result.y_hat[idx], test.y[idx])
             per_group[group] = {
-                "width": im.width_adj,
-                "labels": im.width_adj + 1,
-                "rsg": rsg(tau, im.width_raw, SCALE),
+                "width": im["width_adj"],
+                "labels": im["width_adj"] + 1,
+                "rsg": rsg(tau, im["width_raw"], SCALE),
             }
         methods[name] = per_group
     return oracle, methods
