@@ -5,10 +5,8 @@ reader that checks each line's encoding live here, so that extraction, and
 the CLI up to the subcommand it runs, never import numpy.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
+import json
+from collections.abc import Iterator
 
 GENERATORS = ("homoscedastic", "heteroscedastic_groups", "peaked_logprob")
 
@@ -21,15 +19,33 @@ class InvariantError(Exception):
     """An internal invariant was violated; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class RatingScale:
-    """Discrete Likert scale with integer labels ``1 .. k_max``."""
+    """Discrete Likert scale with integer labels ``1 .. k_max``; immutable,
+    equal and hashed by ``k_max``."""
 
-    k_max: int = 5
+    __slots__ = ("k_max",)
 
-    def __post_init__(self) -> None:
-        if self.k_max < 2:
-            raise ValueError(f"k_max must be >= 2, got {self.k_max}")
+    def __init__(self, k_max: int = 5) -> None:
+        if k_max < 2:
+            raise ValueError(f"k_max must be >= 2, got {k_max}")
+        object.__setattr__(self, "k_max", k_max)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.k_max == other.k_max if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k_max,))
+
+    def __repr__(self) -> str:
+        return f"RatingScale(k_max={self.k_max!r})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return RatingScale, (self.k_max,)
 
     @property
     def labels(self) -> range:
@@ -72,3 +88,12 @@ def utf8_line(line: str | DataError) -> str:
     if isinstance(line, DataError):
         raise line
     return line
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; DataError if it holds none."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{path} is not a JSON file: {exc}") from None

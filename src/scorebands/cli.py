@@ -14,7 +14,7 @@ import sys
 
 # The harness, and with it numpy, is imported by the subcommands that use
 # it, so `extract` runs on the standard library alone.
-from .base import GENERATORS, DataError, InvariantError, RatingScale
+from .base import GENERATORS, DataError, InvariantError, RatingScale, read_json
 from .extract import ExtractConfig, extract_file
 
 EXIT_OK = 0
@@ -143,14 +143,6 @@ def _scale(k_max: int) -> RatingScale:
         raise UsageError(f"--k-max: {exc}") from None
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise DataError(f"{path} is not a JSON file: {exc}") from None
-
-
 def cmd_extract(args) -> int:
     scale = _scale(args.k_max)
     try:
@@ -214,7 +206,7 @@ def cmd_run(args) -> int:
 
     config = ExperimentConfig()
     if args.config:
-        config = ExperimentConfig.from_dict(_read_json(args.config))
+        config = ExperimentConfig.from_dict(read_json(args.config))
     # Every run flag's dest is its config key.
     d = config.to_dict()
     d.update((k, v) for k, v in vars(args).items() if k in d and v is not None)
@@ -264,7 +256,7 @@ def cmd_fuse(args) -> int:
 def cmd_report(args) -> int:
     from .harness import ExperimentReport, emit_report
 
-    report = ExperimentReport.from_dict(_read_json(args.report))
+    report = ExperimentReport.from_dict(read_json(args.report))
     paths = emit_report(report, args.out)
     print(f"re-rendered report files in {args.out}")
     for kind in sorted(paths):

@@ -7,13 +7,9 @@ three stages, tried in order: the literal "Score:" anchor, a keyword
 scan for the last rating-digit token.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .base import DataError, RatingScale, decoded_lines, utf8_line
 
@@ -33,27 +29,43 @@ MULTI_TOKEN_LABEL = "multi-token label"
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True)
 class ExtractConfig:
-    """Extraction knobs; defaults match common judge output formats."""
+    """Extraction knobs; defaults match common judge output formats. Immutable,
+    equal and hashed by its fields; the class attributes are the defaults."""
 
-    anchor: str = "Score:"
-    anchor_span: int = 3  # anchor may split across up to this many tokens
-    keywords: tuple[str, ...] = ("score", "rating")
-    window: int = 8  # tokens searched after a keyword for the digit
-    markers: tuple[str, ...] = ("▁", "Ġ")  # sentence-piece, byte-BPE
-    floor: float = -11.5  # log(1e-5), for rating tokens absent from top-k
-    nan_fill: float = -100.0
+    anchor = "Score:"
+    anchor_span = 3  # anchor may split across up to this many tokens
+    keywords = ("score", "rating")
+    window = 8  # tokens searched after a keyword for the digit
+    markers = ("▁", "Ġ")  # sentence-piece, byte-BPE
+    floor = -11.5  # log(1e-5), for rating tokens absent from top-k
+    nan_fill = -100.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, anchor: str = anchor, anchor_span: int = anchor_span,
+                 keywords: tuple[str, ...] = keywords, window: int = window,
+                 markers: tuple[str, ...] = markers, floor: float = floor,
+                 nan_fill: float = nan_fill) -> None:
         # A value written in place of a logprob must be one: finite and <= 0.
         # The message names the field and the CLI flag that sets it.
-        for name, flag in (("floor", "--floor"), ("nan_fill", "--nan-fill")):
-            value = getattr(self, name)
+        for name, flag, value in (("floor", "--floor", floor),
+                                  ("nan_fill", "--nan-fill", nan_fill)):
             if not -math.inf < value <= 0:  # also false for NaN
                 raise ValueError(
                     f"{name} ({flag}) must be a finite log-probability <= 0, got {value}"
                 )
+        self.__dict__.update(anchor=anchor, anchor_span=anchor_span, keywords=keywords,
+                             window=window, markers=markers, floor=floor, nan_fill=nan_fill)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 def _sort_top_k(top_k) -> tuple[tuple[str, float], ...]:
@@ -79,7 +91,6 @@ def _check_logprobs(logprob: float, top_k_logprobs) -> None:
         raise ValueError(f"logprob must be <= 0, got {logprob}")
 
 
-@dataclass(frozen=True)
 class FeatureVector:
     """Ordered score-token log-probabilities, one block of K per judge.
 
@@ -88,66 +99,72 @@ class FeatureVector:
     :class:`~scorebands.core.Batch`.
     """
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[float, ...]) -> None:
+        if not values:
             raise ValueError("feature vector must be non-empty")
-        for v in self.values:
+        for v in values:
             if not math.isfinite(v):
                 raise ValueError(f"feature entries must be finite, got {v}")
             if v > 0:
                 raise ValueError(f"log-probabilities must be <= 0, got {v}")
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
 class TokenLogprobEntry:
     """One generated token with its logprob and top-k alternatives, the
     top-k sorted by logprob, highest first, NaN last, ties as listed."""
 
-    token_text: str
-    logprob: float
-    top_k: tuple[tuple[str, float], ...] = ()
+    __slots__ = ("token_text", "logprob", "top_k")
 
-    def __post_init__(self) -> None:
-        _check_logprobs(self.logprob, [lp for _, lp in self.top_k])
-        object.__setattr__(self, "top_k", _sort_top_k(self.top_k))
+    def __init__(self, token_text: str, logprob: float,
+                 top_k: tuple[tuple[str, float], ...] = ()) -> None:
+        _check_logprobs(logprob, [lp for _, lp in top_k])
+        self.token_text = token_text
+        self.logprob = logprob
+        self.top_k = _sort_top_k(top_k)
 
 
-@dataclass(frozen=True)
 class ExtractionRecord:
     """One transcript as token columns: texts, logprobs, and the top-k
     (text, logprob) pairs as read, a None logprob standing for NaN.
     :func:`parse_record` checks every token; :func:`extract` builds the
     converted, checked and sorted entry of the score token alone."""
 
-    sample_id: str
-    texts: tuple[str, ...]
-    logprobs: tuple[float, ...]
-    top_k: tuple[Sequence[Sequence], ...]
-    declared_score: int | None = None
+    __slots__ = ("sample_id", "texts", "logprobs", "top_k", "declared_score")
 
-    def __post_init__(self) -> None:
-        if not self.texts:
+    def __init__(self, sample_id: str, texts: tuple[str, ...], logprobs: tuple[float, ...],
+                 top_k: tuple, declared_score: int | None = None) -> None:
+        if not texts:
             raise ValueError("transcript has no tokens")
-        if not len(self.texts) == len(self.logprobs) == len(self.top_k):
+        if not len(texts) == len(logprobs) == len(top_k):
             raise ValueError("token columns differ in length")
+        self.sample_id = sample_id
+        self.texts = texts
+        self.logprobs = logprobs
+        self.top_k = top_k  # each token's sequence of (text, logprob) pairs
+        self.declared_score = declared_score
 
     def entry(self, i: int) -> TokenLogprobEntry:
         top_k = tuple((str(text), _parse_logprob(lp)) for text, lp in self.top_k[i])
         return TokenLogprobEntry(self.texts[i], self.logprobs[i], top_k)
 
 
-@dataclass(frozen=True)
 class ExtractionResult:
-    score_position: int
-    stage_used: str
-    features: FeatureVector
-    extracted_score: int
-    declared_mismatch: bool = False
+    __slots__ = ("score_position", "stage_used", "features", "extracted_score",
+                 "declared_mismatch")
+
+    def __init__(self, score_position: int, stage_used: str, features: FeatureVector,
+                 extracted_score: int, declared_mismatch: bool = False) -> None:
+        self.score_position = score_position
+        self.stage_used = stage_used
+        self.features = features
+        self.extracted_score = extracted_score
+        self.declared_mismatch = declared_mismatch
 
 
 def normalize_token(raw: str, markers: tuple[str, ...] = ExtractConfig.markers) -> str:
@@ -329,20 +346,20 @@ def parse_record(obj: dict) -> ExtractionRecord:
         raise DataError(f"bad transcript record: {exc}") from exc
 
 
-@dataclass
 class ExtractionSummary:
-    n_records: int = 0
-    n_ok: int = 0
-    n_failed: int = 0
-    n_mismatch: int = 0
-    stage_counts: dict | None = None
-    failures: list | None = None
-    parse_errors: list | None = None
+    __slots__ = ("n_records", "n_ok", "n_failed", "n_mismatch", "stage_counts", "failures",
+                 "parse_errors")
 
-    def __post_init__(self) -> None:
-        self.stage_counts = self.stage_counts or {}
-        self.failures = self.failures or []
-        self.parse_errors = self.parse_errors or []
+    def __init__(self, n_records: int = 0, n_ok: int = 0, n_failed: int = 0,
+                 n_mismatch: int = 0, stage_counts: dict | None = None,
+                 failures: list | None = None, parse_errors: list | None = None) -> None:
+        self.n_records = n_records
+        self.n_ok = n_ok
+        self.n_failed = n_failed
+        self.n_mismatch = n_mismatch
+        self.stage_counts = stage_counts or {}
+        self.failures = failures or []
+        self.parse_errors = parse_errors or []
 
 
 def extract_file(

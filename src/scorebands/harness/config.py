@@ -59,7 +59,7 @@ class ExperimentConfig:
         kwargs: dict[str, dict] = {"config": {}, "scale": {}, "method": {}, "train": {}}
         for key, (record, attr, convert) in FIELDS.items():
             try:
-                kwargs[record][attr] = convert(merged[key]) if convert else merged[key]
+                kwargs[record][attr] = convert(merged[key])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"config field {key!r}: {exc}") from None
         try:
@@ -77,35 +77,56 @@ def _bool(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with no fraction; a bool is neither."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _ints(values) -> tuple[int, ...]:
     if isinstance(values, str):
         raise TypeError(f"expected a list of integers, got {values!r}")
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
+
+
+def _str_or_none(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string or null, got {value!r}")
+    return value
 
 
 # Each config key, once: the record that holds it (the ExperimentConfig, its
 # RatingScale, its MethodConfig or that one's TrainConfig), its attribute
-# there, and the conversion of a JSON value (None keeps the value as it is).
+# there, and the conversion of a JSON value. A conversion takes only the
+# JSON type the field means, so that a bool or a fraction is never read as
+# an integer and a number never as a path.
 FIELDS = {
-    "alpha": ("config", "alpha", float),
+    "alpha": ("config", "alpha", _float),
     "seeds": ("config", "seeds", _ints),
-    "cal_fraction": ("config", "cal_fraction", float),
+    "cal_fraction": ("config", "cal_fraction", _float),
     "methods": ("config", "methods", tuple),
-    "mondrian": ("config", "mondrian", None),
+    "mondrian": ("config", "mondrian", _str_or_none),
     "adjust": ("config", "adjust", str),
-    "k_max": ("scale", "k_max", int),
-    "epochs": ("train", "epochs", int),
-    "batch_size": ("train", "batch_size", int),
-    "learning_rate": ("train", "learning_rate", float),
-    "train_seed": ("train", "seed", int),
+    "k_max": ("scale", "k_max", _int),
+    "epochs": ("train", "epochs", _int),
+    "batch_size": ("train", "batch_size", _int),
+    "learning_rate": ("train", "learning_rate", _float),
+    "train_seed": ("train", "seed", _int),
     "hidden": ("train", "hidden", _ints),
-    "chr_bins": ("method", "chr_bins", int),
-    "boost_rounds": ("method", "boost_rounds", int),
-    "boost_depth": ("method", "boost_depth", int),
-    "boost_rate": ("method", "boost_rate", float),
-    "sigma_floor": ("method", "sigma_floor", float),
+    "chr_bins": ("method", "chr_bins", _int),
+    "boost_rounds": ("method", "boost_rounds", _int),
+    "boost_depth": ("method", "boost_depth", _int),
+    "boost_rate": ("method", "boost_rate", _float),
+    "sigma_floor": ("method", "sigma_floor", _float),
     "point_predictor": ("method", "point_predictor", str),
-    "input": ("config", "input_path", None),
-    "out": ("config", "out_dir", None),
+    "input": ("config", "input_path", _str_or_none),
+    "out": ("config", "out_dir", _str_or_none),
     "emit_intervals": ("config", "emit_intervals", _bool),
 }

@@ -12,7 +12,13 @@ import json
 import os
 
 from ..core import DataError
-from .runner import DATASET_METRICS, SEED_METRICS, STRATUM_METRICS, ExperimentReport
+from .runner import (
+    DATASET_METRICS,
+    SEED_METRICS,
+    STRATUM_METRICS,
+    SUMMARY_SPREADS,
+    ExperimentReport,
+)
 
 PER_SEED_COLUMNS = ("seed", "method", "n_cal", "n_test", *SEED_METRICS)
 AGGREGATE_COLUMNS = (
@@ -79,7 +85,7 @@ def _summary_text(report: ExperimentReport) -> str:
     for agg in report.aggregates:
         spreads = (
             f"{_fmt(agg[f'{m}_mean']) + ' +/- ' + _fmt(agg[f'{m}_std']):>16}"
-            for m in ("coverage_raw", "width_raw", "coverage_adj", "width_adj")
+            for m in SUMMARY_SPREADS
         )
         lines.append(
             f"{agg['method']:<14}{''.join(spreads)}{_fmt(agg['frac_decisive_mean']):>10}"

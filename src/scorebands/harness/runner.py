@@ -11,12 +11,12 @@ with the ranking-scoring gap, and stratified diagnostics.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ..base import read_json
 from ..conformal import (
     BUILTIN_PARTITIONS,
     GroupPartition,
@@ -80,6 +80,21 @@ STRATUM_METRICS = (
     "mae",
 )
 
+# Each key the summary text reads from a table's rows, with the types it
+# can print: a label is a string, a statistic a number or null.
+SUMMARY_SPREADS = ("coverage_raw", "width_raw", "coverage_adj", "width_adj")
+_NUMBER = (int, float, type(None))
+SUMMARY_KEYS = {
+    "aggregates": {
+        "method": str,
+        **{f"{m}_{s}": _NUMBER for m in SUMMARY_SPREADS for s in ("mean", "std")},
+        "frac_decisive_mean": _NUMBER,
+    },
+    "per_dataset_agg": {"method": str, "dataset": str, "width_raw_mean": _NUMBER,
+                        "pearson_mean": _NUMBER, "rsg_mean": _NUMBER},
+    "errors": {"seed": object, "method": object, "error": object},
+}
+
 
 @dataclass
 class ExperimentReport:
@@ -116,8 +131,26 @@ class ExperimentReport:
             kind, what = (dict, "an object") if f.name == "config" else (list, "a list")
             if not isinstance(value, kind):
                 raise DataError(f"report {f.name!r} is not {what}")
+            if kind is list:
+                _check_rows(f.name, value)
             tables[f.name] = kind(value)
+        if not isinstance(tables["config"].get("seeds", []), list):
+            raise DataError("report config 'seeds' is not a list")
         return cls(**tables)
+
+
+def _check_rows(name: str, rows: list) -> None:
+    """Each row an object, holding what the summary text prints of it."""
+    keys = SUMMARY_KEYS.get(name, {})
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise DataError(f"report {name!r} row {i} is not an object")
+        for key, kind in keys.items():
+            if key not in row:
+                raise DataError(f"report {name!r} row {i} lacks {key!r}")
+            if not isinstance(row[key], kind):
+                what = "a string" if kind is str else "a number or null"
+                raise DataError(f"report {name!r} row {i}: {key!r} is not {what}")
 
 
 def resolve_partition(spec: str | None) -> GroupPartition | None:
@@ -127,9 +160,8 @@ def resolve_partition(spec: str | None) -> GroupPartition | None:
     if spec in BUILTIN_PARTITIONS:
         return BUILTIN_PARTITIONS[spec]
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if "groups" not in data or not isinstance(data["groups"], dict):
+        data = read_json(spec)
+        if not isinstance(data, dict) or not isinstance(data.get("groups"), dict):
             raise DataError(f"partition file {spec} needs a 'groups' object")
         return GroupPartition(
             name=str(data.get("name", spec)), group_of=dict(data["groups"])

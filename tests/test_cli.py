@@ -45,6 +45,10 @@ def test_export_resolves_to_its_module(name):
     assert defined_in == module_name or defined_in.startswith(module_name + ".")
 
 
+def _without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
 def _synth(tmp_path, name="samples.jsonl", n=320, extra=()):
     path = tmp_path / name
     code = main(
@@ -276,6 +280,56 @@ class TestRunCommand:
         assert f"data error: config field {name!r}: " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"epochs": 1.9}, "epochs"),
+        ({"boost_rounds": True}, "boost_rounds"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"hidden": [8, False]}, "hidden"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"input": 3}, "input"),
+        ({"out": ["o"]}, "out"),
+        ({"mondrian": 1}, "mondrian"),
+    ])
+    def test_config_value_of_another_json_type_is_data_error(self, tmp_path, capsys,
+                                                            fields, name):
+        samples = _synth(tmp_path, n=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict({"input": str(samples)}, **fields)))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--methods", "naive_split", "--seeds", "0"])
+        assert code == EXIT_DATA
+        assert f"data error: config field {name!r}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_config_value_is_an_integer(self, tmp_path):
+        samples = _synth(tmp_path, n=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": str(samples), "epochs": 2.0,
+                                        "seeds": [0.0], "methods": ["naive_split"]}))
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK
+        config = json.loads((out_dir / "report.json").read_text())["config"]
+        assert config["epochs"] == 2 and config["seeds"] == [0]
+        assert type(config["epochs"]) is int and type(config["seeds"][0]) is int
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "is not a JSON file"),
+        ("3", "needs a 'groups' object"),
+        ("[1, 2]", "needs a 'groups' object"),
+        ('{"groups": 3}', "needs a 'groups' object"),
+    ])
+    def test_bad_mondrian_file_is_data_error(self, tmp_path, capsys, text, message):
+        samples = _synth(tmp_path, n=50)
+        part = tmp_path / "part.json"
+        part.write_text(text)
+        out_dir = tmp_path / "o"
+        code = main(["run", "--input", str(samples), "--out", str(out_dir),
+                     "--methods", "naive_split", "--seeds", "0", "--mondrian", str(part)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(part) in err and message in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("{\"epochs\": ", "is not a JSON file"),
         ("3", "config is not a JSON object"),
@@ -333,10 +387,31 @@ class TestReportCommand:
          "report lacks 'per_seed'"),
         (lambda report: dict(report, aggregates=3), "report 'aggregates' is not a list"),
         (lambda report: dict(report, config=[]), "report 'config' is not an object"),
+        (lambda report: dict(report, per_seed=[3]), "report 'per_seed' row 0 is not an object"),
+        (lambda report: dict(report, stratified=[{}, None]),
+         "report 'stratified' row 1 is not an object"),
+        (lambda report: dict(report, aggregates=[{}]), "report 'aggregates' row 0 lacks "),
+        (lambda report: dict(report, aggregates=[_without(report["aggregates"][0], "method")]),
+         "report 'aggregates' row 0 lacks 'method'"),
+        (lambda report: dict(report, aggregates=[_without(report["aggregates"][0],
+                                                          "width_adj_std")]),
+         "report 'aggregates' row 0 lacks 'width_adj_std'"),
+        (lambda report: dict(report, aggregates=[dict(report["aggregates"][0],
+                                                      coverage_raw_mean="0.9")]),
+         "report 'aggregates' row 0: 'coverage_raw_mean' is not a number or null"),
+        (lambda report: dict(report, aggregates=[dict(report["aggregates"][0], method=None)]),
+         "report 'aggregates' row 0: 'method' is not a string"),
+        (lambda report: dict(report, per_dataset_agg=[{"method": "cqr"}]),
+         "report 'per_dataset_agg' row 0 lacks 'dataset'"),
+        (lambda report: dict(report, errors=[{"seed": 0}]), "report 'errors' row 0 lacks "),
+        (lambda report: dict(report, config={"seeds": 3}), "report config 'seeds' is not a list"),
     ])
     def test_bad_report_is_data_error(self, tmp_path, capsys, change, message):
+        spreads = ("coverage_raw", "width_raw", "coverage_adj", "width_adj")
+        aggregate = {"method": "cqr", "frac_decisive_mean": None,
+                     **{f"{m}_{s}": 0.5 for m in spreads for s in ("mean", "std")}}
         report = {"schema_version": "1", "config": {}, "per_seed": [],
-                  "aggregates": [], "per_dataset": [], "per_dataset_agg": [],
+                  "aggregates": [aggregate], "per_dataset": [], "per_dataset_agg": [],
                   "stratified": [], "errors": []}
         assert main(["report", "-r", self._write(tmp_path, json.dumps(report)),
                      "-o", str(tmp_path / "ok")]) == EXIT_OK
@@ -470,7 +545,8 @@ class TestExtractCommand:
         imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
                     if line.startswith("import time:")]
         assert "scorebands.extract" in imported
-        assert "numpy" not in imported and "scorebands.core" not in imported
+        for heavy in ("numpy", "scorebands.core", "dataclasses", "inspect"):
+            assert heavy not in imported, heavy
 
 
 class TestFuseCommand:

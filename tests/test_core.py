@@ -1,6 +1,9 @@
 """Core type and split tests."""
 
+import copy
+import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -46,8 +49,37 @@ class TestRatingScale:
         assert SCALE.max_width == 4
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k_max must be >= 2, got 1$"):
             RatingScale(k_max=1)
+
+    def test_immutable(self):
+        scale = RatingScale(k_max=7)
+        with pytest.raises(AttributeError):
+            scale.k_max = 3
+        with pytest.raises(AttributeError):
+            scale.extra = 1
+        with pytest.raises(AttributeError):
+            del scale.k_max
+        assert scale.k_max == 7
+
+    def test_equal_and_hashed_by_k_max(self):
+        assert RatingScale() == RatingScale(k_max=5) == RatingScale(5)
+        assert RatingScale(k_max=5) != RatingScale(k_max=7)
+        assert RatingScale() != 5 and RatingScale() != (5,)
+        assert hash(RatingScale(k_max=7)) == hash(RatingScale(k_max=7))
+        assert len({RatingScale(), RatingScale(k_max=5), RatingScale(k_max=7)}) == 2
+        assert repr(RatingScale()) == "RatingScale(k_max=5)"
+
+    def test_cache_key(self):
+        labels = functools.cache(lambda scale: list(scale.labels))
+        first = labels(RatingScale(k_max=7))
+        assert labels(RatingScale(k_max=7)) is first
+        assert labels(RatingScale()) == [1, 2, 3, 4, 5]
+
+    def test_copies_and_pickles(self):
+        scale = RatingScale(k_max=7)
+        for twin in (copy.copy(scale), copy.deepcopy(scale), pickle.loads(pickle.dumps(scale))):
+            assert twin == scale and twin.k_max == 7
 
 
 class TestInterval:

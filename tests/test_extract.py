@@ -408,7 +408,9 @@ def test_line_not_utf8_is_a_parse_error(tmp_path):
 @pytest.mark.parametrize("field", ["floor", "nan_fill"])
 @pytest.mark.parametrize("value", [1.0, 1e-300, math.nan, math.inf, -math.inf])
 def test_fill_values_must_be_finite_logprobs(field, value):
-    with pytest.raises(ValueError, match=field):
+    flag = "--" + field.replace("_", "-")
+    message = rf"^{field} \({flag}\) must be a finite log-probability <= 0, got {value}$"
+    with pytest.raises(ValueError, match=message):
         ExtractConfig(**{field: value})
 
 
@@ -416,6 +418,35 @@ def test_fill_values_must_be_finite_logprobs(field, value):
 def test_fill_values_at_the_edges_are_accepted(value):
     cfg = ExtractConfig(floor=value, nan_fill=value)
     assert cfg.floor == value and cfg.nan_fill == value
+
+
+class TestExtractConfig:
+    DEFAULTS = {"anchor": "Score:", "anchor_span": 3, "keywords": ("score", "rating"),
+                "window": 8, "markers": ("▁", "Ġ"), "floor": -11.5, "nan_fill": -100.0}
+
+    def test_seven_keyword_fields_and_their_defaults(self):
+        cfg = ExtractConfig()
+        for name, value in self.DEFAULTS.items():
+            assert getattr(cfg, name) == value
+            assert getattr(ExtractConfig, name) == value  # the class holds the defaults
+        given = dict(anchor="Rating:", anchor_span=2, keywords=("grade",), window=4,
+                     markers=("#",), floor=-3.0, nan_fill=-50.0)
+        cfg = ExtractConfig(**given)
+        assert {name: getattr(cfg, name) for name in given} == given
+
+    def test_unknown_keyword_is_type_error(self):
+        with pytest.raises(TypeError):
+            ExtractConfig(windw=3)
+
+    def test_immutable_equal_and_hashable(self):
+        cfg = ExtractConfig(window=4)
+        with pytest.raises(AttributeError):
+            cfg.window = 9
+        with pytest.raises(AttributeError):
+            del cfg.window
+        assert cfg.window == 4
+        assert cfg == ExtractConfig(window=4) and cfg != ExtractConfig()
+        assert hash(cfg) == hash(ExtractConfig(window=4))
 
 
 def reference_lines(path):
@@ -495,7 +526,7 @@ def test_import_loads_no_conformal_layer():
     import scorebands
 
     heavy = ("numpy", "scorebands.core", "scorebands.conformal", "scorebands.learners",
-             "scorebands.harness", "scorebands.metrics")
+             "scorebands.harness", "scorebands.metrics", "dataclasses", "inspect")
     src = os.path.dirname(os.path.dirname(os.path.abspath(scorebands.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     for statement in ("import scorebands.extract",
