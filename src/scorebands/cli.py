@@ -113,7 +113,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--epochs", type=int, default=None)
     p_run.add_argument("--batch-size", type=int, default=None)
     p_run.add_argument("--learning-rate", type=float, default=None)
-    p_run.add_argument("--chr-bins", type=int, default=None)
     p_run.add_argument("--boost-rounds", type=int, default=None)
     p_run.add_argument("--point-predictor", choices=("model", "argmax_feature"),
                        default=None)

@@ -34,6 +34,7 @@ from .core import (
 from .core import features_matrix  # noqa: F401
 from .learners import (
     GridConfig,
+    HistDensityModel,
     PointVarModel,
     QuantileModel,
     TrainConfig,
@@ -50,7 +51,6 @@ class MethodConfig:
     """Knobs shared by every interval constructor."""
 
     train: TrainConfig = TrainConfig()
-    chr_bins: int = 9
     boost_rounds: int = 200
     boost_depth: int = 3
     boost_rate: float = 0.2
@@ -316,10 +316,12 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
 
 
 # The predictions a cache keeps: those that several methods make, of the
-# mean network (naive_split, lvd, boosted_lcp) and of the quantile network
-# (cqr, cqr_asym). Every other prediction is one method's, and keeping it
-# would only raise the peak memory of a split.
-_KEPT = frozenset({(PointVarModel, "predict_mean"), (QuantileModel, "predict")})
+# mean network (naive_split, lvd, boosted_lcp), of the quantile network
+# (cqr, cqr_asym) and of the label network (chr, ordinal_aps). Every other
+# prediction is one method's, and keeping it would only raise the peak
+# memory of a split.
+_KEPT = frozenset({(PointVarModel, "predict_mean"), (QuantileModel, "predict"),
+                   (HistDensityModel, "predict_log_proba")})
 
 
 def _shared(cache: dict | None, X: np.ndarray) -> Callable:
@@ -345,15 +347,6 @@ def _shared(cache: dict | None, X: np.ndarray) -> Callable:
         return cache[key][1]
 
     return shared
-
-
-def _hist_density(half: Batch, n_bins: int, cfg: MethodConfig, cache, scale):
-    lo, hi = 0.5, scale.k_max + 0.5
-    return _fit_cached(
-        cache,
-        ("hist", n_bins, lo, hi, cfg.train),
-        lambda: fit_hist_density(half.X, half.y, n_bins, cfg.train, lo=lo, hi=hi),
-    )
 
 
 def _boosted(half: Batch, y: np.ndarray, loss: str, cfg: MethodConfig, cache,
@@ -415,12 +408,12 @@ def _fit_quantiles(half, alpha, scale, cfg, cache):
     )
 
 
-def _fit_chr_bins(half, alpha, scale, cfg, cache):
-    return (_hist_density(half, cfg.chr_bins, cfg, cache, scale),)
-
-
 def _fit_label_bins(half, alpha, scale, cfg, cache):
-    return (_hist_density(half, scale.k_max, cfg, cache, scale),)
+    """The label network, one histogram bin per label over [0.5, K + 0.5]:
+    chr's conditional histogram and ordinal_aps's label classifier in one fit."""
+    k, lo, hi = scale.k_max, 0.5, scale.k_max + 0.5
+    fit = partial(fit_hist_density, half.X, half.y, k, cfg.train, lo=lo, hi=hi)
+    return (_fit_cached(cache, ("hist", k, lo, hi, cfg.train), fit),)
 
 
 def _fit_grid(half, alpha, scale, cfg, cache):
@@ -483,7 +476,7 @@ def _log_proba(m, cfg, shared):
 
 
 def _proba(m, cfg, shared):
-    return shared(m[0], "predict_proba")
+    return np.exp(shared(m[0], "predict_log_proba"))
 
 
 # Rules: (learners, conformal labels, conformal predictions, test predictions,
@@ -552,7 +545,7 @@ METHODS: dict[str, Method] = {
     "naive_split": Method(_fit_mean, _mean, _naive_rule),
     "cqr": Method(_fit_quantiles, _quantiles, _cqr_rule),
     "cqr_asym": Method(_fit_quantiles, _quantiles, partial(_cqr_rule, symmetric=False)),
-    "chr": Method(_fit_chr_bins, _log_proba, _chr_rule),
+    "chr": Method(_fit_label_bins, _log_proba, _chr_rule),
     "lvd": Method(_fit_mean_sigma, _mean_sigma, _lvd_rule),
     "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, _cqr_rule),
     "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, _lvd_rule),

@@ -53,6 +53,9 @@ class ExtractConfig:
                 raise ValueError(
                     f"{name} ({flag}) must be a finite log-probability <= 0, got {value}"
                 )
+        # A window below 1 would silently switch off the keyword stage.
+        if window < 1:
+            raise ValueError(f"window (--window) must be at least 1, got {window}")
         self.__dict__.update(anchor=anchor, anchor_span=anchor_span, keywords=keywords,
                              window=window, markers=markers, floor=floor, nan_fill=nan_fill)
 

@@ -96,6 +96,12 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_int(v) for v in values)
 
 
+def _strs(values) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
+
+
 def _str_or_none(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a string or null, got {value!r}")
@@ -111,7 +117,7 @@ FIELDS = {
     "alpha": ("config", "alpha", _float),
     "seeds": ("config", "seeds", _ints),
     "cal_fraction": ("config", "cal_fraction", _float),
-    "methods": ("config", "methods", tuple),
+    "methods": ("config", "methods", _strs),
     "mondrian": ("config", "mondrian", _str_or_none),
     "adjust": ("config", "adjust", str),
     "k_max": ("scale", "k_max", _int),
@@ -120,7 +126,6 @@ FIELDS = {
     "learning_rate": ("train", "learning_rate", _float),
     "train_seed": ("train", "seed", _int),
     "hidden": ("train", "hidden", _ints),
-    "chr_bins": ("method", "chr_bins", _int),
     "boost_rounds": ("method", "boost_rounds", _int),
     "boost_depth": ("method", "boost_depth", _int),
     "boost_rate": ("method", "boost_rate", _float),

@@ -53,9 +53,6 @@ class HistDensityModel:
         _, out = forward(self.params, self.scaler.transform(X))
         return log_softmax(out)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.exp(self.predict_log_proba(X))
-
 
 def fit_hist_density(
     X: np.ndarray,

@@ -84,9 +84,10 @@ def test_traced_run_counts_each_method_and_fit(spans):
     for method in config.methods:
         assert tracer.counts[f"conformal.run_method.{method}.calls"] == 1, method
     # One mean network with its spread head, one two-output quantile
-    # network, two histograms and one grid; two pinball forests and one
-    # |residual| forest.
-    assert tracer.counts["learners.fit_mlp.calls"] == 6
+    # network, one label network (chr's one-bin-per-label histogram, which
+    # is ordinal_aps's label classifier too) and one grid; two pinball
+    # forests and one |residual| forest.
+    assert tracer.counts["learners.fit_mlp.calls"] == 5
     assert tracer.counts["learners.fit_boosted.calls"] == 3
     # The rounds counter reads len(model.trees): one tree per round.
     rounds = config.method_config.boost_rounds

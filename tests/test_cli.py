@@ -269,6 +269,9 @@ class TestRunCommand:
         ({"hidden": [8, "y"]}, "hidden"),
         ({"k_max": 1}, "k_max"),
         ({"emit_intervals": "false"}, "emit_intervals"),
+        ({"methods": {"naive_split": 0}}, "methods"),
+        ({"methods": "cqr"}, "methods"),
+        ({"methods": ["naive_split", 3]}, "methods"),
     ])
     def test_bad_config_field_is_data_error(self, tmp_path, capsys, fields, name):
         samples = _synth(tmp_path, n=50)
@@ -300,6 +303,27 @@ class TestRunCommand:
         assert code == EXIT_DATA
         assert f"data error: config field {name!r}: expected " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_chr_bins_is_an_unknown_config_field(self, tmp_path, capsys):
+        """chr's histogram has one bin per label, so a saved config that
+        still sets its bin count is refused rather than silently ignored."""
+        samples = _synth(tmp_path, n=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"chr_bins": 9, "input": str(samples)}))
+        out_dir = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == EXIT_DATA
+        assert "data error: unknown config fields: ['chr_bins']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_chr_bins_flag_is_usage_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path, n=50)
+        out_dir = tmp_path / "o"
+        code = main(["run", "--input", str(samples), "--out", str(out_dir),
+                     "--seeds", "0", "--methods", "chr", "--chr-bins", "9"])
+        assert code == EXIT_USAGE
+        assert "--chr-bins" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_integral_float_config_value_is_an_integer(self, tmp_path):
         samples = _synth(tmp_path, n=50)
@@ -380,6 +404,25 @@ class TestReportCommand:
         for name in os.listdir(out_dir):
             with open(out_dir / name, "rb") as f1, open(two / name, "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+    def test_report_whose_config_holds_chr_bins_renders(self, tmp_path):
+        """A report saved while chr's bin count was a setting still renders:
+        a report's config is shown as it was saved, not read as a config."""
+        samples = _synth(tmp_path)
+        out_dir = tmp_path / "one"
+        assert main(
+            ["run", "--input", str(samples), "--out", str(out_dir),
+             "--seeds", "0", "--methods", "chr", "--epochs", "2"]
+        ) == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        report["config"]["chr_bins"] = 9
+        old = self._write(tmp_path, json.dumps(report))
+        two = tmp_path / "two"
+        assert main(["report", "--report", old, "--out", str(two)]) == EXIT_OK
+        for name in os.listdir(out_dir):
+            if name != "report.json":
+                assert (out_dir / name).read_bytes() == (two / name).read_bytes(), name
+        assert json.loads((two / "report.json").read_text()) == report
 
     @pytest.mark.parametrize("change, message", [
         (lambda report: [report], "report is not a JSON object"),
@@ -526,6 +569,19 @@ class TestExtractCommand:
         assert capsys.readouterr().err == (
             f"usage error: {name} ({flag}) must be a finite log-probability <= 0, "
             f"got {shown}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_window_below_one_is_usage_error(self, tmp_path, capsys, value):
+        """A window below 1 would silently switch off the keyword stage."""
+        inp, out = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        corpus.write_minus_inf(inp)
+        code = main(["extract", "--input", str(inp), "--out", str(out),
+                     f"--window={value}"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: window (--window) must be at least 1, got {value}\n"
         )
         assert not out.exists()
 

@@ -484,7 +484,6 @@ class TestNonDefaultScale:
         test = batch[np.array(plan.test_indices)]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1),
-            chr_bins=6,
             boost_rounds=30,
         )
         gts = test.y
@@ -990,13 +989,68 @@ class TestCacheKeys:
         shared: dict = {}
         for m in METHODS:
             run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        # The mean network's on three parts, the quantile pair's on two.
+        # The mean network's on three parts, the quantile pair's and the
+        # label network's on two each.
         predicted = [v[1] for k, v in shared.items() if k[0] == "predicted"]
-        assert len(predicted) == 5
+        assert len(predicted) == 7
         assert not any(a.flags.writeable for a in predicted)
         res = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
         with pytest.raises(ValueError, match="read-only"):
             res.y_hat[0] = 0.0
+
+
+class TestLabelNetwork:
+    """chr's histogram has one bin per label, so it is the label network of
+    ordinal_aps: one fit and one forward pass per row set serve both."""
+
+    FAST_FIT = TestCacheKeys.FAST_FIT
+
+    @pytest.mark.parametrize("k_max", [3, 5, 7, 10])
+    def test_chr_has_one_bin_per_label(self, k_max):
+        scale = RatingScale(k_max=k_max)
+        cal, test, _ = split_synth(n=300, seed=31, scale=scale, feature_dim=k_max)
+        res = run_method("chr", cal, test, 0.1, scale, self.FAST_FIT, {})
+        (model,) = res.calibration.learners
+        # So no two labels share a bin: on ten labels, 5 and 6 no longer do.
+        assert model.n_bins == k_max
+        assert model.bin_index(np.arange(1.0, k_max + 1)).tolist() == list(range(k_max))
+
+    def test_chr_and_ordinal_aps_share_one_fit_and_forward_pass(self, monkeypatch):
+        from scorebands.learners import HistDensityModel
+
+        calls = []
+        original = HistDensityModel.predict_log_proba
+
+        def counted(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(HistDensityModel, "predict_log_proba", counted)
+        cal, test, _ = split_synth(n=600, seed=32, label_noise=0.35)
+        shared: dict = {}
+        res_chr = run_method("chr", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        res_aps = run_method("ordinal_aps", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        assert res_chr.calibration.learners[0] is res_aps.calibration.learners[0]
+        hist = [k for k in shared if k[0] == "hist"]
+        assert hist == [("hist", 5, 0.5, 5.5, self.FAST_FIT.train)]
+        kept = [k for k in shared if k[:2] == ("predicted", "predict_log_proba")]
+        assert len(kept) == 2
+        assert sorted(calls) == sorted([len(cal) - len(cal) // 2, len(test)])
+
+    @pytest.mark.parametrize("first, then", [("chr", "ordinal_aps"),
+                                             ("ordinal_aps", "chr")])
+    def test_shared_label_network_equals_fresh_fit(self, first, then):
+        cal, test, _ = split_synth(n=600, seed=33, label_noise=0.35)
+        shared: dict = {}
+        run_method(first, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        res_s = run_method(then, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        res_f = run_method(then, cal, test, 0.1, SCALE, self.FAST_FIT, {})
+        assert len([k for k in shared if k[0] == "hist"]) == 1
+        assert res_s.calibration.q_hat == res_f.calibration.q_hat
+        for a, b in ((res_s.intervals.lower, res_f.intervals.lower),
+                     (res_s.intervals.upper, res_f.intervals.upper),
+                     (res_s.y_hat, res_f.y_hat)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBatchEntry:

@@ -438,6 +438,12 @@ class TestExtractConfig:
         with pytest.raises(TypeError):
             ExtractConfig(windw=3)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_is_value_error(self, window):
+        with pytest.raises(ValueError, match=rf"^window \(--window\) must be at least 1, "
+                                             rf"got {window}$"):
+            ExtractConfig(window=window)
+
     def test_immutable_equal_and_hashable(self):
         cfg = ExtractConfig(window=4)
         with pytest.raises(AttributeError):

@@ -246,7 +246,7 @@ class TestHistDensity:
         y = rng.choice(np.arange(1.0, 6.0), size=800, p=p)
         X = rng.normal(size=(800, 5))  # no signal
         model = fit_hist_density(X, y, 5, FAST)
-        mean_probs = model.predict_proba(rng.normal(size=(400, 5))).mean(axis=0)
+        mean_probs = np.exp(model.predict_log_proba(rng.normal(size=(400, 5)))).mean(axis=0)
         assert np.max(np.abs(mean_probs - p)) < 0.06
 
     def test_single_label(self):
@@ -254,7 +254,7 @@ class TestHistDensity:
         X = rng.normal(size=(200, 4))
         y = np.full(200, 3.0)
         model = fit_hist_density(X, y, 5, FAST)
-        probs = model.predict_proba(X[:50])
+        probs = np.exp(model.predict_log_proba(X[:50]))
         assert np.all(probs[:, model.bin_index(3.0)] > 0.95)
 
     def test_conditional_beats_marginal(self):
