@@ -170,7 +170,7 @@ def cmd_synth(args) -> int:
     spec = SyntheticSpec(
         n=args.n,
         generator=args.generator,
-        feature_dim=args.feature_dim or scale.k_max,
+        feature_dim=scale.k_max if args.feature_dim is None else args.feature_dim,
         seed=args.seed,
         temperature=args.temperature,
         label_noise=args.label_noise,

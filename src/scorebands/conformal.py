@@ -33,10 +33,6 @@ from .core import (
 # point of a run, and the one the benchmark's tracer counts.
 from .core import features_matrix  # noqa: F401
 from .learners import (
-    GridConfig,
-    HistDensityModel,
-    PointVarModel,
-    QuantileModel,
     TrainConfig,
     fit_boosted,
     fit_grid_classifier,
@@ -207,7 +203,7 @@ def density_intervals_from_scores(
     whose negative log density is within the calibrated threshold.
 
     ``lows``/``highs`` give the real endpoints each density cell maps to
-    (the cell's own value for a grid, its edges for a histogram bin). A row
+    (its centre for r2ccp's grid, its edges for chr's histogram). A row
     with no qualifying cell gets the full label range.
     """
     thr = conformal_quantile(conf_scores, alpha)
@@ -268,15 +264,18 @@ def aps_scores(probs: np.ndarray, label_index: np.ndarray) -> np.ndarray:
     return masses[np.arange(len(order)), step]
 
 
-def aps_sets(probs: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def aps_sets(
+    probs: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the index run of the smallest greedy-grown set with mass
-    >= threshold; the whole range when no smaller set reaches it."""
+    >= threshold, and that mass; the whole range when no smaller set
+    reaches it."""
     _, masses, lows, highs = _aps_paths(probs)
     k = masses.shape[1]
     reached = ~(masses[:, : k - 1] < threshold)
     step = np.where(reached.any(axis=1), reached.argmax(axis=1), k - 1)
     rows = np.arange(len(masses))
-    return lows[rows, step], highs[rows, step]
+    return lows[rows, step], highs[rows, step], masses[rows, step]
 
 
 def aps_from_probs(
@@ -287,7 +286,7 @@ def aps_from_probs(
     scale: RatingScale,
 ) -> tuple[float, Intervals, np.ndarray]:
     q = conformal_quantile(aps_scores(probs_conf, y_conf_index), alpha)
-    lo_idx, hi_idx = aps_sets(probs_test, q)
+    lo_idx, hi_idx, _ = aps_sets(probs_test, q)
     ivs = _interval(1 + lo_idx, 1 + hi_idx, scale)
     argmax_labels = (1 + np.asarray(probs_test).argmax(axis=1)).astype(np.float64)
     return q, ivs, argmax_labels
@@ -301,8 +300,8 @@ def aps_from_probs(
 # across methods that run on the identical calibration half within one
 # experiment cell. Each key holds every input of its fit besides that data:
 # the learner, its targets (taus, bins, grid) and its training settings.
-# The cache also keeps the predictions that several methods make (see
-# `_KEPT`), so that each is worked out once per split.
+# The cache also keeps the predictions that several methods make, so that
+# each is worked out once per split.
 # ---------------------------------------------------------------------------
 
 
@@ -315,18 +314,15 @@ def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
     return model
 
 
-# The predictions a cache keeps: those that several methods make, of the
-# mean network (naive_split, lvd, boosted_lcp), of the quantile network
-# (cqr, cqr_asym) and of the label network (chr, ordinal_aps). Every other
-# prediction is one method's, and keeping it would only raise the peak
-# memory of a split.
-_KEPT = frozenset({(PointVarModel, "predict_mean"), (QuantileModel, "predict"),
-                   (HistDensityModel, "predict_log_proba")})
-
-
 def _shared(cache: dict | None, X: np.ndarray) -> Callable:
-    """`shared(model, what)`: ``model.<what>(X)``, worked out once per cache
-    when it is a prediction the cache keeps (see `_KEPT`).
+    """`shared(model, what, keep=False)`: ``model.<what>(X)``, worked out
+    once per cache when ``keep`` is set.
+
+    The predictions that several methods make are kept: those of the mean
+    network (naive_split, lvd, boosted_lcp), of the quantile network (cqr,
+    cqr_asym) and of the label network (chr, ordinal_aps). Every other
+    prediction is one method's, and keeping it would only raise the peak
+    memory of a split.
 
     The key names the rows by their shape, dtype and a BLAKE2b digest of
     their bytes, so an entry serves only rows equal to those it was worked
@@ -336,8 +332,8 @@ def _shared(cache: dict | None, X: np.ndarray) -> Callable:
     """
     rows = X.shape, X.dtype.str, hashlib.blake2b(np.ascontiguousarray(X)).digest()
 
-    def shared(model, what: str) -> np.ndarray:
-        if cache is None or (type(model), what) not in _KEPT:
+    def shared(model, what: str, keep: bool = False) -> np.ndarray:
+        if cache is None or not keep:
             return getattr(model, what)(X)
         key = ("predicted", what, id(model), rows)
         if key not in cache:
@@ -380,7 +376,7 @@ def _fit_mean(half, alpha, scale, cfg, cache):
 
 def _abs_resid(half, mean_model, cache):
     """|y - mean| on the learner half: the target of every spread model."""
-    mean = _shared(cache, half.X)(mean_model, "predict_mean")
+    mean = _shared(cache, half.X)(mean_model, "predict_mean", keep=True)
     return np.abs(half.y - mean)
 
 
@@ -417,14 +413,10 @@ def _fit_label_bins(half, alpha, scale, cfg, cache):
 
 
 def _fit_grid(half, alpha, scale, cfg, cache):
-    grid = GridConfig(scale.k_max)
-    return (
-        _fit_cached(
-            cache,
-            ("grid", grid, cfg.train),
-            lambda: fit_grid_classifier(half.X, half.y, grid, cfg.train),
-        ),
-    )
+    """r2ccp's grid network: eight histogram cells per label (see
+    `fit_grid_classifier`)."""
+    fit = partial(fit_grid_classifier, half.X, half.y, scale.k_max, cfg.train)
+    return (_fit_cached(cache, ("grid", scale.k_max, cfg.train), fit),)
 
 
 def _fit_boosted_quantiles(half, alpha, scale, cfg, cache):
@@ -450,15 +442,15 @@ def _fit_boosted_spread(half, alpha, scale, cfg, cache):
 
 
 def _mean(m, cfg, shared):
-    return shared(m[0], "predict_mean")
+    return shared(m[0], "predict_mean", keep=True)
 
 
 def _mean_sigma(m, cfg, shared):
-    return shared(m[0], "predict_mean"), shared(m[1], "predict_sigma")
+    return _mean(m, cfg, shared), shared(m[1], "predict_sigma")
 
 
 def _quantiles(m, cfg, shared):
-    return shared(m[0], "predict")
+    return shared(m[0], "predict", keep=True)
 
 
 def _boosted_quantiles(m, cfg, shared):
@@ -466,17 +458,17 @@ def _boosted_quantiles(m, cfg, shared):
 
 
 def _mean_boosted_sigma(m, cfg, shared):
-    return shared(m[0], "predict_mean"), np.maximum(
-        shared(m[1], "predict"), cfg.sigma_floor
-    )
+    return _mean(m, cfg, shared), np.maximum(shared(m[1], "predict"), cfg.sigma_floor)
 
 
-def _log_proba(m, cfg, shared):
-    return shared(m[0], "predict_log_proba")
+def _log_proba(m, cfg, shared, keep=True):
+    """Log-probabilities over the cells; kept for the label network, which
+    chr and ordinal_aps both read, and not for r2ccp's grid."""
+    return shared(m[0], "predict_log_proba", keep)
 
 
 def _proba(m, cfg, shared):
-    return np.exp(shared(m[0], "predict_log_proba"))
+    return np.exp(_log_proba(m, cfg, shared))
 
 
 # Rules: (learners, conformal labels, conformal predictions, test predictions,
@@ -500,31 +492,20 @@ def _cqr_rule(m, y, conf, test, alpha, scale, symmetric=True):
     return q, ivs, (test[:, 0] + test[:, -1]) / 2.0
 
 
-def _density_rule(y_cell, lows, highs, values, logp_conf, logp_test, alpha, scale):
-    """CHR/R2CCP: the score is the negative log mass of the label's cell; the
-    point is the mean cell value under the test density."""
-    conf_scores = -logp_conf[np.arange(len(y_cell)), y_cell]
+def _cell_rule(m, y, logp_conf, logp_test, alpha, scale, edges=True):
+    """CHR/R2CCP: the score is the negative log mass of the label's cell. An
+    interval runs over the qualifying cells' edges (chr) or centres (r2ccp);
+    the point is the mean cell centre under the test density."""
+    model = m[0]
+    lows = highs = centres = model.bin_centers()
+    if edges:
+        cells = model.bin_edges()
+        lows, highs = cells[:-1], cells[1:]
+    conf_scores = -logp_conf[np.arange(len(y)), model.bin_index(y)]
     thr, ivs = density_intervals_from_scores(
         conf_scores, -logp_test, lows, highs, alpha, scale
     )
-    return thr, ivs, np.exp(logp_test) @ values
-
-
-def _chr_rule(m, y, logp_conf, logp_test, alpha, scale):
-    model = m[0]
-    edges = model.bin_edges()
-    return _density_rule(
-        model.bin_index(y), edges[:-1], edges[1:], model.bin_centers(),
-        logp_conf, logp_test, alpha, scale,
-    )
-
-
-def _r2ccp_rule(m, y, logp_conf, logp_test, alpha, scale):
-    grid = m[0].grid
-    points = grid.points()
-    return _density_rule(
-        grid.nearest_index(y), points, points, points, logp_conf, logp_test, alpha, scale
-    )
+    return thr, ivs, np.exp(logp_test) @ centres
 
 
 def _aps_rule(m, y, probs_conf, probs_test, alpha, scale):
@@ -545,11 +526,12 @@ METHODS: dict[str, Method] = {
     "naive_split": Method(_fit_mean, _mean, _naive_rule),
     "cqr": Method(_fit_quantiles, _quantiles, _cqr_rule),
     "cqr_asym": Method(_fit_quantiles, _quantiles, partial(_cqr_rule, symmetric=False)),
-    "chr": Method(_fit_label_bins, _log_proba, _chr_rule),
+    "chr": Method(_fit_label_bins, _log_proba, _cell_rule),
     "lvd": Method(_fit_mean_sigma, _mean_sigma, _lvd_rule),
     "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, _cqr_rule),
     "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, _lvd_rule),
-    "r2ccp": Method(_fit_grid, _log_proba, _r2ccp_rule),
+    "r2ccp": Method(_fit_grid, partial(_log_proba, keep=False),
+                    partial(_cell_rule, edges=False)),
     "ordinal_aps": Method(_fit_label_bins, _proba, _aps_rule),
 }
 

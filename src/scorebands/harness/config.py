@@ -102,6 +102,16 @@ def _strs(values) -> tuple[str, ...]:
     return tuple(values)
 
 
+def _nonempty(convert):
+    """``convert``, refusing an empty list: a run needs a seed and a method."""
+    def read(values):
+        out = convert(values)
+        if not out:
+            raise ValueError("expected at least one entry, got []")
+        return out
+    return read
+
+
 def _str_or_none(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a string or null, got {value!r}")
@@ -115,9 +125,9 @@ def _str_or_none(value) -> str | None:
 # an integer and a number never as a path.
 FIELDS = {
     "alpha": ("config", "alpha", _float),
-    "seeds": ("config", "seeds", _ints),
+    "seeds": ("config", "seeds", _nonempty(_ints)),
     "cal_fraction": ("config", "cal_fraction", _float),
-    "methods": ("config", "methods", _strs),
+    "methods": ("config", "methods", _nonempty(_strs)),
     "mondrian": ("config", "mondrian", _str_or_none),
     "adjust": ("config", "adjust", str),
     "k_max": ("scale", "k_max", _int),

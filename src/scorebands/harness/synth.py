@@ -9,12 +9,16 @@ of against another estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..base import GENERATORS
+from ..conformal import aps_sets
 from ..core import Batch, DataError, RatingScale
+from ..learners.nets import log_softmax
+from ..metrics import round_to_label
 
 # Standard normal quantile at 0.95: central 90% mass lies within +/- this.
 Z_90 = 1.6448536269514722
@@ -40,13 +44,19 @@ class SyntheticSpec:
             )
         if self.n < 1:
             raise DataError(f"n must be positive, got {self.n}")
-        if self.feature_dim % self.scale.k_max != 0:
-            raise DataError(
-                f"feature_dim {self.feature_dim} must be a multiple of "
-                f"k_max={self.scale.k_max}"
-            )
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise DataError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        k = self.scale.k_max
+        # Each check fails on NaN, which compares false.
+        for name, ok, want in (
+            ("feature_dim", self.feature_dim >= 1 and self.feature_dim % k == 0,
+             f"a positive multiple of k_max={k}"),
+            ("temperature", self.temperature >= 0.0, ">= 0"),
+            ("label_noise", 0.0 <= self.label_noise <= 1.0, "in [0, 1]"),
+            ("logit_noise", 0.0 <= self.logit_noise < math.inf, "finite and >= 0"),
+            ("sigma", 0.0 <= self.sigma < math.inf, "finite and >= 0"),
+            ("sigma_ratio", 0.0 < self.sigma_ratio < math.inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise DataError(f"{name} must be {want}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -67,63 +77,22 @@ class SyntheticOracle:
         )
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _feature_blocks(
-    rng: np.random.Generator, center: np.ndarray, spread: np.ndarray, spec: SyntheticSpec
+def _noisy_blocks(
+    rng: np.random.Generator, logits: np.ndarray, spec: SyntheticSpec
 ) -> np.ndarray:
-    """Stack log-softmax blocks peaked at `center` with per-sample spread."""
-    k = spec.scale.k_max
-    labels = np.arange(1, k + 1, dtype=np.float64)
-    blocks = []
-    for _ in range(spec.feature_dim // k):
-        logits = -((labels[None, :] - center[:, None]) ** 2) / spread[:, None]
-        logits = logits + spec.logit_noise * rng.standard_normal(logits.shape)
-        blocks.append(_log_softmax(logits))
-    return np.concatenate(blocks, axis=1)
-
-
-def _peaked_features(
-    rng: np.random.Generator, cond: np.ndarray, spec: SyntheticSpec
-) -> np.ndarray:
-    """Noisy log-softmax view(s) of a true conditional distribution."""
-    log_cond = np.log(np.maximum(cond, 1e-300))
-    blocks = []
-    for _ in range(spec.feature_dim // spec.scale.k_max):
-        noisy = log_cond + spec.logit_noise * rng.standard_normal(log_cond.shape)
-        blocks.append(_log_softmax(noisy))
-    return np.concatenate(blocks, axis=1)
-
-
-def _round_half_up(values: np.ndarray) -> np.ndarray:
-    return np.floor(values + 0.5)
-
-
-def _central_label_set(
-    probs: np.ndarray, target: float, scale: RatingScale
-) -> tuple[int, int, float]:
-    """Grow a contiguous label set greedily from the mode until mass >= target."""
-    k = scale.k_max
-    lo = hi = int(np.argmax(probs))
-    mass = float(probs[lo])
-    while mass < target - 1e-12 and (lo > 0 or hi < k - 1):
-        grow_left = lo > 0 and (hi == k - 1 or probs[lo - 1] >= probs[hi + 1])
-        if grow_left:
-            lo -= 1
-            mass += float(probs[lo])
-        else:
-            hi += 1
-            mass += float(probs[hi])
-    return lo + 1, hi + 1, mass
+    """feature_dim / K log-softmax views of ``logits``, each with its own
+    Gaussian noise on every logit."""
+    return np.concatenate([
+        log_softmax(logits + spec.logit_noise * rng.standard_normal(logits.shape))
+        for _ in range(spec.feature_dim // spec.scale.k_max)
+    ], axis=1)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
     rng = np.random.default_rng(spec.seed)
     scale = spec.scale
     k = scale.k_max
+    labels = np.arange(1, k + 1, dtype=np.float64)
 
     if spec.generator == "peaked_logprob":
         # A synthetic judge: its score-token logprobs encode the true
@@ -135,7 +104,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
         s_star = rng.integers(1, k + 1, size=spec.n)
         temp = max(spec.temperature, 1e-6)
         tau = temp * rng.uniform(0.5, 2.0, size=spec.n)
-        labels = np.arange(1, k + 1, dtype=np.float64)
         logits = -((labels[None, :] - s_star[:, None]) ** 2) / tau[:, None]
         soft = np.exp(logits - logits.max(axis=1, keepdims=True))
         soft /= soft.sum(axis=1, keepdims=True)
@@ -146,17 +114,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
         u = rng.random(spec.n)
         cdf = np.cumsum(cond, axis=1)
         gt = np.minimum((u[:, None] > cdf).sum(axis=1), k - 1) + 1
-        feats = _peaked_features(rng, cond, spec)
-        lower = np.empty(spec.n)
-        upper = np.empty(spec.n)
-        mass = np.empty(spec.n)
-        for i in range(spec.n):
-            lower[i], upper[i], mass[i] = _central_label_set(cond[i], 0.9, scale)
+        feats = _noisy_blocks(rng, np.log(np.maximum(cond, 1e-300)), spec)
+        # The central 90% label set: greedy growth from the mode, the set
+        # that APS grows (see `aps_sets`), up to a rounding tolerance.
+        lo, hi, mass = aps_sets(cond, 0.9 - 1e-12)
         oracle = SyntheticOracle(
             spec=spec,
             latent=s_star.astype(np.float64),
-            lower=lower,
-            upper=upper,
+            lower=lo + 1.0,
+            upper=hi + 1.0,
             interval_mass=mass,
         )
         return _batch(feats, gt, spec, groups=None), oracle
@@ -174,9 +140,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
         sigma = np.where(high, spec.sigma * spec.sigma_ratio, spec.sigma)
         spread = np.where(high, 0.6 * spec.sigma_ratio, 0.6)
         groups = np.where(high, "high", "low")
-    feats = _feature_blocks(rng, m, spread, spec)
+    logits = -((labels[None, :] - m[:, None]) ** 2) / spread[:, None]
+    feats = _noisy_blocks(rng, logits, spec)
     y_cont = m + sigma * rng.standard_normal(spec.n)
-    gt = np.clip(_round_half_up(y_cont), 1, k)
+    gt = round_to_label(y_cont, scale)
     oracle = SyntheticOracle(
         spec=spec,
         latent=m,

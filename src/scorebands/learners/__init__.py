@@ -8,7 +8,7 @@ from .boosted import (
     pinball_gradient,
     pinball_loss,
 )
-from .grid import GridClassifier, GridConfig, fit_grid_classifier
+from .grid import fit_grid_classifier
 from .histdensity import HistDensityModel, fit_hist_density
 from .nets import Standardizer, TrainConfig
 from .pointvar import PointVarModel, fit_point_var, fit_spread_head
@@ -16,8 +16,6 @@ from .quantile import QuantileModel, fit_quantile_model
 
 __all__ = [
     "BoostedModel",
-    "GridClassifier",
-    "GridConfig",
     "HistDensityModel",
     "PointVarModel",
     "QuantileModel",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def fit_hist_density(
     """Cross-entropy fit on binned labels."""
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
-    width = (hi - lo) / n_bins
-    targets = np.clip(((y - lo) / width).astype(np.intp), 0, n_bins - 1)
+    bins = HistDensityModel(None, None, n_bins, lo, hi)
     scaler = Standardizer.fit(X)
-    params = fit_mlp(scaler.transform(X), targets, n_bins, softmax_ce_head, cfg)
-    return HistDensityModel(params=params, scaler=scaler, n_bins=n_bins, lo=lo, hi=hi)
+    params = fit_mlp(scaler.transform(X), bins.bin_index(y), n_bins, softmax_ce_head, cfg)
+    return replace(bins, params=params, scaler=scaler)

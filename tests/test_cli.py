@@ -84,6 +84,25 @@ class TestSynthCommand:
         assert err.startswith("usage error: argument --generator: invalid choice")
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (("--feature-dim", "-5"), "feature_dim"),
+        (("--feature-dim", "0"), "feature_dim"),
+        (("--generator", "homoscedastic", "--sigma", "-0.5"), "sigma"),
+        (("--sigma", "inf"), "sigma"),
+        (("--sigma-ratio", "0"), "sigma_ratio"),
+        (("--sigma-ratio", "nan"), "sigma_ratio"),
+        (("--logit-noise", "nan"), "logit_noise"),
+        (("--logit-noise", "-1"), "logit_noise"),
+        (("--temperature", "nan"), "temperature"),
+        (("--temperature", "-1"), "temperature"),
+    ])
+    def test_bad_generator_value_is_data_error(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "s.jsonl"
+        code = main(["synth", "--n", "10", "--out", str(out), *flags])
+        assert code == EXIT_DATA
+        assert f"data error: {name} must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_out(self, tmp_path):
         oracle_path = tmp_path / "oracle.json"
         _synth(tmp_path, extra=("--oracle-out", str(oracle_path)))
@@ -272,6 +291,8 @@ class TestRunCommand:
         ({"methods": {"naive_split": 0}}, "methods"),
         ({"methods": "cqr"}, "methods"),
         ({"methods": ["naive_split", 3]}, "methods"),
+        ({"methods": []}, "methods"),
+        ({"seeds": []}, "seeds"),
     ])
     def test_bad_config_field_is_data_error(self, tmp_path, capsys, fields, name):
         samples = _synth(tmp_path, n=50)

@@ -31,7 +31,7 @@ from scorebands.conformal import (
 from scorebands.core import Batch, DataError, Intervals, RatingScale, clamp_endpoints
 from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.core import make_split
-from scorebands.learners import GridConfig, PointVarModel, TrainConfig
+from scorebands.learners import PointVarModel, TrainConfig, fit_grid_classifier
 from scorebands.learners.nets import Standardizer, init_params
 from scorebands.metrics import coverage
 
@@ -209,10 +209,14 @@ class TestCqrArithmetic:
 
 
 class TestDensityIntervals:
-    GRID = GridConfig()
+    # r2ccp's grid, unfitted: its cell centres are the grid points.
+    GRID = fit_grid_classifier(
+        np.random.default_rng(0).normal(size=(8, 3)), np.full(8, 3.0), 5,
+        TrainConfig(epochs=0),
+    )
 
     def test_uniform_all_or_nothing(self):
-        pts = self.GRID.points()
+        pts = self.GRID.bin_centers()
         neg_logp = np.full((3, 41), math.log(41))
         thr, ivs = density_intervals_from_scores(
             np.full(100, math.log(41)), neg_logp, pts, pts, 0.1, SCALE
@@ -221,9 +225,9 @@ class TestDensityIntervals:
         assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_one_hot_single_point(self):
-        pts = self.GRID.points()
+        pts = self.GRID.bin_centers()
         row = np.full(41, 1e9)
-        row[self.GRID.nearest_index(3.0)] = 0.0
+        row[self.GRID.bin_index(3.0)] = 0.0
         thr, ivs = density_intervals_from_scores(
             np.zeros(100), row[None, :], pts, pts, 0.1, SCALE
         )
@@ -231,14 +235,14 @@ class TestDensityIntervals:
         assert ivs.width[0] == 0.0
 
     def test_no_qualifying_point_full_range(self):
-        pts = self.GRID.points()
+        pts = self.GRID.bin_centers()
         thr, ivs = density_intervals_from_scores(
             np.zeros(100), np.full((2, 41), 5.0), pts, pts, 0.1, SCALE
         )
         assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_hull_of_qualifying_points(self):
-        pts = self.GRID.points()
+        pts = self.GRID.bin_centers()
         row = np.full(41, 9.0)
         row[12] = 0.0  # 2.0
         row[28] = 0.0  # 4.0
@@ -251,7 +255,7 @@ class TestDensityIntervals:
     @given(st.integers(0, 2**31 - 1))
     def test_contiguity_scan(self, seed):
         rng = np.random.default_rng(seed)
-        pts = self.GRID.points()
+        pts = self.GRID.bin_centers()
         neg_logp = rng.uniform(0, 5, size=(8, 41))
         conf = rng.uniform(0, 5, size=60)
         thr, ivs = density_intervals_from_scores(
@@ -281,12 +285,12 @@ class TestOrdinalAps:
 
     def test_one_hot_singleton(self):
         probs = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
-        lo, hi = aps_sets(probs, 0.9)
-        assert (lo.tolist(), hi.tolist()) == ([2], [2])
+        lo, hi, mass = aps_sets(probs, 0.9)
+        assert (lo.tolist(), hi.tolist(), mass.tolist()) == ([2], [2], [1.0])
 
     def test_two_adjacent_labels(self):
         probs = np.array([[0.5, 0.5, 0.0, 0.0, 0.0]])
-        lo, hi = aps_sets(probs, 0.9)
+        lo, hi, _ = aps_sets(probs, 0.9)
         assert (lo.tolist(), hi.tolist()) == ([0], [1])
 
     def test_near_uniform_full_set(self):
@@ -449,9 +453,8 @@ class TestMethodRunners:
         for method in ("chr", "r2ccp"):
             res = run_method(method, cal, test, 0.1, SCALE, FAST)
             (model,) = res.calibration.learners
-            values = model.bin_centers() if method == "chr" else model.grid.points()
             probs = np.exp(model.predict_log_proba(X))
-            assert np.array_equal(res.y_hat, probs @ values), method
+            assert np.array_equal(res.y_hat, probs @ model.bin_centers()), method
 
     def test_argmax_feature_point_predictor(self):
         cal, test, _ = split_synth(n=400, seed=7)
@@ -762,7 +765,7 @@ class TestColumnarIdentity:
             reference_growth_path(p) for p in probs_test[:50]
         ]
         for thr in (0.0, 0.5, q, 1.0, 2.0):
-            lo, hi = aps_sets(probs_test[:50], thr)
+            lo, hi, _ = aps_sets(probs_test[:50], thr)
             assert list(zip(lo.tolist(), hi.tolist())) == [
                 reference_aps_set(p, thr) for p in probs_test[:50]
             ]
@@ -997,6 +1000,17 @@ class TestCacheKeys:
         res = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
         with pytest.raises(ValueError, match="read-only"):
             res.y_hat[0] = 0.0
+
+    def test_r2ccp_keeps_no_prediction(self):
+        """Only r2ccp reads its grid network, so a cache keeps its fit and
+        none of its predictions."""
+        cal, test, _ = split_synth(n=600, seed=28)
+        shared: dict = {}
+        res_s = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        res_f = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, {})
+        assert list(shared) == [("grid", 5, self.FAST_FIT.train)]
+        assert res_s.intervals == res_f.intervals
+        assert res_s.y_hat.flags.writeable
 
 
 class TestLabelNetwork:

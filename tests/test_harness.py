@@ -4,6 +4,7 @@ and report emission."""
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,7 +335,78 @@ class TestLoaderOracle:
             run_experiment(fast_config(seeds=[0]), batch)
 
 
+# The former per-row oracle loop, kept as the reference for the array rule.
+def central_label_set(probs, target, k):
+    """Grow a contiguous label set greedily from the mode until mass >= target."""
+    lo = hi = int(np.argmax(probs))
+    mass = float(probs[lo])
+    while mass < target - 1e-12 and (lo > 0 or hi < k - 1):
+        grow_left = lo > 0 and (hi == k - 1 or probs[lo - 1] >= probs[hi + 1])
+        if grow_left:
+            lo -= 1
+            mass += float(probs[lo])
+        else:
+            hi += 1
+            mass += float(probs[hi])
+    return lo + 1, hi + 1, mass
+
+
+def reference_oracle(cond):
+    """lower, upper and interval_mass of the former loop, as float64 arrays."""
+    k = cond.shape[1]
+    rows = [central_label_set(p, 0.9, k) for p in cond]
+    return tuple(np.array(col, dtype=np.float64) for col in zip(*rows))
+
+
 class TestSyntheticGenerators:
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_oracle_sets_equal_the_row_loop(self, k, monkeypatch):
+        from scorebands.harness import synth
+
+        seen = []
+        original = synth.aps_sets
+
+        def recorded(probs, threshold):
+            seen.append(probs)
+            return original(probs, threshold)
+
+        monkeypatch.setattr(synth, "aps_sets", recorded)
+        spec = SyntheticSpec(n=800, seed=k, label_noise=0.35, feature_dim=k,
+                             scale=RatingScale(k_max=k))
+        _, oracle = generate_synthetic(spec)
+        (cond,) = seen
+        got = (oracle.lower, oracle.upper, oracle.interval_mass)
+        for a, b in zip(got, reference_oracle(cond)):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_oracle_on_conditionals_with_ties(self, k, monkeypatch):
+        """The oracle's sets of planted conditionals, fed in for the
+        generator's: ties between the two neighbours, ties at the mode, and
+        masses that reach 0.9 only within the rounding tolerance."""
+        from scorebands.harness import synth
+
+        rng = np.random.default_rng(40 + k)
+        cond = rng.dirichlet(np.full(k, 0.7), size=600)
+        tied = rng.integers(1, k - 1, size=600)
+        rows = np.arange(0, 600, 3)
+        cond[rows, tied[rows] + 1] = cond[rows, tied[rows] - 1]
+        rows = np.arange(1, 600, 3)
+        cond[rows, (tied[rows] + 1) % k] = cond[rows].max(axis=1)
+        cond /= cond.sum(axis=1, keepdims=True)
+        cond[:30] = 0.0
+        cond[:10, 0], cond[:10, 1] = 0.9, 0.1
+        cond[10:20, 0], cond[10:20, 1] = 0.9 - 5e-13, 0.1 + 5e-13
+        cond[20:30, k // 2] = cond[20:30, k // 2 - 1] = 0.45
+        cond[20:30, k - 1] = 0.1
+        original = synth.aps_sets
+        monkeypatch.setattr(synth, "aps_sets", lambda probs, thr: original(cond, thr))
+        spec = SyntheticSpec(n=600, seed=k, feature_dim=k, scale=RatingScale(k_max=k))
+        _, oracle = generate_synthetic(spec)
+        got = (oracle.lower, oracle.upper, oracle.interval_mass)
+        for a, b in zip(got, reference_oracle(cond)):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
     def test_noiseless_limit(self):
         # Sharpness -> infinity and no label noise: features pin the label.
         from scorebands.conformal import MethodConfig, run_method
@@ -425,6 +497,9 @@ class TestSyntheticGenerators:
             SyntheticSpec(n=10, feature_dim=7)
         with pytest.raises(DataError):
             SyntheticSpec(n=10, label_noise=1.5)
+        # The extremes of the valid range stay valid.
+        SyntheticSpec(n=10, temperature=math.inf, sigma=0.0, logit_noise=0.0)
+        SyntheticSpec(n=10, temperature=1e-9, sigma_ratio=1e-9)
 
     def test_features_are_valid_logprobs(self):
         for generator in ("peaked_logprob", "homoscedastic",
@@ -522,7 +597,8 @@ class TestRunExperiment:
         assert not report.errors
 
     def test_empty_methods_gives_empty_report(self):
-        config = fast_config(seeds=[0, 1], methods=[])
+        # A config file may not name no method; the library's config may.
+        config = replace(fast_config(seeds=[0, 1]), methods=())
         report = run_experiment(config, self._samples())
         assert report.per_seed == [] and report.aggregates == []
 
@@ -763,7 +839,7 @@ class TestEmitReport:
             ) <= 1e-12
 
     def test_empty_report_header_only(self, tmp_path):
-        config = fast_config(seeds=[0], methods=[])
+        config = replace(fast_config(seeds=[0]), methods=())
         samples, _ = generate_synthetic(SyntheticSpec(n=100, seed=9))
         report = run_experiment(config, samples)
         paths = emit_report(report, tmp_path / "out")

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorebands.learners import (
-    GridConfig,
     absolute_loss,
     fit_boosted,
     fit_grid_classifier,
@@ -32,6 +31,7 @@ from scorebands.learners import nets
 from scorebands.learners.nets import (
     Head,
     MLPParams,
+    Standardizer,
     TrainConfig,
     batch_gradient,
     fit_mlp,
@@ -77,11 +77,22 @@ def pinball_constant_oracle(y, tau):
     return float(grid[int(np.argmin(losses))])
 
 
+def grid_model(k_max=5, cfg=TrainConfig(epochs=0), X=None, y=None):
+    """r2ccp's grid network: by default an unfitted one, for its geometry."""
+    if X is None:
+        X = np.random.default_rng(0).normal(size=(30, 4))
+        y = np.full(30, 3.0)
+    return fit_grid_classifier(X, y, k_max, cfg)
+
+
 class TestGridConfig:
+    """r2ccp's grid is a label histogram with eight cells per label, whose
+    centres are the grid points."""
+
     def test_default_grid(self):
-        grid = GridConfig()
-        assert grid.n_points == 41
-        pts = grid.points()
+        grid = grid_model()
+        assert grid.n_bins == 41
+        pts = grid.bin_centers()
         assert pts[0] == 0.5 and pts[-1] == 5.5
         assert np.allclose(np.diff(pts), 0.125)
 
@@ -89,45 +100,43 @@ class TestGridConfig:
         # r2ccp's grid comes from the scale: half a label beyond each end,
         # eight points per label, so every label is a grid point strictly
         # inside the ends.
-        assert GridConfig(5) == GridConfig()
         for k_max in (2, 3, 5, 7, 10):
-            grid = GridConfig(k_max)
-            pts = grid.points()
+            grid = grid_model(k_max)
+            pts = grid.bin_centers()
             assert (pts[0], pts[-1], len(pts)) == (0.5, k_max + 0.5, 8 * k_max + 1)
+            assert grid.bin_width == 0.125
+            # The centres are the grid points bit for bit.
+            assert pts.tobytes() == (0.5 + 0.125 * np.arange(8 * k_max + 1)).tobytes()
             labels = np.arange(1.0, k_max + 1)
-            idx = grid.nearest_index(labels)
+            idx = grid.bin_index(labels)
+            assert idx.tolist() == (8 * labels - 4).astype(int).tolist()
             assert np.array_equal(pts[idx], labels)
-            assert 0 < idx[0] and idx[-1] < grid.n_points - 1
+            assert 0 < idx[0] and idx[-1] < grid.n_bins - 1
 
     def test_nearest_rule(self):
-        grid = GridConfig()
-        assert grid.points()[grid.nearest_index(3.04)] == 3.0
-        assert grid.points()[grid.nearest_index(3.07)] == 3.125
-
-    def test_tie_goes_lower(self):
-        grid = GridConfig()
-        # 3.0625 sits exactly between 3.0 and 3.125
-        assert grid.points()[grid.nearest_index(3.0625)] == 3.0
+        grid = grid_model()
+        assert grid.bin_centers()[grid.bin_index(3.04)] == 3.0
+        assert grid.bin_centers()[grid.bin_index(3.07)] == 3.125
 
     def test_clipping(self):
-        grid = GridConfig()
-        assert grid.nearest_index(0.4) == 0
-        assert grid.nearest_index(5.6) == grid.n_points - 1
+        grid = grid_model()
+        assert grid.bin_index(0.4) == 0
+        assert grid.bin_index(5.6) == grid.n_bins - 1
 
 
 class TestGridClassifier:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_grid_classifier(np.empty((0, 5)), np.empty(0), GridConfig(), FAST)
+            fit_grid_classifier(np.empty((0, 5)), np.empty(0), 5, FAST)
 
     def test_repeated_sample_concentrates(self):
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=5)
         X = np.tile(x0, (64, 1))
         y = np.full(64, 3.0)
-        model = fit_grid_classifier(X, y, GridConfig(), FAST)
+        model = fit_grid_classifier(X, y, 5, FAST)
         probs = np.exp(model.predict_log_proba(x0[None, :]))[0]
-        target_idx = model.grid.nearest_index(3.0)
+        target_idx = model.bin_index(3.0)
         assert abs(int(np.argmax(probs)) - target_idx) <= 1
 
     def test_beats_uniform_on_linear_data(self):
@@ -135,9 +144,9 @@ class TestGridClassifier:
         X = rng.normal(size=(400, 5))
         w = np.array([0.8, -0.5, 0.3, 0.0, 0.4])
         y = np.clip(np.round(3.0 + X @ w), 1, 5)
-        model = fit_grid_classifier(X[:300], y[:300], GridConfig(), FAST)
+        model = fit_grid_classifier(X[:300], y[:300], 5, FAST)
         logp = model.predict_log_proba(X[300:])
-        idx = [model.grid.nearest_index(v) for v in y[300:]]
+        idx = [model.bin_index(v) for v in y[300:]]
         ce = -float(np.mean(logp[np.arange(100), idx]))
         assert ce < math.log(41)
 
@@ -145,20 +154,41 @@ class TestGridClassifier:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 5))
         y = rng.integers(1, 6, 50).astype(float)
-        model = fit_grid_classifier(X, y, GridConfig(), FAST)
+        model = fit_grid_classifier(X, y, 5, FAST)
         probs = np.exp(model.predict_log_proba(rng.normal(size=(200, 5)) * 3))
         assert np.all(probs >= 0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("k_max", [3, 5, 10])
+    def test_fit_equals_the_grid_formulation(self, k_max):
+        """The fit is bit for bit the former grid classifier's: targets at
+        each label's nearest point of 0.5 + 0.125 i, the same scaler and the
+        same network fit."""
+        rng = np.random.default_rng(k_max)
+        X = rng.normal(size=(120, 6))
+        y = rng.integers(1, k_max + 1, 120).astype(np.float64)
+        cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05)
+        model = fit_grid_classifier(X, y, k_max, cfg)
+        n_points = 8 * k_max + 1
+        targets = np.ceil((y - 0.5) / 0.125 - 0.5).astype(np.intp)
+        scaler = Standardizer.fit(X)
+        params = fit_mlp(scaler.transform(X), targets, n_points, softmax_ce_head, cfg)
+        assert model.n_bins == n_points
+        assert model.bin_index(y).tolist() == targets.tolist()
+        for (W, b), (W_ref, b_ref) in zip(model.params, params):
+            assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        X_new = rng.normal(size=(40, 6))
+        _, out = forward(params, scaler.transform(X_new))
+        assert model.predict_log_proba(X_new).tobytes() == nets.log_softmax(out).tobytes()
+
 
 class TestGridLogDensity:
-    """The r2ccp score: log mass at the label's nearest grid point."""
+    """The r2ccp score: log mass at the label's grid cell."""
 
     def _uniform_model(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
-        cfg = TrainConfig(epochs=0)
-        model = fit_grid_classifier(X, np.full(30, 3.0), GridConfig(), cfg)
+        model = grid_model(X=X, y=np.full(30, 3.0))
         # zero out the output layer: exactly uniform probabilities
         W, b = model.params[-1]
         model.params[-1] = (np.zeros_like(W), np.zeros_like(b))
@@ -167,7 +197,7 @@ class TestGridLogDensity:
     @staticmethod
     def _log_mass(model, x, y):
         logp = model.predict_log_proba(x.reshape(1, -1))
-        return float(logp[0, model.grid.nearest_index(y)])
+        return float(logp[0, model.bin_index(y)])
 
     def test_uniform_density(self):
         model, X = self._uniform_model()
@@ -179,22 +209,11 @@ class TestGridLogDensity:
     def test_one_hot_model(self):
         model, X = self._uniform_model()
         W, b = model.params[-1]
-        hot = model.grid.nearest_index(3.0)
+        hot = model.bin_index(3.0)
         b = b.copy()
         b[hot] = 500.0
         model.params[-1] = (W, b)
         assert self._log_mass(model, X[0], 3.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_midway_tie_uses_lower_point(self):
-        model, X = self._uniform_model()
-        W, b = model.params[-1]
-        b = b.copy()
-        b[20] = 1.0  # grid point 3.0
-        b[21] = 2.0  # grid point 3.125
-        model.params[-1] = (W, b)
-        lower = self._log_mass(model, X[0], 3.0)
-        at_tie = self._log_mass(model, X[0], 3.0625)
-        assert at_tie == lower
 
 
 class TestQuantile:
