@@ -5,10 +5,13 @@ scores and take the ceil((n+1)(1-alpha))-th order statistic. Rank overflow
 yields an infinite threshold, which after clamping becomes the full-range
 interval rather than an error.
 
-Each method is one row of the table `METHODS`: a learner and the rule that
-calibrates it. `run_method` splits the calibration samples in half: the
-learner sees the first half, the conformal quantile is computed on the
-second, preserving exchangeability of the scores.
+Each method is one row of the table `METHODS`: a learner, what it predicts,
+and one of three rules that calibrates it. `band_intervals` serves six
+methods, whose learners predict a band (lo, hi, spread) that the rule widens
+by q_hat spreads on each side; `cell_intervals` serves chr and r2ccp, and
+`aps_intervals` ordinal_aps. `run_method` splits the calibration samples in
+half: the learner sees the first half, the conformal quantile is computed on
+the second, preserving exchangeability of the scores.
 """
 
 from __future__ import annotations
@@ -139,82 +142,62 @@ def _check_inputs(cal: Batch, test: Batch, alpha) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pure conformal arithmetic, separated from learner fitting for testability.
+# The three rules. Each takes (conformal labels, conformal predictions, test
+# predictions, alpha, scale) and returns (q_hat, test intervals, the
+# learners' test point).
 # ---------------------------------------------------------------------------
 
 
-def naive_from_predictions(
-    y_conf: np.ndarray,
-    mu_conf: np.ndarray,
-    mu_test: np.ndarray,
-    alpha: float,
-    scale: RatingScale,
-) -> tuple[float, Intervals]:
-    q = conformal_quantile(np.abs(y_conf - mu_conf), alpha)
-    mu_test = np.asarray(mu_test, dtype=np.float64)
-    return q, _interval(mu_test - q, mu_test + q, scale)
+def band_intervals(y_conf, conf, test, alpha, scale, symmetric=True):
+    """CQR and locally weighted split conformal as one rule.
 
-
-def lvd_from_predictions(
-    y_conf: np.ndarray,
-    mu_conf: np.ndarray,
-    sig_conf: np.ndarray,
-    mu_test: np.ndarray,
-    sig_test: np.ndarray,
-    alpha: float,
-    scale: RatingScale,
-) -> tuple[float, Intervals]:
-    q = conformal_quantile(np.abs(y_conf - mu_conf) / sig_conf, alpha)
-    mu_test = np.asarray(mu_test, dtype=np.float64)
-    half = q * np.asarray(sig_test, dtype=np.float64)
-    return q, _interval(mu_test - half, mu_test + half, scale)
-
-
-def cqr_from_quantiles(
-    y_conf: np.ndarray,
-    lo_conf: np.ndarray,
-    hi_conf: np.ndarray,
-    lo_test: np.ndarray,
-    hi_test: np.ndarray,
-    alpha: float,
-    scale: RatingScale,
-    symmetric: bool = True,
-) -> tuple[object, Intervals]:
-    lo_test = np.asarray(lo_test, dtype=np.float64)
-    hi_test = np.asarray(hi_test, dtype=np.float64)
-    if symmetric:
-        scores = np.maximum(lo_conf - y_conf, y_conf - hi_conf)
-        q = conformal_quantile(scores, alpha)
-        return q, _interval(lo_test - q, hi_test + q, scale)
-    q_lo = conformal_quantile(lo_conf - y_conf, alpha / 2.0)
-    q_hi = conformal_quantile(y_conf - hi_conf, alpha / 2.0)
-    return (q_lo, q_hi), _interval(lo_test - q_lo, hi_test + q_hi, scale)
-
-
-def density_intervals_from_scores(
-    conf_scores: np.ndarray,
-    test_neg_logp: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    alpha: float,
-    scale: RatingScale,
-) -> tuple[float, Intervals]:
-    """Shared CHR/R2CCP rule: smallest contiguous run covering all points
-    whose negative log density is within the calibrated threshold.
-
-    ``lows``/``highs`` give the real endpoints each density cell maps to
-    (its centre for r2ccp's grid, its edges for chr's histogram). A row
-    with no qualifying cell gets the full label range.
+    ``conf`` and ``test`` are ``(lo, hi, spread)`` bands. The score is how
+    far the label falls outside its band, in units of its spread:
+    max(lo - y, y - hi) / spread. The interval widens each side by q_hat
+    spreads, [lo - q_lo * spread, hi + q_hi * spread]; the asymmetric form
+    calibrates each side at alpha/2 and keeps both corrections as q_hat.
+    The point is the band's midpoint.
     """
-    thr = conformal_quantile(conf_scores, alpha)
-    qualifies = np.asarray(test_neg_logp) <= thr
+    lo_c, hi_c, spread_c = conf
+    lo, hi, spread = test
+    if symmetric:
+        q_lo = q_hi = q_hat = conformal_quantile(
+            np.maximum(lo_c - y_conf, y_conf - hi_c) / spread_c, alpha
+        )
+    else:
+        q_lo = conformal_quantile((lo_c - y_conf) / spread_c, alpha / 2.0)
+        q_hi = conformal_quantile((y_conf - hi_c) / spread_c, alpha / 2.0)
+        q_hat = (q_lo, q_hi)
+    intervals = _interval(lo - q_lo * spread, hi + q_hi * spread, scale)
+    return q_hat, intervals, (lo + hi) / 2.0
+
+
+def cell_intervals(y_conf, conf, test, alpha, scale, edges=True):
+    """CHR/R2CCP: the score is the negative log mass of the label's cell.
+
+    ``conf`` and ``test`` are ``(model, log_proba)`` pairs of a histogram
+    model. A test row's interval is the smallest contiguous run holding every
+    cell whose negative log mass is within the calibrated threshold, from
+    the cells' edges (chr) or centres (r2ccp); a row with no qualifying cell
+    gets the full label range. The point is the mean cell centre under the
+    test density.
+    """
+    (model, logp_conf), (_, logp_test) = conf, test
+    lows = highs = centres = model.bin_centers()
+    if edges:
+        cells = model.bin_edges()
+        lows, highs = cells[:-1], cells[1:]
+    thr = conformal_quantile(
+        -logp_conf[np.arange(len(y_conf)), model.bin_index(y_conf)], alpha
+    )
+    qualifies = -logp_test <= thr
     k = qualifies.shape[1]
     first = qualifies.argmax(axis=1)
     last = k - 1 - qualifies[:, ::-1].argmax(axis=1)
     some = qualifies.any(axis=1)
-    lo = np.where(some, np.asarray(lows, dtype=np.float64)[first], 1.0)
-    hi = np.where(some, np.asarray(highs, dtype=np.float64)[last], float(scale.k_max))
-    return thr, _interval(lo, hi, scale)
+    lo = np.where(some, lows[first], 1.0)
+    hi = np.where(some, highs[last], float(scale.k_max))
+    return thr, _interval(lo, hi, scale), np.exp(logp_test) @ centres
 
 
 def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,18 +261,15 @@ def aps_sets(
     return lows[rows, step], highs[rows, step], masses[rows, step]
 
 
-def aps_from_probs(
-    probs_conf: np.ndarray,
-    y_conf_index: np.ndarray,
-    probs_test: np.ndarray,
-    alpha: float,
-    scale: RatingScale,
-) -> tuple[float, Intervals, np.ndarray]:
-    q = conformal_quantile(aps_scores(probs_conf, y_conf_index), alpha)
-    lo_idx, hi_idx, _ = aps_sets(probs_test, q)
-    ivs = _interval(1 + lo_idx, 1 + hi_idx, scale)
-    argmax_labels = (1 + np.asarray(probs_test).argmax(axis=1)).astype(np.float64)
-    return q, ivs, argmax_labels
+def aps_intervals(y_conf, conf, test, alpha, scale):
+    """Ordinal APS: the score is the mass at which the label joins the
+    greedy-grown set; a test set is the smallest one reaching the calibrated
+    mass. ``conf`` and ``test`` are label probabilities; the point is the
+    most probable label."""
+    q = conformal_quantile(aps_scores(conf, y_conf.astype(np.intp) - 1), alpha)
+    lo_idx, hi_idx, _ = aps_sets(test, q)
+    argmax_labels = (1 + test.argmax(axis=1)).astype(np.float64)
+    return q, _interval(1 + lo_idx, 1 + hi_idx, scale), argmax_labels
 
 
 # ---------------------------------------------------------------------------
@@ -438,79 +418,43 @@ def _fit_boosted_spread(half, alpha, scale, cfg, cache):
 
 
 # Predictions: (learners, cfg, shared) -> what the learners predict for the
-# rows that `shared` (see `_shared`) predicts on.
+# rows that `shared` (see `_shared`) predicts on, in the form the method's
+# rule reads: a (lo, hi, spread) band for `band_intervals`, a (model,
+# log_proba) pair for `cell_intervals`, label probabilities for
+# `aps_intervals`.
 
 
-def _mean(m, cfg, shared):
-    return shared(m[0], "predict_mean", keep=True)
+def _mean(m, cfg, shared, spread=1.0):
+    mu = shared(m[0], "predict_mean", keep=True)
+    return mu, mu, spread
 
 
 def _mean_sigma(m, cfg, shared):
-    return _mean(m, cfg, shared), shared(m[1], "predict_sigma")
-
-
-def _quantiles(m, cfg, shared):
-    return shared(m[0], "predict", keep=True)
-
-
-def _boosted_quantiles(m, cfg, shared):
-    return np.sort(np.column_stack([shared(b, "predict") for b in m]), axis=1)
+    return _mean(m, cfg, shared, shared(m[1], "predict_sigma"))
 
 
 def _mean_boosted_sigma(m, cfg, shared):
-    return _mean(m, cfg, shared), np.maximum(shared(m[1], "predict"), cfg.sigma_floor)
+    return _mean(m, cfg, shared, np.maximum(shared(m[1], "predict"), cfg.sigma_floor))
+
+
+def _quantiles(m, cfg, shared):
+    q = shared(m[0], "predict", keep=True)
+    return q[:, 0], q[:, -1], 1.0
+
+
+def _boosted_quantiles(m, cfg, shared):
+    a, b = (shared(model, "predict") for model in m)
+    return np.minimum(a, b), np.maximum(a, b), 1.0
 
 
 def _log_proba(m, cfg, shared, keep=True):
-    """Log-probabilities over the cells; kept for the label network, which
-    chr and ordinal_aps both read, and not for r2ccp's grid."""
-    return shared(m[0], "predict_log_proba", keep)
+    """The model and its log-probabilities over the cells; kept for the label
+    network, which chr and ordinal_aps both read, and not for r2ccp's grid."""
+    return m[0], shared(m[0], "predict_log_proba", keep)
 
 
 def _proba(m, cfg, shared):
-    return np.exp(_log_proba(m, cfg, shared))
-
-
-# Rules: (learners, conformal labels, conformal predictions, test predictions,
-# alpha, scale) -> (q_hat, test intervals, the learners' test point).
-
-
-def _naive_rule(m, y, mu_conf, mu_test, alpha, scale):
-    return (*naive_from_predictions(y, mu_conf, mu_test, alpha, scale), mu_test)
-
-
-def _lvd_rule(m, y, conf, test, alpha, scale):
-    (mu_conf, sig_conf), (mu_test, sig_test) = conf, test
-    q, ivs = lvd_from_predictions(y, mu_conf, sig_conf, mu_test, sig_test, alpha, scale)
-    return q, ivs, mu_test
-
-
-def _cqr_rule(m, y, conf, test, alpha, scale, symmetric=True):
-    q, ivs = cqr_from_quantiles(
-        y, conf[:, 0], conf[:, -1], test[:, 0], test[:, -1], alpha, scale, symmetric
-    )
-    return q, ivs, (test[:, 0] + test[:, -1]) / 2.0
-
-
-def _cell_rule(m, y, logp_conf, logp_test, alpha, scale, edges=True):
-    """CHR/R2CCP: the score is the negative log mass of the label's cell. An
-    interval runs over the qualifying cells' edges (chr) or centres (r2ccp);
-    the point is the mean cell centre under the test density."""
-    model = m[0]
-    lows = highs = centres = model.bin_centers()
-    if edges:
-        cells = model.bin_edges()
-        lows, highs = cells[:-1], cells[1:]
-    conf_scores = -logp_conf[np.arange(len(y)), model.bin_index(y)]
-    thr, ivs = density_intervals_from_scores(
-        conf_scores, -logp_test, lows, highs, alpha, scale
-    )
-    return thr, ivs, np.exp(logp_test) @ centres
-
-
-def _aps_rule(m, y, probs_conf, probs_test, alpha, scale):
-    y_index = y.astype(np.intp) - 1
-    return aps_from_probs(probs_conf, y_index, probs_test, alpha, scale)
+    return np.exp(_log_proba(m, cfg, shared)[1])
 
 
 @dataclass(frozen=True)
@@ -523,16 +467,16 @@ class Method:
 
 
 METHODS: dict[str, Method] = {
-    "naive_split": Method(_fit_mean, _mean, _naive_rule),
-    "cqr": Method(_fit_quantiles, _quantiles, _cqr_rule),
-    "cqr_asym": Method(_fit_quantiles, _quantiles, partial(_cqr_rule, symmetric=False)),
-    "chr": Method(_fit_label_bins, _log_proba, _cell_rule),
-    "lvd": Method(_fit_mean_sigma, _mean_sigma, _lvd_rule),
-    "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, _cqr_rule),
-    "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, _lvd_rule),
+    "naive_split": Method(_fit_mean, _mean, band_intervals),
+    "cqr": Method(_fit_quantiles, _quantiles, band_intervals),
+    "cqr_asym": Method(_fit_quantiles, _quantiles, partial(band_intervals, symmetric=False)),
+    "chr": Method(_fit_label_bins, _log_proba, cell_intervals),
+    "lvd": Method(_fit_mean_sigma, _mean_sigma, band_intervals),
+    "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, band_intervals),
+    "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, band_intervals),
     "r2ccp": Method(_fit_grid, partial(_log_proba, keep=False),
-                    partial(_cell_rule, edges=False)),
-    "ordinal_aps": Method(_fit_label_bins, _proba, _aps_rule),
+                    partial(cell_intervals, edges=False)),
+    "ordinal_aps": Method(_fit_label_bins, _proba, aps_intervals),
 }
 
 METHOD_NAMES = tuple(METHODS)
@@ -552,7 +496,6 @@ def run_method(
     half, conf = _halves(cal)
     learners = row.fit(half, alpha, scale, cfg, cache)
     q_hat, intervals, y_hat = row.rule(
-        learners,
         conf.y,
         row.predict(learners, cfg, _shared(cache, conf.X)),
         row.predict(learners, cfg, _shared(cache, test.X)),

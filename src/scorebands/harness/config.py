@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..conformal import METHOD_NAMES, MethodConfig
@@ -32,9 +33,12 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise DataError(f"unknown methods: {sorted(unknown)}")
-        repeated = {m for m in self.methods if self.methods.count(m) > 1}
-        if repeated:
-            raise DataError(f"methods named more than once: {sorted(repeated)}")
+        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            repeated = {v for v in values if values.count(v) > 1}
+            if repeated:
+                raise DataError(f"{name} named more than once: {sorted(repeated)}")
+        if any(seed < 0 for seed in self.seeds):
+            raise DataError(f"seeds must be non-negative, got {list(self.seeds)}")
 
     def to_dict(self) -> dict:
         mc = self.method_config
@@ -112,6 +116,23 @@ def _nonempty(convert):
     return read
 
 
+def _within(convert, low, high=math.inf):
+    """``convert``, refusing a value (each entry of a list) outside [low, high]."""
+    def read(value):
+        out = convert(value)
+        if not all(low <= v <= high for v in (out if isinstance(out, tuple) else (out,))):
+            raise ValueError(f"expected values in [{low}, {high}], got {value!r}")
+        return out
+    return read
+
+
+def _positive(value) -> float:
+    out = _float(value)
+    if not 0.0 < out < math.inf:
+        raise ValueError(f"expected a finite number above 0, got {value!r}")
+    return out
+
+
 def _str_or_none(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a string or null, got {value!r}")
@@ -131,15 +152,15 @@ FIELDS = {
     "mondrian": ("config", "mondrian", _str_or_none),
     "adjust": ("config", "adjust", str),
     "k_max": ("scale", "k_max", _int),
-    "epochs": ("train", "epochs", _int),
-    "batch_size": ("train", "batch_size", _int),
-    "learning_rate": ("train", "learning_rate", _float),
-    "train_seed": ("train", "seed", _int),
-    "hidden": ("train", "hidden", _ints),
-    "boost_rounds": ("method", "boost_rounds", _int),
-    "boost_depth": ("method", "boost_depth", _int),
-    "boost_rate": ("method", "boost_rate", _float),
-    "sigma_floor": ("method", "sigma_floor", _float),
+    "epochs": ("train", "epochs", _within(_int, 0)),
+    "batch_size": ("train", "batch_size", _within(_int, 1)),
+    "learning_rate": ("train", "learning_rate", _positive),
+    "train_seed": ("train", "seed", _within(_int, 0)),
+    "hidden": ("train", "hidden", _within(_ints, 1)),
+    "boost_rounds": ("method", "boost_rounds", _within(_int, 0)),
+    "boost_depth": ("method", "boost_depth", _within(_int, 0, 3)),
+    "boost_rate": ("method", "boost_rate", _positive),
+    "sigma_floor": ("method", "sigma_floor", _positive),
     "point_predictor": ("method", "point_predictor", str),
     "input": ("config", "input_path", _str_or_none),
     "out": ("config", "out_dir", _str_or_none),

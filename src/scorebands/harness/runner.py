@@ -266,6 +266,8 @@ def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
         )
     ivs = adjust_all(res.intervals, scale, config.adjust)
     gts = test.y
+    cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
+    strat = stratified(ivs, res.y_hat, gts, cell_keys)
     rows: dict = {
         "per_seed": [_seed_row(seed, method, len(cal), ivs, res.y_hat, gts, scale)],
         "intervals": (
@@ -274,12 +276,10 @@ def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
             else []
         ),
         "per_dataset": _dataset_rows(
-            seed, method, keys["dataset"], ivs, res.y_hat, gts, scale
+            seed, method, keys["dataset"], strat["dataset"], res.y_hat, gts, scale
         ),
         "stratified": [],
     }
-    cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
-    strat = stratified(ivs, res.y_hat, gts, cell_keys)
     for kind in sorted(strat):
         for label in sorted(strat[kind]):
             rows["stratified"].append(
@@ -316,11 +316,13 @@ def _interval_lines(seed, method, test: Batch, intervals, y_hat, gts) -> list[di
     return [dict(seed=seed, method=method, **dict(zip(keys, row))) for row in columns]
 
 
-def _dataset_rows(seed, method, datasets: Strata, intervals, y_hat, gts, scale) -> list[dict]:
-    """One row per dataset of the test set, grouped as ``datasets``."""
+def _dataset_rows(seed, method, datasets: Strata, strata: dict, y_hat, gts,
+                  scale) -> list[dict]:
+    """One row per dataset of the test set, grouped as ``datasets``; its
+    interval columns are those of its ``stratified`` entry in ``strata``."""
     rows = []
     for dataset, idx in datasets:
-        im = interval_metrics(intervals[idx], gts[idx])
+        im = {k: v for k, v in strata[dataset].items() if k in DATASET_METRICS}
         rho = pearson(y_hat[idx], gts[idx])
         rows.append(
             dict(seed=seed, method=method, dataset=dataset, n=len(idx), pearson=rho,

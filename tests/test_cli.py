@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import extraction_corpus as corpus
 import pytest
 
 import scorebands
+from scorebands import ExperimentConfig
 from scorebands.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -239,6 +241,28 @@ class TestRunCommand:
         assert "methods named more than once: ['naive_split']" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_repeated_seed_is_data_error(self, tmp_path, capsys):
+        # Counted twice, seed 0 would weigh double in every mean, with std 0.
+        samples = _synth(tmp_path)
+        out_dir = tmp_path / "o"
+        code = main(
+            ["run", "--input", str(samples), "--out", str(out_dir),
+             "--seeds", "0,0", "--methods", "naive_split"]
+        )
+        assert code == EXIT_DATA
+        assert "seeds named more than once: [0]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        samples = _synth(tmp_path, n=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [2, -1], "input": str(samples)}))
+        out_dir = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == EXIT_DATA
+        assert "seeds must be non-negative, got [2, -1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_point_predictor_is_data_error(self, tmp_path, capsys):
         samples = _synth(tmp_path)
         cfg_path = tmp_path / "cfg.json"
@@ -293,6 +317,21 @@ class TestRunCommand:
         ({"methods": ["naive_split", 3]}, "methods"),
         ({"methods": []}, "methods"),
         ({"seeds": []}, "seeds"),
+        ({"epochs": -1}, "epochs"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -0.05}, "learning_rate"),
+        ({"learning_rate": math.inf}, "learning_rate"),
+        ({"train_seed": -1}, "train_seed"),
+        ({"hidden": [0]}, "hidden"),
+        ({"hidden": [8, -2]}, "hidden"),
+        ({"boost_rounds": -1}, "boost_rounds"),
+        ({"boost_depth": -1}, "boost_depth"),
+        ({"boost_depth": 4}, "boost_depth"),
+        ({"boost_rate": 0}, "boost_rate"),
+        ({"boost_rate": math.nan}, "boost_rate"),
+        ({"sigma_floor": 0.0}, "sigma_floor"),
+        ({"sigma_floor": -math.inf}, "sigma_floor"),
     ])
     def test_bad_config_field_is_data_error(self, tmp_path, capsys, fields, name):
         samples = _synth(tmp_path, n=50)
@@ -303,6 +342,30 @@ class TestRunCommand:
         assert code == EXIT_DATA
         assert f"data error: config field {name!r}: " in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--epochs", "-1", "epochs"),
+        ("--batch-size", "0", "batch_size"),
+        ("--learning-rate", "0", "learning_rate"),
+        ("--boost-rounds", "-1", "boost_rounds"),
+    ])
+    def test_out_of_range_flag_is_data_error(self, tmp_path, capsys, flag, value, name):
+        samples = _synth(tmp_path, n=50)
+        out_dir = tmp_path / "o"
+        code = main(["run", "--input", str(samples), "--out", str(out_dir),
+                     "--methods", "naive_split", "--seeds", "0", f"{flag}={value}"])
+        assert code == EXIT_DATA
+        assert f"data error: config field {name!r}: expected " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_settings_at_their_bounds_are_valid(self):
+        config = ExperimentConfig.from_dict({
+            "seeds": [0], "epochs": 0, "batch_size": 1, "learning_rate": 1e150,
+            "train_seed": 0, "hidden": [], "boost_rounds": 0, "boost_depth": 3,
+            "boost_rate": 1e-9, "sigma_floor": 1e-12,
+        })
+        assert config.method_config.train.hidden == ()
+        assert ExperimentConfig.from_dict({"boost_depth": 0}).method_config.boost_depth == 0
 
     @pytest.mark.parametrize("fields, name", [
         ({"epochs": 1.9}, "epochs"),

@@ -16,22 +16,26 @@ from scorebands.conformal import (
     MethodConfig,
     MethodResult,
     _aps_paths,
+    _interval,
     adjust_all,
-    aps_from_probs,
+    aps_intervals,
     aps_scores,
     aps_sets,
+    band_intervals,
+    cell_intervals,
     conformal_quantile,
-    cqr_from_quantiles,
-    density_intervals_from_scores,
-    lvd_from_predictions,
-    naive_from_predictions,
     run_method,
     run_mondrian,
 )
 from scorebands.core import Batch, DataError, Intervals, RatingScale, clamp_endpoints
 from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.core import make_split
-from scorebands.learners import PointVarModel, TrainConfig, fit_grid_classifier
+from scorebands.learners import (
+    HistDensityModel,
+    PointVarModel,
+    TrainConfig,
+    fit_grid_classifier,
+)
 from scorebands.learners.nets import Standardizer, init_params
 from scorebands.metrics import coverage
 
@@ -137,7 +141,7 @@ class TestQuantileLaw:
 class TestNaive:
     def test_perfect_predictor(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0] * 10)
-        q, ivs = naive_from_predictions(y, y, y, 0.1, SCALE)
+        q, ivs, _ = band_intervals(y, (y, y, 1.0), (y, y, 1.0), 0.1, SCALE)
         assert q == 0.0
         assert np.all(ivs.width == 0.0)
         assert coverage(ivs, y) == 1.0
@@ -145,13 +149,15 @@ class TestNaive:
     def test_symmetric_intervals(self):
         y_conf = np.array([3.0, 3.5, 2.5, 3.2, 2.8, 3.0, 3.1, 2.9, 3.0])
         mu_conf = np.full(9, 3.0)
-        q, ivs = naive_from_predictions(y_conf, mu_conf, np.array([3.0]), 0.1, SCALE)
+        mu = np.array([3.0])
+        q, ivs, _ = band_intervals(y_conf, (mu_conf, mu_conf, 1.0), (mu, mu, 1.0), 0.1, SCALE)
         assert q == 0.5  # rank ceil(10*0.9)=9 of |resid|
         assert (ivs.lower[0], ivs.upper[0]) == (2.5, 3.5)
 
     def test_rank_overflow_full_range(self):
         y = np.array([3.0, 4.0])
-        q, ivs = naive_from_predictions(y, y, np.array([2.0]), 0.1, SCALE)
+        mu = np.array([2.0])
+        q, ivs, _ = band_intervals(y, (y, y, 1.0), (mu, mu, 1.0), 0.1, SCALE)
         assert q == math.inf
         assert (ivs.lower[0], ivs.upper[0]) == (1.0, 5.0)
 
@@ -167,16 +173,17 @@ class TestCqrArithmetic:
         hi = m + 1.6448536269514722 * sigma
         m_t = rng.uniform(2, 4, n)
         y_t = m_t + sigma * rng.standard_normal(n)
-        q, ivs = cqr_from_quantiles(
-            y, lo, hi, m_t - 1.6448536269514722 * sigma,
-            m_t + 1.6448536269514722 * sigma, 0.1, SCALE,
+        q, ivs, _ = band_intervals(
+            y, (lo, hi, 1.0),
+            (m_t - 1.6448536269514722 * sigma, m_t + 1.6448536269514722 * sigma, 1.0),
+            0.1, SCALE,
         )
         assert abs(q) < 0.1
         assert 0.87 <= coverage(ivs, y_t) <= 0.93
 
     def test_zero_noise_zero_width(self):
         y = np.linspace(2, 4, 50)
-        q, ivs = cqr_from_quantiles(y, y, y, y[:10], y[:10], 0.1, SCALE)
+        q, ivs, _ = band_intervals(y, (y, y, 1.0), (y[:10], y[:10], 1.0), 0.1, SCALE)
         assert q == 0.0
         assert np.all(ivs.width == 0.0)
 
@@ -185,7 +192,8 @@ class TestCqrArithmetic:
         y = np.full(20, 3.0)
         lo = np.full(20, 1.0)
         hi = np.full(20, 5.0)
-        q, ivs = cqr_from_quantiles(y, lo, hi, np.array([3.0]), np.array([3.1]), 0.1, SCALE)
+        test = (np.array([3.0]), np.array([3.1]), 1.0)
+        q, ivs, _ = band_intervals(y, (lo, hi, 1.0), test, 0.1, SCALE)
         assert q < 0
         assert ivs.lower[0] <= ivs.upper[0]
 
@@ -198,14 +206,27 @@ class TestCqrArithmetic:
         y = rng.uniform(2, 4, n)
         lo = y - 0.2
         hi = y + 0.6
-        (q_lo, q_hi), ivs = cqr_from_quantiles(
-            y, lo, hi, np.array([3.0 - 0.2]), np.array([3.0 + 0.6]), 0.1, SCALE,
-            symmetric=False,
+        (q_lo, q_hi), ivs, _ = band_intervals(
+            y, (lo, hi, 1.0), (np.array([3.0 - 0.2]), np.array([3.0 + 0.6]), 1.0),
+            0.1, SCALE, symmetric=False,
         )
         assert q_lo == pytest.approx(-0.2, abs=1e-9)
         assert q_hi == pytest.approx(-0.6, abs=1e-9)
         assert ivs.lower[0] == pytest.approx(3.0, abs=1e-9)
         assert ivs.upper[0] == pytest.approx(3.0, abs=1e-9)
+
+
+def cell_rule(model, conf_scores, test_neg_logp, alpha, scale, edges):
+    """cell_intervals on tables built around the scores: each conformal row's
+    label-cell entry is minus its score, and the test rows' log-probabilities
+    are minus ``test_neg_logp``. Returns the threshold and the intervals."""
+    rng = np.random.default_rng(len(conf_scores))
+    y = rng.integers(1, scale.k_max + 1, len(conf_scores)).astype(np.float64)
+    logp = np.full((len(y), model.n_bins), -50.0)
+    logp[np.arange(len(y)), model.bin_index(y)] = -np.asarray(conf_scores)
+    conf, test = (model, logp), (model, -np.asarray(test_neg_logp))
+    thr, ivs, _ = cell_intervals(y, conf, test, alpha, scale, edges)
+    return thr, ivs
 
 
 class TestDensityIntervals:
@@ -215,40 +236,31 @@ class TestDensityIntervals:
         TrainConfig(epochs=0),
     )
 
+    def density(self, conf_scores, neg_logp):
+        return cell_rule(self.GRID, conf_scores, neg_logp, 0.1, SCALE, edges=False)
+
     def test_uniform_all_or_nothing(self):
-        pts = self.GRID.bin_centers()
         neg_logp = np.full((3, 41), math.log(41))
-        thr, ivs = density_intervals_from_scores(
-            np.full(100, math.log(41)), neg_logp, pts, pts, 0.1, SCALE
-        )
+        thr, ivs = self.density(np.full(100, math.log(41)), neg_logp)
         assert thr == pytest.approx(math.log(41))
         assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_one_hot_single_point(self):
-        pts = self.GRID.bin_centers()
         row = np.full(41, 1e9)
         row[self.GRID.bin_index(3.0)] = 0.0
-        thr, ivs = density_intervals_from_scores(
-            np.zeros(100), row[None, :], pts, pts, 0.1, SCALE
-        )
+        thr, ivs = self.density(np.zeros(100), row[None, :])
         assert (ivs.lower[0], ivs.upper[0]) == (3.0, 3.0)
         assert ivs.width[0] == 0.0
 
     def test_no_qualifying_point_full_range(self):
-        pts = self.GRID.bin_centers()
-        thr, ivs = density_intervals_from_scores(
-            np.zeros(100), np.full((2, 41), 5.0), pts, pts, 0.1, SCALE
-        )
+        thr, ivs = self.density(np.zeros(100), np.full((2, 41), 5.0))
         assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_hull_of_qualifying_points(self):
-        pts = self.GRID.bin_centers()
         row = np.full(41, 9.0)
         row[12] = 0.0  # 2.0
         row[28] = 0.0  # 4.0
-        thr, ivs = density_intervals_from_scores(
-            np.zeros(50), row[None, :], pts, pts, 0.1, SCALE
-        )
+        thr, ivs = self.density(np.zeros(50), row[None, :])
         assert (ivs.lower[0], ivs.upper[0]) == (2.0, 4.0)
 
     @settings(max_examples=50, deadline=None)
@@ -258,9 +270,7 @@ class TestDensityIntervals:
         pts = self.GRID.bin_centers()
         neg_logp = rng.uniform(0, 5, size=(8, 41))
         conf = rng.uniform(0, 5, size=60)
-        thr, ivs = density_intervals_from_scores(
-            conf, neg_logp, pts, pts, 0.1, SCALE
-        )
+        thr, ivs = self.density(conf, neg_logp)
         for row, lower, upper in zip(neg_logp, ivs.lower, ivs.upper):
             qual = np.flatnonzero(row <= thr)
             if qual.size == 0:
@@ -296,7 +306,7 @@ class TestOrdinalAps:
     def test_near_uniform_full_set(self):
         probs_conf = np.tile([0.21, 0.2, 0.2, 0.2, 0.19], (200, 1))
         y_idx = np.tile(np.arange(5), 40)
-        q, ivs, point = aps_from_probs(probs_conf, y_idx, probs_conf[:5], 0.1, SCALE)
+        q, ivs, point = aps_intervals(y_idx + 1.0, probs_conf, probs_conf[:5], 0.1, SCALE)
         assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
 
     def test_score_is_mass_at_inclusion(self):
@@ -378,8 +388,10 @@ class TestLvdReduction:
         mu_c, mu_t = model.predict_mean(Xc), model.predict_mean(Xt)
         sig_c, sig_t = model.predict_sigma(Xc), model.predict_sigma(Xt)
         assert np.all(sig_c == 1.0)
-        q_n, ivs_n = naive_from_predictions(y_conf, mu_c, mu_t, 0.1, SCALE)
-        q_l, ivs_l = lvd_from_predictions(y_conf, mu_c, sig_c, mu_t, sig_t, 0.1, SCALE)
+        q_n, ivs_n, _ = band_intervals(y_conf, (mu_c, mu_c, 1.0), (mu_t, mu_t, 1.0), 0.1, SCALE)
+        q_l, ivs_l, _ = band_intervals(
+            y_conf, (mu_c, mu_c, sig_c), (mu_t, mu_t, sig_t), 0.1, SCALE
+        )
         assert q_n == q_l
         assert ivs_n == ivs_l
 
@@ -624,6 +636,28 @@ def reference_adjust(lower, upper, scale, direction):
     return int(al), int(au)
 
 
+def reference_naive(y_conf, mu_conf, mu_test, alpha, scale):
+    q = conformal_quantile(np.abs(y_conf - mu_conf), alpha)
+    return q, _interval(mu_test - q, mu_test + q, scale), mu_test
+
+
+def reference_lvd(y_conf, mu_conf, sig_conf, mu_test, sig_test, alpha, scale):
+    q = conformal_quantile(np.abs(y_conf - mu_conf) / sig_conf, alpha)
+    half = q * sig_test
+    return q, _interval(mu_test - half, mu_test + half, scale), mu_test
+
+
+def reference_cqr(y_conf, lo_conf, hi_conf, lo_test, hi_test, alpha, scale,
+                  symmetric=True):
+    point = (lo_test + hi_test) / 2.0
+    if symmetric:
+        q = conformal_quantile(np.maximum(lo_conf - y_conf, y_conf - hi_conf), alpha)
+        return q, _interval(lo_test - q, hi_test + q, scale), point
+    q_lo = conformal_quantile(lo_conf - y_conf, alpha / 2.0)
+    q_hi = conformal_quantile(y_conf - hi_conf, alpha / 2.0)
+    return (q_lo, q_hi), _interval(lo_test - q_lo, hi_test + q_hi, scale), point
+
+
 def reference_density(conf_scores, neg_logp, lows, highs, alpha, scale):
     thr = conformal_quantile(conf_scores, alpha)
     out = []
@@ -686,12 +720,98 @@ def pairs(ivs):
     return list(zip(ivs.lower.tolist(), ivs.upper.tolist()))
 
 
+def bits(result):
+    """A rule's (q_hat, intervals, point), each as its float64 bytes."""
+    q, ivs, point = result
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in (q, ivs.lower, ivs.upper, point)]
+
+
 def peaked_probs(rng, n, k):
     """Rows of probabilities with exact ties and zero cells mixed in."""
     probs = rng.dirichlet(np.full(k, 0.6), size=n)
     probs[: n // 4] = np.round(probs[: n // 4], 1)
     probs[n // 4 : n // 2, k // 2] = 0.0
     return probs
+
+
+class TestBandRule:
+    """band_intervals equals the former naive, LVD and CQR rules bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("n_conf", [500, 2])  # two scores overflow: q = inf
+    def test_equals_former_rules(self, k, n_conf):
+        scale = RatingScale(k_max=k)
+        rng = np.random.default_rng(k * n_conf)
+        y = rng.integers(1, k + 1, n_conf).astype(float)
+        mu, sig = y + rng.normal(0, 0.7, n_conf), rng.uniform(0.2, 2.0, n_conf)
+        mu_t, sig_t = rng.uniform(0.0, k + 1.0, 400), rng.uniform(0.2, 2.0, 400)
+        got = band_intervals(y, (mu, mu, 1.0), (mu_t, mu_t, 1.0), 0.1, scale)
+        assert bits(got) == bits(reference_naive(y, mu, mu_t, 0.1, scale))
+        got = band_intervals(y, (mu, mu, sig), (mu_t, mu_t, sig_t), 0.1, scale)
+        assert bits(got) == bits(reference_lvd(y, mu, sig, mu_t, sig_t, 0.1, scale))
+        # Bands wider than every label give negative corrections, which cross
+        # the narrow test bands; some test bands are crossed to begin with.
+        lo, hi = y - rng.uniform(0.2, 2.0, n_conf), y + rng.uniform(0.2, 2.0, n_conf)
+        lo_t = rng.uniform(0.0, k + 1.0, 400)
+        hi_t = lo_t + rng.uniform(-0.5, 1.0, 400)
+        for symmetric in (True, False):
+            got = band_intervals(y, (lo, hi, 1.0), (lo_t, hi_t, 1.0), 0.1, scale, symmetric)
+            want = reference_cqr(y, lo, hi, lo_t, hi_t, 0.1, scale, symmetric)
+            assert bits(got) == bits(want)
+            q_lo, q_hi = (got[0], got[0]) if symmetric else got[0]
+            if n_conf == 2:
+                assert q_lo == q_hi == math.inf
+            else:
+                assert (lo_t - q_lo > hi_t + q_hi).any()
+
+    @pytest.mark.parametrize("method", ["naive_split", "lvd", "boosted_lcp", "cqr",
+                                        "cqr_asym", "boosted_cqr"])
+    def test_methods_equal_former_rules(self, method):
+        """Each band method, from its own learners, gives what the former
+        rule gave on the former predictions (boosted_cqr sorted its two
+        forests' predictions per row)."""
+        cal, test, _ = split_synth(n=600, seed=34, label_noise=0.35)
+        cfg = MethodConfig(train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1),
+                           boost_rounds=8)
+        res = run_method(method, cal, test, 0.1, SCALE, cfg, {})
+        m, conf = res.calibration.learners, cal[len(cal) // 2 :]
+        sigma = {
+            "lvd": lambda X: m[1].predict_sigma(X),
+            "boosted_lcp": lambda X: np.maximum(m[1].predict(X), cfg.sigma_floor),
+        }
+        quantiles = {
+            "cqr": lambda X: m[0].predict(X),
+            "cqr_asym": lambda X: m[0].predict(X),
+            "boosted_cqr": lambda X: np.sort(np.column_stack([b.predict(X) for b in m]), 1),
+        }
+        if method == "naive_split":
+            mean = m[0].predict_mean
+            want = reference_naive(conf.y, mean(conf.X), mean(test.X), 0.1, SCALE)
+        elif method in sigma:
+            mean, sig = m[0].predict_mean, sigma[method]
+            want = reference_lvd(conf.y, mean(conf.X), sig(conf.X), mean(test.X),
+                                 sig(test.X), 0.1, SCALE)
+        else:
+            qc, qt = quantiles[method](conf.X), quantiles[method](test.X)
+            want = reference_cqr(conf.y, qc[:, 0], qc[:, -1], qt[:, 0], qt[:, -1], 0.1,
+                                 SCALE, symmetric=method != "cqr_asym")
+        assert bits((res.calibration.q_hat, res.intervals, res.y_hat)) == bits(want)
+
+    def test_boosted_band_is_each_rows_sorted_pair(self):
+        """Where the two forests cross, boosted_cqr's band still runs from
+        each row's lower to its higher output, as the former row sort gave."""
+        from types import SimpleNamespace
+
+        from scorebands.conformal import _boosted_quantiles, _shared
+
+        rng = np.random.default_rng(35)
+        a, b = rng.normal(3.0, 1.0, 500), rng.normal(3.0, 1.0, 500)
+        a[:50] = b[:50]  # ties
+        forests = [SimpleNamespace(predict=lambda X, v=v: v) for v in (a, b)]
+        lo, hi, spread = _boosted_quantiles(forests, FAST, _shared(None, np.zeros((500, 5))))
+        rows = np.sort(np.column_stack([a, b]), axis=1)
+        assert (a > b).any() and (a < b).any() and spread == 1.0
+        assert (lo.tobytes(), hi.tobytes()) == (rows[:, 0].tobytes(), rows[:, -1].tobytes())
 
 
 class TestColumnarIdentity:
@@ -704,7 +824,9 @@ class TestColumnarIdentity:
         lo_t = rng.uniform(0.0, 6.0, 300)
         hi_t = lo_t + rng.uniform(-0.5, 0.5, 300)
         for symmetric in (True, False):
-            q, ivs = cqr_from_quantiles(y, lo, hi, lo_t, hi_t, 0.1, SCALE, symmetric)
+            q, ivs, _ = band_intervals(
+                y, (lo, hi, 1.0), (lo_t, hi_t, 1.0), 0.1, SCALE, symmetric
+            )
             q_lo, q_hi = (q, q) if symmetric else q
             assert min(q_lo, q_hi) < 0  # corrections cross some intervals
             want = [reference_interval(l - q_lo, h + q_hi, SCALE) for l, h in zip(lo_t, hi_t)]
@@ -713,10 +835,12 @@ class TestColumnarIdentity:
     def test_infinite_threshold_gives_full_range(self):
         y = np.array([3.0, 4.0])
         mu = np.array([0.5, 2.25, 4.9, 6.0])
-        q, ivs = naive_from_predictions(y, y, mu, 0.1, SCALE)
+        q, ivs, _ = band_intervals(y, (y, y, 1.0), (mu, mu, 1.0), 0.1, SCALE)
         assert q == math.inf
         assert pairs(ivs) == [reference_interval(m - q, m + q, SCALE) for m in mu]
-        q, ivs = lvd_from_predictions(y, y, np.ones(2), mu, np.full(4, 0.5), 0.1, SCALE)
+        q, ivs, _ = band_intervals(
+            y, (y, y, np.ones(2)), (mu, mu, np.full(4, 0.5)), 0.1, SCALE
+        )
         assert pairs(ivs) == [(1.0, 5.0)] * 4
 
     @pytest.mark.parametrize("k", [3, 5, 10])
@@ -728,9 +852,9 @@ class TestColumnarIdentity:
         sig = rng.uniform(0.2, 2.0, 500)
         mu_t = rng.uniform(0.0, k + 1.0, 400)
         sig_t = rng.uniform(0.2, 2.0, 400)
-        q, ivs = naive_from_predictions(y, mu, mu_t, 0.1, scale)
+        q, ivs, _ = band_intervals(y, (mu, mu, 1.0), (mu_t, mu_t, 1.0), 0.1, scale)
         assert pairs(ivs) == [reference_interval(m - q, m + q, scale) for m in mu_t]
-        q, ivs = lvd_from_predictions(y, mu, sig, mu_t, sig_t, 0.1, scale)
+        q, ivs, _ = band_intervals(y, (mu, mu, sig), (mu_t, mu_t, sig_t), 0.1, scale)
         want = [reference_interval(m - q * s, m + q * s, scale) for m, s in zip(mu_t, sig_t)]
         assert pairs(ivs) == want
 
@@ -738,12 +862,15 @@ class TestColumnarIdentity:
     def test_density_rows(self, k):
         scale = RatingScale(k_max=k)
         rng = np.random.default_rng(10 + k)
-        edges = np.linspace(0.5, k + 0.5, 2 * k + 1)
+        # Two cells per label over [0.5, K + 0.5].
+        model = HistDensityModel(None, None, 2 * k, 0.5, k + 0.5)
+        edges = model.bin_edges()
+        assert np.array_equal(edges, np.linspace(0.5, k + 0.5, 2 * k + 1))
         neg = rng.uniform(0, 4, size=(300, 2 * k))
         neg[:40] = 9.0  # rows with no qualifying cell
         conf = rng.uniform(0, 4, size=200)
         want_thr, want = reference_density(conf, neg, edges[:-1], edges[1:], 0.2, scale)
-        thr, ivs = density_intervals_from_scores(conf, neg, edges[:-1], edges[1:], 0.2, scale)
+        thr, ivs = cell_rule(model, conf, neg, 0.2, scale, edges=True)
         assert thr == want_thr
         assert pairs(ivs) == want
         assert pairs(ivs)[:40] == [(1.0, float(k))] * 40
@@ -756,7 +883,7 @@ class TestColumnarIdentity:
         y_idx = rng.integers(0, k, 400)
         probs_test = peaked_probs(rng, 300, k)
         want_q, want = reference_aps(probs_conf, y_idx, probs_test, 0.1, scale)
-        q, ivs, labels = aps_from_probs(probs_conf, y_idx, probs_test, 0.1, scale)
+        q, ivs, labels = aps_intervals(y_idx + 1.0, probs_conf, probs_test, 0.1, scale)
         assert q == want_q
         assert pairs(ivs) == want
         assert labels.tolist() == [1.0 + int(np.argmax(p)) for p in probs_test]
@@ -818,9 +945,8 @@ class TestColumnarIdentity:
         scale = RatingScale(k_max=k)
         lo = np.array([a for a, _ in raw])
         hi = np.array([b for _, b in raw])
-        ivs = cqr_from_quantiles(
-            np.zeros(3), np.zeros(3), np.zeros(3), lo, hi, 0.5, scale
-        )[1]
+        zeros = np.zeros(3)
+        ivs = band_intervals(zeros, (zeros, zeros, 1.0), (lo, hi, 1.0), 0.5, scale)[1]
         q = conformal_quantile(np.zeros(3), 0.5)
         want = [reference_interval(a - q, b + q, scale) for a, b in raw]
         assert pairs(ivs) == want
@@ -833,10 +959,8 @@ class TestColumnarIdentity:
 class TestNonFiniteOutput:
     def test_nan_endpoint_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            naive_from_predictions(
-                np.array([3.0, 4.0]), np.array([3.0, 4.0]), np.array([2.0, np.nan]),
-                0.5, SCALE,
-            )
+            y, mu = np.array([3.0, 4.0]), np.array([2.0, np.nan])
+            band_intervals(y, (y, y, 1.0), (mu, mu, 1.0), 0.5, SCALE)
 
     def test_infinite_prediction_rejected(self):
         # An infinite mean clamps to a finite interval; the prediction itself
@@ -997,9 +1121,16 @@ class TestCacheKeys:
         predicted = [v[1] for k, v in shared.items() if k[0] == "predicted"]
         assert len(predicted) == 7
         assert not any(a.flags.writeable for a in predicted)
+        # A point prediction is the result's own array: writing to it leaves
+        # the kept mean as it was.
+        kept = [a.copy() for a in predicted]
         res = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        with pytest.raises(ValueError, match="read-only"):
-            res.y_hat[0] = 0.0
+        res.y_hat[:] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(predicted, kept))
+        again = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        fresh = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, {})
+        assert again.intervals == fresh.intervals
+        assert np.array_equal(again.y_hat, fresh.y_hat)
 
     def test_r2ccp_keeps_no_prediction(self):
         """Only r2ccp reads its grid network, so a cache keeps its fit and
