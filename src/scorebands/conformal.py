@@ -38,7 +38,7 @@ from .core import features_matrix  # noqa: F401
 from .learners import (
     TrainConfig,
     fit_boosted,
-    fit_grid_classifier,
+    fit_grid_classifier,  # noqa: F401  no method fits it; the bench tracer wraps it
     fit_hist_density,
     fit_point_var,
     fit_quantile_model,
@@ -178,9 +178,9 @@ def cell_intervals(y_conf, conf, test, alpha, scale, edges=True):
     ``conf`` and ``test`` are ``(model, log_proba)`` pairs of a histogram
     model. A test row's interval is the smallest contiguous run holding every
     cell whose negative log mass is within the calibrated threshold, from
-    the cells' edges (chr) or centres (r2ccp); a row with no qualifying cell
-    gets the full label range. The point is the mean cell centre under the
-    test density.
+    the cells' edges (chr) or centres (r2ccp), here the labels themselves; a
+    row with no qualifying cell gets the full label range. The point is the
+    mean cell centre under the test density.
     """
     (model, logp_conf), (_, logp_test) = conf, test
     lows = highs = centres = model.bin_centers()
@@ -279,7 +279,7 @@ def aps_intervals(y_conf, conf, test, alpha, scale):
 # turns the test predictions into intervals. `cache` shares fitted learners
 # across methods that run on the identical calibration half within one
 # experiment cell. Each key holds every input of its fit besides that data:
-# the learner, its targets (taus, bins, grid) and its training settings.
+# the learner, its targets (taus, bins) and its training settings.
 # The cache also keeps the predictions that several methods make, so that
 # each is worked out once per split.
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def _shared(cache: dict | None, X: np.ndarray) -> Callable:
 
     The predictions that several methods make are kept: those of the mean
     network (naive_split, lvd, boosted_lcp), of the quantile network (cqr,
-    cqr_asym) and of the label network (chr, ordinal_aps). Every other
+    cqr_asym) and of the label network (chr, r2ccp, ordinal_aps). Every other
     prediction is one method's, and keeping it would only raise the peak
     memory of a split.
 
@@ -386,17 +386,10 @@ def _fit_quantiles(half, alpha, scale, cfg, cache):
 
 def _fit_label_bins(half, alpha, scale, cfg, cache):
     """The label network, one histogram bin per label over [0.5, K + 0.5]:
-    chr's conditional histogram and ordinal_aps's label classifier in one fit."""
+    the histogram of chr and r2ccp and ordinal_aps's classifier in one fit."""
     k, lo, hi = scale.k_max, 0.5, scale.k_max + 0.5
     fit = partial(fit_hist_density, half.X, half.y, k, cfg.train, lo=lo, hi=hi)
     return (_fit_cached(cache, ("hist", k, lo, hi, cfg.train), fit),)
-
-
-def _fit_grid(half, alpha, scale, cfg, cache):
-    """r2ccp's grid network: eight histogram cells per label (see
-    `fit_grid_classifier`)."""
-    fit = partial(fit_grid_classifier, half.X, half.y, scale.k_max, cfg.train)
-    return (_fit_cached(cache, ("grid", scale.k_max, cfg.train), fit),)
 
 
 def _fit_boosted_quantiles(half, alpha, scale, cfg, cache):
@@ -447,10 +440,10 @@ def _boosted_quantiles(m, cfg, shared):
     return np.minimum(a, b), np.maximum(a, b), 1.0
 
 
-def _log_proba(m, cfg, shared, keep=True):
-    """The model and its log-probabilities over the cells; kept for the label
-    network, which chr and ordinal_aps both read, and not for r2ccp's grid."""
-    return m[0], shared(m[0], "predict_log_proba", keep)
+def _log_proba(m, cfg, shared):
+    """The label network and its log-probabilities over the labels, kept:
+    chr, r2ccp and ordinal_aps all read them."""
+    return m[0], shared(m[0], "predict_log_proba", keep=True)
 
 
 def _proba(m, cfg, shared):
@@ -474,8 +467,7 @@ METHODS: dict[str, Method] = {
     "lvd": Method(_fit_mean_sigma, _mean_sigma, band_intervals),
     "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, band_intervals),
     "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, band_intervals),
-    "r2ccp": Method(_fit_grid, partial(_log_proba, keep=False),
-                    partial(cell_intervals, edges=False)),
+    "r2ccp": Method(_fit_label_bins, _log_proba, partial(cell_intervals, edges=False)),
     "ordinal_aps": Method(_fit_label_bins, _proba, aps_intervals),
 }
 
@@ -640,25 +632,31 @@ def run_mondrian(
     Each group gets its own learner fits and its own quantile, so the
     coverage guarantee holds per group. ``cache`` maps each group label to
     the learner cache of that group's calibration set; pass one dict for
-    every method of one split, so methods of a group share their fits. By
-    default each call fits afresh. Groups whose calibration count falls
+    every method of one split, so methods of a group share their fits and
+    the split is grouped once (a group's cache keeps its row indices under
+    the ids of ``cal`` and ``test``, and holds both so the ids stay theirs).
+    By default each call fits afresh. Groups whose calibration count falls
     below ``min_group_cal`` are rejected loudly: with too few scores the
     quantile rank overflows and the group would silently get vacuous
-    full-range intervals.
-    """
+    full-range intervals."""
     _check_inputs(cal, test, alpha)
     if cache is None:
         cache = {}
-    cal_groups = partition.labels(cal)
-    test_groups = partition.labels(test)
+    key = ("rows", partition.name, id(cal), id(test))
+    rows = [(g, *group[key][1:]) for g, group in cache.items() if key in group]
+    if not rows:
+        cal_groups = partition.labels(cal)
+        test_groups = partition.labels(test)
+        for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist():
+            idx = np.flatnonzero(cal_groups == g), np.flatnonzero(test_groups == g)
+            cache.setdefault(g, {})[key] = ((cal, test), *idx)
+            rows.append((g, *idx))
     lower = np.empty(len(test))
     upper = np.empty(len(test))
     y_hat = np.empty(len(test))
     per_group_q: dict[str, object] = {}
     learners: list = []
-    for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist():
-        cal_idx = np.flatnonzero(cal_groups == g)
-        test_idx = np.flatnonzero(test_groups == g)
+    for g, cal_idx, test_idx in rows:
         if len(cal_idx) < min_group_cal:
             raise DataError(
                 f"group {g!r} has {len(cal_idx)} calibration samples, "
@@ -667,8 +665,7 @@ def run_mondrian(
         if not len(test_idx):
             continue
         sub = run_method(
-            inner, cal[cal_idx], test[test_idx], alpha, scale, cfg,
-            cache.setdefault(g, {}),
+            inner, cal[cal_idx], test[test_idx], alpha, scale, cfg, cache[g]
         )
         per_group_q[g] = sub.calibration.q_hat
         learners.append((g, sub.calibration.learners))

@@ -6,6 +6,8 @@ width 1/8 over [0.4375, K + 0.5625], whose centres run from 0.5 to K + 0.5
 in steps of 1/8, so every label is the centre of its own cell. A small
 network maps the feature vector to a softmax over the cells; the negative
 log mass of a label's cell serves as a density nonconformity score.
+No method calls it (integer labels only ever target K of its cells, so
+r2ccp reads the label network); the benchmark's tracer still wraps it.
 """
 
 from __future__ import annotations

@@ -567,6 +567,39 @@ class TestMondrian:
         assert sorted(shared) == ["high", "low"]
         assert any(key[0] == "pointvar_mean" for key in shared["low"])
 
+    def test_split_is_grouped_once_per_cache(self, monkeypatch):
+        """Nine methods on one cache label the calibration and test rows once
+        each; every result equals a fresh-cache run."""
+        cal, test, _ = split_synth(n=800, seed=17, generator="heteroscedastic_groups")
+        part = BUILTIN_PARTITIONS["by_group_tag"]
+        calls = []
+        original = GroupPartition.labels
+
+        def counted(self, batch):
+            calls.append(len(batch))
+            return original(self, batch)
+
+        shared: dict = {}
+        monkeypatch.setattr(GroupPartition, "labels", counted)
+        results = {m: run_mondrian(cal, test, 0.1, part, m, SCALE, FAST, cache=shared)
+                   for m in METHODS}
+        assert len(METHODS) == 9 and sorted(calls) == sorted([len(cal), len(test)])
+        for m, res_s in results.items():
+            res_f = run_mondrian(cal, test, 0.1, part, m, SCALE, FAST, cache={})
+            assert res_s.intervals == res_f.intervals, m
+            assert np.array_equal(res_s.y_hat, res_f.y_hat), m
+            assert res_s.calibration.q_hat == res_f.calibration.q_hat, m
+        # A group below the minimum is rejected on every call, cached or not.
+        for _ in range(2):
+            with pytest.raises(DataError, match="calibration samples"):
+                run_mondrian(cal, test, 0.1, part, "cqr", SCALE, FAST, cache=shared,
+                             min_group_cal=10_000)
+        # Other test rows on the same cache are grouped afresh.
+        _, other, _ = split_synth(n=500, seed=18, generator="heteroscedastic_groups")
+        res_s = run_mondrian(cal, other, 0.1, part, "cqr", SCALE, FAST, cache=shared)
+        res_f = run_mondrian(cal, other, 0.1, part, "cqr", SCALE, FAST, cache={})
+        assert res_s.intervals == res_f.intervals
+
     def test_lvd_wider_in_noisy_cluster(self):
         cal, test, _ = split_synth(
             n=2000, seed=13, generator="heteroscedastic_groups", sigma=0.25
@@ -1132,14 +1165,21 @@ class TestCacheKeys:
         assert again.intervals == fresh.intervals
         assert np.array_equal(again.y_hat, fresh.y_hat)
 
-    def test_r2ccp_keeps_no_prediction(self):
-        """Only r2ccp reads its grid network, so a cache keeps its fit and
-        none of its predictions."""
+    def test_r2ccp_after_chr_adds_no_fit_and_no_kept_array(self):
+        """r2ccp reads chr's label network: after chr on one cache it adds
+        neither a fit nor a kept prediction."""
         cal, test, _ = split_synth(n=600, seed=28)
         shared: dict = {}
+        run_method("chr", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        before = list(shared)
         res_s = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
         res_f = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, {})
-        assert list(shared) == [("grid", 5, self.FAST_FIT.train)]
+        assert list(shared) == before
+        assert [k for k in shared if k[0] != "predicted"] == [
+            ("hist", 5, 0.5, 5.5, self.FAST_FIT.train)
+        ]
+        kept = [k for k in shared if k[:2] == ("predicted", "predict_log_proba")]
+        assert len(kept) == len(shared) - 1 == 2
         assert res_s.intervals == res_f.intervals
         assert res_s.y_hat.flags.writeable
 
@@ -1181,6 +1221,25 @@ class TestLabelNetwork:
         kept = [k for k in shared if k[:2] == ("predicted", "predict_log_proba")]
         assert len(kept) == 2
         assert sorted(calls) == sorted([len(cal) - len(cal) // 2, len(test)])
+
+    @pytest.mark.parametrize("k_max", [3, 5, 10])
+    def test_r2ccp_is_chr_from_label_centre_to_centre(self, k_max):
+        """On one label network, r2ccp's interval is chr's run of labels with
+        each inner end moved in by half a bin: the bins' centres are the
+        labels, their edges the labels +- 0.5."""
+        scale = RatingScale(k_max=k_max)
+        cal, test, _ = split_synth(n=600, seed=34, scale=scale, feature_dim=k_max,
+                                   label_noise=0.35)
+        shared: dict = {}
+        res_chr = run_method("chr", cal, test, 0.1, scale, self.FAST_FIT, shared)
+        res_r2 = run_method("r2ccp", cal, test, 0.1, scale, self.FAST_FIT, shared)
+        assert len([k for k in shared if k[0] == "hist"]) == 1
+        assert res_r2.calibration.q_hat == res_chr.calibration.q_hat
+        assert res_r2.y_hat.tobytes() == res_chr.y_hat.tobytes()
+        lo, hi = res_chr.intervals.lower, res_chr.intervals.upper
+        assert np.array_equal(res_r2.intervals.lower, np.where(lo == 1, 1, lo + 0.5))
+        assert np.array_equal(res_r2.intervals.upper,
+                              np.where(hi == k_max, k_max, hi - 0.5))
 
     @pytest.mark.parametrize("first, then", [("chr", "ordinal_aps"),
                                              ("ordinal_aps", "chr")])

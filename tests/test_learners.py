@@ -674,6 +674,30 @@ class TestGradients:
             target = rng.integers(0, 7, 12)
             assert max_rel_grad_error(params, X, target, softmax_ce_head) < 1e-4
 
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_softmax_grad_equals_row_max_formula_bit_for_bit(self, k):
+        """The head takes its row max over a transposed copy; the gradient
+        equals the plain `out.max(axis=1)` formula bit for bit."""
+
+        def former(out, target):
+            d_out = out - out.max(axis=1, keepdims=True)
+            np.exp(d_out, out=d_out)
+            d_out /= d_out.sum(axis=1, keepdims=True)
+            d_out[np.arange(len(out)), target] -= 1.0
+            d_out /= len(out)
+            return d_out
+
+        rng = np.random.default_rng(k)
+        for n in (1, 7, 128):
+            out = (rng.normal(size=(n, k)) * 4).astype(np.float32)
+            # Tied row maxima: two or all columns share the largest logit.
+            out[0, : min(2, k)] = out[0].max() + 1.0
+            out[-1] = 0.5
+            target = rng.integers(0, k, n)
+            got = softmax_ce_head.grad(out.copy(), target)
+            assert got.dtype == np.float32
+            assert got.tobytes() == former(out.copy(), target).tobytes()
+
     def test_squared_head(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
