@@ -28,6 +28,7 @@ _EXPORTS = {
     "MethodConfig": "conformal",
     "MethodResult": "conformal",
     "RatingScale": "base",
+    "Split": "conformal",
     "SplitPlan": "core",
     "SyntheticSpec": "harness",
     "conformal_quantile": "conformal",

@@ -49,8 +49,10 @@ def parse_seeds(text: str) -> tuple[int, ...]:
         if not part:
             continue
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("-", 1))
+            if lo > hi:
+                raise UsageError(f"reversed seed range {part!r} in {text!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:

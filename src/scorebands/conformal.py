@@ -9,14 +9,14 @@ Each method is one row of the table `METHODS`: a learner, what it predicts,
 and one of three rules that calibrates it. `band_intervals` serves six
 methods, whose learners predict a band (lo, hi, spread) that the rule widens
 by q_hat spreads on each side; `cell_intervals` serves chr and r2ccp, and
-`aps_intervals` ordinal_aps. `run_method` splits the calibration samples in
+`aps_intervals` ordinal_aps. A `Split` cuts the calibration samples in
 half: the learner sees the first half, the conformal quantile is computed on
-the second, preserving exchangeability of the scores.
+the second, preserving exchangeability of the scores. The methods of one
+Split share its learners and their predictions.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -114,12 +114,6 @@ def conformal_quantile(scores, alpha: float) -> float:
     return float(np.sort(scores, kind="stable")[rank - 1])
 
 
-def _halves(batch: Batch) -> tuple[Batch, Batch]:
-    """Learner half and conformal half of an already-shuffled calibration set."""
-    cut = len(batch) // 2
-    return batch[:cut], batch[cut:]
-
-
 def _interval(lo, hi, scale: RatingScale) -> Intervals:
     """The interval rule: collapse crossed endpoints, then clamp."""
     lo = np.array(lo, dtype=np.float64)
@@ -130,15 +124,6 @@ def _interval(lo, hi, scale: RatingScale) -> Intervals:
     if crossed.any():
         lo[crossed] = hi[crossed] = (lo[crossed] + hi[crossed]) / 2.0
     return Intervals(*clamp_endpoints(lo, hi, scale))
-
-
-def _check_inputs(cal: Batch, test: Batch, alpha) -> None:
-    if not len(cal):
-        raise DataError("empty calibration set")
-    if not len(test):
-        raise DataError("empty test set")
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,178 +261,166 @@ def aps_intervals(y_conf, conf, test, alpha, scale):
 # The method table. A method is one learner, fit on the learner half of the
 # calibration set, and one of the rules above, which scores the learner's
 # predictions on the conformal half, takes their conformal quantile and
-# turns the test predictions into intervals. `cache` shares fitted learners
-# across methods that run on the identical calibration half within one
-# experiment cell. Each key holds every input of its fit besides that data:
-# the learner, its targets (taus, bins) and its training settings.
-# The cache also keeps the predictions that several methods make, so that
-# each is worked out once per split.
+# turns the test predictions into intervals. The learners and their
+# predictions live in the Split, so the methods of a split share them.
 # ---------------------------------------------------------------------------
 
 
-def _fit_cached(cache: dict | None, key: tuple, fit: Callable):
-    if cache is not None and key in cache:
-        return cache[key]
-    model = fit()
-    if cache is not None:
-        cache[key] = model
-    return model
+class Split:
+    """One split of the protocol at one alpha: the calibration rows, cut
+    into the learner ``half`` and the conformal half ``conf``, the ``test``
+    rows, the rating scale and the method settings.
 
-
-def _shared(cache: dict | None, X: np.ndarray) -> Callable:
-    """`shared(model, what, keep=False)`: ``model.<what>(X)``, worked out
-    once per cache when ``keep`` is set.
-
-    The predictions that several methods make are kept: those of the mean
-    network (naive_split, lvd, boosted_lcp), of the quantile network (cqr,
-    cqr_asym) and of the label network (chr, r2ccp, ordinal_aps). Every other
-    prediction is one method's, and keeping it would only raise the peak
-    memory of a split.
-
-    The key names the rows by their shape, dtype and a BLAKE2b digest of
-    their bytes, so an entry serves only rows equal to those it was worked
-    out on, without holding them. The entry keeps its model, so the model's
-    id stays its own. A kept array is read-only, so the methods that share
-    it cannot change it for one another.
+    Every method of a split reads its learners and their predictions from
+    here, so each learner is fit once per Split and predicts each row set
+    once. A fit is keyed by its learner kind alone, since the Split fixes
+    every other input of it. A prediction is keyed by its model's id, what
+    it predicts and the row set's name; the Split holds every model, so
+    each id stays its model's. A kept prediction is read-only, so the
+    methods that share it cannot change it for one another.
     """
-    rows = X.shape, X.dtype.str, hashlib.blake2b(np.ascontiguousarray(X)).digest()
 
-    def shared(model, what: str, keep: bool = False) -> np.ndarray:
-        if cache is None or not keep:
-            return getattr(model, what)(X)
-        key = ("predicted", what, id(model), rows)
-        if key not in cache:
-            value = getattr(model, what)(X)
+    def __init__(self, cal: Batch, test: Batch, alpha, scale: RatingScale,
+                 cfg: MethodConfig = MethodConfig()):
+        if not len(cal):
+            raise DataError("empty calibration set")
+        if not len(test):
+            raise DataError("empty test set")
+        if not 0.0 < alpha < 1.0:
+            raise DataError(f"alpha must be in (0, 1), got {alpha}")
+        # The calibration rows are already shuffled, so a cut halves them.
+        cut = len(cal) // 2
+        self.cal, self.half, self.conf, self.test = cal, cal[:cut], cal[cut:], test
+        self.alpha, self.scale, self.cfg = alpha, scale, cfg
+        self._memo: dict = {}
+
+    def memo(self, key, make: Callable):
+        """``make()``, worked out once per Split under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def predict(self, model, what: str, rows: str) -> np.ndarray:
+        """``model.<what>`` on the row set ``rows`` ("half", "conf" or
+        "test"), read-only."""
+
+        def make():
+            value = getattr(model, what)(getattr(self, rows).X)
             value.flags.writeable = False
-            cache[key] = model, value
-        return cache[key][1]
+            return value
 
-    return shared
+        return self.memo((id(model), what, rows), make)
 
-
-def _boosted(half: Batch, y: np.ndarray, loss: str, cfg: MethodConfig, cache,
-             key: tuple, tau: float | None = None):
-    return _fit_cached(
-        cache,
-        ("boosted", loss, tau, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate) + key,
-        lambda: fit_boosted(
-            half.X, y, loss, cfg.boost_rounds, cfg.boost_depth, cfg.boost_rate, tau=tau
-        ),
-    )
+    def labels(self, partition: GroupPartition, rows: str) -> np.ndarray:
+        """The group of every row of ``rows`` ("cal" or "test"). A Split
+        knows a partition by its name."""
+        return self.memo(
+            ("labels", partition.name, rows),
+            lambda: partition.labels(getattr(self, rows)),
+        )
 
 
 def _taus(alpha: float) -> tuple[float, float]:
     return (alpha / 2.0, 1.0 - alpha / 2.0)
 
 
-# Fits: (learner half, alpha, scale, cfg, cache) -> the fitted learners.
+# Fits: a Split -> the fitted learners, each fit once per Split.
 
 
-def _fit_mean(half, alpha, scale, cfg, cache):
+def _fit_mean(split):
     """The mean network of the learner half; one serves every method."""
-    return (
-        _fit_cached(
-            cache,
-            ("pointvar_mean", cfg.train, cfg.sigma_floor),
-            lambda: fit_point_var(half.X, half.y, cfg.train, sigma_floor=cfg.sigma_floor),
-        ),
-    )
+    half, cfg = split.half, split.cfg
+    fit = partial(fit_point_var, half.X, half.y, cfg.train, sigma_floor=cfg.sigma_floor)
+    return (split.memo("mean", fit),)
 
 
-def _abs_resid(half, mean_model, cache):
+def _abs_resid(split, mean_model):
     """|y - mean| on the learner half: the target of every spread model."""
-    mean = _shared(cache, half.X)(mean_model, "predict_mean", keep=True)
-    return np.abs(half.y - mean)
+    return np.abs(split.half.y - split.predict(mean_model, "predict_mean", "half"))
 
 
-def _fit_mean_sigma(half, alpha, scale, cfg, cache):
+def _fit_mean_sigma(split):
     """The mean network, and the same network with a spread head fit to its
     residuals."""
-    (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
-    return mean_model, _fit_cached(
-        cache,
-        ("pointvar_sigma", cfg.train, cfg.sigma_floor),
+    (mean_model,) = _fit_mean(split)
+    return mean_model, split.memo(
+        "sigma",
         lambda: fit_spread_head(
-            mean_model, half.X, _abs_resid(half, mean_model, cache), cfg.train
+            mean_model, split.half.X, _abs_resid(split, mean_model), split.cfg.train
         ),
     )
 
 
-def _fit_quantiles(half, alpha, scale, cfg, cache):
-    taus = _taus(alpha)
-    return (
-        _fit_cached(
-            cache,
-            ("quantile", taus, cfg.train),
-            lambda: fit_quantile_model(half.X, half.y, taus, cfg.train),
-        ),
-    )
+def _fit_quantiles(split):
+    half = split.half
+    fit = partial(fit_quantile_model, half.X, half.y, _taus(split.alpha), split.cfg.train)
+    return (split.memo("quantile", fit),)
 
 
-def _fit_label_bins(half, alpha, scale, cfg, cache):
-    """The label network, one histogram bin per label over [0.5, K + 0.5]:
-    the histogram of chr and r2ccp and ordinal_aps's classifier in one fit."""
-    k, lo, hi = scale.k_max, 0.5, scale.k_max + 0.5
-    fit = partial(fit_hist_density, half.X, half.y, k, cfg.train, lo=lo, hi=hi)
-    return (_fit_cached(cache, ("hist", k, lo, hi, cfg.train), fit),)
+def _fit_label_bins(split):
+    """The label network: the histogram of chr and r2ccp and ordinal_aps's
+    classifier in one fit."""
+    half = split.half
+    fit = partial(fit_hist_density, half.X, half.y, split.scale.k_max, split.cfg.train)
+    return (split.memo("hist", fit),)
 
 
-def _fit_boosted_quantiles(half, alpha, scale, cfg, cache):
-    return tuple(
-        _boosted(half, half.y, "pinball", cfg, cache, (), tau=tau) for tau in _taus(alpha)
-    )
+def _boosted(split, y: np.ndarray, loss: str, tau: float | None = None):
+    cfg = split.cfg
+    fit = partial(fit_boosted, split.half.X, y, loss, cfg.boost_rounds, cfg.boost_depth,
+                  cfg.boost_rate, tau=tau)
+    return split.memo(("boosted", loss, tau), fit)
 
 
-def _fit_boosted_spread(half, alpha, scale, cfg, cache):
+def _fit_boosted_quantiles(split):
+    return tuple(_boosted(split, split.half.y, "pinball", tau) for tau in _taus(split.alpha))
+
+
+def _fit_boosted_spread(split):
     """The mean network, and a boosted absolute-loss model of its |residual|
     as the local scale."""
-    (mean_model,) = _fit_mean(half, alpha, scale, cfg, cache)
-    # The residuals come from the mean model, so its settings are fit inputs.
-    sig_model = _boosted(
-        half, _abs_resid(half, mean_model, cache), "absolute", cfg, cache,
-        (cfg.train, cfg.sigma_floor),
-    )
-    return mean_model, sig_model
+    (mean_model,) = _fit_mean(split)
+    return mean_model, _boosted(split, _abs_resid(split, mean_model), "absolute")
 
 
-# Predictions: (learners, cfg, shared) -> what the learners predict for the
-# rows that `shared` (see `_shared`) predicts on, in the form the method's
-# rule reads: a (lo, hi, spread) band for `band_intervals`, a (model,
-# log_proba) pair for `cell_intervals`, label probabilities for
-# `aps_intervals`.
+# Predictions: (learners, split, rows) -> what the learners predict for the
+# split's row set ``rows``, in the form the method's rule reads: a (lo, hi,
+# spread) band for `band_intervals`, a (model, log_proba) pair for
+# `cell_intervals`, label probabilities for `aps_intervals`.
 
 
-def _mean(m, cfg, shared, spread=1.0):
-    mu = shared(m[0], "predict_mean", keep=True)
+def _mean(m, split, rows, spread=1.0):
+    mu = split.predict(m[0], "predict_mean", rows)
     return mu, mu, spread
 
 
-def _mean_sigma(m, cfg, shared):
-    return _mean(m, cfg, shared, shared(m[1], "predict_sigma"))
+def _mean_sigma(m, split, rows):
+    return _mean(m, split, rows, split.predict(m[1], "predict_sigma", rows))
 
 
-def _mean_boosted_sigma(m, cfg, shared):
-    return _mean(m, cfg, shared, np.maximum(shared(m[1], "predict"), cfg.sigma_floor))
+def _mean_boosted_sigma(m, split, rows):
+    sigma = split.predict(m[1], "predict", rows)
+    return _mean(m, split, rows, np.maximum(sigma, split.cfg.sigma_floor))
 
 
-def _quantiles(m, cfg, shared):
-    q = shared(m[0], "predict", keep=True)
+def _quantiles(m, split, rows):
+    q = split.predict(m[0], "predict", rows)
     return q[:, 0], q[:, -1], 1.0
 
 
-def _boosted_quantiles(m, cfg, shared):
-    a, b = (shared(model, "predict") for model in m)
+def _boosted_quantiles(m, split, rows):
+    a, b = (split.predict(model, "predict", rows) for model in m)
     return np.minimum(a, b), np.maximum(a, b), 1.0
 
 
-def _log_proba(m, cfg, shared):
-    """The label network and its log-probabilities over the labels, kept:
-    chr, r2ccp and ordinal_aps all read them."""
-    return m[0], shared(m[0], "predict_log_proba", keep=True)
+def _log_proba(m, split, rows):
+    """The label network and its log-probabilities over the labels: chr,
+    r2ccp and ordinal_aps all read them."""
+    return m[0], split.predict(m[0], "predict_log_proba", rows)
 
 
-def _proba(m, cfg, shared):
-    return np.exp(_log_proba(m, cfg, shared)[1])
+def _proba(m, split, rows):
+    return np.exp(_log_proba(m, split, rows)[1])
 
 
 @dataclass(frozen=True)
@@ -477,30 +450,28 @@ METHOD_NAMES = tuple(METHODS)
 _UNBOOSTED = {"boosted_cqr": "cqr", "boosted_lcp": "lvd"}
 
 
-def run_method(
-    name: str, cal: Batch, test: Batch, alpha, scale, cfg=MethodConfig(), cache=None
-) -> MethodResult:
-    """Method ``name`` calibrated on ``cal`` and applied to ``test``."""
+def run_method(name: str, split: Split) -> MethodResult:
+    """Method ``name`` calibrated on ``split``'s calibration rows and applied
+    to its test rows."""
     if name not in METHODS:
         raise DataError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
-    _check_inputs(cal, test, alpha)
+    cfg = split.cfg
     row = METHODS[_UNBOOSTED.get(name, name) if cfg.boost_rounds == 0 else name]
-    half, conf = _halves(cal)
-    learners = row.fit(half, alpha, scale, cfg, cache)
+    learners = row.fit(split)
     q_hat, intervals, y_hat = row.rule(
-        conf.y,
-        row.predict(learners, cfg, _shared(cache, conf.X)),
-        row.predict(learners, cfg, _shared(cache, test.X)),
-        alpha,
-        scale,
+        split.conf.y,
+        row.predict(learners, split, "conf"),
+        row.predict(learners, split, "test"),
+        split.alpha,
+        split.scale,
     )
     if cfg.point_predictor == "argmax_feature":
-        y_hat = test.X[:, : scale.k_max].argmax(axis=1) + 1.0
+        y_hat = split.test.X[:, : split.scale.k_max].argmax(axis=1) + 1.0
     return MethodResult(
         method=name,
         intervals=intervals,
         y_hat=y_hat,
-        calibration=ConformalCalibration(name, alpha, q_hat, learners),
+        calibration=ConformalCalibration(name, split.alpha, q_hat, learners),
     )
 
 
@@ -617,46 +588,33 @@ BUILTIN_PARTITIONS: dict[str, GroupPartition] = {
 
 
 def run_mondrian(
-    cal: Batch,
-    test: Batch,
-    alpha,
-    partition: GroupPartition,
-    inner: str,
-    scale: RatingScale,
-    cfg: MethodConfig = MethodConfig(),
-    min_group_cal: int = 50,
-    cache: dict | None = None,
+    split: Split, partition: GroupPartition, inner: str, min_group_cal: int = 50
 ) -> MethodResult:
     """Run the inner method independently per group.
 
     Each group gets its own learner fits and its own quantile, so the
-    coverage guarantee holds per group. ``cache`` maps each group label to
-    the learner cache of that group's calibration set; pass one dict for
-    every method of one split, so methods of a group share their fits and
-    the split is grouped once (a group's cache keeps its row indices under
-    the ids of ``cal`` and ``test``, and holds both so the ids stay theirs).
-    By default each call fits afresh. Groups whose calibration count falls
-    below ``min_group_cal`` are rejected loudly: with too few scores the
-    quantile rank overflows and the group would silently get vacuous
-    full-range intervals."""
-    _check_inputs(cal, test, alpha)
-    if cache is None:
-        cache = {}
-    key = ("rows", partition.name, id(cal), id(test))
-    rows = [(g, *group[key][1:]) for g, group in cache.items() if key in group]
-    if not rows:
-        cal_groups = partition.labels(cal)
-        test_groups = partition.labels(test)
-        for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist():
-            idx = np.flatnonzero(cal_groups == g), np.flatnonzero(test_groups == g)
-            cache.setdefault(g, {})[key] = ((cal, test), *idx)
-            rows.append((g, *idx))
+    coverage guarantee holds per group. ``split`` is grouped once: each
+    group's rows form a Split of their own, kept by ``split``, which serves
+    every method run on that group. Groups whose calibration count falls
+    below ``min_group_cal`` are rejected loudly, on every call: with too few
+    scores the quantile rank overflows and the group would silently get
+    vacuous full-range intervals."""
+    cal, test = split.cal, split.test
+
+    def group_rows():
+        cal_groups = split.labels(partition, "cal")
+        test_groups = split.labels(partition, "test")
+        return [
+            (g, np.flatnonzero(cal_groups == g), np.flatnonzero(test_groups == g))
+            for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist()
+        ]
+
     lower = np.empty(len(test))
     upper = np.empty(len(test))
     y_hat = np.empty(len(test))
     per_group_q: dict[str, object] = {}
     learners: list = []
-    for g, cal_idx, test_idx in rows:
+    for g, cal_idx, test_idx in split.memo(("groups", partition.name), group_rows):
         if len(cal_idx) < min_group_cal:
             raise DataError(
                 f"group {g!r} has {len(cal_idx)} calibration samples, "
@@ -664,9 +622,11 @@ def run_mondrian(
             )
         if not len(test_idx):
             continue
-        sub = run_method(
-            inner, cal[cal_idx], test[test_idx], alpha, scale, cfg, cache[g]
+        group = split.memo(
+            ("group", partition.name, g),
+            lambda: Split(cal[cal_idx], test[test_idx], split.alpha, split.scale, split.cfg),
         )
+        sub = run_method(inner, group)
         per_group_q[g] = sub.calibration.q_hat
         learners.append((g, sub.calibration.learners))
         lower[test_idx] = sub.intervals.lower
@@ -677,6 +637,6 @@ def run_mondrian(
         intervals=Intervals(lower, upper),
         y_hat=y_hat,
         calibration=ConformalCalibration(
-            f"mondrian[{inner}]", alpha, per_group_q, tuple(learners)
+            f"mondrian[{inner}]", split.alpha, per_group_q, tuple(learners)
         ),
     )

@@ -20,6 +20,7 @@ from ..base import read_json
 from ..conformal import (
     BUILTIN_PARTITIONS,
     GroupPartition,
+    Split,
     adjust_all,
     run_method,
     run_mondrian,
@@ -197,10 +198,10 @@ def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, gts,
     }
 
 
-def _group_labels(test: Batch, partition: GroupPartition | None) -> np.ndarray | None:
+def _group_labels(split: Split, partition: GroupPartition | None) -> np.ndarray | None:
     if partition is not None:
-        return partition.labels(test)
-    tags = test.group.tolist()
+        return split.labels(partition, "test")
+    tags = split.test.group.tolist()
     if None in tags:
         return None
     return np.array(tags, dtype=str)
@@ -224,10 +225,10 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
             continue
         cal = batch[np.array(plan.cal_indices, dtype=np.intp)]
         test = batch[np.array(plan.test_indices, dtype=np.intp)]
-        # Learner fits shared by this split's methods (per group under Mondrian).
-        cache: dict = {}
+        # The learners and predictions of this split's methods.
+        split = Split(cal, test, config.alpha, config.scale, config.method_config)
         try:
-            test_groups = _group_labels(test, partition)
+            test_groups = _group_labels(split, partition)
         except DataError as exc:
             report.errors.append(_ledger_row(seed, "*", exc))
             continue
@@ -240,7 +241,7 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
             keys["group"] = Strata.of(test_groups)
         for method in config.methods:
             try:
-                rows = _cell_rows(config, seed, method, cal, test, keys, partition, cache)
+                rows = _cell_rows(config, seed, method, split, keys, partition)
             except (DataError, ValueError) as exc:  # the cell failed on its data
                 report.errors.append(_ledger_row(seed, method, exc))
                 continue
@@ -252,24 +253,19 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
     return report
 
 
-def _cell_rows(config, seed, method, cal, test, keys, partition, cache):
+def _cell_rows(config, seed, method, split, keys, partition):
     """Every report row of one (seed, method) cell, by its report table."""
-    scale = config.scale
+    scale, test = config.scale, split.test
     if partition is None:
-        res = run_method(
-            method, cal, test, config.alpha, scale, config.method_config, cache,
-        )
+        res = run_method(method, split)
     else:
-        res = run_mondrian(
-            cal, test, config.alpha, partition, method, scale,
-            config.method_config, cache=cache,
-        )
+        res = run_mondrian(split, partition, method)
     ivs = adjust_all(res.intervals, scale, config.adjust)
     gts = test.y
     cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
     strat = stratified(ivs, res.y_hat, gts, cell_keys)
     rows: dict = {
-        "per_seed": [_seed_row(seed, method, len(cal), ivs, res.y_hat, gts, scale)],
+        "per_seed": [_seed_row(seed, method, len(split.cal), ivs, res.y_hat, gts, scale)],
         "intervals": (
             _interval_lines(seed, method, test, ivs, res.y_hat, gts)
             if config.emit_intervals

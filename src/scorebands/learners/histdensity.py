@@ -55,17 +55,13 @@ class HistDensityModel:
 
 
 def fit_hist_density(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_bins: int,
-    cfg: TrainConfig,
-    lo: float = 0.5,
-    hi: float = 5.5,
+    X: np.ndarray, y: np.ndarray, k_max: int, cfg: TrainConfig
 ) -> HistDensityModel:
-    """Cross-entropy fit on binned labels."""
-    if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
-    bins = HistDensityModel(None, None, n_bins, lo, hi)
+    """Cross-entropy fit on the labels 1..k_max, one bin per label over
+    [0.5, k_max + 0.5]."""
+    if k_max < 2:
+        raise ValueError(f"need at least 2 labels, got {k_max}")
+    bins = HistDensityModel(None, None, k_max, 0.5, k_max + 0.5)
     scaler = Standardizer.fit(X)
-    params = fit_mlp(scaler.transform(X), bins.bin_index(y), n_bins, softmax_ce_head, cfg)
+    params = fit_mlp(scaler.transform(X), bins.bin_index(y), k_max, softmax_ce_head, cfg)
     return replace(bins, params=params, scaler=scaler)

@@ -54,7 +54,7 @@ def fit_spread_head(
     of its mean head on X.
 
     `X` must be the mean head's training set. The mean head is kept as it
-    is, so a cached mean-only model gains a spread head without being
+    is, so a mean-only model already fit gains a spread head without being
     trained again.
     """
     sigma_params = fit_mlp(model.scaler.transform(X), abs_resid, 1, squared_head, cfg)

@@ -18,6 +18,7 @@ import extraction_corpus as corpus
 from scorebands.conformal import (
     BUILTIN_PARTITIONS,
     MethodConfig,
+    Split,
     adjust_all,
     conformal_quantile,
     run_method,
@@ -125,9 +126,9 @@ def test_criterion_02_marginal_coverage_all_methods():
     per_seed["ordinal_aps"] = []
     for seed in range(10):
         cal, test, gts = _mc_split(seed)
-        cache: dict = {}
+        split = Split(cal, test, ALPHA, SCALE, MC_CONFIG)
         for method in per_seed:
-            res = run_method(method, cal, test, ALPHA, SCALE, MC_CONFIG, cache)
+            res = run_method(method, split)
             per_seed[method].append(coverage(res.intervals, gts))
     elapsed = time.perf_counter() - start
     means = {m: float(np.mean(v)) for m, v in per_seed.items()}
@@ -198,8 +199,8 @@ def test_criterion_05_mondrian_adaptation():
         cal, test, gts = _mc_split(
             seed, generator="heteroscedastic_groups", sigma=0.25, sigma_ratio=3.0
         )
-        res_m = run_mondrian(cal, test, ALPHA, part, "naive_split", SCALE, cfg)
-        res_g = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
+        res_m = run_mondrian(Split(cal, test, ALPHA, SCALE, cfg), part, "naive_split")
+        res_g = run_method("naive_split", Split(cal, test, ALPHA, SCALE, cfg))
         low = [i for i, g in enumerate(test.group) if g == "low"]
         high = [i for i, g in enumerate(test.group) if g == "high"]
         cov_low.append(coverage(res_m.intervals[low], gts[low]))
@@ -238,9 +239,9 @@ def test_criterion_06_degenerate_collapse():
         cal = samples[np.array(plan.cal_indices)]
         test = samples[np.array(plan.test_indices)]
         gts = test.y
-        cache: dict = {}
+        split = Split(cal, test, ALPHA, SCALE, MC_CONFIG)
         for method in stats:
-            res = run_method(method, cal, test, ALPHA, SCALE, MC_CONFIG, cache)
+            res = run_method(method, split)
             stats[method]["cov"].append(coverage(res.intervals, gts))
             stats[method]["w"].append(np.mean(res.intervals.width))
     means = {
@@ -405,7 +406,7 @@ def test_criterion_10_protocol_shape_and_seed_stability():
         plan = make_split(4000, 0.5, seed)
         cal = samples[np.array(plan.cal_indices)]
         test = samples[np.array(plan.test_indices)]
-        res = run_method("naive_split", cal, test, ALPHA, SCALE, cfg)
+        res = run_method("naive_split", Split(cal, test, ALPHA, SCALE, cfg))
         covs.append(coverage(res.intervals, test.y))
     checkpoints = [float(np.mean(covs[:k])) for k in (5, 10, 15, 20, 25, 30)]
     drift = max(checkpoints) - min(checkpoints)

@@ -31,6 +31,8 @@ def test_parse_seeds():
     assert parse_seeds("7") == (7,)
     with pytest.raises(UsageError):
         parse_seeds(",")
+    with pytest.raises(UsageError, match="'5-3'"):
+        parse_seeds("0,5-3")
 
 
 def test_parse_methods():

@@ -15,6 +15,7 @@ from scorebands.conformal import (
     GroupPartition,
     MethodConfig,
     MethodResult,
+    Split,
     _aps_paths,
     _interval,
     adjust_all,
@@ -408,21 +409,24 @@ class TestMethodRunners:
     def test_unknown_method(self):
         cal, test, _ = split_synth(n=100, seed=1)
         with pytest.raises(DataError):
-            run_method("magic", cal, test, 0.1, SCALE, FAST)
+            run_method("magic", Split(cal, test, 0.1, SCALE, FAST))
 
     def test_empty_inputs_rejected(self):
         cal, test, _ = split_synth(n=100, seed=1)
-        with pytest.raises(DataError):
-            run_method("naive_split", cal[:0], test, 0.1, SCALE, FAST)
-        with pytest.raises(DataError):
-            run_method("naive_split", cal, test[:0], 0.1, SCALE, FAST)
+        with pytest.raises(DataError, match="empty calibration set"):
+            Split(cal[:0], test, 0.1, SCALE, FAST)
+        with pytest.raises(DataError, match="empty test set"):
+            Split(cal, test[:0], 0.1, SCALE, FAST)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(DataError, match="alpha"):
+                Split(cal, test, alpha, SCALE, FAST)
 
     def test_all_methods_produce_valid_intervals(self):
         cal, test, gts = split_synth(n=700, seed=2, label_noise=0.35)
         from scorebands.conformal import METHOD_NAMES
 
         for method in METHOD_NAMES:
-            res = run_method(method, cal, test, 0.1, SCALE, FAST, {})
+            res = run_method(method, Split(cal, test, 0.1, SCALE, FAST))
             assert len(res.intervals) == len(test)
             assert len(res.y_hat) == len(test)
             ivs = res.intervals
@@ -431,28 +435,29 @@ class TestMethodRunners:
 
     def test_deterministic(self):
         cal, test, _ = split_synth(n=500, seed=3, label_noise=0.35)
-        a = run_method("r2ccp", cal, test, 0.1, SCALE, FAST, {})
-        b = run_method("r2ccp", cal, test, 0.1, SCALE, FAST, {})
+        a = run_method("r2ccp", Split(cal, test, 0.1, SCALE, FAST))
+        b = run_method("r2ccp", Split(cal, test, 0.1, SCALE, FAST))
         assert a.intervals == b.intervals
         assert np.array_equal(a.y_hat, b.y_hat)
 
     def test_cache_reuse_matches_fresh_fit(self):
         cal, test, _ = split_synth(n=500, seed=5, label_noise=0.35)
-        cache = {}
-        run_method("lvd", cal, test, 0.1, SCALE, FAST, cache)  # populates pointvar_sigma
-        res_cached = run_method("naive_split", cal, test, 0.1, SCALE, FAST, cache)
-        res_fresh = run_method("naive_split", cal, test, 0.1, SCALE, FAST, None)
+        split = Split(cal, test, 0.1, SCALE, FAST)
+        lvd = run_method("lvd", split)  # fits the mean network and its spread head
+        res_cached = run_method("naive_split", split)
+        res_fresh = run_method("naive_split", Split(cal, test, 0.1, SCALE, FAST))
+        assert res_cached.calibration.learners[0] is lvd.calibration.learners[0]
         assert res_cached.intervals == res_fresh.intervals
 
     def test_boosted_zero_rounds_reduces(self):
         cal, test, _ = split_synth(n=500, seed=6, label_noise=0.35)
         cfg = MethodConfig(train=FAST.train, boost_rounds=0)
-        a = run_method("boosted_cqr", cal, test, 0.1, SCALE, cfg, None)
-        b = run_method("cqr", cal, test, 0.1, SCALE, cfg, None)
+        a = run_method("boosted_cqr", Split(cal, test, 0.1, SCALE, cfg))
+        b = run_method("cqr", Split(cal, test, 0.1, SCALE, cfg))
         assert a.method == "boosted_cqr"
         assert a.intervals == b.intervals
-        a = run_method("boosted_lcp", cal, test, 0.1, SCALE, cfg, None)
-        b = run_method("lvd", cal, test, 0.1, SCALE, cfg, None)
+        a = run_method("boosted_lcp", Split(cal, test, 0.1, SCALE, cfg))
+        b = run_method("lvd", Split(cal, test, 0.1, SCALE, cfg))
         assert a.intervals == b.intervals
 
     def test_unknown_point_predictor_rejected(self):
@@ -463,7 +468,7 @@ class TestMethodRunners:
         cal, test, _ = split_synth(n=400, seed=7, label_noise=0.35)
         X = test.X
         for method in ("chr", "r2ccp"):
-            res = run_method(method, cal, test, 0.1, SCALE, FAST)
+            res = run_method(method, Split(cal, test, 0.1, SCALE, FAST))
             (model,) = res.calibration.learners
             probs = np.exp(model.predict_log_proba(X))
             assert np.array_equal(res.y_hat, probs @ model.bin_centers()), method
@@ -471,7 +476,7 @@ class TestMethodRunners:
     def test_argmax_feature_point_predictor(self):
         cal, test, _ = split_synth(n=400, seed=7)
         cfg = MethodConfig(train=FAST.train, point_predictor="argmax_feature")
-        res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
+        res = run_method("naive_split", Split(cal, test, 0.1, SCALE, cfg))
         expected = test.X[:, :5].argmax(axis=1) + 1.0
         assert np.array_equal(res.y_hat, expected)
 
@@ -503,7 +508,7 @@ class TestNonDefaultScale:
         )
         gts = test.y
         for method in METHOD_NAMES:
-            res = run_method(method, cal, test, 0.1, scale, cfg, {})
+            res = run_method(method, Split(cal, test, 0.1, scale, cfg))
             assert 0.8 <= coverage(res.intervals, gts) <= 1.0
             ivs = res.intervals
             assert np.all((1.0 <= ivs.lower) & (ivs.lower <= ivs.upper) & (ivs.upper <= 3.0))
@@ -522,8 +527,8 @@ class TestMondrian:
     def test_single_group_identical_to_inner(self):
         cal, test, _ = split_synth(n=600, seed=8, label_noise=0.35)
         part = GroupPartition(name="all", group_of=None, tag_field="dataset_tag")
-        res_m = run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
-        res_d = run_method("naive_split", cal, test, 0.1, SCALE, FAST)
+        res_m = run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, "naive_split")
+        res_d = run_method("naive_split", Split(cal, test, 0.1, SCALE, FAST))
         assert res_m.intervals == res_d.intervals
         assert np.array_equal(res_m.y_hat, res_d.y_hat)
 
@@ -533,20 +538,20 @@ class TestMondrian:
         )
         part = BUILTIN_PARTITIONS["by_group_tag"]
         with pytest.raises(DataError, match="group 'high'"):
-            run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST,
+            run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, "naive_split",
                          min_group_cal=10_000)
 
     def test_unmapped_dataset_rejected(self):
         cal, test, _ = split_synth(n=200, seed=10)
         part = GroupPartition(name="p", group_of={"other": "easy"})
         with pytest.raises(DataError, match="no group for dataset"):
-            run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
+            run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, "naive_split")
 
     def test_missing_group_tag_rejected(self):
         cal, test, _ = split_synth(n=200, seed=11)  # peaked: no group tags
         part = BUILTIN_PARTITIONS["by_group_tag"]
         with pytest.raises(DataError, match="group_tag"):
-            run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
+            run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, "naive_split")
 
     def test_shared_cache_matches_fresh_fits(self):
         cal, test, _ = split_synth(
@@ -557,19 +562,21 @@ class TestMondrian:
             train=TrainConfig(epochs=5, batch_size=256, learning_rate=0.1),
             boost_rounds=5,
         )
-        shared: dict = {}
+        shared = Split(cal, test, 0.1, SCALE, cfg)
+        results = {}
         for method in sorted(METHODS):
-            res_s = run_mondrian(cal, test, 0.1, part, method, SCALE, cfg,
-                                 cache=shared)
-            res_f = run_mondrian(cal, test, 0.1, part, method, SCALE, cfg)
+            res_s = results[method] = run_mondrian(shared, part, method)
+            res_f = run_mondrian(Split(cal, test, 0.1, SCALE, cfg), part, method)
             assert res_s.intervals == res_f.intervals, method
             assert np.array_equal(res_s.y_hat, res_f.y_hat), method
-        assert sorted(shared) == ["high", "low"]
-        assert any(key[0] == "pointvar_mean" for key in shared["low"])
+        # The methods of a group share its mean network.
+        naive, lvd = (dict(results[m].calibration.learners) for m in ("naive_split", "lvd"))
+        assert sorted(naive) == sorted(lvd) == ["high", "low"]
+        assert all(naive[g][0] is lvd[g][0] for g in naive)
 
     def test_split_is_grouped_once_per_cache(self, monkeypatch):
-        """Nine methods on one cache label the calibration and test rows once
-        each; every result equals a fresh-cache run."""
+        """Nine methods on one Split label the calibration and test rows once
+        each; every result equals a fresh Split's."""
         cal, test, _ = split_synth(n=800, seed=17, generator="heteroscedastic_groups")
         part = BUILTIN_PARTITIONS["by_group_tag"]
         calls = []
@@ -579,32 +586,65 @@ class TestMondrian:
             calls.append(len(batch))
             return original(self, batch)
 
-        shared: dict = {}
+        shared = Split(cal, test, 0.1, SCALE, FAST)
         monkeypatch.setattr(GroupPartition, "labels", counted)
-        results = {m: run_mondrian(cal, test, 0.1, part, m, SCALE, FAST, cache=shared)
-                   for m in METHODS}
+        results = {m: run_mondrian(shared, part, m) for m in METHODS}
         assert len(METHODS) == 9 and sorted(calls) == sorted([len(cal), len(test)])
         for m, res_s in results.items():
-            res_f = run_mondrian(cal, test, 0.1, part, m, SCALE, FAST, cache={})
+            res_f = run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, m)
             assert res_s.intervals == res_f.intervals, m
             assert np.array_equal(res_s.y_hat, res_f.y_hat), m
             assert res_s.calibration.q_hat == res_f.calibration.q_hat, m
-        # A group below the minimum is rejected on every call, cached or not.
+        # A group below the minimum is rejected on every call, grouped or not.
+        labelled = len(calls)
         for _ in range(2):
             with pytest.raises(DataError, match="calibration samples"):
-                run_mondrian(cal, test, 0.1, part, "cqr", SCALE, FAST, cache=shared,
-                             min_group_cal=10_000)
-        # Other test rows on the same cache are grouped afresh.
-        _, other, _ = split_synth(n=500, seed=18, generator="heteroscedastic_groups")
-        res_s = run_mondrian(cal, other, 0.1, part, "cqr", SCALE, FAST, cache=shared)
-        res_f = run_mondrian(cal, other, 0.1, part, "cqr", SCALE, FAST, cache={})
-        assert res_s.intervals == res_f.intervals
+                run_mondrian(shared, part, "cqr", min_group_cal=10_000)
+        assert len(calls) == labelled
+
+    def test_group_without_calibration_rows_rejected(self):
+        """A group with test rows and no calibration rows raises on every
+        call, even with no minimum group size."""
+        cal, test, _ = split_synth(n=400, seed=19, generator="heteroscedastic_groups")
+        cal = cal[cal.group == "low"]
+        split = Split(cal, test, 0.1, SCALE, FAST)
+        part = BUILTIN_PARTITIONS["by_group_tag"]
+        with pytest.raises(DataError, match="group 'high' has 0 calibration samples"):
+            run_mondrian(split, part, "naive_split")
+        for _ in range(2):
+            with pytest.raises(DataError, match="empty calibration set"):
+                run_mondrian(split, part, "naive_split", min_group_cal=0)
+
+    def test_run_experiment_labels_each_row_set_once(self, monkeypatch):
+        """One seed of nine Mondrian methods labels the calibration rows and
+        the test rows once each: the runner's group strata and every
+        method's groups read the same labels."""
+        from scorebands.harness import ExperimentConfig, run_experiment
+
+        batch, _ = generate_synthetic(
+            SyntheticSpec(n=400, seed=20, generator="heteroscedastic_groups")
+        )
+        calls = []
+        original = GroupPartition.labels
+
+        def counted(self, rows):
+            calls.append(len(rows))
+            return original(self, rows)
+
+        monkeypatch.setattr(GroupPartition, "labels", counted)
+        config = ExperimentConfig.from_dict(
+            {"seeds": [0], "mondrian": "by_group_tag", "epochs": 2, "boost_rounds": 2}
+        )
+        report = run_experiment(config, batch)
+        assert not report.errors and len(report.per_seed) == len(METHODS)
+        plan = make_split(len(batch), config.cal_fraction, 0)
+        assert sorted(calls) == sorted([len(plan.cal_indices), len(plan.test_indices)])
 
     def test_lvd_wider_in_noisy_cluster(self):
         cal, test, _ = split_synth(
             n=2000, seed=13, generator="heteroscedastic_groups", sigma=0.25
         )
-        res = run_method("lvd", cal, test, 0.1, SCALE, FAST)
+        res = run_method("lvd", Split(cal, test, 0.1, SCALE, FAST))
         low = res.intervals.width[test.group == "low"]
         high = res.intervals.width[test.group == "high"]
         assert np.mean(high) > np.mean(low)
@@ -615,9 +655,9 @@ class TestMondrian:
             cal, test, _ = split_synth(
                 n=2000, seed=seed, generator="heteroscedastic_groups", sigma=0.25
             )
-            cache = {}
+            split = Split(cal, test, 0.1, SCALE, FAST)
             for method in widths:
-                res = run_method(method, cal, test, 0.1, SCALE, FAST, cache)
+                res = run_method(method, split)
                 widths[method].append(np.mean(res.intervals.width))
         assert np.mean(widths["r2ccp"]) < np.mean(widths["naive_split"])
 
@@ -626,8 +666,8 @@ class TestMondrian:
             n=2400, seed=12, generator="heteroscedastic_groups", sigma=0.25
         )
         part = BUILTIN_PARTITIONS["by_group_tag"]
-        res_m = run_mondrian(cal, test, 0.1, part, "naive_split", SCALE, FAST)
-        res_g = run_method("naive_split", cal, test, 0.1, SCALE, FAST)
+        res_m = run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, "naive_split")
+        res_g = run_method("naive_split", Split(cal, test, 0.1, SCALE, FAST))
         low = np.flatnonzero(test.group == "low")
         high = np.flatnonzero(test.group == "high")
         for idx in (low, high):
@@ -806,8 +846,9 @@ class TestBandRule:
         cal, test, _ = split_synth(n=600, seed=34, label_noise=0.35)
         cfg = MethodConfig(train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1),
                            boost_rounds=8)
-        res = run_method(method, cal, test, 0.1, SCALE, cfg, {})
-        m, conf = res.calibration.learners, cal[len(cal) // 2 :]
+        split = Split(cal, test, 0.1, SCALE, cfg)
+        res = run_method(method, split)
+        m, conf = res.calibration.learners, split.conf
         sigma = {
             "lvd": lambda X: m[1].predict_sigma(X),
             "boosted_lcp": lambda X: np.maximum(m[1].predict(X), cfg.sigma_floor),
@@ -835,13 +876,14 @@ class TestBandRule:
         each row's lower to its higher output, as the former row sort gave."""
         from types import SimpleNamespace
 
-        from scorebands.conformal import _boosted_quantiles, _shared
+        from scorebands.conformal import _boosted_quantiles
 
         rng = np.random.default_rng(35)
         a, b = rng.normal(3.0, 1.0, 500), rng.normal(3.0, 1.0, 500)
         a[:50] = b[:50]  # ties
         forests = [SimpleNamespace(predict=lambda X, v=v: v) for v in (a, b)]
-        lo, hi, spread = _boosted_quantiles(forests, FAST, _shared(None, np.zeros((500, 5))))
+        cal, test, _ = split_synth(n=200, seed=35)
+        lo, hi, spread = _boosted_quantiles(forests, Split(cal, test, 0.1, SCALE), "test")
         rows = np.sort(np.column_stack([a, b]), axis=1)
         assert (a > b).any() and (a < b).any() and spread == 1.0
         assert (lo.tobytes(), hi.tobytes()) == (rows[:, 0].tobytes(), rows[:, -1].tobytes())
@@ -1047,38 +1089,38 @@ class TestQuantileNaN:
 
 
 class TestCacheKeys:
+    """The methods of one Split share its learners and their predictions: a
+    fit is keyed by its learner kind, a prediction by its model, what it
+    predicts and the row set."""
+
     FAST_FIT = MethodConfig(
         train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1), boost_rounds=8
     )
 
+    @staticmethod
+    def assert_same(res_s, res_f, what):
+        assert res_s.calibration.q_hat == res_f.calibration.q_hat, what
+        assert res_s.intervals == res_f.intervals, what
+        assert res_s.y_hat.tobytes() == res_f.y_hat.tobytes(), what
+
     @pytest.mark.parametrize("method", ["cqr", "cqr_asym", "boosted_cqr"])
     def test_shared_cache_equals_fresh_fits_across_alphas(self, method):
+        """The quantile learners' targets follow alpha; at each alpha, a
+        Split that the other quantile methods ran on first gives what a
+        fresh Split gives."""
         cal, test, _ = split_synth(n=600, seed=21, label_noise=0.35)
-        shared: dict = {}
         for alpha in (0.1, 0.3):
-            res_s = run_method(method, cal, test, alpha, SCALE, self.FAST_FIT, shared)
-            res_f = run_method(method, cal, test, alpha, SCALE, self.FAST_FIT, {})
-            assert res_s.calibration.q_hat == res_f.calibration.q_hat, alpha
-            assert res_s.intervals == res_f.intervals, alpha
-            assert np.array_equal(res_s.y_hat, res_f.y_hat), alpha
-
-    def test_training_settings_are_part_of_the_key(self):
-        cal, test, _ = split_synth(n=600, seed=22)
-        other = MethodConfig(
-            train=TrainConfig(epochs=3, batch_size=256, learning_rate=0.1), boost_rounds=8
-        )
-        shared: dict = {}
-        run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res_s = run_method("naive_split", cal, test, 0.1, SCALE, other, shared)
-        res_f = run_method("naive_split", cal, test, 0.1, SCALE, other, {})
-        assert res_s.intervals == res_f.intervals
-        fits = [key for key in shared if key[0] != "predicted"]
-        assert len(fits) == 2
+            shared = Split(cal, test, alpha, SCALE, self.FAST_FIT)
+            for other in ("cqr", "cqr_asym", "boosted_cqr"):
+                run_method(other, shared)
+            res_f = run_method(method, Split(cal, test, alpha, SCALE, self.FAST_FIT))
+            self.assert_same(run_method(method, shared), res_f, alpha)
 
     @staticmethod
     def count_predictions(monkeypatch) -> list:
-        """(method name, rows) of every mean-network and quantile-pair call."""
-        from scorebands.learners import QuantileModel
+        """(model id, what, rows id, row count, result) of every prediction
+        a learner makes."""
+        from scorebands.learners import BoostedModel, QuantileModel
 
         calls = []
 
@@ -1086,37 +1128,50 @@ class TestCacheKeys:
             original = getattr(cls, name)
 
             def wrapper(self, X):
-                calls.append((name, len(X)))
-                return original(self, X)
+                value = original(self, X)
+                calls.append((id(self), f"{cls.__name__}.{name}", id(X), len(X), value))
+                return value
 
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(PointVarModel, "predict_mean")
+        counted(PointVarModel, "predict_sigma")
         counted(QuantileModel, "predict")
+        counted(BoostedModel, "predict")
+        counted(HistDensityModel, "predict_log_proba")
         return calls
 
     @staticmethod
     def once_per_split(cal, test) -> list:
-        """The calls of every method of one split: the mean network predicts
-        the learner half, the conformal half and the test set once each; the
-        quantile pair the last two."""
+        """(what, row count) of every prediction that the nine methods of
+        one split make: the mean network predicts the learner half, the
+        conformal half and the test set; the spread head, the quantile
+        network, the three forests and the label network the last two."""
         n_learn, n_conf = len(cal) // 2, len(cal) - len(cal) // 2
-        return [("predict_mean", n) for n in (n_learn, n_conf, len(test))] + [
-            ("predict", n) for n in (n_conf, len(test))
+        each = [
+            "PointVarModel.predict_sigma", "QuantileModel.predict", "BoostedModel.predict",
+            "BoostedModel.predict", "BoostedModel.predict", "HistDensityModel.predict_log_proba",
         ]
+        return [("PointVarModel.predict_mean", n_learn)] + [
+            (what, n) for what in ["PointVarModel.predict_mean"] + each
+            for n in (n_conf, len(test))
+        ]
+
+    @staticmethod
+    def assert_once_each(calls, want):
+        """Each model predicts each row set at most once, and the
+        predictions made are ``want``."""
+        assert len({c[:3] for c in calls}) == len(calls)
+        assert sorted(c[1:4:2] for c in calls) == sorted(want)
 
     def test_each_prediction_is_made_once_per_split(self, monkeypatch):
         calls = self.count_predictions(monkeypatch)
         cal, test, _ = split_synth(n=601, seed=23, label_noise=0.35)
-        shared: dict = {}
-        results = {
-            m: run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, shared) for m in METHODS
-        }
-        assert sorted(calls) == sorted(self.once_per_split(cal, test))
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        results = {m: run_method(m, shared) for m in METHODS}
+        self.assert_once_each(calls, self.once_per_split(cal, test))
         for m, res in results.items():
-            fresh = run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, {})
-            assert res.intervals == fresh.intervals, m
-            assert np.array_equal(res.y_hat, fresh.y_hat), m
+            self.assert_same(res, run_method(m, Split(cal, test, 0.1, SCALE, self.FAST_FIT)), m)
 
     def test_each_prediction_is_made_once_per_group(self, monkeypatch):
         cal, test, _ = split_synth(
@@ -1124,64 +1179,67 @@ class TestCacheKeys:
         )
         part = BUILTIN_PARTITIONS["by_group_tag"]
         calls = self.count_predictions(monkeypatch)
-        shared: dict = {}
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
         for m in METHODS:
-            run_mondrian(cal, test, 0.1, part, m, SCALE, self.FAST_FIT, cache=shared)
+            run_mondrian(shared, part, m)
         cal_groups, test_groups = part.labels(cal), part.labels(test)
+        groups = sorted(set(cal_groups.tolist()))
         want = []
-        for g in shared:
+        for g in groups:
             want += self.once_per_split(cal[cal_groups == g], test[test_groups == g])
-        assert len(shared) > 1 and sorted(calls) == sorted(want)
+        assert len(groups) > 1
+        self.assert_once_each(calls, want)
 
-    def test_one_cache_serves_other_test_sets(self):
-        cal, test, _ = split_synth(n=600, seed=26, label_noise=0.35)
-        _, other, _ = split_synth(n=500, seed=27, label_noise=0.35)
-        shared: dict = {}
-        for m in METHODS:
-            for rows in (test, other, test[::-1], test[::2], test):
-                res_s = run_method(m, cal, rows, 0.1, SCALE, self.FAST_FIT, shared)
-                res_f = run_method(m, cal, rows, 0.1, SCALE, self.FAST_FIT, {})
-                assert res_s.intervals == res_f.intervals, m
-                assert np.array_equal(res_s.y_hat, res_f.y_hat), m
-
-    def test_shared_predictions_are_read_only(self):
+    def test_shared_predictions_are_read_only(self, monkeypatch):
+        calls = self.count_predictions(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=28)
-        shared: dict = {}
-        for m in METHODS:
-            run_method(m, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        # The mean network's on three parts, the quantile pair's and the
-        # label network's on two each.
-        predicted = [v[1] for k, v in shared.items() if k[0] == "predicted"]
-        assert len(predicted) == 7
-        assert not any(a.flags.writeable for a in predicted)
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        results = [run_method(m, shared) for m in METHODS]
+        kept = [c[-1] for c in calls]
+        assert len(kept) == len(self.once_per_split(cal, test)) == 15
+        assert not any(a.flags.writeable for a in kept)
         # A point prediction is the result's own array: writing to it leaves
-        # the kept mean as it was.
-        kept = [a.copy() for a in predicted]
-        res = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res.y_hat[:] = 0.0
-        assert all(np.array_equal(a, b) for a, b in zip(predicted, kept))
-        again = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        fresh = run_method("naive_split", cal, test, 0.1, SCALE, self.FAST_FIT, {})
-        assert again.intervals == fresh.intervals
-        assert np.array_equal(again.y_hat, fresh.y_hat)
+        # every kept prediction as it was.
+        copies = [a.copy() for a in kept]
+        for res in results:
+            assert res.y_hat.flags.writeable, res.method
+            assert not any(np.shares_memory(res.y_hat, a) for a in kept), res.method
+            res.y_hat[:] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
+        fresh = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        for m in METHODS:
+            self.assert_same(run_method(m, shared), run_method(m, fresh), m)
 
-    def test_r2ccp_after_chr_adds_no_fit_and_no_kept_array(self):
-        """r2ccp reads chr's label network: after chr on one cache it adds
-        neither a fit nor a kept prediction."""
+    def test_r2ccp_after_chr_adds_no_fit_and_no_kept_array(self, monkeypatch):
+        """r2ccp reads chr's label network: after chr on one Split it adds
+        neither a fit nor a prediction."""
+        calls = self.count_predictions(monkeypatch)
+        fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=28)
-        shared: dict = {}
-        run_method("chr", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        before = list(shared)
-        res_s = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res_f = run_method("r2ccp", cal, test, 0.1, SCALE, self.FAST_FIT, {})
-        assert list(shared) == before
-        assert [k for k in shared if k[0] != "predicted"] == [
-            ("hist", 5, 0.5, 5.5, self.FAST_FIT.train)
-        ]
-        kept = [k for k in shared if k[:2] == ("predicted", "predict_log_proba")]
-        assert len(kept) == len(shared) - 1 == 2
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        res_chr = run_method("chr", shared)
+        assert (len(fits), len(calls)) == (1, 2)
+        res_s = run_method("r2ccp", shared)
+        assert (len(fits), len(calls)) == (1, 2)
+        assert res_s.calibration.learners[0] is res_chr.calibration.learners[0]
+        res_f = run_method("r2ccp", Split(cal, test, 0.1, SCALE, self.FAST_FIT))
         assert res_s.intervals == res_f.intervals
         assert res_s.y_hat.flags.writeable
+
+
+def count_label_fits(monkeypatch) -> list:
+    """The row count of every label-network fit."""
+    from scorebands import conformal
+
+    fits = []
+    original = conformal.fit_hist_density
+
+    def counted(X, *args, **kwargs):
+        fits.append(len(X))
+        return original(X, *args, **kwargs)
+
+    monkeypatch.setattr(conformal, "fit_hist_density", counted)
+    return fits
 
 
 class TestLabelNetwork:
@@ -1194,15 +1252,13 @@ class TestLabelNetwork:
     def test_chr_has_one_bin_per_label(self, k_max):
         scale = RatingScale(k_max=k_max)
         cal, test, _ = split_synth(n=300, seed=31, scale=scale, feature_dim=k_max)
-        res = run_method("chr", cal, test, 0.1, scale, self.FAST_FIT, {})
+        res = run_method("chr", Split(cal, test, 0.1, scale, self.FAST_FIT))
         (model,) = res.calibration.learners
         # So no two labels share a bin: on ten labels, 5 and 6 no longer do.
         assert model.n_bins == k_max
         assert model.bin_index(np.arange(1.0, k_max + 1)).tolist() == list(range(k_max))
 
     def test_chr_and_ordinal_aps_share_one_fit_and_forward_pass(self, monkeypatch):
-        from scorebands.learners import HistDensityModel
-
         calls = []
         original = HistDensityModel.predict_log_proba
 
@@ -1211,15 +1267,13 @@ class TestLabelNetwork:
             return original(self, X)
 
         monkeypatch.setattr(HistDensityModel, "predict_log_proba", counted)
+        fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=32, label_noise=0.35)
-        shared: dict = {}
-        res_chr = run_method("chr", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res_aps = run_method("ordinal_aps", cal, test, 0.1, SCALE, self.FAST_FIT, shared)
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        res_chr = run_method("chr", shared)
+        res_aps = run_method("ordinal_aps", shared)
         assert res_chr.calibration.learners[0] is res_aps.calibration.learners[0]
-        hist = [k for k in shared if k[0] == "hist"]
-        assert hist == [("hist", 5, 0.5, 5.5, self.FAST_FIT.train)]
-        kept = [k for k in shared if k[:2] == ("predicted", "predict_log_proba")]
-        assert len(kept) == 2
+        assert fits == [len(cal) // 2]
         assert sorted(calls) == sorted([len(cal) - len(cal) // 2, len(test)])
 
     @pytest.mark.parametrize("k_max", [3, 5, 10])
@@ -1230,10 +1284,10 @@ class TestLabelNetwork:
         scale = RatingScale(k_max=k_max)
         cal, test, _ = split_synth(n=600, seed=34, scale=scale, feature_dim=k_max,
                                    label_noise=0.35)
-        shared: dict = {}
-        res_chr = run_method("chr", cal, test, 0.1, scale, self.FAST_FIT, shared)
-        res_r2 = run_method("r2ccp", cal, test, 0.1, scale, self.FAST_FIT, shared)
-        assert len([k for k in shared if k[0] == "hist"]) == 1
+        shared = Split(cal, test, 0.1, scale, self.FAST_FIT)
+        res_chr = run_method("chr", shared)
+        res_r2 = run_method("r2ccp", shared)
+        assert res_r2.calibration.learners[0] is res_chr.calibration.learners[0]
         assert res_r2.calibration.q_hat == res_chr.calibration.q_hat
         assert res_r2.y_hat.tobytes() == res_chr.y_hat.tobytes()
         lo, hi = res_chr.intervals.lower, res_chr.intervals.upper
@@ -1245,11 +1299,11 @@ class TestLabelNetwork:
                                              ("ordinal_aps", "chr")])
     def test_shared_label_network_equals_fresh_fit(self, first, then):
         cal, test, _ = split_synth(n=600, seed=33, label_noise=0.35)
-        shared: dict = {}
-        run_method(first, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res_s = run_method(then, cal, test, 0.1, SCALE, self.FAST_FIT, shared)
-        res_f = run_method(then, cal, test, 0.1, SCALE, self.FAST_FIT, {})
-        assert len([k for k in shared if k[0] == "hist"]) == 1
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        res_first = run_method(first, shared)
+        res_s = run_method(then, shared)
+        res_f = run_method(then, Split(cal, test, 0.1, SCALE, self.FAST_FIT))
+        assert res_s.calibration.learners[0] is res_first.calibration.learners[0]
         assert res_s.calibration.q_hat == res_f.calibration.q_hat
         for a, b in ((res_s.intervals.lower, res_f.intervals.lower),
                      (res_s.intervals.upper, res_f.intervals.upper),

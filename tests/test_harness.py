@@ -409,7 +409,7 @@ class TestSyntheticGenerators:
 
     def test_noiseless_limit(self):
         # Sharpness -> infinity and no label noise: features pin the label.
-        from scorebands.conformal import MethodConfig, run_method
+        from scorebands.conformal import MethodConfig, Split, run_method
         from scorebands.core import make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
@@ -425,7 +425,7 @@ class TestSyntheticGenerators:
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1)
         )
-        res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
+        res = run_method("naive_split", Split(cal, test, 0.1, SCALE, cfg))
         gts = test.y
         assert coverage(res.intervals, gts) >= 0.99
         assert np.mean(res.intervals.width) < 0.5
@@ -433,7 +433,7 @@ class TestSyntheticGenerators:
     def test_default_label_noise_coverage_band(self):
         """Generator at its default settings (label_noise 0.2, temperature 1):
         split CP lands in the Monte-Carlo coverage band over 10 seeds."""
-        from scorebands.conformal import MethodConfig, run_method
+        from scorebands.conformal import MethodConfig, Split, run_method
         from scorebands.core import make_split
         from scorebands.learners import TrainConfig
         from scorebands.metrics import coverage
@@ -450,7 +450,7 @@ class TestSyntheticGenerators:
             plan = make_split(4000, 0.5, seed)
             cal = samples[np.array(plan.cal_indices)]
             test = samples[np.array(plan.test_indices)]
-            res = run_method("naive_split", cal, test, 0.1, SCALE, cfg)
+            res = run_method("naive_split", Split(cal, test, 0.1, SCALE, cfg))
             covs.append(coverage(res.intervals, test.y))
         assert 0.88 <= float(np.mean(covs)) <= 0.92
 

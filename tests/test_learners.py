@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorebands.learners import (
+    HistDensityModel,
     absolute_loss,
     fit_boosted,
     fit_grid_classifier,
@@ -293,15 +294,24 @@ class TestHistDensity:
         assert model_ll < marg_ll
 
     def test_bin_geometry(self):
-        rng = np.random.default_rng(7)
-        model = fit_hist_density(
-            rng.normal(size=(30, 2)), np.full(30, 2.0), 9, TrainConfig(epochs=1)
-        )
+        model = HistDensityModel(None, None, 9, 0.5, 5.5)
         assert model.bin_width == pytest.approx(5.0 / 9.0)
         assert model.bin_index(1.0) == 0
         assert model.bin_index(5.0) == 8
         edges = model.bin_edges()
         assert edges[0] == 0.5 and edges[-1] == 5.5
+
+    @pytest.mark.parametrize("k_max", [3, 5, 7])
+    def test_one_bin_per_label(self, k_max):
+        """Label y falls in bin y - 1 on any scale: on seven labels, 5, 6
+        and 7 each get a bin of their own."""
+        rng = np.random.default_rng(7)
+        y = rng.integers(1, k_max + 1, 30).astype(float)
+        model = fit_hist_density(rng.normal(size=(30, 2)), y, k_max, TrainConfig(epochs=1))
+        assert (model.n_bins, model.lo, model.hi) == (k_max, 0.5, k_max + 0.5)
+        labels = np.arange(1.0, k_max + 1)
+        assert model.bin_index(labels).tolist() == list(range(k_max))
+        assert np.array_equal(model.bin_centers(), labels)
 
 
 def fit_mean_and_spread(X, y, cfg):

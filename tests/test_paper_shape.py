@@ -35,6 +35,7 @@ from scorebands.conformal import (
     BUILTIN_PARTITIONS,
     METHOD_NAMES,
     MethodConfig,
+    Split,
     adjust_all,
     run_mondrian,
 )
@@ -105,12 +106,9 @@ def shape():
         width = o.upper - o.lower
         oracle[group] = {"width": float(width.mean()), "labels": float((width + 1).mean())}
     methods = {}
-    cache: dict = {}
+    split = Split(cal, test, ALPHA, SCALE, CONFIG)
     for name in METHOD_NAMES:
-        result = run_mondrian(
-            cal, test, ALPHA, BUILTIN_PARTITIONS["by_group_tag"], name, SCALE,
-            CONFIG, cache=cache,
-        )
+        result = run_mondrian(split, BUILTIN_PARTITIONS["by_group_tag"], name)
         ivs = adjust_all(result.intervals, SCALE, "outward")
         per_group = {}
         for group in GROUPS:
