@@ -29,7 +29,6 @@ _EXPORTS = {
     "MethodResult": "conformal",
     "RatingScale": "base",
     "Split": "conformal",
-    "SplitPlan": "core",
     "SyntheticSpec": "harness",
     "conformal_quantile": "conformal",
     "emit_report": "harness",

@@ -43,7 +43,9 @@ from .learners import (
     fit_point_var,
     fit_quantile_model,
     fit_spread_head,
+    label_columns,
 )
+from .learners.nets import log_softmax
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -160,29 +162,27 @@ def band_intervals(y_conf, conf, test, alpha, scale, symmetric=True):
 def cell_intervals(y_conf, conf, test, alpha, scale, edges=True):
     """CHR/R2CCP: the score is the negative log mass of the label's cell.
 
-    ``conf`` and ``test`` are ``(model, log_proba)`` pairs of a histogram
-    model. A test row's interval is the smallest contiguous run holding every
-    cell whose negative log mass is within the calibrated threshold, from
-    the cells' edges (chr) or centres (r2ccp), here the labels themselves; a
-    row with no qualifying cell gets the full label range. The point is the
-    mean cell centre under the test density.
+    ``conf`` and ``test`` are log-probabilities over the K labels, label y
+    at column y - 1: cell y has centre y and edges y -+ 0.5. A test row's
+    interval is the smallest contiguous run holding every cell whose
+    negative log mass is within the calibrated threshold, from the cells'
+    edges (chr) or centres (r2ccp), here the labels themselves; a row with
+    no qualifying cell gets the full label range. The point is the mean
+    cell centre under the test density.
     """
-    (model, logp_conf), (_, logp_test) = conf, test
-    lows = highs = centres = model.bin_centers()
-    if edges:
-        cells = model.bin_edges()
-        lows, highs = cells[:-1], cells[1:]
+    centres = np.arange(1.0, scale.k_max + 1)
+    lows, highs = (centres - 0.5, centres + 0.5) if edges else (centres, centres)
     thr = conformal_quantile(
-        -logp_conf[np.arange(len(y_conf)), model.bin_index(y_conf)], alpha
+        -conf[np.arange(len(y_conf)), label_columns(y_conf, scale.k_max)], alpha
     )
-    qualifies = -logp_test <= thr
+    qualifies = -test <= thr
     k = qualifies.shape[1]
     first = qualifies.argmax(axis=1)
     last = k - 1 - qualifies[:, ::-1].argmax(axis=1)
     some = qualifies.any(axis=1)
     lo = np.where(some, lows[first], 1.0)
     hi = np.where(some, highs[last], float(scale.k_max))
-    return thr, _interval(lo, hi, scale), np.exp(logp_test) @ centres
+    return thr, _interval(lo, hi, scale), np.exp(test) @ centres
 
 
 def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +251,7 @@ def aps_intervals(y_conf, conf, test, alpha, scale):
     greedy-grown set; a test set is the smallest one reaching the calibrated
     mass. ``conf`` and ``test`` are label probabilities; the point is the
     most probable label."""
-    q = conformal_quantile(aps_scores(conf, y_conf.astype(np.intp) - 1), alpha)
+    q = conformal_quantile(aps_scores(conf, label_columns(y_conf, scale.k_max)), alpha)
     lo_idx, hi_idx, _ = aps_sets(test, q)
     argmax_labels = (1 + test.argmax(axis=1)).astype(np.float64)
     return q, _interval(1 + lo_idx, 1 + hi_idx, scale), argmax_labels
@@ -274,10 +274,10 @@ class Split:
     Every method of a split reads its learners and their predictions from
     here, so each learner is fit once per Split and predicts each row set
     once. A fit is keyed by its learner kind alone, since the Split fixes
-    every other input of it. A prediction is keyed by its model's id, what
-    it predicts and the row set's name; the Split holds every model, so
-    each id stays its model's. A kept prediction is read-only, so the
-    methods that share it cannot change it for one another.
+    every other input of it. A prediction is keyed by its model's id and
+    the row set's name; the Split holds every model, so each id stays its
+    model's. A kept prediction is read-only, so the methods that share it
+    cannot change it for one another.
     """
 
     def __init__(self, cal: Batch, test: Batch, alpha, scale: RatingScale,
@@ -300,16 +300,16 @@ class Split:
             self._memo[key] = make()
         return self._memo[key]
 
-    def predict(self, model, what: str, rows: str) -> np.ndarray:
-        """``model.<what>`` on the row set ``rows`` ("half", "conf" or
+    def predict(self, model, rows: str) -> np.ndarray:
+        """``model.predict`` on the row set ``rows`` ("half", "conf" or
         "test"), read-only."""
 
         def make():
-            value = getattr(model, what)(getattr(self, rows).X)
+            value = model.predict(getattr(self, rows).X)
             value.flags.writeable = False
             return value
 
-        return self.memo((id(model), what, rows), make)
+        return self.memo((id(model), rows), make)
 
     def labels(self, partition: GroupPartition, rows: str) -> np.ndarray:
         """The group of every row of ``rows`` ("cal" or "test"). A Split
@@ -329,19 +329,18 @@ def _taus(alpha: float) -> tuple[float, float]:
 
 def _fit_mean(split):
     """The mean network of the learner half; one serves every method."""
-    half, cfg = split.half, split.cfg
-    fit = partial(fit_point_var, half.X, half.y, cfg.train, sigma_floor=cfg.sigma_floor)
+    half = split.half
+    fit = partial(fit_point_var, half.X, half.y, split.cfg.train)
     return (split.memo("mean", fit),)
 
 
 def _abs_resid(split, mean_model):
     """|y - mean| on the learner half: the target of every spread model."""
-    return np.abs(split.half.y - split.predict(mean_model, "predict_mean", "half"))
+    return np.abs(split.half.y - split.predict(mean_model, "half")[:, 0])
 
 
 def _fit_mean_sigma(split):
-    """The mean network, and the same network with a spread head fit to its
-    residuals."""
+    """The mean network, and a spread network fit to its residuals."""
     (mean_model,) = _fit_mean(split)
     return mean_model, split.memo(
         "sigma",
@@ -384,43 +383,49 @@ def _fit_boosted_spread(split):
 
 
 # Predictions: (learners, split, rows) -> what the learners predict for the
-# split's row set ``rows``, in the form the method's rule reads: a (lo, hi,
-# spread) band for `band_intervals`, a (model, log_proba) pair for
-# `cell_intervals`, label probabilities for `aps_intervals`.
+# split's row set ``rows``, read off the models' raw outputs in the form the
+# method's rule reads: a (lo, hi, spread) band for `band_intervals`, label
+# log-probabilities for `cell_intervals`, label probabilities for
+# `aps_intervals`.
 
 
 def _mean(m, split, rows, spread=1.0):
-    mu = split.predict(m[0], "predict_mean", rows)
+    """The mean network's output at both ends of the band."""
+    mu = split.predict(m[0], rows)[:, 0]
     return mu, mu, spread
 
 
-def _mean_sigma(m, split, rows):
-    return _mean(m, split, rows, split.predict(m[1], "predict_sigma", rows))
+def _mean_spread(m, split, rows):
+    """lvd and boosted_lcp: the mean band, in units of the spread model's
+    prediction (a network's one output or a forest's), at least
+    ``sigma_floor``."""
+    spread = np.ravel(split.predict(m[1], rows))
+    return _mean(m, split, rows, np.maximum(spread, split.cfg.sigma_floor))
 
 
-def _mean_boosted_sigma(m, split, rows):
-    sigma = split.predict(m[1], "predict", rows)
-    return _mean(m, split, rows, np.maximum(sigma, split.cfg.sigma_floor))
-
-
-def _quantiles(m, split, rows):
-    q = split.predict(m[0], "predict", rows)
-    return q[:, 0], q[:, -1], 1.0
-
-
-def _boosted_quantiles(m, split, rows):
-    a, b = (split.predict(model, "predict", rows) for model in m)
+def _sorted_band(a, b):
+    """Two quantile predictions as a band, sorted per row so that its ends
+    never cross."""
     return np.minimum(a, b), np.maximum(a, b), 1.0
 
 
+def _quantiles(m, split, rows):
+    q = split.predict(m[0], rows)
+    return _sorted_band(q[:, 0], q[:, 1])
+
+
+def _boosted_quantiles(m, split, rows):
+    return _sorted_band(*(split.predict(model, rows) for model in m))
+
+
 def _log_proba(m, split, rows):
-    """The label network and its log-probabilities over the labels: chr,
-    r2ccp and ordinal_aps all read them."""
-    return m[0], split.predict(m[0], "predict_log_proba", rows)
+    """The label network's log-probabilities over the labels: chr, r2ccp
+    and ordinal_aps all read them."""
+    return log_softmax(split.predict(m[0], rows))
 
 
 def _proba(m, split, rows):
-    return np.exp(_log_proba(m, split, rows)[1])
+    return np.exp(_log_proba(m, split, rows))
 
 
 @dataclass(frozen=True)
@@ -437,9 +442,9 @@ METHODS: dict[str, Method] = {
     "cqr": Method(_fit_quantiles, _quantiles, band_intervals),
     "cqr_asym": Method(_fit_quantiles, _quantiles, partial(band_intervals, symmetric=False)),
     "chr": Method(_fit_label_bins, _log_proba, cell_intervals),
-    "lvd": Method(_fit_mean_sigma, _mean_sigma, band_intervals),
+    "lvd": Method(_fit_mean_sigma, _mean_spread, band_intervals),
     "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, band_intervals),
-    "boosted_lcp": Method(_fit_boosted_spread, _mean_boosted_sigma, band_intervals),
+    "boosted_lcp": Method(_fit_boosted_spread, _mean_spread, band_intervals),
     "r2ccp": Method(_fit_label_bins, _log_proba, partial(cell_intervals, edges=False)),
     "ordinal_aps": Method(_fit_label_bins, _proba, aps_intervals),
 }

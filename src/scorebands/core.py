@@ -202,16 +202,6 @@ def check_batch(batch: Batch, scale: RatingScale) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Deterministic calibration/test partition of sample indices [0, n)."""
-
-    seed: int
-    cal_fraction: float
-    cal_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
-
-
 def decimal_fraction(x: float) -> Fraction:
     """x as the exact value of the decimal it prints as.
 
@@ -222,14 +212,15 @@ def decimal_fraction(x: float) -> Fraction:
     return Fraction(repr(float(x)))
 
 
-def make_split(n: int, cal_fraction: float, seed: int) -> SplitPlan:
-    """Shuffle [0, n) with a seeded PCG64 generator and cut off the front.
+def make_split(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The calibration and test indices of [0, n): shuffle it with a seeded
+    PCG64 generator and cut off the front.
 
     The calibration set takes the first round(cal_fraction * n) shuffled
     indices, with cal_fraction read as the decimal it prints as and
     round-half-up rounding computed in exact arithmetic, so the cut point
     never drifts across platforms or with the float's rounding error.
-    Identical (n, cal_fraction, seed) always reproduce the identical plan.
+    Identical (n, cal_fraction, seed) always reproduce the identical split.
     """
     if n < 2:
         raise DataError(f"cannot split {n} samples (need at least 2)")
@@ -238,12 +229,7 @@ def make_split(n: int, cal_fraction: float, seed: int) -> SplitPlan:
     n_cal = int(decimal_fraction(cal_fraction) * n + Fraction(1, 2))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    return SplitPlan(
-        seed=seed,
-        cal_fraction=cal_fraction,
-        cal_indices=tuple(int(i) for i in perm[:n_cal]),
-        test_indices=tuple(int(i) for i in perm[n_cal:]),
-    )
+    return perm[:n_cal], perm[n_cal:]
 
 
 def clamp_endpoints(

@@ -218,21 +218,17 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
 
     report = ExperimentReport(config=config.to_dict())
     for seed in config.seeds:
-        plan = make_split(len(batch), config.cal_fraction, seed)
-        if not plan.cal_indices or not plan.test_indices:
-            empty = DataError("split produced an empty calibration or test set")
-            report.errors.append(_ledger_row(seed, "*", empty))
-            continue
-        cal = batch[np.array(plan.cal_indices, dtype=np.intp)]
-        test = batch[np.array(plan.test_indices, dtype=np.intp)]
-        # The learners and predictions of this split's methods.
-        split = Split(cal, test, config.alpha, config.scale, config.method_config)
+        cal_idx, test_idx = make_split(len(batch), config.cal_fraction, seed)
         try:
+            # The learners and predictions of this split's methods.
+            split = Split(batch[cal_idx], batch[test_idx], config.alpha, config.scale,
+                          config.method_config)
             test_groups = _group_labels(split, partition)
         except DataError as exc:
             report.errors.append(_ledger_row(seed, "*", exc))
             continue
         # The strata that do not depend on the method, grouped once per split.
+        test = split.test
         keys = {
             "gt_level": Strata.of(test.y.astype(np.int64).astype(str)),
             "dataset": Strata.of(test.dataset),

@@ -1,8 +1,8 @@
 """Synthetic sample generators whose true conditional structure is known.
 
-Every generator records enough of its internal state (latent scores, noise
-scales, pre-discretization targets) that closed-form central intervals and
-their exact hit probability are available as an oracle. Empirical coverage of
+Every generator records enough of its internal state (noise scales,
+pre-discretization targets) that closed-form central intervals and their
+exact hit probability are available as an oracle. Empirical coverage of
 any split-conformal method can then be checked against ground truth instead
 of against another estimator.
 """
@@ -63,8 +63,6 @@ class SyntheticSpec:
 class SyntheticOracle:
     """Closed-form per-sample 90% central intervals and their exact mass."""
 
-    spec: SyntheticSpec
-    latent: np.ndarray  # s* (peaked) or continuous m (regression generators)
     lower: np.ndarray
     upper: np.ndarray
     interval_mass: np.ndarray  # exact hit probability of [lower, upper]
@@ -119,8 +117,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
         # that APS grows (see `aps_sets`), up to a rounding tolerance.
         lo, hi, mass = aps_sets(cond, 0.9 - 1e-12)
         oracle = SyntheticOracle(
-            spec=spec,
-            latent=s_star.astype(np.float64),
             lower=lo + 1.0,
             upper=hi + 1.0,
             interval_mass=mass,
@@ -145,8 +141,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
     y_cont = m + sigma * rng.standard_normal(spec.n)
     gt = round_to_label(y_cont, scale)
     oracle = SyntheticOracle(
-        spec=spec,
-        latent=m,
         lower=m - Z_90 * sigma,
         upper=m + Z_90 * sigma,
         interval_mass=np.full(spec.n, 0.9),

@@ -9,16 +9,14 @@ from .boosted import (
     pinball_loss,
 )
 from .grid import fit_grid_classifier
-from .histdensity import HistDensityModel, fit_hist_density
-from .nets import Standardizer, TrainConfig
-from .pointvar import PointVarModel, fit_point_var, fit_spread_head
-from .quantile import QuantileModel, fit_quantile_model
+from .histdensity import fit_hist_density, label_columns
+from .nets import Net, Standardizer, TrainConfig
+from .pointvar import fit_point_var, fit_spread_head
+from .quantile import fit_quantile_model
 
 __all__ = [
     "BoostedModel",
-    "HistDensityModel",
-    "PointVarModel",
-    "QuantileModel",
+    "Net",
     "Standardizer",
     "TrainConfig",
     "absolute_gradient",
@@ -29,6 +27,7 @@ __all__ = [
     "fit_point_var",
     "fit_spread_head",
     "fit_quantile_model",
+    "label_columns",
     "pinball_gradient",
     "pinball_loss",
 ]

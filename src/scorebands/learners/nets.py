@@ -71,6 +71,18 @@ def forward(params: MLPParams, X: np.ndarray) -> tuple[list[np.ndarray], np.ndar
     return acts, out
 
 
+@dataclass(frozen=True)
+class Net:
+    """A fitted network and the scaler fitted on its training inputs."""
+
+    params: MLPParams
+    scaler: Standardizer
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The network's linear output on X, one column per output."""
+        return forward(self.params, self.scaler.transform(X))[1]
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

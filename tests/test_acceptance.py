@@ -83,9 +83,9 @@ def _mc_split(seed, n=4000, **spec_kwargs):
         logit_noise=0.5, **spec_kwargs,
     )
     samples, _ = generate_synthetic(spec)
-    plan = make_split(n, 0.5, seed)
-    cal = samples[np.array(plan.cal_indices)]
-    test = samples[np.array(plan.test_indices)]
+    cal_idx, test_idx = make_split(n, 0.5, seed)
+    cal = samples[cal_idx]
+    test = samples[test_idx]
     return cal, test, test.y
 
 
@@ -235,9 +235,9 @@ def test_criterion_06_degenerate_collapse():
             logit_noise=0.0,
         )
         samples, _ = generate_synthetic(spec)
-        plan = make_split(3000, 0.5, seed)
-        cal = samples[np.array(plan.cal_indices)]
-        test = samples[np.array(plan.test_indices)]
+        cal_idx, test_idx = make_split(3000, 0.5, seed)
+        cal = samples[cal_idx]
+        test = samples[test_idx]
         gts = test.y
         split = Split(cal, test, ALPHA, SCALE, MC_CONFIG)
         for method in stats:
@@ -393,8 +393,8 @@ def test_criterion_09_extraction_corpus():
 
 def test_criterion_10_protocol_shape_and_seed_stability():
     """Benchmark-scale split arithmetic plus seed-count sweep stability."""
-    plan = make_split(5717, 0.5, 0)
-    split_ok = len(plan.cal_indices) == 2859 and len(plan.test_indices) == 2858
+    cal_idx, test_idx = make_split(5717, 0.5, 0)
+    split_ok = len(cal_idx) == 2859 and len(test_idx) == 2858
 
     cfg = MethodConfig(
         train=TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
@@ -403,9 +403,9 @@ def test_criterion_10_protocol_shape_and_seed_stability():
     samples, _ = generate_synthetic(spec)
     covs = []
     for seed in range(30):
-        plan = make_split(4000, 0.5, seed)
-        cal = samples[np.array(plan.cal_indices)]
-        test = samples[np.array(plan.test_indices)]
+        cal_idx, test_idx = make_split(4000, 0.5, seed)
+        cal = samples[cal_idx]
+        test = samples[test_idx]
         res = run_method("naive_split", Split(cal, test, ALPHA, SCALE, cfg))
         covs.append(coverage(res.intervals, test.y))
     checkpoints = [float(np.mean(covs[:k])) for k in (5, 10, 15, 20, 25, 30)]

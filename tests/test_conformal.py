@@ -31,13 +31,8 @@ from scorebands.conformal import (
 from scorebands.core import Batch, DataError, Intervals, RatingScale, clamp_endpoints
 from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.core import make_split
-from scorebands.learners import (
-    HistDensityModel,
-    PointVarModel,
-    TrainConfig,
-    fit_grid_classifier,
-)
-from scorebands.learners.nets import Standardizer, init_params
+from scorebands.learners import BoostedModel, Net, TrainConfig
+from scorebands.learners.nets import init_params, log_softmax
 from scorebands.metrics import coverage
 
 SCALE = RatingScale()
@@ -48,9 +43,9 @@ FAST = MethodConfig(train=TrainConfig(epochs=60, batch_size=256, learning_rate=0
 def split_synth(n=1200, seed=0, **kwargs):
     spec = SyntheticSpec(n=n, seed=seed, **kwargs)
     batch, _ = generate_synthetic(spec)
-    plan = make_split(n, 0.5, seed)
-    test = batch[np.array(plan.test_indices)]
-    return batch[np.array(plan.cal_indices)], test, test.y
+    cal_idx, test_idx = make_split(n, 0.5, seed)
+    test = batch[test_idx]
+    return batch[cal_idx], test, test.y
 
 
 class TestConformalQuantile:
@@ -217,71 +212,71 @@ class TestCqrArithmetic:
         assert ivs.upper[0] == pytest.approx(3.0, abs=1e-9)
 
 
-def cell_rule(model, conf_scores, test_neg_logp, alpha, scale, edges):
+def cell_rule(conf_scores, test_neg_logp, alpha, scale, edges):
     """cell_intervals on tables built around the scores: each conformal row's
     label-cell entry is minus its score, and the test rows' log-probabilities
     are minus ``test_neg_logp``. Returns the threshold and the intervals."""
     rng = np.random.default_rng(len(conf_scores))
-    y = rng.integers(1, scale.k_max + 1, len(conf_scores)).astype(np.float64)
-    logp = np.full((len(y), model.n_bins), -50.0)
-    logp[np.arange(len(y)), model.bin_index(y)] = -np.asarray(conf_scores)
-    conf, test = (model, logp), (model, -np.asarray(test_neg_logp))
-    thr, ivs, _ = cell_intervals(y, conf, test, alpha, scale, edges)
+    y = rng.integers(1, scale.k_max + 1, len(conf_scores))
+    logp = np.full((len(y), scale.k_max), -50.0)
+    logp[np.arange(len(y)), y - 1] = -np.asarray(conf_scores)
+    thr, ivs, _ = cell_intervals(y.astype(np.float64), logp, -np.asarray(test_neg_logp),
+                                 alpha, scale, edges)
     return thr, ivs
 
 
 class TestDensityIntervals:
-    # r2ccp's grid, unfitted: its cell centres are the grid points.
-    GRID = fit_grid_classifier(
-        np.random.default_rng(0).normal(size=(8, 3)), np.full(8, 3.0), 5,
-        TrainConfig(epochs=0),
-    )
+    """r2ccp's rule on K label cells, whose centres are the labels."""
 
-    def density(self, conf_scores, neg_logp):
-        return cell_rule(self.GRID, conf_scores, neg_logp, 0.1, SCALE, edges=False)
+    SCALES = [RatingScale(k_max=k) for k in (3, 5, 10)]
+
+    def density(self, conf_scores, neg_logp, scale):
+        return cell_rule(conf_scores, neg_logp, 0.1, scale, edges=False)
 
     def test_uniform_all_or_nothing(self):
-        neg_logp = np.full((3, 41), math.log(41))
-        thr, ivs = self.density(np.full(100, math.log(41)), neg_logp)
-        assert thr == pytest.approx(math.log(41))
-        assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
+        for scale in self.SCALES:
+            k = scale.k_max
+            thr, ivs = self.density(np.full(100, math.log(k)), np.full((3, k), math.log(k)),
+                                    scale)
+            assert thr == pytest.approx(math.log(k))
+            assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == k)
 
     def test_one_hot_single_point(self):
-        row = np.full(41, 1e9)
-        row[self.GRID.bin_index(3.0)] = 0.0
-        thr, ivs = self.density(np.zeros(100), row[None, :])
-        assert (ivs.lower[0], ivs.upper[0]) == (3.0, 3.0)
-        assert ivs.width[0] == 0.0
+        for scale in self.SCALES:
+            row = np.full(scale.k_max, 1e9)
+            row[3 - 1] = 0.0
+            thr, ivs = self.density(np.zeros(100), row[None, :], scale)
+            assert (ivs.lower[0], ivs.upper[0]) == (3.0, 3.0)
+            assert ivs.width[0] == 0.0
 
     def test_no_qualifying_point_full_range(self):
-        thr, ivs = self.density(np.zeros(100), np.full((2, 41), 5.0))
-        assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == 5.0)
+        for scale in self.SCALES:
+            thr, ivs = self.density(np.zeros(100), np.full((2, scale.k_max), 5.0), scale)
+            assert np.all(ivs.lower == 1.0) and np.all(ivs.upper == scale.k_max)
 
     def test_hull_of_qualifying_points(self):
-        row = np.full(41, 9.0)
-        row[12] = 0.0  # 2.0
-        row[28] = 0.0  # 4.0
-        thr, ivs = self.density(np.zeros(50), row[None, :])
-        assert (ivs.lower[0], ivs.upper[0]) == (2.0, 4.0)
+        for scale in self.SCALES:
+            k = scale.k_max
+            row = np.full(k, 9.0)
+            row[[1, k - 1]] = 0.0  # labels 2 and K
+            thr, ivs = self.density(np.zeros(50), row[None, :], scale)
+            assert (ivs.lower[0], ivs.upper[0]) == (2.0, k)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_contiguity_scan(self, seed):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5, 10]))
+    def test_contiguity_scan(self, seed, k):
         rng = np.random.default_rng(seed)
-        pts = self.GRID.bin_centers()
-        neg_logp = rng.uniform(0, 5, size=(8, 41))
+        scale = RatingScale(k_max=k)
+        pts = np.arange(1.0, k + 1)
+        neg_logp = rng.uniform(0, 5, size=(8, k))
         conf = rng.uniform(0, 5, size=60)
-        thr, ivs = self.density(conf, neg_logp)
+        thr, ivs = self.density(conf, neg_logp, scale)
         for row, lower, upper in zip(neg_logp, ivs.lower, ivs.upper):
             qual = np.flatnonzero(row <= thr)
             if qual.size == 0:
-                assert (lower, upper) == (1.0, 5.0)
+                assert (lower, upper) == (1.0, k)
             else:
-                lo = min(max(pts[qual[0]], 1.0), 5.0)
-                hi = max(min(pts[qual[-1]], 5.0), 1.0)
-                if lo > hi:
-                    lo = hi = (lo + hi) / 2
-                assert (lower, upper) == (lo, hi)
+                assert (lower, upper) == (pts[qual[0]], pts[qual[-1]])
                 # endpoints themselves qualify (no dangling gap at the rim)
                 assert row[qual[0]] <= thr and row[qual[-1]] <= thr
 
@@ -360,39 +355,30 @@ class TestBoundaryAdjust:
 
 
 class TestLvdReduction:
-    def _constant_sigma_model(self, cal):
-        X = cal.X
+    def _constant_sigma_model(self, split):
         cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
         from scorebands.learners import fit_point_var
 
-        model = fit_point_var(X[: len(X) // 2], cal[: len(cal) // 2].y, cfg)
-        # splice in a sigma head that always outputs exactly 1.0
+        mean = fit_point_var(split.half.X, split.half.y, cfg)
+        # a spread network that always outputs exactly 1.0
         rng = np.random.default_rng(0)
-        sigma_params = init_params([X.shape[1], 4, 1], rng)
+        sigma_params = init_params([split.half.X.shape[1], 4, 1], rng)
         sigma_params = [(np.zeros_like(W), np.zeros_like(b)) for W, b in sigma_params]
         W_last, b_last = sigma_params[-1]
         sigma_params[-1] = (W_last, b_last + 1.0)
-        return PointVarModel(
-            mean_params=model.mean_params,
-            scaler=model.scaler,
-            sigma_params=sigma_params,
-            sigma_floor=model.sigma_floor,
-        )
+        return mean, Net(sigma_params, mean.scaler)
 
     def test_unit_sigma_equals_naive(self):
+        from scorebands.conformal import _mean, _mean_spread
+
         cal, test, gts = split_synth(n=600, seed=4)
-        model = self._constant_sigma_model(cal)
-        half = len(cal) // 2
-        cal_conf = cal[half:]
-        Xc, Xt = cal_conf.X, test.X
-        y_conf = cal_conf.y
-        mu_c, mu_t = model.predict_mean(Xc), model.predict_mean(Xt)
-        sig_c, sig_t = model.predict_sigma(Xc), model.predict_sigma(Xt)
-        assert np.all(sig_c == 1.0)
-        q_n, ivs_n, _ = band_intervals(y_conf, (mu_c, mu_c, 1.0), (mu_t, mu_t, 1.0), 0.1, SCALE)
-        q_l, ivs_l, _ = band_intervals(
-            y_conf, (mu_c, mu_c, sig_c), (mu_t, mu_t, sig_t), 0.1, SCALE
-        )
+        split = Split(cal, test, 0.1, SCALE)
+        m = self._constant_sigma_model(split)
+        lvd_conf, lvd_test = (_mean_spread(m, split, rows) for rows in ("conf", "test"))
+        assert np.all(lvd_conf[2] == 1.0)
+        q_n, ivs_n, _ = band_intervals(split.conf.y, _mean(m, split, "conf"),
+                                       _mean(m, split, "test"), 0.1, SCALE)
+        q_l, ivs_l, _ = band_intervals(split.conf.y, lvd_conf, lvd_test, 0.1, SCALE)
         assert q_n == q_l
         assert ivs_n == ivs_l
 
@@ -470,8 +456,8 @@ class TestMethodRunners:
         for method in ("chr", "r2ccp"):
             res = run_method(method, Split(cal, test, 0.1, SCALE, FAST))
             (model,) = res.calibration.learners
-            probs = np.exp(model.predict_log_proba(X))
-            assert np.array_equal(res.y_hat, probs @ model.bin_centers()), method
+            probs = np.exp(log_softmax(model.predict(X)))
+            assert np.array_equal(res.y_hat, probs @ np.arange(1.0, 6.0)), method
 
     def test_argmax_feature_point_predictor(self):
         cal, test, _ = split_synth(n=400, seed=7)
@@ -499,9 +485,9 @@ class TestNonDefaultScale:
             sample_id=np.array([f"s{i}" for i in range(800)], dtype=object),
             judge=np.full(800, "j"),
         )
-        plan = make_split(800, 0.5, 0)
-        cal = batch[np.array(plan.cal_indices)]
-        test = batch[np.array(plan.test_indices)]
+        cal_idx, test_idx = make_split(800, 0.5, 0)
+        cal = batch[cal_idx]
+        test = batch[test_idx]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1),
             boost_rounds=30,
@@ -637,8 +623,8 @@ class TestMondrian:
         )
         report = run_experiment(config, batch)
         assert not report.errors and len(report.per_seed) == len(METHODS)
-        plan = make_split(len(batch), config.cal_fraction, 0)
-        assert sorted(calls) == sorted([len(plan.cal_indices), len(plan.test_indices)])
+        cal_idx, test_idx = make_split(len(batch), config.cal_fraction, 0)
+        assert sorted(calls) == sorted([len(cal_idx), len(test_idx)])
 
     def test_lvd_wider_in_noisy_cluster(self):
         cal, test, _ = split_synth(
@@ -850,19 +836,22 @@ class TestBandRule:
         res = run_method(method, split)
         m, conf = res.calibration.learners, split.conf
         sigma = {
-            "lvd": lambda X: m[1].predict_sigma(X),
+            "lvd": lambda X: np.maximum(m[1].predict(X)[:, 0], cfg.sigma_floor),
             "boosted_lcp": lambda X: np.maximum(m[1].predict(X), cfg.sigma_floor),
         }
         quantiles = {
-            "cqr": lambda X: m[0].predict(X),
-            "cqr_asym": lambda X: m[0].predict(X),
+            "cqr": lambda X: np.sort(m[0].predict(X), 1),
+            "cqr_asym": lambda X: np.sort(m[0].predict(X), 1),
             "boosted_cqr": lambda X: np.sort(np.column_stack([b.predict(X) for b in m]), 1),
         }
+
+        def mean(X):
+            return m[0].predict(X)[:, 0]
+
         if method == "naive_split":
-            mean = m[0].predict_mean
             want = reference_naive(conf.y, mean(conf.X), mean(test.X), 0.1, SCALE)
         elif method in sigma:
-            mean, sig = m[0].predict_mean, sigma[method]
+            sig = sigma[method]
             want = reference_lvd(conf.y, mean(conf.X), sig(conf.X), mean(test.X),
                                  sig(test.X), 0.1, SCALE)
         else:
@@ -937,15 +926,13 @@ class TestColumnarIdentity:
     def test_density_rows(self, k):
         scale = RatingScale(k_max=k)
         rng = np.random.default_rng(10 + k)
-        # Two cells per label over [0.5, K + 0.5].
-        model = HistDensityModel(None, None, 2 * k, 0.5, k + 0.5)
-        edges = model.bin_edges()
-        assert np.array_equal(edges, np.linspace(0.5, k + 0.5, 2 * k + 1))
-        neg = rng.uniform(0, 4, size=(300, 2 * k))
+        # One cell per label over [0.5, K + 0.5].
+        edges = np.linspace(0.5, k + 0.5, k + 1)
+        neg = rng.uniform(0, 4, size=(300, k))
         neg[:40] = 9.0  # rows with no qualifying cell
         conf = rng.uniform(0, 4, size=200)
         want_thr, want = reference_density(conf, neg, edges[:-1], edges[1:], 0.2, scale)
-        thr, ivs = cell_rule(model, conf, neg, 0.2, scale, edges=True)
+        thr, ivs = cell_rule(conf, neg, 0.2, scale, edges=True)
         assert thr == want_thr
         assert pairs(ivs) == want
         assert pairs(ivs)[:40] == [(1.0, float(k))] * 40
@@ -1090,8 +1077,8 @@ class TestQuantileNaN:
 
 class TestCacheKeys:
     """The methods of one Split share its learners and their predictions: a
-    fit is keyed by its learner kind, a prediction by its model, what it
-    predicts and the row set."""
+    fit is keyed by its learner kind, a prediction by its model and the row
+    set."""
 
     FAST_FIT = MethodConfig(
         train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1), boost_rounds=8
@@ -1118,10 +1105,8 @@ class TestCacheKeys:
 
     @staticmethod
     def count_predictions(monkeypatch) -> list:
-        """(model id, what, rows id, row count, result) of every prediction
-        a learner makes."""
-        from scorebands.learners import BoostedModel, QuantileModel
-
+        """(model id, model type, rows id, row count, result) of every
+        prediction a learner makes."""
         calls = []
 
         def counted(cls, name):
@@ -1134,27 +1119,20 @@ class TestCacheKeys:
 
             monkeypatch.setattr(cls, name, wrapper)
 
-        counted(PointVarModel, "predict_mean")
-        counted(PointVarModel, "predict_sigma")
-        counted(QuantileModel, "predict")
+        counted(Net, "predict")
         counted(BoostedModel, "predict")
-        counted(HistDensityModel, "predict_log_proba")
         return calls
 
     @staticmethod
     def once_per_split(cal, test) -> list:
-        """(what, row count) of every prediction that the nine methods of
-        one split make: the mean network predicts the learner half, the
-        conformal half and the test set; the spread head, the quantile
-        network, the three forests and the label network the last two."""
+        """(model type, row count) of every prediction that the nine methods
+        of one split make: the mean network predicts the learner half, the
+        conformal half and the test set; the spread network, the quantile
+        network, the label network and the three forests the last two."""
         n_learn, n_conf = len(cal) // 2, len(cal) - len(cal) // 2
-        each = [
-            "PointVarModel.predict_sigma", "QuantileModel.predict", "BoostedModel.predict",
-            "BoostedModel.predict", "BoostedModel.predict", "HistDensityModel.predict_log_proba",
-        ]
-        return [("PointVarModel.predict_mean", n_learn)] + [
-            (what, n) for what in ["PointVarModel.predict_mean"] + each
-            for n in (n_conf, len(test))
+        each = ["Net.predict"] * 4 + ["BoostedModel.predict"] * 3
+        return [("Net.predict", n_learn)] + [
+            (what, n) for what in each for n in (n_conf, len(test))
         ]
 
     @staticmethod
@@ -1255,18 +1233,18 @@ class TestLabelNetwork:
         res = run_method("chr", Split(cal, test, 0.1, scale, self.FAST_FIT))
         (model,) = res.calibration.learners
         # So no two labels share a bin: on ten labels, 5 and 6 no longer do.
-        assert model.n_bins == k_max
-        assert model.bin_index(np.arange(1.0, k_max + 1)).tolist() == list(range(k_max))
+        assert model.predict(test.X[:4]).shape == (4, k_max)
+        assert model.params[-1][0].shape[1] == k_max
 
     def test_chr_and_ordinal_aps_share_one_fit_and_forward_pass(self, monkeypatch):
         calls = []
-        original = HistDensityModel.predict_log_proba
+        original = Net.predict
 
         def counted(self, X):
             calls.append(len(X))
             return original(self, X)
 
-        monkeypatch.setattr(HistDensityModel, "predict_log_proba", counted)
+        monkeypatch.setattr(Net, "predict", counted)
         fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=32, label_noise=0.35)
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
@@ -1294,6 +1272,23 @@ class TestLabelNetwork:
         assert np.array_equal(res_r2.intervals.lower, np.where(lo == 1, 1, lo + 0.5))
         assert np.array_equal(res_r2.intervals.upper,
                               np.where(hi == k_max, k_max, hi - 0.5))
+
+    @pytest.mark.parametrize("method", ["chr", "r2ccp", "ordinal_aps"])
+    def test_label_outside_the_scale_raises(self, method):
+        """A label that is not one of 1..K, in the learner half or in the
+        conformal half, raises: it is neither clipped into an end cell nor
+        wrapped round to a column from the other end."""
+        import dataclasses
+
+        cal, test, _ = split_synth(n=200, seed=36)
+        cfg = MethodConfig(train=TrainConfig(epochs=1))
+        for row in (0, len(cal) - 1):  # in the learner half, in the conformal half
+            for bad in (0.0, 6.0, 2.5):
+                y = cal.y.copy()
+                y[row] = bad
+                split = Split(dataclasses.replace(cal, y=y), test, 0.1, SCALE, cfg)
+                with pytest.raises(ValueError, match=f"label {bad:g} is not one of 1..5"):
+                    run_method(method, split)
 
     @pytest.mark.parametrize("first, then", [("chr", "ordinal_aps"),
                                              ("ordinal_aps", "chr")])

@@ -275,28 +275,29 @@ class TestRowRules:
 
 class TestMakeSplit:
     def test_partition_small(self):
-        plan = make_split(4, 0.5, seed=0)
-        assert len(plan.cal_indices) == 2
-        assert len(plan.test_indices) == 2
-        assert set(plan.cal_indices) | set(plan.test_indices) == {0, 1, 2, 3}
-        assert set(plan.cal_indices) & set(plan.test_indices) == set()
+        cal, test = make_split(4, 0.5, seed=0)
+        assert cal.dtype == test.dtype == np.intp
+        assert len(cal) == 2
+        assert len(test) == 2
+        assert set(cal.tolist()) | set(test.tolist()) == {0, 1, 2, 3}
+        assert set(cal.tolist()) & set(test.tolist()) == set()
 
     def test_benchmark_split_arithmetic(self):
         # 5717 samples at 50/50 must give 2859 calibration / 2858 test.
         for seed in (0, 3, 9):
-            plan = make_split(5717, 0.5, seed)
-            assert len(plan.cal_indices) == 2859
-            assert len(plan.test_indices) == 2858
+            cal, test = make_split(5717, 0.5, seed)
+            assert len(cal) == 2859
+            assert len(test) == 2858
 
     def test_round_half_up(self):
-        plan = make_split(10, 0.3, seed=7)
-        assert len(plan.cal_indices) == 3
-        assert len(plan.test_indices) == 7
+        cal, test = make_split(10, 0.3, seed=7)
+        assert len(cal) == 3
+        assert len(test) == 7
 
     def test_decimal_fraction(self):
         # 0.15 of 10 is 1.5, which rounds up to 2; the double nearest 0.15
         # lies below it and would round down to 1.
-        assert len(make_split(10, 0.15, seed=0).cal_indices) == 2
+        assert len(make_split(10, 0.15, seed=0)[0]) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,17 +308,17 @@ class TestMakeSplit:
         from fractions import Fraction
 
         n_cal = math.floor(Fraction(frac) * n + Fraction(1, 2))
-        assert len(make_split(n, float(frac), seed=0).cal_indices) == n_cal
+        assert len(make_split(n, float(frac), seed=0)[0]) == n_cal
 
     def test_deterministic(self):
         a = make_split(1000, 0.5, seed=11)
         b = make_split(1000, 0.5, seed=11)
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_seed_changes_split(self):
-        a = make_split(1000, 0.5, seed=0)
-        b = make_split(1000, 0.5, seed=1)
-        assert a.cal_indices != b.cal_indices
+        a, _ = make_split(1000, 0.5, seed=0)
+        b, _ = make_split(1000, 0.5, seed=1)
+        assert not np.array_equal(a, b)
 
     def test_rejects_tiny(self):
         with pytest.raises(DataError):
@@ -336,8 +337,8 @@ class TestMakeSplit:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_partition_property(self, n, frac, seed):
-        plan = make_split(n, frac, seed)
-        cal, test = set(plan.cal_indices), set(plan.test_indices)
+        cal_idx, test_idx = make_split(n, frac, seed)
+        cal, test = set(cal_idx.tolist()), set(test_idx.tolist())
         assert cal | test == set(range(n))
         assert cal & test == set()
 

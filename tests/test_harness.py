@@ -419,9 +419,9 @@ class TestSyntheticGenerators:
         )
         samples, oracle = generate_synthetic(spec)
         assert np.all(oracle.interval_mass == 1.0)
-        plan = make_split(len(samples), 0.5, 0)
-        cal = samples[np.array(plan.cal_indices)]
-        test = samples[np.array(plan.test_indices)]
+        cal_idx, test_idx = make_split(len(samples), 0.5, 0)
+        cal = samples[cal_idx]
+        test = samples[test_idx]
         cfg = MethodConfig(
             train=TrainConfig(epochs=60, batch_size=256, learning_rate=0.1)
         )
@@ -447,9 +447,9 @@ class TestSyntheticGenerators:
                 SyntheticSpec(n=4000, seed=300 + seed, label_noise=0.2,
                               temperature=1.0)
             )
-            plan = make_split(4000, 0.5, seed)
-            cal = samples[np.array(plan.cal_indices)]
-            test = samples[np.array(plan.test_indices)]
+            cal_idx, test_idx = make_split(4000, 0.5, seed)
+            cal = samples[cal_idx]
+            test = samples[test_idx]
             res = run_method("naive_split", Split(cal, test, 0.1, SCALE, cfg))
             covs.append(coverage(res.intervals, test.y))
         assert 0.88 <= float(np.mean(covs)) <= 0.92
@@ -978,8 +978,8 @@ class TestCellFailures:
         from scorebands.core import make_split
 
         samples = self._samples(generator="heteroscedastic_groups")
-        plan = make_split(len(samples), 0.5, 0)
-        i = (plan.test_indices if side == "test" else plan.cal_indices)[0]
+        cal_idx, test_idx = make_split(len(samples), 0.5, 0)
+        i = (test_idx if side == "test" else cal_idx)[0]
         group = samples.group.copy()
         group[i] = None
         samples = dataclasses.replace(samples, group=group)
@@ -1000,3 +1000,15 @@ class TestCellFailures:
             (0, "naive_split"), (0, "lvd")
         ]
         assert all(sample_id in e["error"] for e in report.errors)
+
+    def test_empty_calibration_set(self):
+        """Three samples at cal_fraction 0.1 leave no calibration row: each
+        seed gets one ledger row naming the empty set, and no cell rows."""
+        config = fast_config(seeds=[0, 1], methods=["naive_split", "lvd"],
+                             cal_fraction=0.1, emit_intervals=True)
+        report = run_experiment(config, self._samples(n=3))
+        assert self._no_rows(report)
+        assert [(e["seed"], e["method"], e["error_type"], e["error"])
+                for e in report.errors] == [
+            (seed, "*", "DataError", "empty calibration set") for seed in (0, 1)
+        ]

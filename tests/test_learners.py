@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorebands.learners import (
-    HistDensityModel,
     absolute_loss,
     fit_boosted,
     fit_grid_classifier,
@@ -19,6 +18,7 @@ from scorebands.learners import (
     fit_point_var,
     fit_spread_head,
     fit_quantile_model,
+    label_columns,
     pinball_gradient,
     pinball_loss,
 )
@@ -40,6 +40,7 @@ from scorebands.learners.nets import (
     forward,
     gradient_scratch,
     init_params,
+    log_softmax,
     pinball_head,
     softmax_ce_head,
     squared_head,
@@ -78,54 +79,15 @@ def pinball_constant_oracle(y, tau):
     return float(grid[int(np.argmin(losses))])
 
 
-def grid_model(k_max=5, cfg=TrainConfig(epochs=0), X=None, y=None):
-    """r2ccp's grid network: by default an unfitted one, for its geometry."""
-    if X is None:
-        X = np.random.default_rng(0).normal(size=(30, 4))
-        y = np.full(30, 3.0)
-    return fit_grid_classifier(X, y, k_max, cfg)
-
-
-class TestGridConfig:
-    """r2ccp's grid is a label histogram with eight cells per label, whose
-    centres are the grid points."""
-
-    def test_default_grid(self):
-        grid = grid_model()
-        assert grid.n_bins == 41
-        pts = grid.bin_centers()
-        assert pts[0] == 0.5 and pts[-1] == 5.5
-        assert np.allclose(np.diff(pts), 0.125)
-
-    def test_grid_follows_the_scale(self):
-        # r2ccp's grid comes from the scale: half a label beyond each end,
-        # eight points per label, so every label is a grid point strictly
-        # inside the ends.
-        for k_max in (2, 3, 5, 7, 10):
-            grid = grid_model(k_max)
-            pts = grid.bin_centers()
-            assert (pts[0], pts[-1], len(pts)) == (0.5, k_max + 0.5, 8 * k_max + 1)
-            assert grid.bin_width == 0.125
-            # The centres are the grid points bit for bit.
-            assert pts.tobytes() == (0.5 + 0.125 * np.arange(8 * k_max + 1)).tobytes()
-            labels = np.arange(1.0, k_max + 1)
-            idx = grid.bin_index(labels)
-            assert idx.tolist() == (8 * labels - 4).astype(int).tolist()
-            assert np.array_equal(pts[idx], labels)
-            assert 0 < idx[0] and idx[-1] < grid.n_bins - 1
-
-    def test_nearest_rule(self):
-        grid = grid_model()
-        assert grid.bin_centers()[grid.bin_index(3.04)] == 3.0
-        assert grid.bin_centers()[grid.bin_index(3.07)] == 3.125
-
-    def test_clipping(self):
-        grid = grid_model()
-        assert grid.bin_index(0.4) == 0
-        assert grid.bin_index(5.6) == grid.n_bins - 1
+def grid_cell(label):
+    """The grid cell whose centre is ``label``."""
+    return 8 * (label - 1) + 4
 
 
 class TestGridClassifier:
+    """r2ccp's former grid: a label histogram with eight cells per label,
+    8K + 1 outputs, whose centres are 0.5 + 0.125 i."""
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_grid_classifier(np.empty((0, 5)), np.empty(0), 5, FAST)
@@ -136,9 +98,8 @@ class TestGridClassifier:
         X = np.tile(x0, (64, 1))
         y = np.full(64, 3.0)
         model = fit_grid_classifier(X, y, 5, FAST)
-        probs = np.exp(model.predict_log_proba(x0[None, :]))[0]
-        target_idx = model.bin_index(3.0)
-        assert abs(int(np.argmax(probs)) - target_idx) <= 1
+        probs = np.exp(log_softmax(model.predict(x0[None, :])))[0]
+        assert abs(int(np.argmax(probs)) - grid_cell(3)) <= 1
 
     def test_beats_uniform_on_linear_data(self):
         rng = np.random.default_rng(1)
@@ -146,8 +107,8 @@ class TestGridClassifier:
         w = np.array([0.8, -0.5, 0.3, 0.0, 0.4])
         y = np.clip(np.round(3.0 + X @ w), 1, 5)
         model = fit_grid_classifier(X[:300], y[:300], 5, FAST)
-        logp = model.predict_log_proba(X[300:])
-        idx = [model.bin_index(v) for v in y[300:]]
+        logp = log_softmax(model.predict(X[300:]))
+        idx = grid_cell(y[300:].astype(int))
         ce = -float(np.mean(logp[np.arange(100), idx]))
         assert ce < math.log(41)
 
@@ -156,7 +117,7 @@ class TestGridClassifier:
         X = rng.normal(size=(50, 5))
         y = rng.integers(1, 6, 50).astype(float)
         model = fit_grid_classifier(X, y, 5, FAST)
-        probs = np.exp(model.predict_log_proba(rng.normal(size=(200, 5)) * 3))
+        probs = np.exp(log_softmax(model.predict(rng.normal(size=(200, 5)) * 3)))
         assert np.all(probs >= 0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
@@ -174,47 +135,45 @@ class TestGridClassifier:
         targets = np.ceil((y - 0.5) / 0.125 - 0.5).astype(np.intp)
         scaler = Standardizer.fit(X)
         params = fit_mlp(scaler.transform(X), targets, n_points, softmax_ce_head, cfg)
-        assert model.n_bins == n_points
-        assert model.bin_index(y).tolist() == targets.tolist()
         for (W, b), (W_ref, b_ref) in zip(model.params, params):
             assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
         X_new = rng.normal(size=(40, 6))
         _, out = forward(params, scaler.transform(X_new))
-        assert model.predict_log_proba(X_new).tobytes() == nets.log_softmax(out).tobytes()
+        assert out.shape == (40, n_points)
+        assert model.predict(X_new).tobytes() == out.tobytes()
 
 
 class TestGridLogDensity:
-    """The r2ccp score: log mass at the label's grid cell."""
+    """The former r2ccp score: log mass at the label's grid cell."""
 
     def _uniform_model(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
-        model = grid_model(X=X, y=np.full(30, 3.0))
+        model = fit_grid_classifier(X, np.full(30, 3.0), 5, TrainConfig(epochs=0))
         # zero out the output layer: exactly uniform probabilities
         W, b = model.params[-1]
         model.params[-1] = (np.zeros_like(W), np.zeros_like(b))
         return model, X
 
     @staticmethod
-    def _log_mass(model, x, y):
-        logp = model.predict_log_proba(x.reshape(1, -1))
-        return float(logp[0, model.bin_index(y)])
+    def _log_mass(model, x, cell):
+        return float(log_softmax(model.predict(x.reshape(1, -1)))[0, cell])
 
     def test_uniform_density(self):
         model, X = self._uniform_model()
-        for y in (0.5, 1.0, 3.3, 5.5):
-            assert self._log_mass(model, X[0], y) == pytest.approx(
+        for cell in (0, grid_cell(1), 21, 40):
+            assert self._log_mass(model, X[0], cell) == pytest.approx(
                 math.log(1 / 41), abs=1e-12
             )
 
     def test_one_hot_model(self):
         model, X = self._uniform_model()
         W, b = model.params[-1]
-        hot = model.bin_index(3.0)
+        hot = grid_cell(3)
         b = b.copy()
         b[hot] = 500.0
         model.params[-1] = (W, b)
-        assert self._log_mass(model, X[0], 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert self._log_mass(model, X[0], hot) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestQuantile:
@@ -247,12 +206,22 @@ class TestQuantile:
                 fit_quantile_model(np.zeros((4, 2)), np.ones(4), taus, FAST)
 
     def test_post_sorting_removes_crossing(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(120, 4))
-        y = 3.0 + X[:, 0] + 0.3 * rng.standard_normal(120)
-        model = fit_quantile_model(X, y, (0.05, 0.95), FAST)
-        pred = model.predict(rng.normal(size=(300, 4)))
-        assert np.all(pred[:, 0] <= pred[:, 1])
+        """cqr's band sorts the network's two outputs per row, so its ends
+        never cross where the outputs do."""
+        from scorebands.conformal import Split, _quantiles
+        from scorebands.core import RatingScale
+        from scorebands.harness import SyntheticSpec, generate_synthetic
+
+        batch, _ = generate_synthetic(SyntheticSpec(n=400, seed=3))
+        split = Split(batch[:120], batch[120:], 0.1, RatingScale())
+        # An untrained network: its outputs cross either way.
+        model = fit_quantile_model(split.half.X, split.half.y, (0.05, 0.95),
+                                   TrainConfig(epochs=0))
+        raw = model.predict(split.test.X)
+        assert (raw[:, 0] > raw[:, 1]).any() and (raw[:, 0] < raw[:, 1]).any()
+        lo, hi, spread = _quantiles((model,), split, "test")
+        assert np.all(lo <= hi) and spread == 1.0
+        assert np.array_equal(np.column_stack([lo, hi]), np.sort(raw, axis=1))
 
     def test_levels_must_ascend(self):
         with pytest.raises(ValueError):
@@ -266,16 +235,16 @@ class TestHistDensity:
         y = rng.choice(np.arange(1.0, 6.0), size=800, p=p)
         X = rng.normal(size=(800, 5))  # no signal
         model = fit_hist_density(X, y, 5, FAST)
-        mean_probs = np.exp(model.predict_log_proba(rng.normal(size=(400, 5)))).mean(axis=0)
-        assert np.max(np.abs(mean_probs - p)) < 0.06
+        logp = log_softmax(model.predict(rng.normal(size=(400, 5))))
+        assert np.max(np.abs(np.exp(logp).mean(axis=0) - p)) < 0.06
 
     def test_single_label(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 4))
         y = np.full(200, 3.0)
         model = fit_hist_density(X, y, 5, FAST)
-        probs = np.exp(model.predict_log_proba(X[:50]))
-        assert np.all(probs[:, model.bin_index(3.0)] > 0.95)
+        probs = np.exp(log_softmax(model.predict(X[:50])))
+        assert np.all(probs[:, label_columns(3.0, 5)] > 0.95)
 
     def test_conditional_beats_marginal(self):
         rng = np.random.default_rng(6)
@@ -284,39 +253,48 @@ class TestHistDensity:
         X = np.where(cluster[:, None], 1.0, -1.0) + 0.1 * rng.standard_normal((n, 4))
         y = np.where(cluster, rng.choice([4.0, 5.0], n), rng.choice([1.0, 2.0], n))
         model = fit_hist_density(X[:400], y[:400], 5, FAST)
-        logp = model.predict_log_proba(X[400:])
-        idx = [model.bin_index(v) for v in y[400:]]
+        logp = log_softmax(model.predict(X[400:]))
+        idx = label_columns(y[400:], 5)
         model_ll = -float(np.mean(logp[np.arange(200), idx]))
         # unconditional histogram on the training labels
-        counts = np.bincount([model.bin_index(v) for v in y[:400]], minlength=5)
+        counts = np.bincount(label_columns(y[:400], 5), minlength=5)
         marg = (counts + 1e-12) / counts.sum()
         marg_ll = -float(np.mean(np.log(marg[idx])))
         assert model_ll < marg_ll
 
-    def test_bin_geometry(self):
-        model = HistDensityModel(None, None, 9, 0.5, 5.5)
-        assert model.bin_width == pytest.approx(5.0 / 9.0)
-        assert model.bin_index(1.0) == 0
-        assert model.bin_index(5.0) == 8
-        edges = model.bin_edges()
-        assert edges[0] == 0.5 and edges[-1] == 5.5
-
     @pytest.mark.parametrize("k_max", [3, 5, 7])
     def test_one_bin_per_label(self, k_max):
-        """Label y falls in bin y - 1 on any scale: on seven labels, 5, 6
-        and 7 each get a bin of their own."""
+        """Label y is column y - 1 on any scale: on seven labels, 5, 6 and 7
+        each get a column of their own. The fit is bit for bit a
+        cross-entropy fit against those columns."""
         rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 2))
         y = rng.integers(1, k_max + 1, 30).astype(float)
-        model = fit_hist_density(rng.normal(size=(30, 2)), y, k_max, TrainConfig(epochs=1))
-        assert (model.n_bins, model.lo, model.hi) == (k_max, 0.5, k_max + 0.5)
-        labels = np.arange(1.0, k_max + 1)
-        assert model.bin_index(labels).tolist() == list(range(k_max))
-        assert np.array_equal(model.bin_centers(), labels)
+        cfg = TrainConfig(epochs=1)
+        model = fit_hist_density(X, y, k_max, cfg)
+        assert label_columns(np.arange(1.0, k_max + 1), k_max).tolist() == list(range(k_max))
+        scaler = Standardizer.fit(X)
+        params = fit_mlp(scaler.transform(X), y.astype(np.intp) - 1, k_max,
+                         softmax_ce_head, cfg)
+        assert flatten_params(model.params).tobytes() == flatten_params(params).tobytes()
+        assert model.predict(X).shape == (30, k_max)
+
+    @pytest.mark.parametrize("bad", [0.0, 6.0, 2.5, math.nan])
+    def test_label_outside_the_scale_raises(self, bad):
+        """No label is clipped into an end column or wrapped round from a
+        negative index: a value that is not one of 1..K raises."""
+        y = np.array([1.0, 3.0, bad, 5.0])
+        X = np.random.default_rng(8).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="not one of 1..5"):
+            label_columns(y, 5)
+        for fit in (fit_hist_density, fit_grid_classifier):
+            with pytest.raises(ValueError, match="not one of 1..5"):
+                fit(X, y, 5, TrainConfig(epochs=1))
 
 
 def fit_mean_and_spread(X, y, cfg):
-    model = fit_point_var(X, y, cfg)
-    return fit_spread_head(model, X, np.abs(y - model.predict_mean(X)), cfg)
+    mean = fit_point_var(X, y, cfg)
+    return mean, fit_spread_head(mean, X, np.abs(y - mean.predict(X)[:, 0]), cfg)
 
 
 class TestPointVar:
@@ -326,17 +304,32 @@ class TestPointVar:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(1500, 5))
         y = 3.0 + 0.6 * X[:, 0] + 0.5 * rng.standard_normal(1500)
-        model = fit_mean_and_spread(X, y, FAST)
-        sigma = model.predict_sigma(rng.normal(size=(300, 5)))
+        _, spread = fit_mean_and_spread(X, y, FAST)
+        sigma = spread.predict(rng.normal(size=(300, 5)))[:, 0]
         assert sigma.std() / sigma.mean() <= 0.2
         assert sigma.mean() == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=0.15)
 
     def test_zero_noise_sigma_at_floor(self):
-        X = np.zeros((200, 3))
-        y = np.full(200, 3.0)
-        model = fit_mean_and_spread(X, y, FAST)
-        sigma = model.predict_sigma(X[:20])
-        assert np.all(sigma == model.sigma_floor)
+        """Zero-noise labels: the spread network and the boosted spread model
+        both predict about zero, and lvd and boosted_lcp both read
+        sigma_floor in their place."""
+        from scorebands.conformal import MethodConfig, Split, _mean_spread, run_method
+        from scorebands.core import Batch, RatingScale
+
+        n = 200
+        batch = Batch(X=np.zeros((n, 3)), y=np.full(n, 3.0), dataset=np.full(n, "d"),
+                      group=np.full(n, None), judge=np.full(n, "j"),
+                      sample_id=np.array([f"s{i}" for i in range(n)], dtype=object))
+        for floor in (1e-3, 0.05):
+            cfg = MethodConfig(train=FAST, boost_rounds=20, sigma_floor=floor)
+            split = Split(batch[:100], batch[100:], 0.1, RatingScale(), cfg)
+            for method in ("lvd", "boosted_lcp"):
+                learners = run_method(method, split).calibration.learners
+                raw = np.ravel(learners[1].predict(split.test.X))
+                assert np.all(np.abs(raw) < 1e-3), method
+                for rows in ("conf", "test"):
+                    _, _, sigma = _mean_spread(learners, split, rows)
+                    assert np.all(sigma == floor), (method, rows)
 
     def test_two_cluster_ratio(self):
         rng = np.random.default_rng(9)
@@ -345,17 +338,11 @@ class TestPointVar:
         X = np.where(cluster[:, None], 1.0, -1.0) + 0.05 * rng.standard_normal((n, 4))
         sig = np.where(cluster, 0.9, 0.3)
         y = 3.0 + sig * rng.standard_normal(n)
-        model = fit_mean_and_spread(X, y, FAST)
-        hi = model.predict_sigma(np.ones((1, 4)))[0]
-        lo = model.predict_sigma(-np.ones((1, 4)))[0]
+        _, spread = fit_mean_and_spread(X, y, FAST)
+        hi = spread.predict(np.ones((1, 4)))[0, 0]
+        lo = spread.predict(-np.ones((1, 4)))[0, 0]
         # true mean-absolute-residual ratio is exactly 0.9 / 0.3
         assert hi / lo == pytest.approx(3.0, rel=0.3)
-
-    def test_mean_only_model_has_no_sigma(self):
-        X = np.zeros((50, 2))
-        model = fit_point_var(X, np.full(50, 2.0), FAST)
-        with pytest.raises(ValueError):
-            model.predict_sigma(X)
 
 
 class TestBoosted:

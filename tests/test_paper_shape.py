@@ -97,9 +97,9 @@ def _samples():
 def shape():
     """Per group: the oracle's numbers, and every method's on the test set."""
     samples, oracles = _samples()
-    plan = make_split(len(samples), 0.5, seed=0)
-    cal = samples[np.array(plan.cal_indices)]
-    test = samples[np.array(plan.test_indices)]
+    cal_idx, test_idx = make_split(len(samples), 0.5, seed=0)
+    cal = samples[cal_idx]
+    test = samples[test_idx]
     groups = np.array(test.group.tolist(), dtype=str)
     oracle = {}
     for group, o in oracles.items():
