@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "BUILTIN_PARTITIONS": "conformal",
     "Batch": "core",
-    "ConformalCalibration": "conformal",
     "DataError": "base",
     "ExperimentConfig": "harness",
     "ExperimentReport": "harness",

@@ -5,14 +5,15 @@ scores and take the ceil((n+1)(1-alpha))-th order statistic. Rank overflow
 yields an infinite threshold, which after clamping becomes the full-range
 interval rather than an error.
 
-Each method is one row of the table `METHODS`: a learner, what it predicts,
+Each method is one row of the table `METHODS`: what its learners predict,
 and one of three rules that calibrates it. `band_intervals` serves six
 methods, whose learners predict a band (lo, hi, spread) that the rule widens
 by q_hat spreads on each side; `cell_intervals` serves chr and r2ccp, and
 `aps_intervals` ordinal_aps. A `Split` cuts the calibration samples in
-half: the learner sees the first half, the conformal quantile is computed on
-the second, preserving exchangeability of the scores. The methods of one
-Split share its learners and their predictions.
+half: the learners see the first half, the conformal quantile is computed
+on the second, preserving exchangeability of the scores. The Split holds
+every fit and prediction, so the methods of one Split share them; a
+`MethodResult` carries the intervals, the point and the calibrated q_hat.
 """
 
 from __future__ import annotations
@@ -63,19 +64,10 @@ class MethodConfig:
             raise DataError(f"unknown point_predictor {self.point_predictor!r}")
 
 
-@dataclass(frozen=True)
-class ConformalCalibration:
-    """A calibrated threshold plus the learners it was computed with."""
-
-    method: str
-    alpha: float
-    q_hat: object  # float, per-side tuple, or per-group dict
-    learners: tuple = ()
-
-
 @dataclass(eq=False)
 class MethodResult:
-    """Intervals and point predictions of one method on one test set.
+    """Intervals, point predictions and the calibrated q_hat of one method
+    on one test set.
 
     A non-finite point prediction is bad learner output, not a result:
     it raises ValueError (the intervals reject NaN endpoints themselves).
@@ -84,7 +76,7 @@ class MethodResult:
     method: str
     intervals: Intervals
     y_hat: np.ndarray
-    calibration: ConformalCalibration
+    q_hat: object  # float, per-side tuple, or per-group dict
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.y_hat).all():
@@ -258,11 +250,11 @@ def aps_intervals(y_conf, conf, test, alpha, scale):
 
 
 # ---------------------------------------------------------------------------
-# The method table. A method is one learner, fit on the learner half of the
-# calibration set, and one of the rules above, which scores the learner's
-# predictions on the conformal half, takes their conformal quantile and
-# turns the test predictions into intervals. The learners and their
-# predictions live in the Split, so the methods of a split share them.
+# The method table. A method is a prediction and one of the rules above:
+# its learners' predictions on the conformal half and the test rows, which
+# the rule scores, takes the conformal quantile of and turns into
+# intervals. The learners, fit on the learner half, and their predictions
+# live in the Split, so the methods of a split share them.
 # ---------------------------------------------------------------------------
 
 
@@ -324,83 +316,57 @@ def _taus(alpha: float) -> tuple[float, float]:
     return (alpha / 2.0, 1.0 - alpha / 2.0)
 
 
-# Fits: a Split -> the fitted learners, each fit once per Split.
+# Predictors: (split, rows) -> what the method's learners predict for the
+# split's row set ``rows``, in the form its rule reads: a (lo, hi, spread)
+# band for `band_intervals`, label log-probabilities for `cell_intervals`,
+# label probabilities for `aps_intervals`. Each learner comes from the
+# Split, fit on the learner half on first use.
 
 
-def _fit_mean(split):
-    """The mean network of the learner half; one serves every method."""
-    half = split.half
-    fit = partial(fit_point_var, half.X, half.y, split.cfg.train)
-    return (split.memo("mean", fit),)
+def _learner(split: Split, key):
+    """The learner ``key`` of ``split``, fit once per Split: "mean", the mean
+    network every mean-based method shares; "sigma", a spread network fit to
+    its |residual|; "quantile", the network at the two taus; "hist", the
+    label network of chr, r2ccp and ordinal_aps; ("boosted", "pinball",
+    tau), a forest at one tau; ("boosted", "absolute", None), a forest of
+    the mean's |residual|."""
+    half, cfg = split.half, split.cfg
+    if isinstance(key, tuple):
+        _, loss, tau = key
+
+        def fit():
+            y = half.y if loss == "pinball" else _abs_resid(split)
+            return fit_boosted(half.X, y, loss, cfg.boost_rounds, cfg.boost_depth,
+                               cfg.boost_rate, tau=tau)
+    else:
+        fit = {
+            "mean": lambda: fit_point_var(half.X, half.y, cfg.train),
+            "sigma": lambda: fit_spread_head(_learner(split, "mean"), half.X,
+                                             _abs_resid(split), cfg.train),
+            "quantile": lambda: fit_quantile_model(half.X, half.y, _taus(split.alpha),
+                                                   cfg.train),
+            "hist": lambda: fit_hist_density(half.X, half.y, split.scale.k_max, cfg.train),
+        }[key]
+    return split.memo(key, fit)
 
 
-def _abs_resid(split, mean_model):
+def _abs_resid(split):
     """|y - mean| on the learner half: the target of every spread model."""
-    return np.abs(split.half.y - split.predict(mean_model, "half")[:, 0])
+    return np.abs(split.half.y - split.predict(_learner(split, "mean"), "half")[:, 0])
 
 
-def _fit_mean_sigma(split):
-    """The mean network, and a spread network fit to its residuals."""
-    (mean_model,) = _fit_mean(split)
-    return mean_model, split.memo(
-        "sigma",
-        lambda: fit_spread_head(
-            mean_model, split.half.X, _abs_resid(split, mean_model), split.cfg.train
-        ),
-    )
-
-
-def _fit_quantiles(split):
-    half = split.half
-    fit = partial(fit_quantile_model, half.X, half.y, _taus(split.alpha), split.cfg.train)
-    return (split.memo("quantile", fit),)
-
-
-def _fit_label_bins(split):
-    """The label network: the histogram of chr and r2ccp and ordinal_aps's
-    classifier in one fit."""
-    half = split.half
-    fit = partial(fit_hist_density, half.X, half.y, split.scale.k_max, split.cfg.train)
-    return (split.memo("hist", fit),)
-
-
-def _boosted(split, y: np.ndarray, loss: str, tau: float | None = None):
-    cfg = split.cfg
-    fit = partial(fit_boosted, split.half.X, y, loss, cfg.boost_rounds, cfg.boost_depth,
-                  cfg.boost_rate, tau=tau)
-    return split.memo(("boosted", loss, tau), fit)
-
-
-def _fit_boosted_quantiles(split):
-    return tuple(_boosted(split, split.half.y, "pinball", tau) for tau in _taus(split.alpha))
-
-
-def _fit_boosted_spread(split):
-    """The mean network, and a boosted absolute-loss model of its |residual|
-    as the local scale."""
-    (mean_model,) = _fit_mean(split)
-    return mean_model, _boosted(split, _abs_resid(split, mean_model), "absolute")
-
-
-# Predictions: (learners, split, rows) -> what the learners predict for the
-# split's row set ``rows``, read off the models' raw outputs in the form the
-# method's rule reads: a (lo, hi, spread) band for `band_intervals`, label
-# log-probabilities for `cell_intervals`, label probabilities for
-# `aps_intervals`.
-
-
-def _mean(m, split, rows, spread=1.0):
+def _mean(split, rows, spread=1.0):
     """The mean network's output at both ends of the band."""
-    mu = split.predict(m[0], rows)[:, 0]
+    mu = split.predict(_learner(split, "mean"), rows)[:, 0]
     return mu, mu, spread
 
 
-def _mean_spread(m, split, rows):
-    """lvd and boosted_lcp: the mean band, in units of the spread model's
-    prediction (a network's one output or a forest's), at least
-    ``sigma_floor``."""
-    spread = np.ravel(split.predict(m[1], rows))
-    return _mean(m, split, rows, np.maximum(spread, split.cfg.sigma_floor))
+def _mean_spread(split, rows, spread):
+    """lvd and boosted_lcp: the mean band, in units of the prediction of the
+    spread learner ``spread`` (a network's one output or a forest's), at
+    least ``sigma_floor``."""
+    sigma = np.ravel(split.predict(_learner(split, spread), rows))
+    return _mean(split, rows, np.maximum(sigma, split.cfg.sigma_floor))
 
 
 def _sorted_band(a, b):
@@ -409,44 +375,43 @@ def _sorted_band(a, b):
     return np.minimum(a, b), np.maximum(a, b), 1.0
 
 
-def _quantiles(m, split, rows):
-    q = split.predict(m[0], rows)
+def _quantiles(split, rows):
+    q = split.predict(_learner(split, "quantile"), rows)
     return _sorted_band(q[:, 0], q[:, 1])
 
 
-def _boosted_quantiles(m, split, rows):
-    return _sorted_band(*(split.predict(model, rows) for model in m))
+def _boosted_quantiles(split, rows):
+    return _sorted_band(*(split.predict(_learner(split, ("boosted", "pinball", tau)), rows)
+                          for tau in _taus(split.alpha)))
 
 
-def _log_proba(m, split, rows):
-    """The label network's log-probabilities over the labels: chr, r2ccp
-    and ordinal_aps all read them."""
-    return log_softmax(split.predict(m[0], rows))
+def _log_proba(split, rows):
+    return log_softmax(split.predict(_learner(split, "hist"), rows))
 
 
-def _proba(m, split, rows):
-    return np.exp(_log_proba(m, split, rows))
+def _proba(split, rows):
+    return np.exp(_log_proba(split, rows))
 
 
 @dataclass(frozen=True)
 class Method:
-    """One row of the method table: a learner fit, its predictions and a rule."""
+    """One row of the method table: what its learners predict, and a rule."""
 
-    fit: Callable
     predict: Callable
     rule: Callable
 
 
 METHODS: dict[str, Method] = {
-    "naive_split": Method(_fit_mean, _mean, band_intervals),
-    "cqr": Method(_fit_quantiles, _quantiles, band_intervals),
-    "cqr_asym": Method(_fit_quantiles, _quantiles, partial(band_intervals, symmetric=False)),
-    "chr": Method(_fit_label_bins, _log_proba, cell_intervals),
-    "lvd": Method(_fit_mean_sigma, _mean_spread, band_intervals),
-    "boosted_cqr": Method(_fit_boosted_quantiles, _boosted_quantiles, band_intervals),
-    "boosted_lcp": Method(_fit_boosted_spread, _mean_spread, band_intervals),
-    "r2ccp": Method(_fit_label_bins, _log_proba, partial(cell_intervals, edges=False)),
-    "ordinal_aps": Method(_fit_label_bins, _proba, aps_intervals),
+    "naive_split": Method(_mean, band_intervals),
+    "cqr": Method(_quantiles, band_intervals),
+    "cqr_asym": Method(_quantiles, partial(band_intervals, symmetric=False)),
+    "chr": Method(_log_proba, cell_intervals),
+    "lvd": Method(partial(_mean_spread, spread="sigma"), band_intervals),
+    "boosted_cqr": Method(_boosted_quantiles, band_intervals),
+    "boosted_lcp": Method(partial(_mean_spread, spread=("boosted", "absolute", None)),
+                          band_intervals),
+    "r2ccp": Method(_log_proba, partial(cell_intervals, edges=False)),
+    "ordinal_aps": Method(_proba, aps_intervals),
 }
 
 METHOD_NAMES = tuple(METHODS)
@@ -462,22 +427,16 @@ def run_method(name: str, split: Split) -> MethodResult:
         raise DataError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
     cfg = split.cfg
     row = METHODS[_UNBOOSTED.get(name, name) if cfg.boost_rounds == 0 else name]
-    learners = row.fit(split)
     q_hat, intervals, y_hat = row.rule(
         split.conf.y,
-        row.predict(learners, split, "conf"),
-        row.predict(learners, split, "test"),
+        row.predict(split, "conf"),
+        row.predict(split, "test"),
         split.alpha,
         split.scale,
     )
     if cfg.point_predictor == "argmax_feature":
         y_hat = split.test.X[:, : split.scale.k_max].argmax(axis=1) + 1.0
-    return MethodResult(
-        method=name,
-        intervals=intervals,
-        y_hat=y_hat,
-        calibration=ConformalCalibration(name, split.alpha, q_hat, learners),
-    )
+    return MethodResult(name, intervals, y_hat, q_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +577,6 @@ def run_mondrian(
     upper = np.empty(len(test))
     y_hat = np.empty(len(test))
     per_group_q: dict[str, object] = {}
-    learners: list = []
     for g, cal_idx, test_idx in split.memo(("groups", partition.name), group_rows):
         if len(cal_idx) < min_group_cal:
             raise DataError(
@@ -632,16 +590,8 @@ def run_mondrian(
             lambda: Split(cal[cal_idx], test[test_idx], split.alpha, split.scale, split.cfg),
         )
         sub = run_method(inner, group)
-        per_group_q[g] = sub.calibration.q_hat
-        learners.append((g, sub.calibration.learners))
+        per_group_q[g] = sub.q_hat
         lower[test_idx] = sub.intervals.lower
         upper[test_idx] = sub.intervals.upper
         y_hat[test_idx] = sub.y_hat
-    return MethodResult(
-        method=f"mondrian[{inner}]",
-        intervals=Intervals(lower, upper),
-        y_hat=y_hat,
-        calibration=ConformalCalibration(
-            f"mondrian[{inner}]", split.alpha, per_group_q, tuple(learners)
-        ),
-    )
+    return MethodResult(f"mondrian[{inner}]", Intervals(lower, upper), y_hat, per_group_q)

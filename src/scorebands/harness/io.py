@@ -175,6 +175,9 @@ def fuse(
         raise DataError(
             f"judge order {order} does not match judges {sorted(by_judge)}"
         )
+    for judge in order:
+        if order.count(judge) > 1:
+            raise DataError(f"judge {judge!r} is named more than once in order {order}")
     row_of = {
         judge: dict(zip(batch.sample_id.tolist(), range(len(batch))))
         for judge, batch in by_judge.items()

@@ -164,6 +164,10 @@ def resolve_partition(spec: str | None) -> GroupPartition | None:
         data = read_json(spec)
         if not isinstance(data, dict) or not isinstance(data.get("groups"), dict):
             raise DataError(f"partition file {spec} needs a 'groups' object")
+        for tag, group in data["groups"].items():
+            if not isinstance(group, str):
+                raise DataError(f"partition file {spec}: dataset {tag!r} maps to "
+                                f"{group!r}, not a group name string")
         return GroupPartition(
             name=str(data.get("name", spec)), group_of=dict(data["groups"])
         )

@@ -427,6 +427,10 @@ class TestRunCommand:
         ("3", "needs a 'groups' object"),
         ("[1, 2]", "needs a 'groups' object"),
         ('{"groups": 3}', "needs a 'groups' object"),
+        ('{"groups": {"synthetic_peaked_logprob": ["x"]}}',
+         "dataset 'synthetic_peaked_logprob' maps to ['x'], not a group name string"),
+        ('{"groups": {"synthetic_peaked_logprob": null}}',
+         "dataset 'synthetic_peaked_logprob' maps to None, not a group name string"),
     ])
     def test_bad_mondrian_file_is_data_error(self, tmp_path, capsys, text, message):
         samples = _synth(tmp_path, n=50)
@@ -723,6 +727,11 @@ class TestFuseCommand:
         row = json.loads(out.read_text().splitlines()[0])
         assert len(row["features"]) == 10
         assert row["judge"] == "j2+j1"
+        code = main(["fuse", "--inputs", *paths, "--out", str(tmp_path / "twice.jsonl"),
+                     "--order", "j1,j1,j2"])
+        assert code == EXIT_DATA
+        assert "judge 'j1' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "twice.jsonl").exists()
 
     def test_fuse_splits_files_by_judge(self, tmp_path):
         # One file holds both judges; a second file adds more rows of j1.

@@ -2,6 +2,7 @@
 boundary adjustment, and the Mondrian wrapper."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from scorebands.conformal import (
     BUILTIN_PARTITIONS,
     METHODS,
-    ConformalCalibration,
     GroupPartition,
     MethodConfig,
     MethodResult,
     Split,
     _aps_paths,
+    _learner,
+    _taus,
     _interval,
     adjust_all,
     aps_intervals,
@@ -353,31 +355,54 @@ class TestBoundaryAdjust:
             if rl <= label <= ru:
                 assert al <= label <= au
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5, 10]).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.tuples(st.floats(0.0, k + 1.0), st.floats(0.0, k), st.integers(1, k)),
+        min_size=1, max_size=40))))
+    def test_inward_hull_keeps_every_covered_label(self, case):
+        """On integer labels the inward hull covers every label the raw
+        interval covers, and exactly those wherever the raw interval holds
+        an integer; there the outward snap adds at most one label at each
+        end."""
+        k, rows = case
+        scale = RatingScale(k_max=k)
+        lo, width, y = (np.array(c, dtype=np.float64) for c in zip(*rows))
+        raw = Intervals(*clamp_endpoints(lo, lo + width, scale))
+        inward = adjust_all(raw, scale, "inward")
+        raw_in, inward_in = raw.contains(y), inward.contains_adjusted(y)
+        assert np.all(inward_in >= raw_in)
+        holds = np.ceil(raw.lower) <= np.floor(raw.upper)
+        assert np.array_equal(inward_in[holds], raw_in[holds])
+        outward = adjust_all(raw, scale, "outward")
+        assert np.isin((inward.adj_lower - outward.adj_lower)[holds], (0, 1)).all()
+        assert np.isin((outward.adj_upper - inward.adj_upper)[holds], (0, 1)).all()
+
 
 class TestLvdReduction:
-    def _constant_sigma_model(self, split):
+    def _seed_constant_sigma_model(self, split):
+        """Puts a fitted mean network and a spread network that always
+        outputs exactly 1.0 in ``split``'s memo."""
         cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
         from scorebands.learners import fit_point_var
 
-        mean = fit_point_var(split.half.X, split.half.y, cfg)
-        # a spread network that always outputs exactly 1.0
+        mean = split.memo("mean", lambda: fit_point_var(split.half.X, split.half.y, cfg))
         rng = np.random.default_rng(0)
         sigma_params = init_params([split.half.X.shape[1], 4, 1], rng)
         sigma_params = [(np.zeros_like(W), np.zeros_like(b)) for W, b in sigma_params]
         W_last, b_last = sigma_params[-1]
         sigma_params[-1] = (W_last, b_last + 1.0)
-        return mean, Net(sigma_params, mean.scaler)
+        split.memo("sigma", lambda: Net(sigma_params, mean.scaler))
 
     def test_unit_sigma_equals_naive(self):
         from scorebands.conformal import _mean, _mean_spread
 
         cal, test, gts = split_synth(n=600, seed=4)
         split = Split(cal, test, 0.1, SCALE)
-        m = self._constant_sigma_model(split)
-        lvd_conf, lvd_test = (_mean_spread(m, split, rows) for rows in ("conf", "test"))
+        self._seed_constant_sigma_model(split)
+        lvd_conf, lvd_test = (_mean_spread(split, rows, "sigma") for rows in ("conf", "test"))
         assert np.all(lvd_conf[2] == 1.0)
-        q_n, ivs_n, _ = band_intervals(split.conf.y, _mean(m, split, "conf"),
-                                       _mean(m, split, "test"), 0.1, SCALE)
+        q_n, ivs_n, _ = band_intervals(split.conf.y, _mean(split, "conf"),
+                                       _mean(split, "test"), 0.1, SCALE)
         q_l, ivs_l, _ = band_intervals(split.conf.y, lvd_conf, lvd_test, 0.1, SCALE)
         assert q_n == q_l
         assert ivs_n == ivs_l
@@ -429,10 +454,11 @@ class TestMethodRunners:
     def test_cache_reuse_matches_fresh_fit(self):
         cal, test, _ = split_synth(n=500, seed=5, label_noise=0.35)
         split = Split(cal, test, 0.1, SCALE, FAST)
-        lvd = run_method("lvd", split)  # fits the mean network and its spread head
+        run_method("lvd", split)  # fits the mean network and its spread head
+        mean = _learner(split, "mean")
         res_cached = run_method("naive_split", split)
         res_fresh = run_method("naive_split", Split(cal, test, 0.1, SCALE, FAST))
-        assert res_cached.calibration.learners[0] is lvd.calibration.learners[0]
+        assert _learner(split, "mean") is mean
         assert res_cached.intervals == res_fresh.intervals
 
     def test_boosted_zero_rounds_reduces(self):
@@ -454,9 +480,9 @@ class TestMethodRunners:
         cal, test, _ = split_synth(n=400, seed=7, label_noise=0.35)
         X = test.X
         for method in ("chr", "r2ccp"):
-            res = run_method(method, Split(cal, test, 0.1, SCALE, FAST))
-            (model,) = res.calibration.learners
-            probs = np.exp(log_softmax(model.predict(X)))
+            split = Split(cal, test, 0.1, SCALE, FAST)
+            res = run_method(method, split)
+            probs = np.exp(log_softmax(_learner(split, "hist").predict(X)))
             assert np.array_equal(res.y_hat, probs @ np.arange(1.0, 6.0)), method
 
     def test_argmax_feature_point_predictor(self):
@@ -549,16 +575,12 @@ class TestMondrian:
             boost_rounds=5,
         )
         shared = Split(cal, test, 0.1, SCALE, cfg)
-        results = {}
         for method in sorted(METHODS):
-            res_s = results[method] = run_mondrian(shared, part, method)
+            res_s = run_mondrian(shared, part, method)
             res_f = run_mondrian(Split(cal, test, 0.1, SCALE, cfg), part, method)
             assert res_s.intervals == res_f.intervals, method
             assert np.array_equal(res_s.y_hat, res_f.y_hat), method
-        # The methods of a group share its mean network.
-        naive, lvd = (dict(results[m].calibration.learners) for m in ("naive_split", "lvd"))
-        assert sorted(naive) == sorted(lvd) == ["high", "low"]
-        assert all(naive[g][0] is lvd[g][0] for g in naive)
+            assert sorted(res_s.q_hat) == ["high", "low"], method
 
     def test_split_is_grouped_once_per_cache(self, monkeypatch):
         """Nine methods on one Split label the calibration and test rows once
@@ -580,7 +602,7 @@ class TestMondrian:
             res_f = run_mondrian(Split(cal, test, 0.1, SCALE, FAST), part, m)
             assert res_s.intervals == res_f.intervals, m
             assert np.array_equal(res_s.y_hat, res_f.y_hat), m
-            assert res_s.calibration.q_hat == res_f.calibration.q_hat, m
+            assert res_s.q_hat == res_f.q_hat, m
         # A group below the minimum is rejected on every call, grouped or not.
         labelled = len(calls)
         for _ in range(2):
@@ -834,19 +856,25 @@ class TestBandRule:
                            boost_rounds=8)
         split = Split(cal, test, 0.1, SCALE, cfg)
         res = run_method(method, split)
-        m, conf = res.calibration.learners, split.conf
+        conf = split.conf
+
+        def fitted(key, X):
+            return _learner(split, key).predict(X)
+
         sigma = {
-            "lvd": lambda X: np.maximum(m[1].predict(X)[:, 0], cfg.sigma_floor),
-            "boosted_lcp": lambda X: np.maximum(m[1].predict(X), cfg.sigma_floor),
+            "lvd": lambda X: np.maximum(fitted("sigma", X)[:, 0], cfg.sigma_floor),
+            "boosted_lcp": lambda X: np.maximum(fitted(("boosted", "absolute", None), X),
+                                                cfg.sigma_floor),
         }
+        forests = [("boosted", "pinball", tau) for tau in _taus(0.1)]
         quantiles = {
-            "cqr": lambda X: np.sort(m[0].predict(X), 1),
-            "cqr_asym": lambda X: np.sort(m[0].predict(X), 1),
-            "boosted_cqr": lambda X: np.sort(np.column_stack([b.predict(X) for b in m]), 1),
+            "cqr": lambda X: np.sort(fitted("quantile", X), 1),
+            "cqr_asym": lambda X: np.sort(fitted("quantile", X), 1),
+            "boosted_cqr": lambda X: np.sort(np.column_stack([fitted(f, X) for f in forests]), 1),
         }
 
         def mean(X):
-            return m[0].predict(X)[:, 0]
+            return fitted("mean", X)[:, 0]
 
         if method == "naive_split":
             want = reference_naive(conf.y, mean(conf.X), mean(test.X), 0.1, SCALE)
@@ -858,7 +886,7 @@ class TestBandRule:
             qc, qt = quantiles[method](conf.X), quantiles[method](test.X)
             want = reference_cqr(conf.y, qc[:, 0], qc[:, -1], qt[:, 0], qt[:, -1], 0.1,
                                  SCALE, symmetric=method != "cqr_asym")
-        assert bits((res.calibration.q_hat, res.intervals, res.y_hat)) == bits(want)
+        assert bits((res.q_hat, res.intervals, res.y_hat)) == bits(want)
 
     def test_boosted_band_is_each_rows_sorted_pair(self):
         """Where the two forests cross, boosted_cqr's band still runs from
@@ -870,9 +898,11 @@ class TestBandRule:
         rng = np.random.default_rng(35)
         a, b = rng.normal(3.0, 1.0, 500), rng.normal(3.0, 1.0, 500)
         a[:50] = b[:50]  # ties
-        forests = [SimpleNamespace(predict=lambda X, v=v: v) for v in (a, b)]
         cal, test, _ = split_synth(n=200, seed=35)
-        lo, hi, spread = _boosted_quantiles(forests, Split(cal, test, 0.1, SCALE), "test")
+        split = Split(cal, test, 0.1, SCALE)
+        for tau, v in zip(_taus(0.1), (a, b)):
+            split.memo(("boosted", "pinball", tau), lambda v=v: SimpleNamespace(predict=lambda X: v))
+        lo, hi, spread = _boosted_quantiles(split, "test")
         rows = np.sort(np.column_stack([a, b]), axis=1)
         assert (a > b).any() and (a < b).any() and spread == 1.0
         assert (lo.tobytes(), hi.tobytes()) == (rows[:, 0].tobytes(), rows[:, -1].tobytes())
@@ -1028,8 +1058,7 @@ class TestNonFiniteOutput:
         # An infinite mean clamps to a finite interval; the prediction itself
         # is what must fail.
         with pytest.raises(ValueError, match="non-finite point prediction"):
-            MethodResult("m", Intervals([1.0], [5.0]), np.array([np.inf]),
-                         ConformalCalibration("m", 0.1, 1.0))
+            MethodResult("m", Intervals([1.0], [5.0]), np.array([np.inf]), 1.0)
 
     def test_adjustment_never_meets_nan(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -1086,7 +1115,7 @@ class TestCacheKeys:
 
     @staticmethod
     def assert_same(res_s, res_f, what):
-        assert res_s.calibration.q_hat == res_f.calibration.q_hat, what
+        assert res_s.q_hat == res_f.q_hat, what
         assert res_s.intervals == res_f.intervals, what
         assert res_s.y_hat.tobytes() == res_f.y_hat.tobytes(), what
 
@@ -1168,6 +1197,53 @@ class TestCacheKeys:
         assert len(groups) > 1
         self.assert_once_each(calls, want)
 
+    # Fits of nine methods on one Split: four networks and three forests.
+    FITS_PER_SPLIT = {"fit_point_var": 1, "fit_spread_head": 1, "fit_quantile_model": 1,
+                      "fit_hist_density": 1, "fit_boosted": 3}
+
+    @classmethod
+    def count_fits(cls, monkeypatch) -> Counter:
+        """Calls of each learner fit that the method table makes."""
+        from scorebands import conformal
+
+        fits = Counter()
+        for name in cls.FITS_PER_SPLIT:
+            def counted(*args, _name=name, _fit=getattr(conformal, name), **kwargs):
+                fits[_name] += 1
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(conformal, name, counted)
+        return fits
+
+    def test_each_learner_is_fit_once_per_split(self, monkeypatch):
+        fits = self.count_fits(monkeypatch)
+        cal, test, _ = split_synth(n=600, seed=29, label_noise=0.35)
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        for _ in range(2):
+            for m in METHODS:
+                run_method(m, shared)
+            assert fits == Counter(self.FITS_PER_SPLIT)
+        fits.clear()
+        unboosted = Split(cal, test, 0.1, SCALE,
+                          MethodConfig(train=self.FAST_FIT.train, boost_rounds=0))
+        for m in METHODS:
+            run_method(m, unboosted)
+        assert "fit_boosted" not in fits
+        assert fits == Counter({**self.FITS_PER_SPLIT, "fit_boosted": 0})
+
+    def test_each_learner_is_fit_once_per_group(self, monkeypatch):
+        cal, test, _ = split_synth(
+            n=900, seed=30, label_noise=0.35, generator="heteroscedastic_groups"
+        )
+        part = BUILTIN_PARTITIONS["by_group_tag"]
+        fits = self.count_fits(monkeypatch)
+        shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
+        for m in METHODS:
+            run_mondrian(shared, part, m)
+        n_groups = len(set(part.labels(cal).tolist()))
+        assert n_groups > 1
+        assert fits == Counter({k: v * n_groups for k, v in self.FITS_PER_SPLIT.items()})
+
     def test_shared_predictions_are_read_only(self, monkeypatch):
         calls = self.count_predictions(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=28)
@@ -1195,11 +1271,10 @@ class TestCacheKeys:
         fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=28)
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
-        res_chr = run_method("chr", shared)
+        run_method("chr", shared)
         assert (len(fits), len(calls)) == (1, 2)
         res_s = run_method("r2ccp", shared)
         assert (len(fits), len(calls)) == (1, 2)
-        assert res_s.calibration.learners[0] is res_chr.calibration.learners[0]
         res_f = run_method("r2ccp", Split(cal, test, 0.1, SCALE, self.FAST_FIT))
         assert res_s.intervals == res_f.intervals
         assert res_s.y_hat.flags.writeable
@@ -1230,8 +1305,9 @@ class TestLabelNetwork:
     def test_chr_has_one_bin_per_label(self, k_max):
         scale = RatingScale(k_max=k_max)
         cal, test, _ = split_synth(n=300, seed=31, scale=scale, feature_dim=k_max)
-        res = run_method("chr", Split(cal, test, 0.1, scale, self.FAST_FIT))
-        (model,) = res.calibration.learners
+        split = Split(cal, test, 0.1, scale, self.FAST_FIT)
+        run_method("chr", split)
+        model = _learner(split, "hist")
         # So no two labels share a bin: on ten labels, 5 and 6 no longer do.
         assert model.predict(test.X[:4]).shape == (4, k_max)
         assert model.params[-1][0].shape[1] == k_max
@@ -1248,9 +1324,8 @@ class TestLabelNetwork:
         fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=32, label_noise=0.35)
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
-        res_chr = run_method("chr", shared)
-        res_aps = run_method("ordinal_aps", shared)
-        assert res_chr.calibration.learners[0] is res_aps.calibration.learners[0]
+        run_method("chr", shared)
+        run_method("ordinal_aps", shared)
         assert fits == [len(cal) // 2]
         assert sorted(calls) == sorted([len(cal) - len(cal) // 2, len(test)])
 
@@ -1265,8 +1340,7 @@ class TestLabelNetwork:
         shared = Split(cal, test, 0.1, scale, self.FAST_FIT)
         res_chr = run_method("chr", shared)
         res_r2 = run_method("r2ccp", shared)
-        assert res_r2.calibration.learners[0] is res_chr.calibration.learners[0]
-        assert res_r2.calibration.q_hat == res_chr.calibration.q_hat
+        assert res_r2.q_hat == res_chr.q_hat
         assert res_r2.y_hat.tobytes() == res_chr.y_hat.tobytes()
         lo, hi = res_chr.intervals.lower, res_chr.intervals.upper
         assert np.array_equal(res_r2.intervals.lower, np.where(lo == 1, 1, lo + 0.5))
@@ -1292,14 +1366,15 @@ class TestLabelNetwork:
 
     @pytest.mark.parametrize("first, then", [("chr", "ordinal_aps"),
                                              ("ordinal_aps", "chr")])
-    def test_shared_label_network_equals_fresh_fit(self, first, then):
+    def test_shared_label_network_equals_fresh_fit(self, first, then, monkeypatch):
+        fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=33, label_noise=0.35)
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
-        res_first = run_method(first, shared)
+        run_method(first, shared)
         res_s = run_method(then, shared)
         res_f = run_method(then, Split(cal, test, 0.1, SCALE, self.FAST_FIT))
-        assert res_s.calibration.learners[0] is res_first.calibration.learners[0]
-        assert res_s.calibration.q_hat == res_f.calibration.q_hat
+        assert len(fits) == 2  # one per Split
+        assert res_s.q_hat == res_f.q_hat
         for a, b in ((res_s.intervals.lower, res_f.intervals.lower),
                      (res_s.intervals.upper, res_f.intervals.upper),
                      (res_s.y_hat, res_f.y_hat)):

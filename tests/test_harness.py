@@ -574,6 +574,11 @@ class TestFuse:
         with pytest.raises(DataError):
             fuse({"j1": self._samples("j1", ["a"])}, ["j1", "jX"])
 
+    def test_judge_named_twice_rejected(self):
+        by_judge = {j: self._samples(j, ["a"]) for j in ("a", "c")}
+        with pytest.raises(DataError, match="judge 'a' is named more than once"):
+            fuse(by_judge, ["a", "a", "c"])
+
 
 class TestRunExperiment:
     def _samples(self, n=500, seed=0, **kwargs):
@@ -949,7 +954,7 @@ class TestCellFailures:
         def overflowing(*args, **kwargs):
             res = original(*args, **kwargs)
             return MethodResult(res.method, res.intervals,
-                                np.full_like(res.y_hat, np.inf), res.calibration)
+                                np.full_like(res.y_hat, np.inf), res.q_hat)
 
         monkeypatch.setattr(runner, "run_method", overflowing)
         config = fast_config(seeds=[0], methods=["naive_split"], adjust=adjust)

@@ -219,7 +219,8 @@ class TestQuantile:
                                    TrainConfig(epochs=0))
         raw = model.predict(split.test.X)
         assert (raw[:, 0] > raw[:, 1]).any() and (raw[:, 0] < raw[:, 1]).any()
-        lo, hi, spread = _quantiles((model,), split, "test")
+        split.memo("quantile", lambda: model)
+        lo, hi, spread = _quantiles(split, "test")
         assert np.all(lo <= hi) and spread == 1.0
         assert np.array_equal(np.column_stack([lo, hi]), np.sort(raw, axis=1))
 
@@ -313,7 +314,7 @@ class TestPointVar:
         """Zero-noise labels: the spread network and the boosted spread model
         both predict about zero, and lvd and boosted_lcp both read
         sigma_floor in their place."""
-        from scorebands.conformal import MethodConfig, Split, _mean_spread, run_method
+        from scorebands.conformal import MethodConfig, Split, _learner, _mean_spread, run_method
         from scorebands.core import Batch, RatingScale
 
         n = 200
@@ -323,12 +324,13 @@ class TestPointVar:
         for floor in (1e-3, 0.05):
             cfg = MethodConfig(train=FAST, boost_rounds=20, sigma_floor=floor)
             split = Split(batch[:100], batch[100:], 0.1, RatingScale(), cfg)
-            for method in ("lvd", "boosted_lcp"):
-                learners = run_method(method, split).calibration.learners
-                raw = np.ravel(learners[1].predict(split.test.X))
+            for method, spread in (("lvd", "sigma"),
+                                   ("boosted_lcp", ("boosted", "absolute", None))):
+                run_method(method, split)
+                raw = np.ravel(_learner(split, spread).predict(split.test.X))
                 assert np.all(np.abs(raw) < 1e-3), method
                 for rows in ("conf", "test"):
-                    _, _, sigma = _mean_spread(learners, split, rows)
+                    _, _, sigma = _mean_spread(split, rows, spread)
                     assert np.all(sigma == floor), (method, rows)
 
     def test_two_cluster_ratio(self):
