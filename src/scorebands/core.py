@@ -130,8 +130,10 @@ class Intervals:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """Samples as columns: features ``X`` (n, d), float64 scores ``y``, and
-    one array per tag (``group`` holds None for a sample with no group
-    tag). Index a Batch with a slice or an index array to take rows.
+    one object array of str per tag, in which equal dataset, group and
+    judge tags are one shared str (``group`` holds None for a sample with
+    no group tag). Index a Batch with a slice or an index array to take
+    rows; a tag column's copy is then one pointer a row.
     """
 
     X: np.ndarray

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -20,17 +21,50 @@ from ..core import Batch, DataError, RatingScale, row_faults
 REQUIRED_FIELDS = ("sample_id", "judge", "dataset", "gt_score")
 
 
-def _entries(obj, label_keys: list[str]) -> tuple[list, bool]:
-    """The feature entries of one parsed line, and whether they are keyed by
-    label; raises DataError naming the line's first structural fault."""
+def _text(obj: dict, key: str) -> str | None:
+    """The text of tag ``key`` of a parsed line: a string as it is, a number
+    as its decimal text; None for a null or absent ``group``."""
+    value = obj.get(key)
+    if type(value) is str:
+        return value
+    if type(value) is int or type(value) is float:  # a JSON true/false is a bool
+        return str(value)
+    if value is None and key == "group":
+        return None
+    raise DataError(f"{key} must be a string or a number, got {value!r}")
+
+
+def _fields(obj) -> tuple:
+    """(sample_id, judge, dataset, group, gt_score) of one parsed line;
+    raises DataError naming the first fault among them."""
     if not isinstance(obj, dict):
         raise DataError("line is not an object")
     for key in REQUIRED_FIELDS:
         if key not in obj:
             raise DataError(f"missing field {key!r}")
+    sample_id, judge = _text(obj, "sample_id"), _text(obj, "judge")
+    dataset, group = _text(obj, "dataset"), _text(obj, "group")
     gt = obj["gt_score"]
     if type(gt) is not int:  # a JSON true/false is a bool, not an int
         raise DataError(f"gt_score must be an integer, got {gt!r}")
+    return sample_id, judge, dataset, group, gt
+
+
+def _number(value, key: str) -> float:
+    """A feature entry that is not a float: an int as a float, saturated to
+    an infinity beyond float range (like the literal 1e400)."""
+    if type(value) is not int:  # a JSON true/false is a bool
+        raise DataError(f"logprob {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
+
+
+def _extend(feats: array, obj: dict, label_keys: list[str]) -> bool:
+    """Append the feature entries of one parsed line to ``feats``; returns
+    whether they are keyed by label. Raises DataError naming the entries'
+    first structural fault, once some of them may have been appended."""
     if "logprobs" in obj:
         logprobs = obj["logprobs"]
         if not isinstance(logprobs, dict):
@@ -38,24 +72,18 @@ def _entries(obj, label_keys: list[str]) -> tuple[list, bool]:
         for key in label_keys:
             if key not in logprobs:
                 raise DataError(f"logprobs missing label {key!r}")
-        values, by_label = [logprobs[key] for key in label_keys], True
-    elif "features" in obj:
-        values, by_label = obj["features"], False
+        for key in label_keys:
+            v = logprobs[key]
+            feats.append(v if type(v) is float else _number(v, key))
+        return True
+    if "features" in obj:
+        values = obj["features"]
         if not isinstance(values, list) or not values:
             raise DataError("features must be a non-empty list")
-    else:
-        raise DataError("line has neither 'logprobs' nor 'features'")
-    for i, v in enumerate(values):
-        if type(v) is float:
-            continue
-        if type(v) is not int:
-            key = label_keys[i] if by_label else str(i)
-            raise DataError(f"logprob {key!r} must be a number, got {v!r}")
-        try:
-            float(v)
-        except OverflowError:  # beyond float range, like the literal 1e400
-            values[i] = -math.inf if v < 0 else math.inf
-    return values, by_label
+        for i, v in enumerate(values):
+            feats.append(v if type(v) is float else _number(v, str(i)))
+        return False
+    raise DataError("line has neither 'logprobs' nor 'features'")
 
 
 def load_samples(
@@ -63,8 +91,11 @@ def load_samples(
 ) -> tuple[Batch, list[tuple[int, str]]]:
     """Read line-delimited samples; returns (Batch of the kept lines, errors).
 
-    Each line's structure is checked as it is parsed. The kept rows are then
-    stacked once per feature width, and the row rules of
+    Each line's structure is checked as it is parsed, and its entries and
+    tags go straight into columns: the entries of every line end to end in
+    one float buffer, and each tag into a list in which equal dataset,
+    group and judge tags are one str object. The kept rows are then stacked
+    once per feature width, and the row rules of
     :func:`~scorebands.core.row_faults` run over each matrix. A broken line
     becomes a ``(line number, reason)`` error; a file whose kept rows have
     more than one feature length raises DataError. A line that holds bytes
@@ -72,7 +103,11 @@ def load_samples(
     """
     label_keys = [str(label) for label in scale.labels]
     errors: list[tuple[int, str]] = []
-    line_nos, rows, by_label, gts, tags = [], [], [], [], []
+    feats = array("d")  # the entries of every parsed line, end to end
+    line_nos, widths = array("q"), array("q")
+    gts, by_label = [], []
+    sample_ids, judges, datasets, groups = [], [], [], []
+    shared: dict[str, str] = {}  # the one str of each distinct tag
     with open(path, "rb") as fh:
         for line_no, line in enumerate(decoded_lines(fh), start=1):
             if isinstance(line, str) and not line.strip():
@@ -85,29 +120,34 @@ def load_samples(
             except DataError as exc:
                 errors.append((line_no, str(exc)))
                 continue
+            start = len(feats)
             try:
-                values, labelled = _entries(obj, label_keys)
+                sample_id, judge, dataset, group, gt = _fields(obj)
+                labelled = _extend(feats, obj, label_keys)
             except DataError as exc:
+                del feats[start:]
                 errors.append((line_no, str(exc)))
                 continue
             line_nos.append(line_no)
-            rows.append(values)
+            widths.append(len(feats) - start)
             by_label.append(labelled)
-            gts.append(obj["gt_score"])
-            group = obj.get("group")
-            tags.append((str(obj["dataset"]), None if group is None else str(group),
-                         str(obj["sample_id"]), str(obj["judge"])))
-    n_lines = len(rows) + len(errors)
+            gts.append(gt)
+            sample_ids.append(sample_id)
+            judges.append(shared.setdefault(judge, judge))
+            datasets.append(shared.setdefault(dataset, dataset))
+            groups.append(group if group is None else shared.setdefault(group, group))
+    n_lines = len(line_nos) + len(errors)
     # Saturated at 2**53, up to which float64 holds every integer exactly, so
     # any JSON integer converts; the label rule then rejects a huge one.
     y = np.clip(np.array(gts, dtype=object), -2**53, 2**53).astype(np.float64)
     first_key = np.array(by_label, dtype=np.intp)  # logprobs are named from 1
-    widths = np.array([len(r) for r in rows], dtype=np.intp)
+    widths = np.asarray(widths, dtype=np.intp)
+    flat, starts = np.frombuffer(feats), np.cumsum(widths) - widths
     kept, blocks = [], {}
     for width in np.unique(widths).tolist():
         idx = np.flatnonzero(widths == width)
         # The one stacking point: the attribute the benchmark's tracer counts.
-        X = conformal.features_matrix([rows[i] for i in idx])
+        X = conformal.features_matrix(flat[starts[idx, None] + np.arange(width)])
         faults = row_faults(X, y[idx], scale, first_key[idx])
         errors.extend((line_nos[idx[j]], reason) for j, reason in faults.items())
         ok = np.setdiff1d(np.arange(len(idx)), list(faults))
@@ -118,14 +158,13 @@ def load_samples(
     if n_lines > 0 and not kept:
         raise DataError(f"all {n_lines} lines of {path} are malformed")
     errors.sort()
-    dataset, group, sample_id, judge = zip(*(tags[i] for i in kept)) if kept else ([],) * 4
     batch = Batch(
         X=blocks.popitem()[1] if blocks else np.empty((0, 0)),
         y=y[kept],
-        dataset=np.array(dataset, dtype=str),
-        group=np.array(group, dtype=object),
-        sample_id=np.array(sample_id, dtype=object),
-        judge=np.array(judge, dtype=str),
+        dataset=np.array(datasets, dtype=object)[kept],
+        group=np.array(groups, dtype=object)[kept],
+        sample_id=np.array(sample_ids, dtype=object)[kept],
+        judge=np.array(judges, dtype=object)[kept],
     )
     return batch, errors
 
@@ -199,6 +238,6 @@ def fuse(
         dataset=first.dataset,
         group=first.group,
         sample_id=first.sample_id,
-        judge=np.full(len(shared), "+".join(order)),
+        judge=np.array(["+".join(order)], dtype=object).repeat(len(shared)),
     )
     return fused, dropped

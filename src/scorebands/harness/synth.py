@@ -121,7 +121,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
             upper=hi + 1.0,
             interval_mass=mass,
         )
-        return _batch(feats, gt, spec, groups=None), oracle
+        return _batch(feats, gt, spec), oracle
 
     # Regression-style generators: continuous latent mean plus Gaussian noise,
     # discretized to the integer scale. Features encode the latent mean, and
@@ -130,12 +130,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
     if spec.generator == "homoscedastic":
         sigma = np.full(spec.n, spec.sigma)
         spread = np.full(spec.n, 1.0)
-        groups = None
+        high = None
     else:  # heteroscedastic_groups
         high = rng.random(spec.n) < 0.5
         sigma = np.where(high, spec.sigma * spec.sigma_ratio, spec.sigma)
         spread = np.where(high, 0.6 * spec.sigma_ratio, 0.6)
-        groups = np.where(high, "high", "low")
     logits = -((labels[None, :] - m[:, None]) ** 2) / spread[:, None]
     feats = _noisy_blocks(rng, logits, spec)
     y_cont = m + sigma * rng.standard_normal(spec.n)
@@ -147,22 +146,27 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Batch, SyntheticOracle]:
         sigma=sigma,
         y_cont=y_cont,
     )
-    return _batch(feats, gt, spec, groups=groups), oracle
+    return _batch(feats, gt, spec, high), oracle
 
 
-def _batch(feats: np.ndarray, gt: np.ndarray, spec: SyntheticSpec, groups) -> Batch:
-    """The samples as columns; a group tag, when there is one, also names the
+def _batch(feats: np.ndarray, gt: np.ndarray, spec: SyntheticSpec, high=None) -> Batch:
+    """The samples as columns, each tag column one shared str per distinct
+    value. Without ``high`` no sample has a group; with it, a sample's group
+    is "high" where ``high`` holds and "low" elsewhere, and also names its
     dataset."""
     n = spec.n
+    if high is None:
+        dataset = np.array([f"synthetic_{spec.generator}"], dtype=object).repeat(n)
+        group = np.full(n, None)
+    else:
+        pick = high.astype(np.intp)
+        dataset = np.array(["synthetic_low", "synthetic_high"], dtype=object)[pick]
+        group = np.array(["low", "high"], dtype=object)[pick]
     return Batch(
         X=feats,
         y=gt.astype(np.float64),
-        dataset=(
-            np.full(n, f"synthetic_{spec.generator}")
-            if groups is None
-            else np.char.add("synthetic_", groups)
-        ),
-        group=np.full(n, None) if groups is None else groups.astype(object),
+        dataset=dataset,
+        group=group,
         sample_id=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
-        judge=np.full(n, "synthetic"),
+        judge=np.array(["synthetic"], dtype=object).repeat(n),
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from scorebands import conformal
 from scorebands.core import RatingScale
-from scorebands.harness import SyntheticSpec, generate_synthetic, write_samples
+from scorebands.harness import SyntheticSpec, generate_synthetic, load_samples, write_samples
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -25,6 +25,15 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
     coverage = float(capsys.readouterr().out.splitlines()[0])
     assert 0.8 <= coverage <= 1.0
+
+
+def test_sample_line_block_loads(tmp_path):
+    text = section("Input formats").split("**Sample lines**", 1)[1]
+    block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    path = tmp_path / "samples.jsonl"
+    path.write_text(block.replace("\n", " ") + "\n", encoding="utf-8")
+    batch, errors = load_samples(path)
+    assert len(batch) == 1 and errors == []
 
 
 def test_methods_paragraph_names_the_rules_the_table_calls():

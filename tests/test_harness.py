@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scorebands.base import GENERATORS
 from scorebands.core import Batch, DataError, RatingScale
 from scorebands.harness import (
     ExperimentConfig,
@@ -127,15 +128,32 @@ class TestLoadSamples:
         assert errors == [(2, "line is not UTF-8: 'utf-8' codec can't decode byte "
                               "0xff in position 16: invalid start byte")]
 
+    def test_tag_columns_share_one_str_per_value(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        self._write(path, [
+            sample_line(i, dataset="de"[i % 2], group="g" if i % 2 else None) for i in range(4)
+        ])
+        samples, _ = load_samples(path)
+        for column in ("dataset", "group", "sample_id", "judge"):
+            assert getattr(samples, column).dtype == object, column
+        assert samples.dataset[0] is samples.dataset[2]
+        assert samples.group.tolist() == [None, "g", None, "g"]
+        assert samples.group[1] is samples.group[3]
+        assert samples.judge[0] is samples.judge[3]
+        tail, picked = samples[1:], samples[np.array([2, 0])]
+        assert tail.dataset[1] is samples.dataset[0] and tail.judge[0] is tail.judge[2]
+        assert picked.dataset[0] is picked.dataset[1]
+
     def test_write_read_round_trip(self, tmp_path):
-        spec = SyntheticSpec(n=20, seed=1, generator="heteroscedastic_groups")
-        samples, _ = generate_synthetic(spec)
-        path = tmp_path / "rt.jsonl"
-        write_samples(samples, path, SCALE)
-        loaded, errors = load_samples(path)
-        assert not errors
-        for column in ("X", "y", "dataset", "group", "sample_id", "judge"):
-            assert np.array_equal(getattr(loaded, column), getattr(samples, column)), column
+        for generator in GENERATORS:
+            samples, _ = generate_synthetic(SyntheticSpec(n=20, seed=1, generator=generator))
+            path = tmp_path / f"{generator}.jsonl"
+            write_samples(samples, path, SCALE)
+            loaded, errors = load_samples(path)
+            assert not errors
+            for column in ("X", "y", "dataset", "group", "sample_id", "judge"):
+                want, got = getattr(samples, column), getattr(loaded, column)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (generator, column)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +174,22 @@ def _reference_logprob(value, key):
     return v
 
 
+def _reference_tag(obj, key):
+    value = obj.get(key)
+    if key == "group" and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise DataError(f"{key} must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def _reference_parse_line(obj, scale):
     if not isinstance(obj, dict):
         raise DataError("line is not an object")
     for key in REFERENCE_FIELDS:
         if key not in obj:
             raise DataError(f"missing field {key!r}")
+    tags = {key: _reference_tag(obj, key) for key in ("sample_id", "judge", "dataset", "group")}
     gt = obj["gt_score"]
     if isinstance(gt, bool) or not isinstance(gt, int):
         raise DataError(f"gt_score must be an integer, got {gt!r}")
@@ -188,15 +216,7 @@ def _reference_parse_line(obj, scale):
         values = [_reference_logprob(v, str(i)) for i, v in enumerate(feats)]
     else:
         raise DataError("line has neither 'logprobs' nor 'features'")
-    group = obj.get("group")
-    return {
-        "features": tuple(values),
-        "gt_score": gt,
-        "dataset": str(obj["dataset"]),
-        "judge": str(obj["judge"]),
-        "sample_id": str(obj["sample_id"]),
-        "group": str(group) if group is not None else None,
-    }
+    return {"features": tuple(values), "gt_score": gt, **tags}
 
 
 def reference_load_samples(path, scale=SCALE):
@@ -266,6 +286,17 @@ LOADER_CASES = [
     (_with(24, drop=("logprobs",), features=[1, 1, 1, 1, 1]), False),
     (_with(25, dataset=7, sample_id=25, group=3), None),
     (_with(26, logprobs=_lp(_3=0)), None),
+    # A tag that is not a string or a number; a null group means no group.
+    (_with(27, dataset=None), True),
+    (_with(28, dataset={"x": 1}), True),
+    (_with(29, judge=["j1"]), True),
+    (_with(30, judge=False), True),
+    (_with(31, sample_id=None), True),
+    (_with(32, sample_id=True), True),
+    (_with(33, group={"g": 1}), True),
+    (_with(34, group=[]), True),
+    (_with(35, group=True), True),
+    (_with(36, group=None, dataset=2.5), None),
 ]
 
 
@@ -279,7 +310,7 @@ class TestLoaderOracle:
                 fh.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
         want, want_errors = reference_load_samples(path)
         batch, errors = load_samples(path)
-        assert len(batch) == len(want) == 4
+        assert len(batch) == len(want) == 5
         assert batch.X.tolist() == [list(s["features"]) for s in want]
         assert batch.y.tolist() == [float(s["gt_score"]) for s in want]
         for column in ("dataset", "judge", "sample_id", "group"):
@@ -359,6 +390,17 @@ def reference_oracle(cond):
 
 
 class TestSyntheticGenerators:
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_tag_columns_share_one_str_per_value(self, generator):
+        batch, _ = generate_synthetic(SyntheticSpec(n=50, seed=0, generator=generator))
+        for column in ("dataset", "group", "sample_id", "judge"):
+            assert getattr(batch, column).dtype == object, column
+        tail = batch[10:]
+        for column in ("dataset", "group", "judge"):
+            ids = {id(v) for v in getattr(batch, column)}
+            assert len(ids) == len(set(getattr(batch, column).tolist())), column
+            assert {id(v) for v in getattr(tail, column)} <= ids, column
+
     @pytest.mark.parametrize("k", [3, 5, 10])
     def test_oracle_sets_equal_the_row_loop(self, k, monkeypatch):
         from scorebands.harness import synth
