@@ -57,6 +57,17 @@ class RatingScale:
         return self.k_max - 1
 
 
+def tag_text(value, key: str) -> str:
+    """The text of the tag ``key`` of a parsed line: a string as it is, a
+    number as its decimal text. Anything else, a JSON true/false included,
+    raises DataError."""
+    if type(value) is str:
+        return value
+    if type(value) is int or type(value) is float:  # a JSON true/false is a bool
+        return str(value)
+    raise DataError(f"{key} must be a string or a number, got {value!r}")
+
+
 _CR = ord("\r")
 
 

@@ -32,6 +32,7 @@ from .core import (
     RatingScale,
     clamp_endpoints,
     decimal_fraction,
+    tag_codes,
 )
 # load_samples stacks its rows through this attribute: the one stacking
 # point of a run, and the one the benchmark's tracer counts.
@@ -40,7 +41,7 @@ from .learners import (
     TrainConfig,
     fit_boosted,
     fit_grid_classifier,  # noqa: F401  no method fits it; the bench tracer wraps it
-    fit_hist_density,
+    fit_hist_density,  # noqa: F401  no method fits it; the bench tracer wraps it
     fit_point_var,
     fit_quantile_model,
     fit_spread_head,
@@ -324,12 +325,12 @@ def _taus(alpha: float) -> tuple[float, float]:
 
 
 def _learner(split: Split, key):
-    """The learner ``key`` of ``split``, fit once per Split: "mean", the mean
-    network every mean-based method shares; "sigma", a spread network fit to
-    its |residual|; "quantile", the network at the two taus; "hist", the
-    label network of chr, r2ccp and ordinal_aps; ("boosted", "pinball",
-    tau), a forest at one tau; ("boosted", "absolute", None), a forest of
-    the mean's |residual|."""
+    """The learner ``key`` of ``split``, fit once per Split: "mean", the
+    network of the mean and the label logits, which every mean-based method
+    and chr, r2ccp and ordinal_aps share; "sigma", a spread network fit to
+    its |residual|; "quantile", the network at the two taus; ("boosted",
+    "pinball", tau), a forest at one tau; ("boosted", "absolute", None), a
+    forest of the mean's |residual|."""
     half, cfg = split.half, split.cfg
     if isinstance(key, tuple):
         _, loss, tau = key
@@ -340,12 +341,11 @@ def _learner(split: Split, key):
                                cfg.boost_rate, tau=tau)
     else:
         fit = {
-            "mean": lambda: fit_point_var(half.X, half.y, cfg.train),
+            "mean": lambda: fit_point_var(half.X, half.y, split.scale.k_max, cfg.train),
             "sigma": lambda: fit_spread_head(_learner(split, "mean"), half.X,
                                              _abs_resid(split), cfg.train),
             "quantile": lambda: fit_quantile_model(half.X, half.y, _taus(split.alpha),
                                                    cfg.train),
-            "hist": lambda: fit_hist_density(half.X, half.y, split.scale.k_max, cfg.train),
         }[key]
     return split.memo(key, fit)
 
@@ -386,7 +386,9 @@ def _boosted_quantiles(split, rows):
 
 
 def _log_proba(split, rows):
-    return log_softmax(split.predict(_learner(split, "hist"), rows))
+    """Label log-probabilities: the log-softmax of the mean network's label
+    logits."""
+    return log_softmax(split.predict(_learner(split, "mean"), rows)[:, 1:])
 
 
 def _proba(split, rows):
@@ -503,15 +505,15 @@ class GroupPartition:
         """The group of every row, as strings; worked out once per distinct
         tag. A row with no group raises DataError naming its sample."""
         if self.group_of is not None:
-            tags, inverse = np.unique(batch.dataset, return_inverse=True)
-            known = np.array([t in self.group_of for t in tags.tolist()], dtype=bool)
+            tags, inverse = tag_codes(batch.dataset.tolist())
+            known = np.array([t in self.group_of for t in tags], dtype=bool)
             if not known.all():
                 i = int(np.flatnonzero(~known[inverse])[0])
                 raise DataError(
                     f"partition {self.name!r} has no group for dataset "
                     f"{str(batch.dataset[i])!r} (sample {batch.sample_id[i]!r})"
                 )
-            groups = np.array([self.group_of[t] for t in tags.tolist()], dtype=str)
+            groups = np.array([self.group_of[t] for t in tags], dtype=str)
             return groups[inverse]
         if self.tag_field == "dataset_tag":
             return batch.dataset

@@ -243,6 +243,15 @@ def clamp_endpoints(
     return lo, hi
 
 
+def tag_codes(tags: list) -> tuple[list, np.ndarray]:
+    """The distinct values of ``tags`` in sorted order, and each row's index
+    into them: one dict lookup per row, and a sort of the distinct values
+    alone."""
+    distinct = sorted(set(tags))
+    code = {tag: i for i, tag in enumerate(distinct)}
+    return distinct, np.fromiter(map(code.__getitem__, tags), np.intp, len(tags))
+
+
 def features_matrix(rows) -> np.ndarray:
     """Stack feature rows of one length into an (n, d) float64 matrix."""
     if not len(rows):

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 
-from .base import DataError, RatingScale, decoded_lines, utf8_line
+from .base import DataError, RatingScale, decoded_lines, tag_text, utf8_line
 
 STAGE_ANCHORED = "anchored"
 STAGE_KEYWORD = "keyword"
@@ -339,13 +339,13 @@ def parse_record(obj: dict) -> ExtractionRecord:
             logprobs.append(lp)
             top_k.append(pairs)
         return ExtractionRecord(
-            sample_id=str(obj["sample_id"]),
+            sample_id=tag_text(obj["sample_id"], "sample_id"),
             texts=tuple(texts),
             logprobs=tuple(logprobs),
             top_k=tuple(top_k),
             declared_score=_declared_score(obj.get("declared_score")),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"bad transcript record: {exc}") from exc
 
 

@@ -15,23 +15,19 @@ from array import array
 import numpy as np
 
 from .. import conformal
-from ..base import decoded_lines, utf8_line
+from ..base import decoded_lines, tag_text, utf8_line
 from ..core import Batch, DataError, RatingScale, row_faults
 
 REQUIRED_FIELDS = ("sample_id", "judge", "dataset", "gt_score")
 
 
 def _text(obj: dict, key: str) -> str | None:
-    """The text of tag ``key`` of a parsed line: a string as it is, a number
-    as its decimal text; None for a null or absent ``group``."""
+    """The text of tag ``key`` of a parsed line (see `tag_text`); None for a
+    null or absent ``group``."""
     value = obj.get(key)
-    if type(value) is str:
-        return value
-    if type(value) is int or type(value) is float:  # a JSON true/false is a bool
-        return str(value)
     if value is None and key == "group":
         return None
-    raise DataError(f"{key} must be a string or a number, got {value!r}")
+    return tag_text(value, key)
 
 
 def _fields(obj) -> tuple:

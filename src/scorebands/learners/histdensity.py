@@ -1,5 +1,7 @@
 """The label network: a softmax over the K labels of the rating scale, the
-conditional histogram of Sesia & Romano (2021) with one bin per label."""
+conditional histogram of Sesia & Romano (2021) with one bin per label.
+No method fits it: the mean network carries the same K logits beside the
+mean (`pointvar.fit_point_var`); the benchmark's tracer still wraps it."""
 
 from __future__ import annotations
 

@@ -131,6 +131,24 @@ def _squared_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
 squared_head = Head(_squared_loss, _squared_grad)
 
 
+def _mean_label_loss(out: np.ndarray, target: np.ndarray) -> float:
+    return _squared_loss(out, target) + _softmax_ce_loss(
+        out[:, 1:], target.astype(np.intp) - 1)
+
+
+def _mean_label_grad(out: np.ndarray, target: np.ndarray) -> np.ndarray:
+    d_out = np.empty_like(out)
+    d_out[:, :1] = _squared_grad(out, target)
+    d_out[:, 1:] = _softmax_ce_grad(out[:, 1:], target.astype(np.intp) - 1)
+    return d_out
+
+
+# The mean and the label logits of one target y in 1..K: squared error of
+# column 0 against y plus cross-entropy of columns 1..K against label y at
+# column y, unweighted.
+mean_label_head = Head(_mean_label_loss, _mean_label_grad)
+
+
 def pinball_head(*taus: float) -> Head:
     """Output column j is the quantile at level ``taus[j]`` of one target:
     the sum over the levels of the mean pinball (quantile) loss."""

@@ -1,21 +1,35 @@
 """Mean and spread networks.
 
-The mean network minimizes squared error. The spread network is fit
-afterwards to the absolute residuals of the frozen mean network, behind the
-same scaler.
+The mean network carries the label logits too: one fit gives the mean of
+every mean-based method and the label probabilities of every label-based
+one. The spread network is fit afterwards to the absolute residuals of the
+frozen mean, behind the same scaler.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nets import Net, Standardizer, TrainConfig, fit_mlp, squared_head
+from .histdensity import label_columns
+from .nets import (Net, Standardizer, TrainConfig, fit_mlp, forward, mean_label_head,
+                   squared_head)
 
 
-def fit_point_var(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Net:
-    """The mean network: one output, fit to y by squared error."""
+def fit_point_var(X: np.ndarray, y: np.ndarray, k_max: int, cfg: TrainConfig) -> Net:
+    """The mean network: output 0 is the mean, fit to y by squared error;
+    outputs 1..k_max are the logits of labels 1..k_max, cross-entropy fit,
+    so their log-softmax is the log-probability of each label. A label
+    outside 1..k_max raises ValueError.
+
+    After SGD the mean output's bias is shifted by its mean residual on X,
+    which is that bias's least-squares value given the other weights.
+    """
+    label_columns(y, k_max)
     scaler = Standardizer.fit(X)
-    return Net(fit_mlp(scaler.transform(X), y, 1, squared_head, cfg), scaler)
+    Z = scaler.transform(X)
+    params = fit_mlp(Z, y, 1 + k_max, mean_label_head, cfg)
+    params[-1][1][0] += np.mean(y - forward(params, Z)[1][:, 0])
+    return Net(params, scaler)
 
 
 def fit_spread_head(

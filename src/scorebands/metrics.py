@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Intervals, RatingScale
+from .core import DataError, Intervals, RatingScale, tag_codes
 
 
 def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
@@ -242,18 +242,24 @@ class Strata:
 
     @classmethod
     def of(cls, labels) -> "Strata":
-        """A Strata as it is, or one label per row grouped by one stable sort."""
+        """A Strata as it is, or one label per row grouped by one stable sort.
+        A tag column (object dtype) is sorted as each row's code among its
+        sorted distinct tags, so no string is compared per row."""
         if isinstance(labels, cls):
             return labels
         labels = np.asarray(labels)
-        if labels.dtype.kind != "U":
+        names = None
+        if labels.dtype.kind == "O":
+            names, labels = tag_codes(list(map(str, labels.tolist())))
+        elif labels.dtype.kind != "U":
             labels = labels.astype(str)
         n = len(labels)
         order = np.argsort(labels, kind="stable")
         ordered = labels[order]
         starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]) if n else order
+        firsts = ordered[starts].tolist()
         return cls(
-            labels=tuple(ordered[starts].tolist()),
+            labels=tuple(firsts if names is None else [names[i] for i in firsts]),
             rows=tuple(np.split(order, starts[1:])) if n else (),
             n=n,
         )

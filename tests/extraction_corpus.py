@@ -168,8 +168,9 @@ TEN_POINT_FAILURE = [
 ]
 
 
-# Transcript lines with numbers out of range: each but the first is a parse
-# error on its line, never a crash.
+# Transcript lines with numbers out of range or a sample id that is neither
+# text nor a number: each but the first is a parse error on its line, never a
+# crash.
 ANCHORED_TOKENS = json.dumps(
     [{"text": "Score:", "logprob": -0.1, "top_k": []},
      {"text": "4", "logprob": -0.2, "top_k": [["4", -0.2], ["3", -2.0]]}]
@@ -190,6 +191,15 @@ OUT_OF_RANGE_LINES = [
      "declared_score must be an integer, got 3.7"),
     ('{"sample_id": "g", "tokens": [{"text": "4", "logprob": -1' + "0" * 5000 + "}]}",
      "Exceeds the limit (4300 digits)"),
+    # A sample id is a string or a number, as load_samples reads it.
+    ('{"sample_id": null, "tokens": ' + ANCHORED_TOKENS + "}",
+     "sample_id must be a string or a number, got None"),
+    ('{"sample_id": {"a": 1}, "tokens": ' + ANCHORED_TOKENS + "}",
+     "sample_id must be a string or a number, got {'a': 1}"),
+    ('{"sample_id": ["h"], "tokens": ' + ANCHORED_TOKENS + "}",
+     "sample_id must be a string or a number, got ['h']"),
+    ('{"sample_id": true, "tokens": ' + ANCHORED_TOKENS + "}",
+     "sample_id must be a string or a number, got True"),
 ]
 
 

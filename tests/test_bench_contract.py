@@ -83,11 +83,13 @@ def test_traced_run_counts_each_method_and_fit(spans):
     assert not report.errors
     for method in config.methods:
         assert tracer.counts[f"conformal.run_method.{method}.calls"] == 1, method
-    # One mean network with its spread head, one two-output quantile
-    # network and one label network (the one-bin-per-label histogram that
-    # chr and r2ccp read, which is ordinal_aps's label classifier too); two
-    # pinball forests and one |residual| forest.
-    assert tracer.counts["learners.fit_mlp.calls"] == 4
+    # One network of the mean and the label logits (chr, r2ccp and
+    # ordinal_aps read its label softmax), its spread head and one
+    # two-output quantile network; two pinball forests and one |residual|
+    # forest. The label network no method fits reads no call.
+    assert tracer.counts["learners.fit_mlp.calls"] == 3
+    assert tracer.counts["learners.fit_point_var.calls"] == 1
+    assert tracer.counts["learners.fit_hist_density.calls"] == 0
     assert tracer.counts["learners.fit_boosted.calls"] == 3
     # The rounds counter reads len(model.trees): one tree per round.
     rounds = config.method_config.boost_rounds

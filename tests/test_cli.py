@@ -603,7 +603,7 @@ class TestExtractCommand:
         code = main(["extract", "--input", str(inp), "--out", str(out)])
         assert code == EXIT_OK
         captured = capsys.readouterr()
-        assert "extracted 1/7" in captured.out
+        assert f"extracted 1/{len(corpus.OUT_OF_RANGE_LINES)}" in captured.out
         listed = captured.err.splitlines()
         for n, (_, fragment) in enumerate(corpus.OUT_OF_RANGE_LINES, start=1):
             if fragment:

@@ -385,7 +385,8 @@ class TestLvdReduction:
         cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
         from scorebands.learners import fit_point_var
 
-        mean = split.memo("mean", lambda: fit_point_var(split.half.X, split.half.y, cfg))
+        mean = split.memo("mean", lambda: fit_point_var(split.half.X, split.half.y,
+                                                        SCALE.k_max, cfg))
         rng = np.random.default_rng(0)
         sigma_params = init_params([split.half.X.shape[1], 4, 1], rng)
         sigma_params = [(np.zeros_like(W), np.zeros_like(b)) for W, b in sigma_params]
@@ -482,7 +483,7 @@ class TestMethodRunners:
         for method in ("chr", "r2ccp"):
             split = Split(cal, test, 0.1, SCALE, FAST)
             res = run_method(method, split)
-            probs = np.exp(log_softmax(_learner(split, "hist").predict(X)))
+            probs = np.exp(log_softmax(_learner(split, "mean").predict(X)[:, 1:]))
             assert np.array_equal(res.y_hat, probs @ np.arange(1.0, 6.0)), method
 
     def test_argmax_feature_point_predictor(self):
@@ -1155,11 +1156,12 @@ class TestCacheKeys:
     @staticmethod
     def once_per_split(cal, test) -> list:
         """(model type, row count) of every prediction that the nine methods
-        of one split make: the mean network predicts the learner half, the
-        conformal half and the test set; the spread network, the quantile
-        network, the label network and the three forests the last two."""
+        of one split make: the network of the mean and the label logits
+        predicts the learner half, the conformal half and the test set; the
+        spread network, the quantile network and the three forests the last
+        two."""
         n_learn, n_conf = len(cal) // 2, len(cal) - len(cal) // 2
-        each = ["Net.predict"] * 4 + ["BoostedModel.predict"] * 3
+        each = ["Net.predict"] * 3 + ["BoostedModel.predict"] * 3
         return [("Net.predict", n_learn)] + [
             (what, n) for what in each for n in (n_conf, len(test))
         ]
@@ -1197,9 +1199,10 @@ class TestCacheKeys:
         assert len(groups) > 1
         self.assert_once_each(calls, want)
 
-    # Fits of nine methods on one Split: four networks and three forests.
+    # Fits of nine methods on one Split: three networks and three forests.
+    # The mean network carries the label logits, so no label network is fit.
     FITS_PER_SPLIT = {"fit_point_var": 1, "fit_spread_head": 1, "fit_quantile_model": 1,
-                      "fit_hist_density": 1, "fit_boosted": 3}
+                      "fit_hist_density": 0, "fit_boosted": 3}
 
     @classmethod
     def count_fits(cls, monkeypatch) -> Counter:
@@ -1250,7 +1253,7 @@ class TestCacheKeys:
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
         results = [run_method(m, shared) for m in METHODS]
         kept = [c[-1] for c in calls]
-        assert len(kept) == len(self.once_per_split(cal, test)) == 15
+        assert len(kept) == len(self.once_per_split(cal, test)) == 13
         assert not any(a.flags.writeable for a in kept)
         # A point prediction is the result's own array: writing to it leaves
         # every kept prediction as it was.
@@ -1265,7 +1268,7 @@ class TestCacheKeys:
             self.assert_same(run_method(m, shared), run_method(m, fresh), m)
 
     def test_r2ccp_after_chr_adds_no_fit_and_no_kept_array(self, monkeypatch):
-        """r2ccp reads chr's label network: after chr on one Split it adds
+        """r2ccp reads chr's label logits: after chr on one Split it adds
         neither a fit nor a prediction."""
         calls = self.count_predictions(monkeypatch)
         fits = count_label_fits(monkeypatch)
@@ -1281,23 +1284,25 @@ class TestCacheKeys:
 
 
 def count_label_fits(monkeypatch) -> list:
-    """The row count of every label-network fit."""
+    """The row count of every fit of the network that carries the label
+    logits, the mean network."""
     from scorebands import conformal
 
     fits = []
-    original = conformal.fit_hist_density
+    original = conformal.fit_point_var
 
     def counted(X, *args, **kwargs):
         fits.append(len(X))
         return original(X, *args, **kwargs)
 
-    monkeypatch.setattr(conformal, "fit_hist_density", counted)
+    monkeypatch.setattr(conformal, "fit_point_var", counted)
     return fits
 
 
 class TestLabelNetwork:
-    """chr's histogram has one bin per label, so it is the label network of
-    ordinal_aps: one fit and one forward pass per row set serve both."""
+    """chr's histogram has one bin per label: the label logits that the mean
+    network carries beside the mean. One fit and one forward pass per row
+    set serve chr, r2ccp, ordinal_aps and the mean-based methods."""
 
     FAST_FIT = TestCacheKeys.FAST_FIT
 
@@ -1307,12 +1312,15 @@ class TestLabelNetwork:
         cal, test, _ = split_synth(n=300, seed=31, scale=scale, feature_dim=k_max)
         split = Split(cal, test, 0.1, scale, self.FAST_FIT)
         run_method("chr", split)
-        model = _learner(split, "hist")
-        # So no two labels share a bin: on ten labels, 5 and 6 no longer do.
-        assert model.predict(test.X[:4]).shape == (4, k_max)
-        assert model.params[-1][0].shape[1] == k_max
+        model = _learner(split, "mean")
+        # The mean, then one logit per label: on ten labels, 5 and 6 do not
+        # share a bin.
+        assert model.predict(test.X[:4]).shape == (4, 1 + k_max)
+        assert model.params[-1][0].shape[1] == 1 + k_max
 
     def test_chr_and_ordinal_aps_share_one_fit_and_forward_pass(self, monkeypatch):
+        """And naive_split shares both: its mean is output 0 of the same
+        network."""
         calls = []
         original = Net.predict
 
@@ -1324,8 +1332,8 @@ class TestLabelNetwork:
         fits = count_label_fits(monkeypatch)
         cal, test, _ = split_synth(n=600, seed=32, label_noise=0.35)
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
-        run_method("chr", shared)
-        run_method("ordinal_aps", shared)
+        for method in ("chr", "ordinal_aps", "naive_split"):
+            run_method(method, shared)
         assert fits == [len(cal) // 2]
         assert sorted(calls) == sorted([len(cal) - len(cal) // 2, len(test)])
 
@@ -1347,16 +1355,21 @@ class TestLabelNetwork:
         assert np.array_equal(res_r2.intervals.upper,
                               np.where(hi == k_max, k_max, hi - 0.5))
 
-    @pytest.mark.parametrize("method", ["chr", "r2ccp", "ordinal_aps"])
+    @pytest.mark.parametrize("method", ["chr", "r2ccp", "ordinal_aps", "naive_split",
+                                        "lvd", "boosted_lcp"])
     def test_label_outside_the_scale_raises(self, method):
-        """A label that is not one of 1..K, in the learner half or in the
-        conformal half, raises: it is neither clipped into an end cell nor
-        wrapped round to a column from the other end."""
+        """A label that is not one of 1..K raises: it is neither clipped into
+        an end cell nor wrapped round to a column from the other end. The
+        label methods check both halves; the mean-based methods fit the
+        network that carries the label logits, so they check the learner
+        half."""
         import dataclasses
 
         cal, test, _ = split_synth(n=200, seed=36)
         cfg = MethodConfig(train=TrainConfig(epochs=1))
-        for row in (0, len(cal) - 1):  # in the learner half, in the conformal half
+        # In the learner half, in the conformal half.
+        rows = (0, len(cal) - 1) if method in ("chr", "r2ccp", "ordinal_aps") else (0,)
+        for row in rows:
             for bad in (0.0, 6.0, 2.5):
                 y = cal.y.copy()
                 y[row] = bad

@@ -521,6 +521,17 @@ def test_parse_record_errors():
         parse_record({"sample_id": "x"})
 
 
+def test_sample_id_is_text_or_a_number():
+    """As load_samples reads a tag: a string as it is, a number as its
+    decimal text, and anything else a parse error naming sample_id."""
+    tokens = [{"text": "4", "logprob": -0.2}]
+    for value, want in (("a", "a"), (7, "7"), (2.5, "2.5")):
+        assert parse_record({"sample_id": value, "tokens": tokens}).sample_id == want
+    for value in (None, {"a": 1}, ["a"], False):
+        with pytest.raises(DataError, match="sample_id must be a string or a number"):
+            parse_record({"sample_id": value, "tokens": tokens})
+
+
 def test_import_loads_no_conformal_layer():
     """Importing extraction, or the errors and the scale from the package,
     leaves numpy, the array types, the learners, methods and harness

@@ -32,6 +32,7 @@ from scorebands.learners import nets
 from scorebands.learners.nets import (
     Head,
     MLPParams,
+    Net,
     Standardizer,
     TrainConfig,
     batch_gradient,
@@ -41,6 +42,7 @@ from scorebands.learners.nets import (
     gradient_scratch,
     init_params,
     log_softmax,
+    mean_label_head,
     pinball_head,
     softmax_ce_head,
     squared_head,
@@ -288,17 +290,49 @@ class TestHistDensity:
         X = np.random.default_rng(8).normal(size=(4, 2))
         with pytest.raises(ValueError, match="not one of 1..5"):
             label_columns(y, 5)
-        for fit in (fit_hist_density, fit_grid_classifier):
+        for fit in (fit_hist_density, fit_grid_classifier, fit_point_var):
             with pytest.raises(ValueError, match="not one of 1..5"):
                 fit(X, y, 5, TrainConfig(epochs=1))
 
 
 def fit_mean_and_spread(X, y, cfg):
-    mean = fit_point_var(X, y, cfg)
+    """A squared-error mean network of a continuous y, and the spread network
+    fit to its |residual| behind its scaler."""
+    scaler = Standardizer.fit(X)
+    mean = Net(fit_mlp(scaler.transform(X), y, 1, squared_head, cfg), scaler)
     return mean, fit_spread_head(mean, X, np.abs(y - mean.predict(X)[:, 0]), cfg)
 
 
 class TestPointVar:
+    def test_mean_residual_averages_to_zero(self):
+        """The mean output's bias is shifted to its least-squares value: on
+        the training rows the residual averages to 0, which SGD alone does
+        not reach."""
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 5))
+        y = np.clip(np.round(3.0 + X[:, 0] + 0.5 * rng.standard_normal(300)), 1, 5)
+        cfg = TrainConfig(epochs=3)
+        model = fit_point_var(X, y, 5, cfg)
+        assert abs(np.mean(y - model.predict(X)[:, 0])) < 1e-12
+        scaler = Standardizer.fit(X)
+        sgd = fit_mlp(scaler.transform(X), y, 6, mean_label_head, cfg)
+        assert abs(np.mean(y - forward(sgd, scaler.transform(X))[1][:, 0])) > 1e-4
+        # Only that bias moved: every other parameter is SGD's as it stands.
+        moved = flatten_params(model.params) != flatten_params(sgd)
+        assert moved.sum() == 1 and model.params[-1][1][0] != sgd[-1][1][0]
+
+    def test_one_fit_gives_the_mean_and_the_label_frequencies(self):
+        """With no signal in X, column 0 reaches the label mean and the
+        softmax of columns 1..K the label frequencies."""
+        rng = np.random.default_rng(4)
+        p = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+        y = rng.choice(np.arange(1.0, 6.0), size=800, p=p)
+        model = fit_point_var(rng.normal(size=(800, 5)), y, 5, FAST)
+        out = model.predict(rng.normal(size=(400, 5)))
+        assert out.shape == (400, 6)
+        assert abs(out[:, 0].mean() - y.mean()) < 0.1
+        assert np.max(np.abs(np.exp(log_softmax(out[:, 1:])).mean(axis=0) - p)) < 0.06
+
     def test_homoscedastic_sigma_flat(self):
         """Constant-noise data: the fitted scale is flat (relative sd <= 20%)
         and centered on the true mean absolute residual 0.5 * sqrt(2/pi)."""
@@ -713,6 +747,27 @@ class TestGradients:
             target = rng.uniform(1, 5, 12)  # far from the kink at init
             assert max_rel_grad_error(params, X, target, pinball_head(tau)) < 1e-4
 
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_mean_label_head(self, k):
+        # The mean and the label logits: one target y in 1..k, a mean
+        # column and k logits, in float64.
+        rng = np.random.default_rng(25 + k)
+        for _ in range(5):
+            params = self._net(rng, 1 + k)
+            X = rng.normal(size=(12, 3))
+            target = rng.integers(1, k + 1, 12).astype(np.float64)
+            assert max_rel_grad_error(params, X, target, mean_label_head) < 1e-4
+
+    def test_mean_label_head_is_the_two_heads_side_by_side(self):
+        rng = np.random.default_rng(26)
+        out = rng.normal(size=(9, 6))
+        y = rng.integers(1, 6, 9).astype(np.float64)
+        assert mean_label_head.loss(out, y) == (
+            squared_head.loss(out, y) + softmax_ce_head.loss(out[:, 1:], y.astype(int) - 1))
+        want = np.hstack([squared_head.grad(out, y),
+                          softmax_ce_head.grad(out[:, 1:].copy(), y.astype(int) - 1)])
+        assert mean_label_head.grad(out, y).tobytes() == want.tobytes()
+
     def test_two_output_pinball_head(self):
         # The CQR pair's head: one target, a column per level, in float64.
         rng = np.random.default_rng(23)
@@ -728,10 +783,12 @@ class TestGradients:
         (squared_head, 1, "value"),
         (pinball_head(0.05), 1, "value"),
         (pinball_head(0.05, 0.95), 2, "value"),
+        (mean_label_head, 6, "label"),
     ])
     def test_every_head_keeps_the_output_dtype(self, head, out_dim, kind):
         rng = np.random.default_rng(24)
         target = (rng.integers(0, out_dim, 12) if kind == "class"
+                  else rng.integers(1, out_dim, 12).astype(np.float32) if kind == "label"
                   else rng.uniform(1, 5, 12).astype(np.float32))
         for dtype in (np.float32, np.float64):
             out = rng.normal(size=(12, out_dim)).astype(dtype)
@@ -870,6 +927,16 @@ class TestFitMlpOracle:
         cfg = TrainConfig(epochs=3, hidden=hidden)
         assert_close_params(fit_mlp(X, target, out_dim, head, cfg),
                             reference_fit_mlp(X, target, out_dim, head, cfg))
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("n", [1, 100, 1001])
+    def test_mean_label_head_matches_reference(self, k, n):
+        rng = np.random.default_rng(n + k)
+        X = rng.normal(size=(n, 5))
+        y = rng.integers(1, k + 1, n).astype(np.float64)
+        cfg = TrainConfig(epochs=3)
+        assert_close_params(fit_mlp(X, y, 1 + k, mean_label_head, cfg),
+                            reference_fit_mlp(X, y, 1 + k, mean_label_head, cfg))
 
     # Fixed examples: at a pinball kink a float32 and a float64 step can
     # take opposite signs, which is rare but would move a weight by ~lr.

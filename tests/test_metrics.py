@@ -602,6 +602,17 @@ class TestColumnarMetricsIdentity:
         assert strata.labels == ("a", "b", "c")
         assert [r.tolist() for r in strata.rows] == [[1, 4], [0, 2, 5], [3]]
 
+    def test_strata_of_a_tag_column_is_its_text_sorted(self):
+        """An object column groups as its text does: labels in string order
+        ("10" before "9"), each with its rows ascending."""
+        rng = np.random.default_rng(8)
+        pool = np.array(["b", "a", "10", "9", 3, "ds x"], dtype=object)
+        for n in (0, 1, 50, 2000):
+            tags = pool[rng.integers(0, len(pool), n)]
+            got, want = Strata.of(tags), Strata.of(tags.astype(str))
+            assert got.labels == want.labels and got.n == want.n == n
+            assert [r.tolist() for r in got.rows] == [r.tolist() for r in want.rows]
+
     def test_informativeness_on_columns(self):
         rng = np.random.default_rng(7)
         ivs = random_intervals(rng, 500, 5, adjusted=True)

@@ -78,11 +78,12 @@ KNOWN_BREAKS: dict[tuple[str, str], str] = {
 }
 
 
-def _samples():
+def _samples(first_seed):
+    """The three groups, from generator seeds first_seed, +1 and +2."""
     parts, oracles = [], {}
     for i, (group, noise) in enumerate(GROUPS.items()):
         batch, oracle = generate_synthetic(
-            SyntheticSpec(n=N_PER_GROUP, seed=20 + i, label_noise=noise)
+            SyntheticSpec(n=N_PER_GROUP, seed=first_seed + i, label_noise=noise)
         )
         parts.append(replace(
             batch,
@@ -93,11 +94,12 @@ def _samples():
     return Batch.concat(parts), oracles
 
 
-@pytest.fixture(scope="module")
-def shape():
-    """Per group: the oracle's numbers, and every method's on the test set."""
-    samples, oracles = _samples()
-    cal_idx, test_idx = make_split(len(samples), 0.5, seed=0)
+def measure(first_seed, split_seed):
+    """Per group: the oracle's numbers, and every method's on the test set
+    of the split seeded ``split_seed`` of the samples from generator seeds
+    ``first_seed`` to ``first_seed + 2``."""
+    samples, oracles = _samples(first_seed)
+    cal_idx, test_idx = make_split(len(samples), 0.5, seed=split_seed)
     cal = samples[cal_idx]
     test = samples[test_idx]
     groups = np.array(test.group.tolist(), dtype=str)
@@ -124,6 +126,31 @@ def shape():
     return oracle, methods
 
 
+@pytest.fixture(scope="module")
+def shape():
+    return measure(20, 0)
+
+
+# The three checks, each on the oracle's numbers and one method's.
+def orders_easy_medium_hard(oracle, method):
+    widths = [method[g]["width"] for g in GROUPS]
+    return widths[0] < widths[1] < widths[2]
+
+
+def ratio_near_oracle(oracle, method):
+    expected = oracle["hard"]["labels"] / oracle["easy"]["labels"]
+    got = method["hard"]["labels"] / method["easy"]["labels"]
+    return expected / RATIO_BAND <= got <= expected * RATIO_BAND
+
+
+def decouples_on_hard_only(oracle, method):
+    return method["hard"]["rsg"] > 0 and not method["easy"]["rsg"] > 0
+
+
+CHECKS = {"order": orders_easy_medium_hard, "ratio": ratio_near_oracle,
+          "rsg": decouples_on_hard_only}
+
+
 def _cases(check):
     return [
         pytest.param(
@@ -146,21 +173,17 @@ def test_oracle_has_the_paper_shape(shape):
 
 @pytest.mark.parametrize("name", _cases("order"))
 def test_width_orders_easy_medium_hard(shape, name):
-    _, methods = shape
-    widths = [methods[name][g]["width"] for g in GROUPS]
-    assert widths[0] < widths[1] < widths[2], widths
+    oracle, methods = shape
+    assert orders_easy_medium_hard(oracle, methods[name]), methods[name]
 
 
 @pytest.mark.parametrize("name", _cases("ratio"))
 def test_hard_easy_ratio_near_oracle(shape, name):
     oracle, methods = shape
-    expected = oracle["hard"]["labels"] / oracle["easy"]["labels"]
-    got = methods[name]["hard"]["labels"] / methods[name]["easy"]["labels"]
-    assert expected / RATIO_BAND <= got <= expected * RATIO_BAND, (got, expected)
+    assert ratio_near_oracle(oracle, methods[name]), (methods[name], oracle)
 
 
 @pytest.mark.parametrize("name", _cases("rsg"))
 def test_ranking_decouples_from_width_on_hard_only(shape, name):
-    _, methods = shape
-    hard, easy = methods[name]["hard"]["rsg"], methods[name]["easy"]["rsg"]
-    assert hard > 0 and not easy > 0, (easy, hard)
+    oracle, methods = shape
+    assert decouples_on_hard_only(oracle, methods[name]), methods[name]
