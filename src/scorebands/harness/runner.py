@@ -27,6 +27,7 @@ from ..conformal import (
 )
 from ..core import Batch, DataError, RatingScale, check_batch, make_split
 from ..metrics import (
+    Ranked,
     Strata,
     error_bins,
     informativeness,
@@ -186,18 +187,23 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return mean, std
 
 
-def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, gts,
-              scale: RatingScale) -> dict:
-    """One per-seed row: the metric families' dicts, keyed as in SEED_METRICS."""
+def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, labels: Ranked,
+              points: dict, scale: RatingScale) -> dict:
+    """One per-seed row: the metric families' dicts, keyed as in SEED_METRICS.
+    ``points`` holds the split's point metrics by the bytes of a prediction,
+    so methods that predict the same points score them once."""
     fracs = informativeness(intervals, scale) if intervals.adjusted else (None,) * 3
+    key = np.asarray(y_hat, dtype=np.float64).tobytes()
+    if key not in points:
+        points[key] = point_metrics(y_hat, labels, scale)
     return {
         "seed": seed,
         "method": method,
         "n_cal": n_cal,
         "n_test": len(intervals),
-        **interval_metrics(intervals, gts),
-        **point_metrics(y_hat, gts, scale),
-        **midpoint_eval(intervals, gts),
+        **interval_metrics(intervals, labels.values),
+        **points[key],
+        **midpoint_eval(intervals, labels),
         **dict(zip(("frac_decisive", "frac_moderate", "frac_uninformative"), fracs)),
     }
 
@@ -231,8 +237,11 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
         except DataError as exc:
             report.errors.append(_ledger_row(seed, "*", exc))
             continue
-        # The strata that do not depend on the method, grouped once per split.
+        # The labels and strata that do not depend on the method, ranked and
+        # grouped once per split, and the split's point metrics by prediction.
         test = split.test
+        labels = Ranked.of(test.y)
+        points: dict = {}
         keys = {
             "gt_level": Strata.of(test.y.astype(np.int64).astype(str)),
             "dataset": Strata.of(test.dataset),
@@ -241,7 +250,8 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
             keys["group"] = Strata.of(test_groups)
         for method in config.methods:
             try:
-                rows = _cell_rows(config, seed, method, split, keys, partition)
+                rows = _cell_rows(config, seed, method, split, keys, labels, points,
+                                  partition)
             except (DataError, ValueError) as exc:  # the cell failed on its data
                 report.errors.append(_ledger_row(seed, method, exc))
                 continue
@@ -253,7 +263,7 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
     return report
 
 
-def _cell_rows(config, seed, method, split, keys, partition):
+def _cell_rows(config, seed, method, split, keys, labels, points, partition):
     """Every report row of one (seed, method) cell, by its report table."""
     scale, test = config.scale, split.test
     if partition is None:
@@ -265,7 +275,8 @@ def _cell_rows(config, seed, method, split, keys, partition):
     cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
     strat = stratified(ivs, res.y_hat, gts, cell_keys)
     rows: dict = {
-        "per_seed": [_seed_row(seed, method, len(split.cal), ivs, res.y_hat, gts, scale)],
+        "per_seed": [_seed_row(seed, method, len(split.cal), ivs, res.y_hat, labels,
+                               points, scale)],
         "intervals": (
             _interval_lines(seed, method, test, ivs, res.y_hat, gts)
             if config.emit_intervals

@@ -4,6 +4,13 @@ Interval metrics take an ``Intervals`` and run as array expressions over
 its columns. The metric families return dicts keyed by their report
 columns, so the runner merges them into report rows as they are.
 
+Correlations rank their target once, as a ``Ranked``, which a caller can
+make once and pass for many predictions. Each prediction is then sorted
+once: one stable argsort gives its midranks for Spearman and the
+(prediction, target) order for Kendall tau-b, whose discordant pairs take
+ceil(log2 m) radix passes over the target's codes, m being the number of
+distinct target values (3 passes for labels on a 5-point scale).
+
 Correlations that are undefined (fewer than two points, or zero variance,
 e.g. the midpoint of all-full-range intervals) return None rather than NaN;
 report writers render the marker as an empty cell.
@@ -19,14 +26,20 @@ import numpy as np
 from .core import DataError, Intervals, RatingScale, tag_codes
 
 
-def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
-    """Share of rows whose interval holds its target; the adjusted form
-    compares int(target) with the integer endpoints."""
+def _targets(ivs: Intervals, gts) -> np.ndarray:
+    """The targets as float64, one for each of a non-empty set of intervals."""
     y = np.asarray(gts, dtype=np.float64)
     if len(ivs) != len(y):
         raise DataError(f"{len(ivs)} intervals vs {len(y)} ground truths")
     if not len(ivs):
         raise DataError("coverage of an empty set")
+    return y
+
+
+def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
+    """Share of rows whose interval holds its target; the adjusted form
+    compares int(target) with the integer endpoints."""
+    y = _targets(ivs, gts)
     hits = ivs.contains_adjusted(y) if adjusted else ivs.contains(y)
     return int(np.count_nonzero(hits)) / len(ivs)
 
@@ -34,36 +47,26 @@ def coverage(ivs: Intervals, gts, adjusted: bool = False) -> float:
 def interval_metrics(ivs: Intervals, gts) -> dict:
     """coverage_raw, coverage_adj, width_raw and width_adj; the adjusted
     two are None for intervals with no integer endpoints."""
-    y = np.asarray(gts, dtype=np.float64)
-    out = {
-        "coverage_raw": coverage(ivs, y, adjusted=False),
-        "coverage_adj": None,
-        "width_raw": float(np.mean(ivs.width)),
-        "width_adj": None,
-    }
-    if ivs.adjusted:
-        out["coverage_adj"] = coverage(ivs, y, adjusted=True)
+    return _interval_means(*_interval_columns(ivs, _targets(ivs, gts)))
+
+
+def _interval_columns(ivs: Intervals, y: np.ndarray) -> tuple:
+    """Each row's hit, adjusted hit, width and adjusted width; the adjusted
+    two are None for intervals with no integer endpoints."""
+    hit_adj = ivs.contains_adjusted(y) if ivs.adjusted else None
+    return ivs.contains(y), hit_adj, ivs.width, ivs.adj_width
+
+
+def _interval_means(hit, hit_adj, width, adj_width) -> dict:
+    """The rows' interval metrics from their ``_interval_columns``."""
+    n = len(hit)
+    return {
+        "coverage_raw": int(np.count_nonzero(hit)) / n,
+        "coverage_adj": None if hit_adj is None else int(np.count_nonzero(hit_adj)) / n,
+        "width_raw": float(np.mean(width)),
         # Integer widths averaged as int64, the dtype a list of ints gives.
-        out["width_adj"] = float(np.mean(ivs.adj_width))
-    return out
-
-
-def midrank(values) -> np.ndarray:
-    """Average ranks (1-based); tied values share the mean of their ranks.
-
-    One stable argsort, then one expression over the runs of equal values in
-    sorted order: a run from sorted position ``start`` to ``end`` gets
-    ``(start + end) / 2.0 + 1.0``. Cost O(n log n). A NaN equals nothing,
-    itself included, so each NaN ranks alone after every number.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    n = len(v)
-    order = np.argsort(v, kind="stable")
-    starts = _run_starts(v[order])
-    sizes = np.diff(np.append(starts, n))
-    ranks = np.empty(n)
-    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)
-    return ranks
+        "width_adj": None if adj_width is None else float(np.mean(adj_width)),
+    }
 
 
 def _run_starts(*sorted_cols: np.ndarray) -> np.ndarray:
@@ -76,7 +79,79 @@ def _run_starts(*sorted_cols: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _run_sizes(starts: np.ndarray, n: int) -> np.ndarray:
+    return np.diff(np.append(starts, n))
+
+
+def _pairs(sizes: np.ndarray) -> int:
+    """Pairs of rows within the same run, for runs of ``sizes`` rows."""
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _tie_pairs(sorted_values: np.ndarray, starts: np.ndarray) -> int:
+    """Pairs of tied rows in a sorted column whose runs begin at ``starts``.
+    All NaNs count as one value: they sort last, each a run of its own."""
+    nans = int(np.count_nonzero(np.isnan(sorted_values)))
+    return _pairs(_run_sizes(starts, len(sorted_values))) + nans * (nans - 1) // 2
+
+
+def _midranks(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based) of the rows that ``order`` sorts, whose runs
+    of equal values begin at ``starts`` in sorted order: a run from sorted
+    position ``start`` to ``end`` gets ``(start + end) / 2.0 + 1.0``."""
+    n = len(order)
+    sizes = _run_sizes(starts, n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)
+    return ranks
+
+
+@dataclass(frozen=True, eq=False)
+class Ranked:
+    """A target column ranked once, for every correlation against it.
+
+    ``values`` as float64; ``order``, their stable argsort; ``midranks``, as
+    ``midrank`` gives them; ``codes``, each row's dense rank 0, 1, ... among
+    the distinct values (each NaN its own); ``tie_pairs``, the pairs of tied
+    rows, all NaNs counted as one value.
+    """
+
+    values: np.ndarray
+    order: np.ndarray
+    midranks: np.ndarray
+    codes: np.ndarray
+    tie_pairs: int
+
+    @classmethod
+    def of(cls, values) -> "Ranked":
+        """A Ranked as it is, or the values ranked by one stable argsort."""
+        if isinstance(values, cls):
+            return values
+        v = np.asarray(values, dtype=np.float64)
+        order = np.argsort(v, kind="stable")
+        ordered = v[order]
+        starts = _run_starts(ordered)
+        codes = np.empty(len(v), dtype=np.int64)
+        codes[order] = np.repeat(np.arange(len(starts)), _run_sizes(starts, len(v)))
+        return cls(v, order, _midranks(order, starts), codes, _tie_pairs(ordered, starts))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def midrank(values) -> np.ndarray:
+    """Average ranks (1-based); tied values share the mean of their ranks.
+
+    One stable argsort, then one expression over the runs of equal values in
+    sorted order. Cost O(n log n). A NaN equals nothing, itself included, so
+    each NaN ranks alone after every number.
+    """
+    return Ranked.of(values).midranks
+
+
 def pearson(x, y) -> float | None:
+    """Pearson's r, clipped into [-1, 1] against rounding, as
+    ``scipy.stats.pearsonr`` clips it; a NaN stays NaN."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2:
@@ -87,88 +162,104 @@ def pearson(x, y) -> float | None:
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
         return None
-    return float(xc @ yc) / (sx * sy)
-
-
-def _tie_pairs(v: np.ndarray) -> int:
-    _, counts = np.unique(v, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+    return float(np.clip(float(xc @ yc) / (sx * sy), -1.0, 1.0))
 
 
 def _inversions(ranks: np.ndarray) -> int:
     """Pairs i < j with ranks[i] > ranks[j], for non-negative integer ranks.
 
-    A bottom-up merge sort in about log2(n) numpy passes. At width w each
-    pair of adjacent sorted blocks is offset by its pair id, so the left
-    blocks form one sorted array: one searchsorted counts the left elements
-    above each right element, and one sort merges every pair at once.
+    One pass per bit of the largest rank, from the top bit down. The ranks
+    of an inverted pair first differ at some bit b, where the earlier row
+    has a 1, the later row a 0, and both the same higher bits. Pass b sorts
+    the rows stably by their bits above b, so each run of equal higher bits
+    keeps row order, and every row whose bit b is 0 counts the 1s before it
+    in its run: the 1s before it in sorted order, less those before its run.
+    Ranks on m levels (0..m-1) take ceil(log2 m) passes, each one stable
+    argsort of the higher bits (a radix sort of uint16 keys while every rank
+    is below 65 536, int64 keys above) and one prefix sum: O(n log m) time
+    and O(n) memory.
     """
-    n = len(ranks)
-    a = ranks.astype(np.int64)
-    span = int(a.max()) + 1 if n else 1
-    pos = np.arange(n)
+    a = np.asarray(ranks, dtype=np.int64)
+    if len(a) < 2:
+        return 0
+    top = int(a.max())
+    key_type = np.uint16 if top < 1 << 16 else np.int64
     total = 0
-    width = 1
-    while width < n:
-        pair = pos // (2 * width)
-        keys = a + pair * span
-        right = pos % (2 * width) >= width
-        at_most = np.searchsorted(keys[~right], keys[right], side="right")
-        # Every left block before a right element's own is full.
-        total += int(((pair[right] + 1) * width - at_most).sum())
-        a = np.sort(keys, kind="stable") - pair * span
-        width *= 2
+    for b in reversed(range(top.bit_length())):
+        high = a >> (b + 1)
+        order = np.argsort(high.astype(key_type), kind="stable")
+        bits = (a[order] >> b) & 1
+        ones_before = np.cumsum(bits) - bits
+        starts = _run_starts(high[order])
+        run_base = np.repeat(ones_before[starts], _run_sizes(starts, len(a)))
+        total += int(((ones_before - run_base) * (1 - bits)).sum())
     return total
 
 
-def kendall_tau_b(x, y) -> float | None:
+def _joint_order(x: np.ndarray, target: Ranked) -> np.ndarray:
+    """The rows sorted by (x, target), ties in both in row order: one stable
+    argsort of x taken in the target's order."""
+    return target.order[np.argsort(x[target.order], kind="stable")]
+
+
+def kendall_tau_b(x, y, order=None) -> float | None:
     """Tie-corrected Kendall rank correlation, in O(n log n) (Knight 1966).
 
     Sort the pairs by (x, y). With n1 pairs tied in x, n2 tied in y and n3
     tied in both, concordant plus discordant pairs number
-    n0 - n1 - n2 + n3, and the discordant pairs D are the inversions of y in
-    that order, so tau-b = (n0 - n1 - n2 + n3 - 2 D) / denom. Every count is
-    an exact integer, so the result equals the pairwise sign sum. Cost
-    O(n log n) time and O(n) memory.
+    n0 - n1 - n2 + n3, and the discordant pairs D are the inversions of y's
+    dense codes in that order, so tau-b = (n0 - n1 - n2 + n3 - 2 D) / denom.
+    Every count is an exact integer, so the result equals the pairwise sign
+    sum. ``y`` may be a ``Ranked``, and ``order`` the (x, y) order that
+    ``correlations`` has already sorted. Cost: one stable argsort of x, plus
+    ceil(log2 m) radix passes over the codes, m being the number of
+    distinct y values; O(n) memory.
 
     None when fewer than two points or when either side is constant. Once
     the denominator is nonzero, a NaN or an infinity anywhere gives NaN, as
     the pairwise differences do (inf - inf is NaN); NaNs count as one value
     when the ties are counted.
     """
+    target = Ranked.of(y)
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = len(x)
+    if n != len(target):
+        raise DataError(f"{n} x values vs {len(target)} y values")
     if n < 2:
         return None
+    if order is None:
+        order = _joint_order(x, target)
+    xs = x[order]
+    starts = _run_starts(xs)
     n0 = n * (n - 1) // 2
-    n1, n2 = _tie_pairs(x), _tie_pairs(y)
+    n1, n2 = _tie_pairs(xs, starts), target.tie_pairs
     denom = math.sqrt((n0 - n1) * (n0 - n2))
     if denom == 0.0:
         return None
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not (np.isfinite(x).all() and np.isfinite(target.values).all()):
         return math.nan
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    both = np.diff(np.append(_run_starts(xs, ys), n))
-    n3 = int((both * (both - 1) // 2).sum())
-    _, y_ranks = np.unique(ys, return_inverse=True)
-    discordant = _inversions(y_ranks)
-    return float(n0 - n1 - n2 + n3 - 2 * discordant) / denom
+    codes = target.codes[order]
+    n3 = _pairs(_run_sizes(_run_starts(xs, codes), n))
+    return float(n0 - n1 - n2 + n3 - 2 * _inversions(codes)) / denom
 
 
 def correlations(pred, gt) -> tuple[float | None, float | None, float | None]:
-    """(Pearson, Spearman, Kendall tau-b); Spearman is Pearson on midranks."""
+    """(Pearson, Spearman, Kendall tau-b); Spearman is Pearson on midranks.
+
+    ``gt`` may be a ``Ranked``. The prediction is sorted once, in the
+    target's order, for both its midranks and Kendall's (pred, gt) order.
+    """
+    target = Ranked.of(gt)
     pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if len(pred) != len(gt):
-        raise DataError(f"{len(pred)} predictions vs {len(gt)} ground truths")
+    if len(pred) != len(target):
+        raise DataError(f"{len(pred)} predictions vs {len(target)} ground truths")
     if len(pred) < 2:
         return None, None, None
+    order = _joint_order(pred, target)
     return (
-        pearson(pred, gt),
-        pearson(midrank(pred), midrank(gt)),
-        kendall_tau_b(pred, gt),
+        pearson(pred, target.values),
+        pearson(_midranks(order, _run_starts(pred[order])), target.midranks),
+        kendall_tau_b(pred, target, order),
     )
 
 
@@ -195,13 +286,15 @@ def accuracy_metrics(pred, gt) -> dict:
 
 
 def point_metrics(y_hat, gt, scale: RatingScale) -> dict:
-    """Correlations on the raw predictions, accuracy on their rounded labels."""
-    p, s, k = correlations(y_hat, gt)
+    """Correlations on the raw predictions, accuracy on their rounded
+    labels; ``gt`` may be a ``Ranked``."""
+    target = Ranked.of(gt)
+    p, s, k = correlations(y_hat, target)
     return {
         "pearson": p,
         "spearman": s,
         "kendall": k,
-        **accuracy_metrics(round_to_label(y_hat, scale), np.asarray(gt)),
+        **accuracy_metrics(round_to_label(y_hat, scale), target.values),
     }
 
 
@@ -213,15 +306,16 @@ def rsg(rho_d: float, w_d: float, scale: RatingScale) -> float:
 
 
 def midpoint_eval(ivs: Intervals, gts) -> dict:
-    """Point metrics of the interval midpoints, keyed ``mid_*``."""
+    """Point metrics of the interval midpoints, keyed ``mid_*``; ``gts``
+    may be a ``Ranked``."""
     mid = (ivs.lower + ivs.upper) / 2.0
-    gt = np.asarray(gts, dtype=np.float64)
-    p, s, k = correlations(mid, gt)
+    target = Ranked.of(gts)
+    p, s, k = correlations(mid, target)
     return {
         "mid_pearson": p,
         "mid_spearman": s,
         "mid_kendall": k,
-        "mid_mae": float(np.abs(mid - gt).mean()),
+        "mid_mae": float(np.abs(mid - target.values).mean()),
     }
 
 
@@ -281,22 +375,27 @@ def stratified(
 
     ``keys`` maps a family name (e.g. "gt_level", "dataset") to one stratum
     label per sample, or to those labels already grouped as a ``Strata``.
+    Each row's hits, widths and ``y_hat - gt`` are worked out once, and each
+    stratum reduces its rows of them as ``interval_metrics`` does.
     """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     gt = np.asarray(gts, dtype=np.float64)
-    out: dict[str, dict[str, dict]] = {}
     for kind, labels in keys.items():
         if len(labels) != len(ivs):
             raise DataError(f"key {kind!r} has {len(labels)} labels for "
                             f"{len(ivs)} samples")
+    columns = _interval_columns(ivs, gt)
+    diff = y_hat - gt
+    out: dict[str, dict[str, dict]] = {}
+    for kind, labels in keys.items():
         out[kind] = {}
         for lab, idx in Strata.of(labels):
-            diff = y_hat[idx] - gt[idx]
+            d = diff[idx]
             out[kind][lab] = {
                 "count": len(idx),
-                **interval_metrics(ivs[idx], gt[idx]),
-                "bias": float(diff.mean()),
-                "mae": float(np.abs(diff).mean()),
+                **_interval_means(*(None if c is None else c[idx] for c in columns)),
+                "bias": float(d.mean()),
+                "mae": float(np.abs(d).mean()),
             }
     return out
 

@@ -720,6 +720,47 @@ class TestRunExperiment:
         for r in report.per_dataset_agg:
             assert r["rsg_mean"] is None or -1.0 <= r["rsg_mean"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "mondrian,point_predictor,calls",
+        [(None, "model", 5), ("by_group_tag", "model", 5), (None, "argmax_feature", 1)],
+    )
+    def test_point_metrics_once_per_distinct_prediction(
+        self, monkeypatch, mondrian, point_predictor, calls
+    ):
+        """naive_split, lvd and boosted_lcp predict the same points, as do
+        cqr and cqr_asym, and chr and r2ccp: nine methods score five
+        predictions per seed, or one under argmax_feature. Every per-seed
+        row still equals a direct point_metrics call on its prediction."""
+        from scorebands.harness import runner
+        from scorebands.metrics import point_metrics
+
+        results, per_call = [], []
+
+        def recorded(run, split_arg):
+            def call(*args):
+                res = run(*args)
+                results.append((res.y_hat, args[split_arg].test.y))
+                return res
+            return call
+
+        def counted(y_hat, labels, scale):
+            per_call.append((len(results) - 1) // 9)  # the seed's index
+            return point_metrics(y_hat, labels, scale)
+
+        monkeypatch.setattr(runner, "run_method", recorded(runner.run_method, 1))
+        monkeypatch.setattr(runner, "run_mondrian", recorded(runner.run_mondrian, 0))
+        monkeypatch.setattr(runner, "point_metrics", counted)
+        config = fast_config(seeds=[0, 1], mondrian=mondrian,
+                             point_predictor=point_predictor)
+        report = run_experiment(
+            config, self._samples(n=800, generator="heteroscedastic_groups")
+        )
+        assert not report.errors and len(report.per_seed) == len(results) == 18
+        assert per_call == [0] * calls + [1] * calls
+        for row, (y_hat, y) in zip(report.per_seed, results):
+            direct = point_metrics(y_hat, y, config.scale)
+            assert {k: row[k] for k in direct} == direct
+
     def test_interval_lines_emitted_on_request(self):
         samples = self._samples(n=200)
         config = fast_config(seeds=[0], methods=["naive_split"],

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from scorebands.core import DataError, Intervals, InvariantError, RatingScale
 from scorebands.metrics import (
+    Ranked,
     Strata,
+    _inversions,
     accuracy_metrics,
     bucket_widths,
     correlations,
@@ -185,13 +187,15 @@ def reference_midrank(values):
 
 
 def assert_same_kendall(x, y):
-    got, want = kendall_tau_b(x, y), reference_kendall_tau_b(x, y)
-    if want is None:
-        assert got is None
-    elif math.isnan(want):
-        assert math.isnan(got)
-    else:
-        assert got == want
+    """Plain y and y ranked once as a ``Ranked`` both give the reference."""
+    want = reference_kendall_tau_b(x, y)
+    for got in (kendall_tau_b(x, y), kendall_tau_b(x, Ranked.of(y))):
+        if want is None:
+            assert got is None
+        elif math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
 
 
 def assert_same_midrank(v):
@@ -264,6 +268,70 @@ class TestCorrelations:
             else:
                 assert got == pytest.approx(want, abs=1e-12)
 
+    def test_pearson_is_clipped_into_unit_range(self):
+        """Unclipped, rounding gives 1.0000000000000002 for pearson(x, x) on
+        about half of these draws; the clip makes those 1.0. Rounding down
+        still gives a float a few ulps below 1.0 on some draws."""
+        rng = np.random.default_rng(11)
+        exact = 0
+        for _ in range(300):
+            x = rng.normal(size=int(rng.integers(2, 200)))
+            r = pearson(x, x)
+            assert 1.0 - 1e-15 <= r <= 1.0
+            assert pearson(x, -x) == -r
+            exact += r == 1.0
+        assert exact > 150
+        assert math.isnan(pearson([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+
+    def test_ranked_target_is_ranked_once(self):
+        y = np.array([3.0, 1.0, 3.0, 2.0, math.nan, 1.0])
+        ranked = Ranked.of(y)
+        assert Ranked.of(ranked) is ranked and len(ranked) == 6
+        assert ranked.order.tolist() == [1, 5, 3, 0, 2, 4]
+        assert ranked.codes.tolist() == [2, 0, 2, 1, 3, 0]
+        assert np.array_equal(ranked.midranks, reference_midrank(y))
+        assert ranked.tie_pairs == 2
+        assert Ranked.of([math.nan] * 3 + [1.0]).tie_pairs == 3
+        finite = np.where(np.isnan(y), 4.0, y)
+        x = np.array([0.5, 2.0, 0.5, -1.0, 3.0, 2.0])
+        assert correlations(x, Ranked.of(finite)) == correlations(x, finite)
+
+
+def brute_force_inversions(ranks):
+    return sum(
+        1 for i in range(len(ranks)) for j in range(i + 1, len(ranks))
+        if ranks[i] > ranks[j]
+    )
+
+
+def per_level_inversions(ranks):
+    """Each row counts the earlier rows above it, one level at a time."""
+    total = 0
+    for level in np.unique(ranks):
+        above_before = np.cumsum(ranks > level) - (ranks > level)
+        total += int(above_before[ranks == level].sum())
+    return total
+
+
+class TestInversions:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 65, 500])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5, 10, 64, None])
+    def test_brute_force(self, n, levels):
+        rng = np.random.default_rng(n * 100 + (levels or 0))
+        ranks = rng.permutation(n) if levels is None else rng.integers(0, levels, n)
+        assert _inversions(ranks) == brute_force_inversions(ranks.tolist())
+
+    @pytest.mark.parametrize("spacing", [1, 25_000])
+    def test_above_uint16_rows(self, spacing):
+        # 70 000 rows on 5 levels; a spacing of 25 000 puts the top rank at
+        # 100 000, past the uint16 keys.
+        rng = np.random.default_rng(spacing)
+        ranks = rng.integers(0, 5, 70_000) * spacing
+        assert _inversions(ranks) == per_level_inversions(ranks)
+
+    def test_sorted_and_reversed(self):
+        assert _inversions(np.arange(1000)) == 0
+        assert _inversions(np.arange(1000)[::-1]) == 1000 * 999 // 2
 
 
 class TestRankBitIdentity:
@@ -462,6 +530,33 @@ class TestStratified:
             sum(sm["count"] * sm["coverage_raw"] for sm in out["k"].values()) / n
         )
         assert recomposed == pytest.approx(coverage(ivs, gts), abs=1e-12)
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_equals_per_stratum_reference(self, adjusted):
+        """Bit for bit the former code: interval metrics, bias and MAE of
+        each stratum's gathered rows."""
+        rng = np.random.default_rng(5 + adjusted)
+        n = 3000
+        ivs = columns(random_intervals(rng, n, 5, adjusted))
+        gts = rng.integers(1, 6, n)
+        y_hat = gts + rng.normal(0, 1.1, n)
+        keys = {"gt_level": gts.astype(str), "dataset": rng.integers(0, 14, n).astype(str)}
+        gt = gts.astype(np.float64)
+        want = {}
+        for kind, labels in keys.items():
+            want[kind] = {}
+            for lab in sorted(set(labels.tolist())):
+                idx = np.flatnonzero(labels == lab)
+                diff = y_hat[idx] - gt[idx]
+                want[kind][lab] = {
+                    "count": len(idx),
+                    **interval_metrics(ivs[idx], gt[idx]),
+                    "bias": float(diff.mean()),
+                    "mae": float(np.abs(diff).mean()),
+                }
+        assert stratified(ivs, y_hat, gts, keys) == want
+        with pytest.raises(DataError, match="key 'short' has 2999 labels"):
+            stratified(ivs, y_hat, gts, dict(keys, short=keys["dataset"][1:]))
 
     def test_error_bins(self):
         bins = error_bins([1.0, 2.4, 4.6], [1, 4, 1], SCALE)
