@@ -30,6 +30,7 @@ from .core import (
     DataError,
     Intervals,
     RatingScale,
+    Strata,
     clamp_endpoints,
     decimal_fraction,
     tag_codes,
@@ -304,12 +305,12 @@ class Split:
 
         return self.memo((id(model), rows), make)
 
-    def labels(self, partition: GroupPartition, rows: str) -> np.ndarray:
-        """The group of every row of ``rows`` ("cal" or "test"). A Split
-        knows a partition by its name."""
+    def groups(self, partition: GroupPartition, rows: str) -> Strata:
+        """The rows of ``rows`` ("cal" or "test") grouped by ``partition``,
+        worked out once. A Split knows a partition by its name."""
         return self.memo(
-            ("labels", partition.name, rows),
-            lambda: partition.labels(getattr(self, rows)),
+            ("strata", partition.name, rows),
+            lambda: Strata.of(partition.labels(getattr(self, rows))),
         )
 
 
@@ -501,9 +502,15 @@ class GroupPartition:
     group_of: Mapping[str, str] | None = None
     tag_field: str = "group_tag"
 
+    def __post_init__(self) -> None:
+        if self.tag_field not in ("group_tag", "dataset_tag"):
+            raise DataError(f"partition {self.name!r}: unknown tag_field "
+                            f"{self.tag_field!r}; choose group_tag or dataset_tag")
+
     def labels(self, batch: Batch) -> np.ndarray:
-        """The group of every row, as strings; worked out once per distinct
-        tag. A row with no group raises DataError naming its sample."""
+        """The group of every row, as an object column of shared strings;
+        looked up once per distinct tag. A row with no group raises
+        DataError naming its sample."""
         if self.group_of is not None:
             tags, inverse = tag_codes(batch.dataset.tolist())
             known = np.array([t in self.group_of for t in tags], dtype=bool)
@@ -513,7 +520,7 @@ class GroupPartition:
                     f"partition {self.name!r} has no group for dataset "
                     f"{str(batch.dataset[i])!r} (sample {batch.sample_id[i]!r})"
                 )
-            groups = np.array([self.group_of[t] for t in tags], dtype=str)
+            groups = np.array([self.group_of[t] for t in tags], dtype=object)
             return groups[inverse]
         if self.tag_field == "dataset_tag":
             return batch.dataset
@@ -523,7 +530,7 @@ class GroupPartition:
                 f"partition {self.name!r} needs group_tag, but sample "
                 f"{batch.sample_id[tags.index(None)]!r} has none"
             )
-        return np.array(tags, dtype=str)
+        return batch.group
 
 
 MLLM_DIFFICULTY = GroupPartition(
@@ -566,20 +573,15 @@ def run_mondrian(
     scores the quantile rank overflows and the group would silently get
     vacuous full-range intervals."""
     cal, test = split.cal, split.test
-
-    def group_rows():
-        cal_groups = split.labels(partition, "cal")
-        test_groups = split.labels(partition, "test")
-        return [
-            (g, np.flatnonzero(cal_groups == g), np.flatnonzero(test_groups == g))
-            for g in np.unique(np.concatenate([cal_groups, test_groups])).tolist()
-        ]
-
+    cal_groups = dict(split.groups(partition, "cal"))
+    test_groups = dict(split.groups(partition, "test"))
+    no_rows = np.empty(0, dtype=np.intp)
     lower = np.empty(len(test))
     upper = np.empty(len(test))
     y_hat = np.empty(len(test))
     per_group_q: dict[str, object] = {}
-    for g, cal_idx, test_idx in split.memo(("groups", partition.name), group_rows):
+    for g in sorted(cal_groups.keys() | test_groups.keys()):
+        cal_idx, test_idx = cal_groups.get(g, no_rows), test_groups.get(g, no_rows)
         if len(cal_idx) < min_group_cal:
             raise DataError(
                 f"group {g!r} has {len(cal_idx)} calibration samples, "

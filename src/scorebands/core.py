@@ -5,7 +5,8 @@ which needs no numpy, and imported here under the same names.
 
 Samples travel as one ``Batch`` (feature matrix, scores and tag arrays)
 and intervals as one ``Intervals`` (endpoint arrays), each built once and
-sliced by index arrays.
+sliced by index arrays. Rows grouped by a label, for strata and Mondrian
+groups alike, are one ``Strata``.
 """
 
 from __future__ import annotations
@@ -250,6 +251,38 @@ def tag_codes(tags: list) -> tuple[list, np.ndarray]:
     distinct = sorted(set(tags))
     code = {tag: i for i, tag in enumerate(distinct)}
     return distinct, np.fromiter(map(code.__getitem__, tags), np.intp, len(tags))
+
+
+@dataclass(frozen=True, eq=False)
+class Strata:
+    """Rows grouped by label: the distinct labels, read as text, in sorted
+    order ("10" before "2"), each with its row indices in ascending order.
+    Iterating gives (label, rows) pairs, so ``dict(strata)`` maps each
+    label to its rows."""
+
+    labels: tuple[str, ...]
+    rows: tuple[np.ndarray, ...]
+    n: int
+
+    @classmethod
+    def of(cls, labels) -> "Strata":
+        """A Strata as it is, or one label per row grouped by its text: each
+        row's code among the sorted distinct texts (``tag_codes``), one
+        stable argsort of the codes, and a cut where each code's rows end."""
+        if isinstance(labels, cls):
+            return labels
+        names, codes = tag_codes(list(map(str, np.asarray(labels).tolist())))
+        if not len(codes):
+            return cls((), (), 0)
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes))[:-1]
+        return cls(tuple(names), tuple(np.split(order, ends)), len(codes))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return zip(self.labels, self.rows)
 
 
 def features_matrix(rows) -> np.ndarray:

@@ -25,10 +25,9 @@ from ..conformal import (
     run_method,
     run_mondrian,
 )
-from ..core import Batch, DataError, RatingScale, check_batch, make_split
+from ..core import Batch, DataError, RatingScale, Strata, check_batch, make_split
 from ..metrics import (
     Ranked,
-    Strata,
     error_bins,
     informativeness,
     interval_metrics,
@@ -208,13 +207,14 @@ def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, labels: Rank
     }
 
 
-def _group_labels(split: Split, partition: GroupPartition | None) -> np.ndarray | None:
+def _group_strata(split: Split, partition: GroupPartition | None) -> Strata | None:
+    """The test rows by Mondrian group, else by group tag when every row
+    has one."""
     if partition is not None:
-        return split.labels(partition, "test")
-    tags = split.test.group.tolist()
-    if None in tags:
+        return split.groups(partition, "test")
+    if None in split.test.group.tolist():
         return None
-    return np.array(tags, dtype=str)
+    return Strata.of(split.test.group)
 
 
 def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
@@ -233,7 +233,7 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
             # The learners and predictions of this split's methods.
             split = Split(batch[cal_idx], batch[test_idx], config.alpha, config.scale,
                           config.method_config)
-            test_groups = _group_labels(split, partition)
+            test_groups = _group_strata(split, partition)
         except DataError as exc:
             report.errors.append(_ledger_row(seed, "*", exc))
             continue
@@ -243,11 +243,11 @@ def run_experiment(config: ExperimentConfig, batch: Batch) -> ExperimentReport:
         labels = Ranked.of(test.y)
         points: dict = {}
         keys = {
-            "gt_level": Strata.of(test.y.astype(np.int64).astype(str)),
+            "gt_level": Strata.of(test.y.astype(np.int64)),
             "dataset": Strata.of(test.dataset),
         }
         if test_groups is not None:
-            keys["group"] = Strata.of(test_groups)
+            keys["group"] = test_groups
         for method in config.methods:
             try:
                 rows = _cell_rows(config, seed, method, split, keys, labels, points,
@@ -272,7 +272,7 @@ def _cell_rows(config, seed, method, split, keys, labels, points, partition):
         res = run_mondrian(split, partition, method)
     ivs = adjust_all(res.intervals, scale, config.adjust)
     gts = test.y
-    cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale).astype(str))
+    cell_keys = dict(keys, error_bin=error_bins(res.y_hat, gts, scale))
     strat = stratified(ivs, res.y_hat, gts, cell_keys)
     rows: dict = {
         "per_seed": [_seed_row(seed, method, len(split.cal), ivs, res.y_hat, labels,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Intervals, RatingScale, tag_codes
+# Strata lives in core; callers may import it from here too.
+from .core import DataError, Intervals, RatingScale, Strata
 
 
 def _targets(ivs: Intervals, gts) -> np.ndarray:
@@ -110,10 +111,12 @@ def _midranks(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
 class Ranked:
     """A target column ranked once, for every correlation against it.
 
-    ``values`` as float64; ``order``, their stable argsort; ``midranks``, as
-    ``midrank`` gives them; ``codes``, each row's dense rank 0, 1, ... among
-    the distinct values (each NaN its own); ``tie_pairs``, the pairs of tied
-    rows, all NaNs counted as one value.
+    ``values`` as float64; ``order``, their stable argsort; ``midranks``,
+    the average ranks (1-based), tied values sharing the mean of their
+    ranks and each NaN ranking alone after every number; ``codes``, each
+    row's dense rank 0, 1, ... among the distinct values (each NaN its
+    own); ``tie_pairs``, the pairs of tied rows, all NaNs counted as one
+    value.
     """
 
     values: np.ndarray
@@ -137,16 +140,6 @@ class Ranked:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def midrank(values) -> np.ndarray:
-    """Average ranks (1-based); tied values share the mean of their ranks.
-
-    One stable argsort, then one expression over the runs of equal values in
-    sorted order. Cost O(n log n). A NaN equals nothing, itself included, so
-    each NaN ranks alone after every number.
-    """
-    return Ranked.of(values).midranks
 
 
 def pearson(x, y) -> float | None:
@@ -323,46 +316,6 @@ def error_bins(y_hat, gts, scale: RatingScale) -> np.ndarray:
     """|gt - rounded prediction|, one bin per magnitude 0..k_max-1."""
     rounded = round_to_label(y_hat, scale)
     return np.abs(np.asarray(gts, dtype=np.intp) - rounded)
-
-
-@dataclass(frozen=True, eq=False)
-class Strata:
-    """Rows grouped by label: the distinct labels, read as strings, in
-    sorted order, each with its row indices in ascending order."""
-
-    labels: tuple[str, ...]
-    rows: tuple[np.ndarray, ...]
-    n: int
-
-    @classmethod
-    def of(cls, labels) -> "Strata":
-        """A Strata as it is, or one label per row grouped by one stable sort.
-        A tag column (object dtype) is sorted as each row's code among its
-        sorted distinct tags, so no string is compared per row."""
-        if isinstance(labels, cls):
-            return labels
-        labels = np.asarray(labels)
-        names = None
-        if labels.dtype.kind == "O":
-            names, labels = tag_codes(list(map(str, labels.tolist())))
-        elif labels.dtype.kind != "U":
-            labels = labels.astype(str)
-        n = len(labels)
-        order = np.argsort(labels, kind="stable")
-        ordered = labels[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]) if n else order
-        firsts = ordered[starts].tolist()
-        return cls(
-            labels=tuple(firsts if names is None else [names[i] for i in firsts]),
-            rows=tuple(np.split(order, starts[1:])) if n else (),
-            n=n,
-        )
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return zip(self.labels, self.rows)
 
 
 def stratified(

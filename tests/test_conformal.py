@@ -537,6 +537,11 @@ class TestMondrian:
         hard = {d for d, g in part.group_of.items() if g == "hard"}
         assert hard == {"ScienceQA", "MathVista", "DiffusionDB", "InfographicsVQA"}
 
+    @pytest.mark.parametrize("field", ["dataset", "group", "judge_tag", ""])
+    def test_unknown_tag_field_rejected(self, field):
+        with pytest.raises(DataError, match=f"unknown tag_field '{field}'"):
+            GroupPartition(name="p", tag_field=field)
+
     def test_single_group_identical_to_inner(self):
         cal, test, _ = split_synth(n=600, seed=8, label_noise=0.35)
         part = GroupPartition(name="all", group_of=None, tag_field="dataset_tag")

@@ -22,7 +22,6 @@ from scorebands.metrics import (
     interval_metrics,
     kendall_tau_b,
     midpoint_eval,
-    midrank,
     pearson,
     point_metrics,
     round_to_label,
@@ -199,7 +198,7 @@ def assert_same_kendall(x, y):
 
 
 def assert_same_midrank(v):
-    got, want = midrank(v), reference_midrank(v)
+    got, want = Ranked.of(v).midranks, reference_midrank(v)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -251,7 +250,8 @@ class TestCorrelations:
         x = rng.integers(1, 6, 30).astype(float)
         y = rng.integers(1, 6, 30).astype(float)
         _, s, _ = correlations(x, y)
-        assert s == pytest.approx(pearson(midrank(x), midrank(y)), abs=1e-15)
+        spearman = pearson(Ranked.of(x).midranks, Ranked.of(y).midranks)
+        assert s == pytest.approx(spearman, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -375,8 +375,8 @@ class TestRankBitIdentity:
     def test_all_tied_is_undefined(self):
         assert kendall_tau_b([4.0] * 30, [4.0] * 30) is None
         assert kendall_tau_b([4.0] * 30, list(range(30))) is None
-        assert list(midrank([4.0] * 5)) == [3.0] * 5
-        assert midrank([]).shape == (0,)
+        assert list(Ranked.of([4.0] * 5).midranks) == [3.0] * 5
+        assert Ranked.of([]).midranks.shape == (0,)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 7, 19])
@@ -698,15 +698,23 @@ class TestColumnarMetricsIdentity:
         assert [r.tolist() for r in strata.rows] == [[1, 4], [0, 2, 5], [3]]
 
     def test_strata_of_a_tag_column_is_its_text_sorted(self):
-        """An object column groups as its text does: labels in string order
-        ("10" before "9"), each with its rows ascending."""
+        """An object or int64 column groups as its text does: labels in
+        string order ("10" and "11" before "2"), each with its rows
+        ascending."""
         rng = np.random.default_rng(8)
-        pool = np.array(["b", "a", "10", "9", 3, "ds x"], dtype=object)
-        for n in (0, 1, 50, 2000):
-            tags = pool[rng.integers(0, len(pool), n)]
-            got, want = Strata.of(tags), Strata.of(tags.astype(str))
-            assert got.labels == want.labels and got.n == want.n == n
-            assert [r.tolist() for r in got.rows] == [r.tolist() for r in want.rows]
+        pools = (np.array(["b", "a", "10", "9", 3, "ds x"], dtype=object),
+                 np.arange(12, dtype=np.int64))
+        for pool in pools:
+            for n in (0, 1, 50, 2000):
+                tags = pool[rng.integers(0, len(pool), n)]
+                text = tags.astype(str)
+                got, want = Strata.of(tags), Strata.of(text)
+                assert got.labels == want.labels == tuple(sorted(set(text.tolist())))
+                assert got.n == want.n == n
+                assert [r.tolist() for r in got.rows] == [r.tolist() for r in want.rows]
+                for label, rows in got:
+                    assert rows.tolist() == np.flatnonzero(text == label).tolist()
+        assert got.labels[:5] == ("0", "1", "10", "11", "2")
 
     def test_informativeness_on_columns(self):
         rng = np.random.default_rng(7)
