@@ -45,8 +45,8 @@ from .learners import (
     fit_hist_density,  # noqa: F401  no method fits it; the bench tracer wraps it
     fit_point_var,
     fit_quantile_model,
-    fit_spread_head,
     label_columns,
+    label_spread,
 )
 from .learners.nets import log_softmax
 
@@ -307,9 +307,9 @@ class Split:
 
     def groups(self, partition: GroupPartition, rows: str) -> Strata:
         """The rows of ``rows`` ("cal" or "test") grouped by ``partition``,
-        worked out once. A Split knows a partition by its name."""
+        worked out once per partition content (`GroupPartition.key`)."""
         return self.memo(
-            ("strata", partition.name, rows),
+            ("strata", partition.key, rows),
             lambda: Strata.of(partition.labels(getattr(self, rows))),
         )
 
@@ -328,32 +328,26 @@ def _taus(alpha: float) -> tuple[float, float]:
 def _learner(split: Split, key):
     """The learner ``key`` of ``split``, fit once per Split: "mean", the
     network of the mean and the label logits, which every mean-based method
-    and chr, r2ccp and ordinal_aps share; "sigma", a spread network fit to
-    its |residual|; "quantile", the network at the two taus; ("boosted",
-    "pinball", tau), a forest at one tau; ("boosted", "absolute", None), a
-    forest of the mean's |residual|."""
+    and chr, r2ccp and ordinal_aps share; "quantile", the network at the two
+    taus; ("boosted", "pinball", tau), a forest at one tau; ("boosted",
+    "absolute", None), a forest of the mean's |residual|."""
     half, cfg = split.half, split.cfg
     if isinstance(key, tuple):
         _, loss, tau = key
 
         def fit():
-            y = half.y if loss == "pinball" else _abs_resid(split)
+            y = half.y
+            if loss == "absolute":  # the mean's |residual| on the learner half
+                y = np.abs(y - split.predict(_learner(split, "mean"), "half")[:, 0])
             return fit_boosted(half.X, y, loss, cfg.boost_rounds, cfg.boost_depth,
                                cfg.boost_rate, tau=tau)
     else:
         fit = {
             "mean": lambda: fit_point_var(half.X, half.y, split.scale.k_max, cfg.train),
-            "sigma": lambda: fit_spread_head(_learner(split, "mean"), half.X,
-                                             _abs_resid(split), cfg.train),
             "quantile": lambda: fit_quantile_model(half.X, half.y, _taus(split.alpha),
                                                    cfg.train),
         }[key]
     return split.memo(key, fit)
-
-
-def _abs_resid(split):
-    """|y - mean| on the learner half: the target of every spread model."""
-    return np.abs(split.half.y - split.predict(_learner(split, "mean"), "half")[:, 0])
 
 
 def _mean(split, rows, spread=1.0):
@@ -362,11 +356,17 @@ def _mean(split, rows, spread=1.0):
     return mu, mu, spread
 
 
-def _mean_spread(split, rows, spread):
-    """lvd and boosted_lcp: the mean band, in units of the prediction of the
-    spread learner ``spread`` (a network's one output or a forest's), at
-    least ``sigma_floor``."""
-    sigma = np.ravel(split.predict(_learner(split, spread), rows))
+def _mean_label_spread(split, rows):
+    """lvd: the mean band, in units of the mean network's own label spread
+    around its mean (`label_spread`), at least ``sigma_floor``."""
+    sigma = label_spread(split.predict(_learner(split, "mean"), rows))
+    return _mean(split, rows, np.maximum(sigma, split.cfg.sigma_floor))
+
+
+def _mean_spread(split, rows):
+    """boosted_lcp: the mean band, in units of the |residual| forest's
+    prediction, at least ``sigma_floor``."""
+    sigma = split.predict(_learner(split, ("boosted", "absolute", None)), rows)
     return _mean(split, rows, np.maximum(sigma, split.cfg.sigma_floor))
 
 
@@ -409,10 +409,9 @@ METHODS: dict[str, Method] = {
     "cqr": Method(_quantiles, band_intervals),
     "cqr_asym": Method(_quantiles, partial(band_intervals, symmetric=False)),
     "chr": Method(_log_proba, cell_intervals),
-    "lvd": Method(partial(_mean_spread, spread="sigma"), band_intervals),
+    "lvd": Method(_mean_label_spread, band_intervals),
     "boosted_cqr": Method(_boosted_quantiles, band_intervals),
-    "boosted_lcp": Method(partial(_mean_spread, spread=("boosted", "absolute", None)),
-                          band_intervals),
+    "boosted_lcp": Method(_mean_spread, band_intervals),
     "r2ccp": Method(_log_proba, partial(cell_intervals, edges=False)),
     "ordinal_aps": Method(_proba, aps_intervals),
 }
@@ -507,6 +506,12 @@ class GroupPartition:
             raise DataError(f"partition {self.name!r}: unknown tag_field "
                             f"{self.tag_field!r}; choose group_tag or dataset_tag")
 
+    @property
+    def key(self) -> tuple:
+        """The partition by its content, since two of one name can differ."""
+        groups = None if self.group_of is None else tuple(sorted(self.group_of.items()))
+        return (self.name, self.tag_field, groups)
+
     def labels(self, batch: Batch) -> np.ndarray:
         """The group of every row, as an object column of shared strings;
         looked up once per distinct tag. A row with no group raises
@@ -572,7 +577,7 @@ def run_mondrian(
     below ``min_group_cal`` are rejected loudly, on every call: with too few
     scores the quantile rank overflows and the group would silently get
     vacuous full-range intervals."""
-    cal, test = split.cal, split.test
+    cal, test, key = split.cal, split.test, partition.key
     cal_groups = dict(split.groups(partition, "cal"))
     test_groups = dict(split.groups(partition, "test"))
     no_rows = np.empty(0, dtype=np.intp)
@@ -590,7 +595,7 @@ def run_mondrian(
         if not len(test_idx):
             continue
         group = split.memo(
-            ("group", partition.name, g),
+            ("group", key, g),
             lambda: Split(cal[cal_idx], test[test_idx], split.alpha, split.scale, split.cfg),
         )
         sub = run_method(inner, group)

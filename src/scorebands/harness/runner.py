@@ -181,9 +181,9 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     present = [v for v in values if v is not None]
     if not present:
         return None, None
-    mean = float(np.mean(present))
-    std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
-    return mean, std
+    if len(present) == 1:  # np.mean's sum starts at 0.0, which turns -0.0 into 0.0
+        return float(present[0]) + 0.0, 0.0
+    return float(np.mean(present)), float(np.std(present, ddof=1))
 
 
 def _seed_row(seed: int, method: str, n_cal: int, intervals, y_hat, labels: Ranked,

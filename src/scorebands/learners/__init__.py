@@ -11,7 +11,7 @@ from .boosted import (
 from .grid import fit_grid_classifier
 from .histdensity import fit_hist_density, label_columns
 from .nets import Net, Standardizer, TrainConfig
-from .pointvar import fit_point_var, fit_spread_head
+from .pointvar import fit_point_var, label_spread
 from .quantile import fit_quantile_model
 
 __all__ = [
@@ -25,9 +25,9 @@ __all__ = [
     "fit_grid_classifier",
     "fit_hist_density",
     "fit_point_var",
-    "fit_spread_head",
     "fit_quantile_model",
     "label_columns",
+    "label_spread",
     "pinball_gradient",
     "pinball_loss",
 ]

@@ -1,9 +1,6 @@
-"""Mean and spread networks.
-
-The mean network carries the label logits too: one fit gives the mean of
-every mean-based method and the label probabilities of every label-based
-one. The spread network is fit afterwards to the absolute residuals of the
-frozen mean, behind the same scaler.
+"""The mean network, which carries the label logits too: one fit gives the
+mean of every mean-based method, the label probabilities of every
+label-based one and lvd's spread (`label_spread`), with no spread network.
 """
 
 from __future__ import annotations
@@ -11,8 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .histdensity import label_columns
-from .nets import (Net, Standardizer, TrainConfig, fit_mlp, forward, mean_label_head,
-                   squared_head)
+from .nets import Net, Standardizer, TrainConfig, fit_mlp, forward, log_softmax, mean_label_head
 
 
 def fit_point_var(X: np.ndarray, y: np.ndarray, k_max: int, cfg: TrainConfig) -> Net:
@@ -32,14 +28,11 @@ def fit_point_var(X: np.ndarray, y: np.ndarray, k_max: int, cfg: TrainConfig) ->
     return Net(params, scaler)
 
 
-def fit_spread_head(
-    mean: Net, X: np.ndarray, abs_resid: np.ndarray, cfg: TrainConfig
-) -> Net:
-    """The spread network: one output, fit to `abs_resid`, the absolute
-    residuals of the mean network `mean` on X.
-
-    `X` must be the mean network's training set: the spread network reads
-    it through the mean network's scaler.
-    """
-    return Net(fit_mlp(mean.scaler.transform(X), abs_resid, 1, squared_head, cfg),
-               mean.scaler)
+def label_spread(out: np.ndarray) -> np.ndarray:
+    """Per row of the mean network's output ``out``, the mean absolute
+    deviation of its label distribution around its mean output:
+    sum_k p_k |k - mu|, where mu is column 0 and p the softmax of the label
+    logits in columns 1..K."""
+    labels = np.arange(1.0, out.shape[1])
+    probs = np.exp(log_softmax(out[:, 1:]))
+    return (probs * np.abs(labels - out[:, :1])).sum(axis=1)

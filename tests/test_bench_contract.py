@@ -84,10 +84,10 @@ def test_traced_run_counts_each_method_and_fit(spans):
     for method in config.methods:
         assert tracer.counts[f"conformal.run_method.{method}.calls"] == 1, method
     # One network of the mean and the label logits (chr, r2ccp and
-    # ordinal_aps read its label softmax), its spread head and one
+    # ordinal_aps read its label softmax, lvd its spread) and one
     # two-output quantile network; two pinball forests and one |residual|
     # forest. The label network no method fits reads no call.
-    assert tracer.counts["learners.fit_mlp.calls"] == 3
+    assert tracer.counts["learners.fit_mlp.calls"] == 2
     assert tracer.counts["learners.fit_point_var.calls"] == 1
     assert tracer.counts["learners.fit_hist_density.calls"] == 0
     assert tracer.counts["learners.fit_boosted.calls"] == 3

@@ -1,6 +1,7 @@
 """Conformal constructor tests: quantile rule, pure interval arithmetic,
 boundary adjustment, and the Mondrian wrapper."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -30,11 +31,11 @@ from scorebands.conformal import (
     run_method,
     run_mondrian,
 )
-from scorebands.core import Batch, DataError, Intervals, RatingScale, clamp_endpoints
+from scorebands.core import Batch, DataError, Intervals, RatingScale, Strata, clamp_endpoints
 from scorebands.harness import SyntheticSpec, generate_synthetic
 from scorebands.core import make_split
-from scorebands.learners import BoostedModel, Net, TrainConfig
-from scorebands.learners.nets import init_params, log_softmax
+from scorebands.learners import BoostedModel, Net, Standardizer, TrainConfig, label_spread
+from scorebands.learners.nets import log_softmax
 from scorebands.metrics import coverage
 
 SCALE = RatingScale()
@@ -379,34 +380,58 @@ class TestBoundaryAdjust:
 
 
 class TestLvdReduction:
-    def _seed_constant_sigma_model(self, split):
-        """Puts a fitted mean network and a spread network that always
-        outputs exactly 1.0 in ``split``'s memo."""
-        cfg = TrainConfig(epochs=40, batch_size=256, learning_rate=0.1)
-        from scorebands.learners import fit_point_var
+    """lvd's spread is the mean absolute deviation of the mean network's
+    own label distribution around its mean output, at least sigma_floor."""
 
-        mean = split.memo("mean", lambda: fit_point_var(split.half.X, split.half.y,
-                                                        SCALE.k_max, cfg))
-        rng = np.random.default_rng(0)
-        sigma_params = init_params([split.half.X.shape[1], 4, 1], rng)
-        sigma_params = [(np.zeros_like(W), np.zeros_like(b)) for W, b in sigma_params]
-        W_last, b_last = sigma_params[-1]
-        sigma_params[-1] = (W_last, b_last + 1.0)
-        split.memo("sigma", lambda: Net(sigma_params, mean.scaler))
+    CFG = MethodConfig(train=TrainConfig(epochs=8, batch_size=256, learning_rate=0.1))
 
-    def test_unit_sigma_equals_naive(self):
-        from scorebands.conformal import _mean, _mean_spread
+    def test_unit_sigma_equals_naive(self, monkeypatch):
+        from scorebands import conformal
 
-        cal, test, gts = split_synth(n=600, seed=4)
-        split = Split(cal, test, 0.1, SCALE)
-        self._seed_constant_sigma_model(split)
-        lvd_conf, lvd_test = (_mean_spread(split, rows, "sigma") for rows in ("conf", "test"))
-        assert np.all(lvd_conf[2] == 1.0)
-        q_n, ivs_n, _ = band_intervals(split.conf.y, _mean(split, "conf"),
-                                       _mean(split, "test"), 0.1, SCALE)
-        q_l, ivs_l, _ = band_intervals(split.conf.y, lvd_conf, lvd_test, 0.1, SCALE)
-        assert q_n == q_l
-        assert ivs_n == ivs_l
+        monkeypatch.setattr(conformal, "label_spread", lambda out: np.ones(len(out)))
+        cal, test, _ = split_synth(n=600, seed=4)
+        split = Split(cal, test, 0.1, SCALE, self.CFG)
+        assert all(np.all(conformal._mean_label_spread(split, rows)[2] == 1.0)
+                   for rows in ("conf", "test"))
+        naive, lvd = run_method("naive_split", split), run_method("lvd", split)
+        assert naive.q_hat == lvd.q_hat
+        assert naive.intervals == lvd.intervals
+
+    @pytest.mark.parametrize("floor", [1e-3, 0.05])
+    def test_one_hot_at_the_mean_reads_the_floor(self, floor):
+        """A mean network that outputs label k as its mean and puts all the
+        label mass on k has no spread: lvd's sigma is sigma_floor exactly."""
+        from scorebands.conformal import _mean_label_spread
+
+        cal, test, _ = split_synth(n=600, seed=4)
+        hidden = (np.zeros((cal.X.shape[1], 4)), np.zeros(4))
+        for k in range(1, SCALE.k_max + 1):
+            split = Split(cal, test, 0.1, SCALE, MethodConfig(sigma_floor=floor))
+            bias = np.full(1 + SCALE.k_max, -1e3)
+            bias[[0, k]] = k, 0.0
+            net = Net([hidden, (np.zeros((4, len(bias))), bias)], Standardizer.fit(cal.X))
+            split.memo("mean", lambda: net)
+            for rows in ("conf", "test"):
+                mu, _, sigma = _mean_label_spread(split, rows)
+                assert np.all(mu == k) and np.all(sigma == floor), (k, rows)
+
+    def test_spread_ignores_conformal_and_test_labels(self):
+        """sigma is read off the learner half's fit alone: new labels on the
+        conformal half and the test rows leave it bit for bit as it was."""
+        from scorebands.conformal import _mean_label_spread
+
+        cal, test, _ = split_synth(n=600, seed=4, label_noise=0.35)
+        rng = np.random.default_rng(4)
+        y_cal = cal.y.copy()
+        y_cal[len(cal) // 2:] = rng.integers(1, 6, len(cal) - len(cal) // 2)
+        y_test = rng.integers(1, 6, len(test)).astype(np.float64)
+        assert not np.array_equal(y_cal, cal.y) and not np.array_equal(y_test, test.y)
+        splits = (Split(cal, test, 0.1, SCALE, self.CFG),
+                  Split(dataclasses.replace(cal, y=y_cal), dataclasses.replace(test, y=y_test),
+                        0.1, SCALE, self.CFG))
+        for rows in ("conf", "test"):
+            a, b = (_mean_label_spread(split, rows)[2] for split in splits)
+            assert a.tobytes() == b.tobytes(), rows
 
 
 class TestMethodRunners:
@@ -615,6 +640,31 @@ class TestMondrian:
             with pytest.raises(DataError, match="calibration samples"):
                 run_mondrian(shared, part, "cqr", min_group_cal=10_000)
         assert len(calls) == labelled
+
+    def test_partitions_of_one_name_get_their_own_groups(self):
+        """A Split knows a partition by its content, not its name: partitions
+        named alike, run in turn on one Split, each get the groups and the
+        results they get on a fresh Split."""
+        cal, test, _ = split_synth(n=800, seed=17, generator="heteroscedastic_groups")
+        cfg = MethodConfig(train=TrainConfig(epochs=5, batch_size=256, learning_rate=0.1))
+        parts = [
+            GroupPartition(name="p", group_of={"synthetic_high": "a", "synthetic_low": "b"}),
+            GroupPartition(name="p", group_of={"synthetic_high": "b", "synthetic_low": "a"}),
+            GroupPartition(name="p", group_of={"synthetic_high": "a", "synthetic_low": "a"}),
+            GroupPartition(name="p", tag_field="dataset_tag"),
+            GroupPartition(name="p"),
+        ]
+        shared = Split(cal, test, 0.1, SCALE, cfg)
+        for part in parts:
+            for rows in ("cal", "test"):
+                got = dict(shared.groups(part, rows))
+                want = dict(Strata.of(part.labels(getattr(shared, rows))))
+                assert got.keys() == want.keys(), part
+                assert all(np.array_equal(got[g], want[g]) for g in want), part
+            res_s = run_mondrian(shared, part, "naive_split")
+            res_f = run_mondrian(Split(cal, test, 0.1, SCALE, cfg), part, "naive_split")
+            assert res_s.q_hat == res_f.q_hat, part
+            assert res_s.intervals == res_f.intervals, part
 
     def test_group_without_calibration_rows_rejected(self):
         """A group with test rows and no calibration rows raises on every
@@ -868,7 +918,7 @@ class TestBandRule:
             return _learner(split, key).predict(X)
 
         sigma = {
-            "lvd": lambda X: np.maximum(fitted("sigma", X)[:, 0], cfg.sigma_floor),
+            "lvd": lambda X: np.maximum(label_spread(fitted("mean", X)), cfg.sigma_floor),
             "boosted_lcp": lambda X: np.maximum(fitted(("boosted", "absolute", None), X),
                                                 cfg.sigma_floor),
         }
@@ -1163,10 +1213,9 @@ class TestCacheKeys:
         """(model type, row count) of every prediction that the nine methods
         of one split make: the network of the mean and the label logits
         predicts the learner half, the conformal half and the test set; the
-        spread network, the quantile network and the three forests the last
-        two."""
+        quantile network and the three forests the last two."""
         n_learn, n_conf = len(cal) // 2, len(cal) - len(cal) // 2
-        each = ["Net.predict"] * 3 + ["BoostedModel.predict"] * 3
+        each = ["Net.predict"] * 2 + ["BoostedModel.predict"] * 3
         return [("Net.predict", n_learn)] + [
             (what, n) for what in each for n in (n_conf, len(test))
         ]
@@ -1204,10 +1253,11 @@ class TestCacheKeys:
         assert len(groups) > 1
         self.assert_once_each(calls, want)
 
-    # Fits of nine methods on one Split: three networks and three forests.
-    # The mean network carries the label logits, so no label network is fit.
-    FITS_PER_SPLIT = {"fit_point_var": 1, "fit_spread_head": 1, "fit_quantile_model": 1,
-                      "fit_hist_density": 0, "fit_boosted": 3}
+    # Fits of nine methods on one Split: two networks and three forests.
+    # The mean network carries the label logits, so no label network is fit,
+    # and lvd reads its spread off them, so no spread network is either.
+    FITS_PER_SPLIT = {"fit_point_var": 1, "fit_quantile_model": 1, "fit_hist_density": 0,
+                      "fit_boosted": 3}
 
     @classmethod
     def count_fits(cls, monkeypatch) -> Counter:
@@ -1258,7 +1308,7 @@ class TestCacheKeys:
         shared = Split(cal, test, 0.1, SCALE, self.FAST_FIT)
         results = [run_method(m, shared) for m in METHODS]
         kept = [c[-1] for c in calls]
-        assert len(kept) == len(self.once_per_split(cal, test)) == 13
+        assert len(kept) == len(self.once_per_split(cal, test)) == 11
         assert not any(a.flags.writeable for a in kept)
         # A point prediction is the result's own array: writing to it leaves
         # every kept prediction as it was.
@@ -1368,8 +1418,6 @@ class TestLabelNetwork:
         label methods check both halves; the mean-based methods fit the
         network that carries the label logits, so they check the learner
         half."""
-        import dataclasses
-
         cal, test, _ = split_synth(n=200, seed=36)
         cfg = MethodConfig(train=TrainConfig(epochs=1))
         # In the learner half, in the conformal half.

@@ -885,6 +885,15 @@ class TestAggregate:
         got = (report.aggregates, report.per_dataset_agg, report.stratified)
         assert json.dumps(got) == json.dumps(want)
 
+    def test_one_value_is_its_own_mean(self):
+        """One present value reads as np.mean gives it, bit for bit, with a
+        std of 0; none present reads None."""
+        from scorebands.harness.runner import _mean_std
+
+        for v in (0.1, 1 / 3, -0.0, 0.0, 2, 5e-324, -math.inf, np.float64(-0.0)):
+            assert repr(_mean_std([None, v, None])) == repr((float(np.mean([v])), 0.0))
+        assert _mean_std([None, None]) == (None, None)
+
 
 class TestEmitReport:
     def _report(self, tmp_path, seeds=(0, 1), methods=("naive_split", "r2ccp")):

@@ -16,9 +16,9 @@ from scorebands.learners import (
     fit_grid_classifier,
     fit_hist_density,
     fit_point_var,
-    fit_spread_head,
     fit_quantile_model,
     label_columns,
+    label_spread,
     pinball_gradient,
     pinball_loss,
 )
@@ -32,7 +32,6 @@ from scorebands.learners import nets
 from scorebands.learners.nets import (
     Head,
     MLPParams,
-    Net,
     Standardizer,
     TrainConfig,
     batch_gradient,
@@ -295,12 +294,14 @@ class TestHistDensity:
                 fit(X, y, 5, TrainConfig(epochs=1))
 
 
-def fit_mean_and_spread(X, y, cfg):
-    """A squared-error mean network of a continuous y, and the spread network
-    fit to its |residual| behind its scaler."""
-    scaler = Standardizer.fit(X)
-    mean = Net(fit_mlp(scaler.transform(X), y, 1, squared_head, cfg), scaler)
-    return mean, fit_spread_head(mean, X, np.abs(y - mean.predict(X)[:, 0]), cfg)
+def rounded_normal_mad(m, s, k_max):
+    """The mean absolute deviation around their mean of the labels
+    clip(round(m + s * Z), 1, k_max), Z standard normal, in closed form."""
+    cdf = [0.5 * (1 + math.erf((edge - m) / (s * math.sqrt(2))))
+           for edge in np.arange(1.5, k_max)]
+    p = np.diff([0.0, *cdf, 1.0])
+    labels = np.arange(1.0, k_max + 1)
+    return float(p @ np.abs(labels - p @ labels))
 
 
 class TestPointVar:
@@ -334,21 +335,25 @@ class TestPointVar:
         assert np.max(np.abs(np.exp(log_softmax(out[:, 1:])).mean(axis=0) - p)) < 0.06
 
     def test_homoscedastic_sigma_flat(self):
-        """Constant-noise data: the fitted scale is flat (relative sd <= 20%)
-        and centered on the true mean absolute residual 0.5 * sqrt(2/pi)."""
+        """Constant-noise integer labels: the spread of the label
+        distribution is flat (relative sd <= 20%) and centered on the true
+        mean absolute deviation of the rounded labels."""
         rng = np.random.default_rng(8)
         X = rng.normal(size=(1500, 5))
-        y = 3.0 + 0.6 * X[:, 0] + 0.5 * rng.standard_normal(1500)
-        _, spread = fit_mean_and_spread(X, y, FAST)
-        sigma = spread.predict(rng.normal(size=(300, 5)))[:, 0]
+        y = np.clip(np.round(5.5 + 0.6 * X[:, 0] + rng.standard_normal(1500)), 1, 10)
+        net = fit_point_var(X, y, 10, FAST)
+        X_test = rng.normal(size=(300, 5))
+        sigma = label_spread(net.predict(X_test))
         assert sigma.std() / sigma.mean() <= 0.2
-        assert sigma.mean() == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=0.15)
+        true = [rounded_normal_mad(5.5 + 0.6 * x, 1.0, 10) for x in X_test[:, 0]]
+        assert sigma.mean() == pytest.approx(np.mean(true), rel=0.15)
 
     def test_zero_noise_sigma_at_floor(self):
-        """Zero-noise labels: the spread network and the boosted spread model
-        both predict about zero, and lvd and boosted_lcp both read
-        sigma_floor in their place."""
-        from scorebands.conformal import MethodConfig, Split, _learner, _mean_spread, run_method
+        """Zero-noise labels: the mean network's label distribution and the
+        boosted spread model both put a spread of about zero on every row,
+        and lvd and boosted_lcp read sigma_floor wherever it is larger."""
+        from scorebands.conformal import (MethodConfig, Split, _learner, _mean_label_spread,
+                                          _mean_spread, run_method)
         from scorebands.core import Batch, RatingScale
 
         n = 200
@@ -358,27 +363,59 @@ class TestPointVar:
         for floor in (1e-3, 0.05):
             cfg = MethodConfig(train=FAST, boost_rounds=20, sigma_floor=floor)
             split = Split(batch[:100], batch[100:], 0.1, RatingScale(), cfg)
-            for method, spread in (("lvd", "sigma"),
-                                   ("boosted_lcp", ("boosted", "absolute", None))):
+            # sum_k p_k |k - 3| < 0.02 puts more than 98 % of the mass on 3.
+            for method, band, spread, bound in (
+                ("lvd", _mean_label_spread,
+                 lambda X: label_spread(_learner(split, "mean").predict(X)), 0.02),
+                ("boosted_lcp", _mean_spread,
+                 lambda X: _learner(split, ("boosted", "absolute", None)).predict(X), 1e-3),
+            ):
                 run_method(method, split)
-                raw = np.ravel(_learner(split, spread).predict(split.test.X))
-                assert np.all(np.abs(raw) < 1e-3), method
                 for rows in ("conf", "test"):
-                    _, _, sigma = _mean_spread(split, rows, spread)
-                    assert np.all(sigma == floor), (method, rows)
+                    raw = spread(getattr(split, rows).X)
+                    assert np.all(np.abs(raw) < bound), method
+                    _, _, sigma = band(split, rows)
+                    assert np.array_equal(sigma, np.maximum(raw, floor)), (method, rows)
+                    assert floor < bound or np.all(sigma == floor), (method, rows)
 
     def test_two_cluster_ratio(self):
+        """Two clusters of rounded labels, at noise 2.0 and 0.6: the ratio
+        of their spreads is the ratio of the labels' true mean absolute
+        deviations."""
         rng = np.random.default_rng(9)
         n = 800
         cluster = rng.random(n) < 0.5
         X = np.where(cluster[:, None], 1.0, -1.0) + 0.05 * rng.standard_normal((n, 4))
-        sig = np.where(cluster, 0.9, 0.3)
-        y = 3.0 + sig * rng.standard_normal(n)
-        _, spread = fit_mean_and_spread(X, y, FAST)
-        hi = spread.predict(np.ones((1, 4)))[0, 0]
-        lo = spread.predict(-np.ones((1, 4)))[0, 0]
-        # true mean-absolute-residual ratio is exactly 0.9 / 0.3
-        assert hi / lo == pytest.approx(3.0, rel=0.3)
+        sig = np.where(cluster, 2.0, 0.6)
+        y = np.clip(np.round(5.0 + sig * rng.standard_normal(n)), 1, 9)
+        net = fit_point_var(X, y, 9, FAST)
+        hi, lo = label_spread(net.predict(np.stack([np.ones(4), -np.ones(4)])))
+        true = rounded_normal_mad(5.0, 2.0, 9) / rounded_normal_mad(5.0, 0.6, 9)
+        assert hi / lo == pytest.approx(true, rel=0.3)
+
+
+class TestLabelSpread:
+    @pytest.mark.parametrize("k_max", [3, 5, 10])
+    def test_equals_the_brute_force_sum(self, k_max):
+        """On hand-set outputs, sum_k p_k |k - mu| with p the softmax of
+        the label logits, summed label by label."""
+        rng = np.random.default_rng(k_max)
+        out = np.column_stack([rng.uniform(0.0, k_max + 1.0, 40),
+                               rng.normal(0.0, 3.0, (40, k_max))])
+        want = []
+        for mu, *logits in out.tolist():
+            weights = [math.exp(z) for z in logits]
+            want.append(sum(w / sum(weights) * abs(k - mu)
+                            for k, w in enumerate(weights, start=1)))
+        assert label_spread(out).tolist() == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("k_max", [3, 5, 10])
+    def test_one_hot_at_the_mean_is_zero(self, k_max):
+        """All the mass on label k, and a mean of k: no spread at all."""
+        out = np.full((k_max, 1 + k_max), -1e3)
+        for k in range(1, k_max + 1):
+            out[k - 1, [0, k]] = k, 0.0
+        assert np.all(label_spread(out) == 0.0)
 
 
 class TestBoosted:

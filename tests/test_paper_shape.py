@@ -72,7 +72,7 @@ KNOWN_BREAKS: dict[tuple[str, str], str] = {
     **{(m, "ratio"): _FLAT_RATIO for m in ("cqr", "cqr_asym", "chr", "boosted_cqr")},
     **{
         (m, "rsg"): _WIDE_EASY
-        for m in ("naive_split", "cqr", "cqr_asym", "chr", "lvd", "boosted_cqr",
+        for m in ("naive_split", "cqr", "cqr_asym", "chr", "boosted_cqr",
                   "boosted_lcp", "ordinal_aps")
     },
 }

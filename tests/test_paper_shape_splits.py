@@ -28,7 +28,7 @@ KNOWN_BREAKS: dict[tuple[str, str], str] = {
     ("chr", "ratio"): "chr's intervals barely widen with label noise: the "
     "hard/easy label-count ratio falls below half the oracle's on every split",
     **{(m, "rsg"): _WIDE_EASY
-       for m in ("naive_split", "cqr", "cqr_asym", "chr", "lvd", "boosted_cqr",
+       for m in ("naive_split", "cqr", "cqr_asym", "chr", "boosted_cqr",
                  "boosted_lcp", "ordinal_aps")},
     ("r2ccp", "rsg"): "r2ccp's hard-group rsg is at most 0 on two of the five splits",
     ("boosted_cqr", "order"): "boosted CQR gives the easy group wider "
