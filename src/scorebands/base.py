@@ -26,6 +26,8 @@ class RatingScale:
     __slots__ = ("k_max",)
 
     def __init__(self, k_max: int = 5) -> None:
+        if type(k_max) is not int:  # a bool is not an integer
+            raise ValueError(f"k_max must be an integer, got {k_max!r}")
         if k_max < 2:
             raise ValueError(f"k_max must be >= 2, got {k_max}")
         object.__setattr__(self, "k_max", k_max)

@@ -180,7 +180,8 @@ def cell_intervals(y_conf, conf, test, alpha, scale, edges=True):
 
 
 def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy contiguous growth from the argmax label, for every row at once.
+    """Greedy contiguous growth from the argmax label, for every row of the
+    (n, K) label probabilities at once.
 
     Returns (n, K) arrays: the label index added at each step, the
     cumulative mass after it, and the lowest and highest index held after
@@ -189,8 +190,6 @@ def _aps_paths(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     order.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     n, k = probs.shape
     rows = np.arange(n)
     order = np.empty((n, k), dtype=np.intp)

@@ -28,22 +28,24 @@ class ExtractionFailure(Exception):
 MULTI_TOKEN_LABEL = "multi-token label"
 _DIGITS = frozenset("0123456789")
 
+# The fixed formats of judge output: the stage-1 anchor, which may split
+# across up to ANCHOR_SPAN tokens, the stage-2 keywords, and the token
+# markers stripped before matching (sentence-piece, byte-BPE).
+ANCHOR = "Score:"
+ANCHOR_SPAN = 3
+KEYWORDS = ("score", "rating")
+MARKERS = ("▁", "Ġ")
+
 
 class ExtractConfig:
-    """Extraction knobs; defaults match common judge output formats. Immutable,
-    equal and hashed by its fields; the class attributes are the defaults."""
+    """The settings `scorebands extract` takes; immutable, the class
+    attributes are the defaults."""
 
-    anchor = "Score:"
-    anchor_span = 3  # anchor may split across up to this many tokens
-    keywords = ("score", "rating")
     window = 8  # tokens searched after a keyword for the digit
-    markers = ("▁", "Ġ")  # sentence-piece, byte-BPE
     floor = -11.5  # log(1e-5), for rating tokens absent from top-k
     nan_fill = -100.0
 
-    def __init__(self, anchor: str = anchor, anchor_span: int = anchor_span,
-                 keywords: tuple[str, ...] = keywords, window: int = window,
-                 markers: tuple[str, ...] = markers, floor: float = floor,
+    def __init__(self, window: int = window, floor: float = floor,
                  nan_fill: float = nan_fill) -> None:
         # A value written in place of a logprob must be one: finite and <= 0.
         # The message names the field and the CLI flag that sets it.
@@ -53,22 +55,18 @@ class ExtractConfig:
                 raise ValueError(
                     f"{name} ({flag}) must be a finite log-probability <= 0, got {value}"
                 )
-        # A window below 1 would silently switch off the keyword stage.
+        # A window below 1 would silently switch off the keyword stage; a
+        # bool is not an integer.
+        if type(window) is not int:
+            raise ValueError(f"window (--window) must be an integer, got {window!r}")
         if window < 1:
             raise ValueError(f"window (--window) must be at least 1, got {window}")
-        self.__dict__.update(anchor=anchor, anchor_span=anchor_span, keywords=keywords,
-                             window=window, markers=markers, floor=floor, nan_fill=nan_fill)
+        self.__dict__.update(window=window, floor=floor, nan_fill=nan_fill)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
 
 
 def _sort_top_k(top_k) -> tuple[tuple[str, float], ...]:
@@ -170,14 +168,14 @@ class ExtractionResult:
         self.declared_mismatch = declared_mismatch
 
 
-def normalize_token(raw: str, markers: tuple[str, ...] = ExtractConfig.markers) -> str:
+def normalize_token(raw: str) -> str:
     """Strip leading whitespace and sentence-piece style markers."""
-    if not (raw[:1].isspace() or raw.startswith(markers)):
+    if not (raw[:1].isspace() or raw.startswith(MARKERS)):
         return raw
     text = raw
     while True:
         stripped = text.lstrip()
-        for marker in markers:
+        for marker in MARKERS:
             if stripped.startswith(marker):
                 stripped = stripped[len(marker) :]
         if stripped == text:
@@ -211,25 +209,23 @@ def find_score_position(
 ) -> tuple[int, str]:
     """Locate the rating-digit token; returns (token index, stage name)."""
     digits = _rating_digits(scale)
-    markers = cfg.markers
-    norm = [normalize_token(text, markers) for text in rec.texts]
+    norm = [normalize_token(text) for text in rec.texts]
     n = len(norm)
 
     # Stage 1: literal anchor, possibly split across adjacent tokens and
     # tolerating a trailing space. Only the first anchor occurrence counts.
     # A match starts with a prefix of the anchor or the anchor itself.
-    anchor = cfg.anchor
     anchor_end = None
     for i, start in enumerate(norm):
-        if not anchor.startswith(start) and start.rstrip() != anchor:
+        if not ANCHOR.startswith(start) and start.rstrip() != ANCHOR:
             continue
         cat = ""
-        for w in range(min(cfg.anchor_span, n - i)):
+        for w in range(min(ANCHOR_SPAN, n - i)):
             cat += norm[i + w]
-            if cat.rstrip() == anchor:
+            if cat.rstrip() == ANCHOR:
                 anchor_end = i + w
                 break
-            if len(cat.rstrip()) >= len(anchor):
+            if len(cat.rstrip()) >= len(ANCHOR):
                 break
         if anchor_end is not None:
             break
@@ -239,10 +235,9 @@ def find_score_position(
                 return _whole_label(rec, scale, j, STAGE_ANCHORED)
 
     # Stage 2: case-insensitive keyword followed by a digit within the window.
-    keywords = cfg.keywords
     for i, text in enumerate(norm):
         low = text.lower()
-        for kw in keywords:
+        for kw in KEYWORDS:
             if kw in low:
                 break
         else:
@@ -264,29 +259,27 @@ def find_score_position(
 def build_feature_vector(
     entry: TokenLogprobEntry,
     scale: RatingScale,
-    floor: float = ExtractConfig.floor,
-    nan_fill: float = ExtractConfig.nan_fill,
-    markers: tuple[str, ...] = ExtractConfig.markers,
+    cfg: ExtractConfig = ExtractConfig(),
 ) -> FeatureVector:
     """Logprob of each rating token "1".."K" from the entry's top-k.
 
     Slot j always holds label j's logprob: a missing rating token, or one
-    whose logprob is -inf, gets the floor, a NaN logprob gets the NaN fill,
-    so the output is always finite.
+    whose logprob is -inf, gets ``cfg.floor``, a NaN logprob gets
+    ``cfg.nan_fill``, so the output is always finite.
     A label listed more than once takes its first pair in the sorted top-k.
     """
     digits = _rating_digits(scale)
     found: dict[int, float] = {}
     for text, lp in entry.top_k:
-        label = digits.get(normalize_token(text, markers))
+        label = digits.get(normalize_token(text))
         if label is not None:
             found.setdefault(label, lp)
     values = []
     for label in scale.labels:
         lp = found.get(label, -math.inf)  # absent: probability 0
         if lp == -math.inf:
-            lp = floor
-        values.append(nan_fill if math.isnan(lp) else float(lp))
+            lp = cfg.floor
+        values.append(cfg.nan_fill if math.isnan(lp) else float(lp))
     return FeatureVector(tuple(values))
 
 
@@ -297,8 +290,8 @@ def extract(
 ) -> ExtractionResult:
     pos, stage = find_score_position(rec, scale, cfg)
     entry = rec.entry(pos)
-    features = build_feature_vector(entry, scale, cfg.floor, cfg.nan_fill, cfg.markers)
-    score = _rating_digits(scale)[normalize_token(entry.token_text, cfg.markers)]
+    features = build_feature_vector(entry, scale, cfg)
+    score = _rating_digits(scale)[normalize_token(entry.token_text)]
     mismatch = rec.declared_score is not None and rec.declared_score != score
     return ExtractionResult(
         score_position=pos,
@@ -353,16 +346,11 @@ class ExtractionSummary:
     __slots__ = ("n_records", "n_ok", "n_failed", "n_mismatch", "stage_counts", "failures",
                  "parse_errors")
 
-    def __init__(self, n_records: int = 0, n_ok: int = 0, n_failed: int = 0,
-                 n_mismatch: int = 0, stage_counts: dict | None = None,
-                 failures: list | None = None, parse_errors: list | None = None) -> None:
-        self.n_records = n_records
-        self.n_ok = n_ok
-        self.n_failed = n_failed
-        self.n_mismatch = n_mismatch
-        self.stage_counts = stage_counts or {}
-        self.failures = failures or []
-        self.parse_errors = parse_errors or []
+    def __init__(self) -> None:
+        self.n_records = self.n_ok = self.n_failed = self.n_mismatch = 0
+        self.stage_counts: dict[str, int] = {}
+        self.failures: list[tuple[str, str]] = []  # (sample id, reason)
+        self.parse_errors: list[tuple[int, str]] = []  # (line number, message)
 
 
 def extract_file(

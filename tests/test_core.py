@@ -52,6 +52,11 @@ class TestRatingScale:
         with pytest.raises(ValueError, match=r"^k_max must be >= 2, got 1$"):
             RatingScale(k_max=1)
 
+    @pytest.mark.parametrize("k_max", [5.0, 2.5, True, "5"])
+    def test_rejects_non_integer(self, k_max):
+        with pytest.raises(ValueError, match=rf"^k_max must be an integer, got {k_max!r}$"):
+            RatingScale(k_max)
+
     def test_immutable(self):
         scale = RatingScale(k_max=7)
         with pytest.raises(AttributeError):

@@ -2,8 +2,10 @@
 feature building, and transcript file processing."""
 
 import importlib.util
+import inspect
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extraction_corpus as corpus
+from scorebands import extract as extract_module
 from scorebands.base import decoded_lines
+from scorebands.cli import build_parser
 from scorebands.core import DataError, RatingScale
 from scorebands.extract import (
     MULTI_TOKEN_LABEL,
@@ -151,7 +155,7 @@ class TestBuildFeatureVector:
 
     def test_minus_inf_floored(self):
         top = {"4": -0.2, "3": -math.inf, "▁3": -math.inf, "5": -math.inf}
-        fv = build_feature_vector(entry("4", top), SCALE, floor=-9.0)
+        fv = build_feature_vector(entry("4", top), SCALE, ExtractConfig(floor=-9.0))
         assert fv.values == (-9.0, -9.0, -9.0, -0.2, -9.0)
         # A finite pair of the same label still wins over -inf.
         fv = build_feature_vector(entry("4", {"3": -math.inf, "▁3": -7.0}), SCALE)
@@ -169,7 +173,7 @@ class TestBuildFeatureVector:
     def test_floor_sensitivity_only_affects_floored_slots(self):
         e = entry("4", corpus.TOP_MISSING_1_AND_5)
         vectors = {
-            floor: build_feature_vector(e, SCALE, floor=floor)
+            floor: build_feature_vector(e, SCALE, ExtractConfig(floor=floor))
             for floor in (-9.0, -11.5, -15.0)
         }
         for floor, fv in vectors.items():
@@ -421,22 +425,33 @@ def test_fill_values_at_the_edges_are_accepted(value):
 
 
 class TestExtractConfig:
-    DEFAULTS = {"anchor": "Score:", "anchor_span": 3, "keywords": ("score", "rating"),
-                "window": 8, "markers": ("▁", "Ġ"), "floor": -11.5, "nan_fill": -100.0}
+    DEFAULTS = {"window": 8, "floor": -11.5, "nan_fill": -100.0}
 
-    def test_seven_keyword_fields_and_their_defaults(self):
+    def test_three_keyword_fields_and_their_defaults(self):
         cfg = ExtractConfig()
         for name, value in self.DEFAULTS.items():
             assert getattr(cfg, name) == value
             assert getattr(ExtractConfig, name) == value  # the class holds the defaults
-        given = dict(anchor="Rating:", anchor_span=2, keywords=("grade",), window=4,
-                     markers=("#",), floor=-3.0, nan_fill=-50.0)
+        given = dict(window=4, floor=-3.0, nan_fill=-50.0)
         cfg = ExtractConfig(**given)
         assert {name: getattr(cfg, name) for name in given} == given
+        assert vars(cfg) == given
+
+    def test_fixed_formats_are_module_constants(self):
+        assert extract_module.ANCHOR == "Score:"
+        assert extract_module.ANCHOR_SPAN == 3
+        assert extract_module.KEYWORDS == ("score", "rating")
+        assert extract_module.MARKERS == ("▁", "Ġ")
 
     def test_unknown_keyword_is_type_error(self):
         with pytest.raises(TypeError):
             ExtractConfig(windw=3)
+
+    @pytest.mark.parametrize("field, value", [("anchor", "Rating:"), ("anchor_span", 2),
+                                              ("keywords", ("grade",)), ("markers", ("#",))])
+    def test_fixed_format_is_not_a_setting(self, field, value):
+        with pytest.raises(TypeError):
+            ExtractConfig(**{field: value})
 
     @pytest.mark.parametrize("window", [0, -3])
     def test_window_below_one_is_value_error(self, window):
@@ -444,15 +459,29 @@ class TestExtractConfig:
                                              rf"got {window}$"):
             ExtractConfig(window=window)
 
-    def test_immutable_equal_and_hashable(self):
+    @pytest.mark.parametrize("window", [2.5, 8.0, True, "8", None])
+    def test_window_not_an_integer_is_value_error(self, window):
+        with pytest.raises(ValueError, match=rf"^window \(--window\) must be an integer, "
+                                             rf"got {re.escape(repr(window))}$"):
+            ExtractConfig(window=window)
+
+    def test_immutable(self):
         cfg = ExtractConfig(window=4)
         with pytest.raises(AttributeError):
             cfg.window = 9
         with pytest.raises(AttributeError):
             del cfg.window
         assert cfg.window == 4
-        assert cfg == ExtractConfig(window=4) and cfg != ExtractConfig()
-        assert hash(cfg) == hash(ExtractConfig(window=4))
+
+    def test_settings_are_the_extract_flags(self):
+        # Each setting is set by a flag of `scorebands extract`, so no
+        # setting is left that only a library caller could reach.
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a.default for a in sub.choices["extract"]._actions}
+        for not_a_setting in ("help", "input", "out", "k_max"):
+            del flags[not_a_setting]
+        params = inspect.signature(ExtractConfig).parameters
+        assert {name: p.default for name, p in params.items()} == flags
 
 
 def reference_lines(path):
@@ -597,11 +626,11 @@ def reference_parse_record(obj):
         raise DataError(f"bad transcript record: {exc}") from exc
 
 
-def reference_normalize_token(raw, markers=ExtractConfig.markers):
+def reference_normalize_token(raw):
     text = raw
     while True:
         stripped = text.lstrip()
-        for marker in markers:
+        for marker in ("▁", "Ġ"):
             if stripped.startswith(marker):
                 stripped = stripped[len(marker) :]
         if stripped == text:
@@ -616,18 +645,18 @@ def reference_digit_value(text, scale):
     return None
 
 
-def reference_find_score_position(rec, scale, cfg=ExtractConfig()):
-    norm = [reference_normalize_token(t.token_text, cfg.markers) for t in rec.tokens]
+def reference_find_score_position(rec, scale, window=8):
+    norm = [reference_normalize_token(t.token_text) for t in rec.tokens]
     n = len(norm)
     anchor_end = None
     for i in range(n):
         cat = ""
-        for w in range(min(cfg.anchor_span, n - i)):
+        for w in range(min(3, n - i)):
             cat += norm[i + w]
-            if cat.rstrip() == cfg.anchor:
+            if cat.rstrip() == "Score:":
                 anchor_end = i + w
                 break
-            if len(cat.rstrip()) >= len(cfg.anchor):
+            if len(cat.rstrip()) >= len("Score:"):
                 break
         if anchor_end is not None:
             break
@@ -637,8 +666,8 @@ def reference_find_score_position(rec, scale, cfg=ExtractConfig()):
                 return j, "anchored"
     for i in range(n):
         low = norm[i].lower()
-        if any(kw in low for kw in cfg.keywords):
-            for j in range(i + 1, min(i + 1 + cfg.window, n)):
+        if any(kw in low for kw in ("score", "rating")):
+            for j in range(i + 1, min(i + 1 + window, n)):
                 if reference_digit_value(norm[j], scale) is not None:
                     return j, "keyword"
     for j in range(n - 1, -1, -1):
@@ -647,13 +676,12 @@ def reference_find_score_position(rec, scale, cfg=ExtractConfig()):
     raise ExtractionFailure(f"no rating digit in transcript {rec.sample_id!r}")
 
 
-def reference_build_feature_vector(entry, scale, floor=-11.5, nan_fill=-100.0,
-                                   markers=ExtractConfig.markers):
+def reference_build_feature_vector(entry, scale, floor=-11.5, nan_fill=-100.0):
     values = []
     for label in scale.labels:
         lp = None
         for text, cand in entry.top_k:
-            if reference_normalize_token(text, markers) == str(label):
+            if reference_normalize_token(text) == str(label):
                 lp = cand
                 break
         if lp is None:
@@ -664,22 +692,21 @@ def reference_build_feature_vector(entry, scale, floor=-11.5, nan_fill=-100.0,
     return tuple(values)
 
 
-def reference_outcome(obj, scale=SCALE, cfg=ExtractConfig()):
+def reference_outcome(obj, scale=SCALE, window=8):
     """("error", message), ("failed", sample id) or ("ok", position, stage,
-    score, features as written, mismatch flag) by the former path."""
+    score, features as written, mismatch flag) by the former path, with the
+    default floor and NaN fill."""
     try:
         rec = reference_parse_record(obj)
     except DataError as exc:
         return ("error", str(exc))
     try:
-        pos, stage = reference_find_score_position(rec, scale, cfg)
+        pos, stage = reference_find_score_position(rec, scale, window)
     except ExtractionFailure:
         return ("failed", rec.sample_id)
     entry = rec.tokens[pos]
-    features = reference_build_feature_vector(
-        entry, scale, cfg.floor, cfg.nan_fill, cfg.markers
-    )
-    score = reference_digit_value(reference_normalize_token(entry.token_text, cfg.markers), scale)
+    features = reference_build_feature_vector(entry, scale)
+    score = reference_digit_value(reference_normalize_token(entry.token_text), scale)
     mismatch = rec.declared_score is not None and rec.declared_score != score
     return ("ok", pos, stage, score, json.dumps(features), mismatch)
 
@@ -800,10 +827,10 @@ def transcript(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=transcript(), window=st.integers(1, 8), span=st.integers(1, 3))
-def test_matches_reference_on_generated_transcripts(obj, window, span):
-    cfg = ExtractConfig(window=window, anchor_span=span)
-    assert outcome(obj, SCALE, cfg) == reference_outcome(obj, SCALE, cfg)
+@given(obj=transcript(), window=st.integers(1, 8))
+def test_matches_reference_on_generated_transcripts(obj, window):
+    cfg = ExtractConfig(window=window)
+    assert outcome(obj, SCALE, cfg) == reference_outcome(obj, SCALE, window)
 
 
 @settings(max_examples=100, deadline=None)
